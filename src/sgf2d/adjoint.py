@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridMismatchError, VectorField2D, arakawa, d1c, d2c
-from .sensitivity import solve_linearized
+from .grid import GridMismatchError, arakawa, d1c, d2c
+from .sensitivity import _check_base, solve_linearized
 from .state import (
     ProblemData,
     StateSolution,
     Trajectory,
+    _target_stack,
     get_ops,
     left_weights,
     slice_dots,
@@ -47,20 +48,11 @@ class AdjointState:
         return self.pd.m_steps
 
 
-def _check_base(base: StateSolution, pd: ProblemData) -> None:
-    b = base.pd
-    if (
-        b.grid != pd.grid
-        or b.m_steps != pd.m_steps
-        or b.alpha != pd.alpha
-        or b.nu != pd.nu
-        or b.T != pd.T
-    ):
-        raise ValueError("base solution was produced under different problem data")
-
-
 def _adjoint_core(base: StateSolution, source: np.ndarray, pd: ProblemData) -> AdjointState:
     """Backward sweep driven by the vector-field source trajectory.
+
+    Exact transpose of sensitivity._propagate: each step applies the
+    transposed linearized step map in reverse order.
 
     source[k] is the integrand paired against the velocity tangent with
     left-rectangle time weights rho_k (rho_m = 0).
@@ -106,22 +98,12 @@ def _adjoint_core(base: StateSolution, source: np.ndarray, pd: ProblemData) -> A
 
 
 def solve_adjoint(base: StateSolution, y_d, pd: ProblemData) -> AdjointState:
-    """Adjoint of the tracking objective: source is the mismatch y - y_d."""
+    """Adjoint of the tracking objective: source is the mismatch y - y_d.
+
+    y_d = None means the problem's own target pd.y_d.
+    """
     _check_base(base, pd)
-    if y_d is None:
-        target = pd.target_stack()
-    elif isinstance(y_d, Trajectory):
-        if y_d.grid != pd.grid or y_d.m_steps != pd.m_steps or not y_d.is_vector:
-            raise GridMismatchError("target trajectory is not aligned with the problem")
-        target = y_d.data
-    elif isinstance(y_d, VectorField2D):
-        if y_d.grid != pd.grid:
-            raise GridMismatchError("target lives on a different grid")
-        target = np.broadcast_to(
-            np.stack([y_d.u1, y_d.u2]), base.y.shape
-        )
-    else:
-        raise ValueError("y_d must be a Trajectory, a VectorField2D, or None")
+    target = _target_stack(pd.y_d if y_d is None else y_d, pd.grid, pd.m_steps)
     return _adjoint_core(base, base.y - target, pd)
 
 

@@ -54,11 +54,11 @@ class CertificateInputs:
 
     def __post_init__(self):
         for name in ("alpha", "nu", "T"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("norm_y0_H3", "norm_u_L1H1", "norm_yd_L2Q", "lam"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         if self.u_norm_source not in ("actual", "ball_bound"):
             raise ValueError("u_norm_source must be 'actual' or 'ball_bound'")
 

@@ -9,6 +9,7 @@ suggestion; invariant violations name the offending field.
 from __future__ import annotations
 
 import difflib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,8 @@ def _parse_modes(text: str, where: str) -> list[tuple[int, int, float]]:
             raise ConfigError(f"{where}: mode {part!r}: {exc}") from exc
         if k1 < 1 or k2 < 1:
             raise ConfigError(f"{where}: mode numbers must be >= 1 in {part!r}")
+        if not math.isfinite(amp):
+            raise ConfigError(f"{where}: mode amplitude must be finite in {part!r}")
         modes.append((k1, k2, amp))
     return modes
 

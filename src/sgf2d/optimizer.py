@@ -19,6 +19,7 @@ from .state import (
     ProblemData,
     StateSolution,
     Trajectory,
+    _target_stack,
     control_h1_norm,
     l2q_inner,
     l2q_norm,
@@ -33,16 +34,12 @@ def cost(u: Trajectory, y: Trajectory, y_d, lam: float) -> float:
     """Tracking-plus-regularization objective.
 
     Tracking term uses left-rectangle time weights (making the adjoint
-    terminal condition exact), control term uses trapezoid weights.
+    terminal condition exact), control term uses trapezoid weights. A target
+    that is not aligned with y is refused, not broadcast.
     """
     m, dt = y.m_steps, y.dt
     h2 = y.grid.h ** 2
-    if y_d is None:
-        target = np.zeros_like(y.data)
-    elif isinstance(y_d, Trajectory):
-        target = y_d.data
-    else:
-        target = np.broadcast_to(np.stack([y_d.u1, y_d.u2]), y.data.shape)
+    target = _target_stack(y_d, y.grid, m)
     rho = left_weights(m, dt)
     mis = y.data - target
     track = 0.5 * h2 * np.dot(rho, slice_dots(mis, mis))

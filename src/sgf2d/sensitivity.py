@@ -8,6 +8,7 @@ and gradient/duality checks are limited only by roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -45,11 +46,14 @@ def _check_base(base: StateSolution, pd: ProblemData) -> None:
         raise ValueError("base solution was produced under different problem data")
 
 
-def solve_linearized(base: StateSolution, w: Trajectory, pd: ProblemData) -> TangentState:
-    """Tangent z = S'(u)[w]: the derivative of every discrete step, z(0) = 0."""
-    _check_base(base, pd)
-    if w.grid != pd.grid or not w.is_vector or w.m_steps != pd.m_steps:
-        raise GridMismatchError("direction w is not aligned with the problem")
+def _propagate(
+    base: StateSolution, pd: ProblemData, source: Callable[[int], np.ndarray]
+) -> TangentState:
+    """The linearized stepper from rest, forced by source(k) on step k -> k+1.
+
+    The tangent, the second-order tangent and (transposed, in the adjoint
+    module) the adjoint are this one sweep with different sources.
+    """
     ops = get_ops(pd)
     n = pd.grid.n_interior
     m = pd.m_steps
@@ -61,9 +65,8 @@ def solve_linearized(base: StateSolution, w: Trajectory, pd: ProblemData) -> Tan
     z = np.zeros((m + 1, 2, n, n))
 
     for k in range(m):
-        curl_w = d1c(w.data[k + 1, 1], h) - d2c(w.data[k + 1, 0], h)
         rhs = dq[k] + dt * (
-            curl_w
+            source(k)
             - arakawa(dq[k], base.psi[k], h)
             - arakawa(base.q[k], dpsi[k], h)
         )
@@ -74,6 +77,17 @@ def solve_linearized(base: StateSolution, w: Trajectory, pd: ProblemData) -> Tan
         z[k + 1, 1] = -d1c(dpsi[k + 1], h)
 
     return TangentState(pd, z, dq, dpsi)
+
+
+def solve_linearized(base: StateSolution, w: Trajectory, pd: ProblemData) -> TangentState:
+    """Tangent z = S'(u)[w]: the derivative of every discrete step, z(0) = 0."""
+    _check_base(base, pd)
+    if w.grid != pd.grid or not w.is_vector or w.m_steps != pd.m_steps:
+        raise GridMismatchError("direction w is not aligned with the problem")
+    h = pd.grid.h
+    return _propagate(
+        base, pd, lambda k: d1c(w.data[k + 1, 1], h) - d2c(w.data[k + 1, 0], h)
+    )
 
 
 def solve_second(
@@ -89,27 +103,9 @@ def solve_second(
     for t in (t1, t2):
         if t.pd is not pd:
             _check_base(base, t.pd)
-    ops = get_ops(pd)
-    n = pd.grid.n_interior
-    m = pd.m_steps
     h = pd.grid.h
-    dt = pd.dt
 
-    ddq = np.zeros((m + 1, n, n))
-    ddpsi = np.zeros_like(ddq)
-    zz = np.zeros((m + 1, 2, n, n))
+    def minus_cross(k: int) -> np.ndarray:
+        return -(arakawa(t1.dq[k], t2.dpsi[k], h) + arakawa(t2.dq[k], t1.dpsi[k], h))
 
-    for k in range(m):
-        cross = arakawa(t1.dq[k], t2.dpsi[k], h) + arakawa(t2.dq[k], t1.dpsi[k], h)
-        rhs = ddq[k] + dt * (
-            -cross
-            - arakawa(ddq[k], base.psi[k], h)
-            - arakawa(base.q[k], ddpsi[k], h)
-        )
-        dom = ops.inv_Hb(rhs)
-        ddq[k + 1] = ops.Ha(dom)
-        ddpsi[k + 1] = ops.inv_P(dom)
-        zz[k + 1, 0] = d2c(ddpsi[k + 1], h)
-        zz[k + 1, 1] = -d1c(ddpsi[k + 1], h)
-
-    return TangentState(pd, zz, ddq, ddpsi)
+    return _propagate(base, pd, minus_cross)

@@ -8,6 +8,7 @@ instead; the two families are kept separate on purpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -151,8 +152,8 @@ class DomainConstants:
 
     def __post_init__(self):
         for name in CONSTANT_NAMES:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"constant {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"constant {name} must be positive and finite")
             self.source.setdefault(name, "default_unit")
             if self.source[name] not in ("user_supplied", "estimated", "default_unit"):
                 raise ValueError(f"bad source for {name}: {self.source[name]!r}")

@@ -13,8 +13,10 @@ is an exactly linear (and exactly differentiable) map.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -179,6 +181,23 @@ def control_h1_norm(u: Trajectory) -> float:
     return float(np.sqrt(total))
 
 
+def _target_stack(y_d, grid: Grid, m_steps: int) -> np.ndarray:
+    """The target as an (m_steps+1, 2, n, n) array; None is the zero target."""
+    n = grid.n_interior
+    shape = (m_steps + 1, 2, n, n)
+    if y_d is None:
+        return np.zeros(shape)
+    if isinstance(y_d, Trajectory):
+        if y_d.grid != grid or y_d.m_steps != m_steps or not y_d.is_vector:
+            raise GridMismatchError("target trajectory is not aligned with the problem")
+        return y_d.data
+    if isinstance(y_d, VectorField2D):
+        if y_d.grid != grid:
+            raise GridMismatchError("target lives on a different grid")
+        return np.broadcast_to(np.stack([y_d.u1, y_d.u2]), shape)
+    raise ValueError("y_d must be a Trajectory, a VectorField2D, or None")
+
+
 # ---------------------------------------------------------------------------
 # problem data
 
@@ -197,29 +216,18 @@ class ProblemData:
     lam: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "nu", "T"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("alpha", "nu", "T", "L"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.m_steps < 1:
             raise ValueError("m_steps must be >= 1")
-        if self.L <= 0:
-            raise ValueError("L must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lambda must be nonnegative and finite")
         if self.y0.grid != self.grid:
             raise GridMismatchError("y0 lives on a different grid")
         if not self.y0.divergence_free or self.y0.stream is None:
             raise ValueError("y0 must be produced from a stream function")
-        if isinstance(self.y_d, Trajectory):
-            if self.y_d.grid != self.grid or self.y_d.m_steps != self.m_steps:
-                raise ValueError("target trajectory is not aligned with the problem")
-            if not self.y_d.is_vector:
-                raise ValueError("target must be a velocity-like trajectory")
-        elif isinstance(self.y_d, VectorField2D):
-            if self.y_d.grid != self.grid:
-                raise GridMismatchError("target lives on a different grid")
-        elif self.y_d is not None:
-            raise ValueError("y_d must be a Trajectory, a VectorField2D, or None")
+        _target_stack(self.y_d, self.grid, self.m_steps)  # validates y_d
         speed = max(np.max(np.abs(self.y0.u1)), np.max(np.abs(self.y0.u2)))
         if speed * self.dt / self.grid.h > 0.5:
             warnings.warn(
@@ -233,21 +241,10 @@ class ProblemData:
         return self.T / self.m_steps
 
     def target_stack(self) -> np.ndarray:
-        n = self.grid.n_interior
-        if self.y_d is None:
-            return np.zeros((self.m_steps + 1, 2, n, n))
-        if isinstance(self.y_d, Trajectory):
-            return self.y_d.data
-        return np.broadcast_to(
-            np.stack([self.y_d.u1, self.y_d.u2]), (self.m_steps + 1, 2, n, n)
-        )
+        return _target_stack(self.y_d, self.grid, self.m_steps)
 
     def zero_control(self) -> Trajectory:
         return Trajectory.zeros(self.grid, self.m_steps, self.dt, "control")
-
-
-# spectral operator bundle, cached per discretization signature
-_OPS_CACHE: dict = {}
 
 
 class _Ops:
@@ -269,12 +266,12 @@ class _Ops:
         return v - self.alpha * lap5(v, self.h)
 
 
+# spectral operator bundle, cached per discretization signature
+_ops_for = lru_cache(maxsize=32)(_Ops)
+
+
 def get_ops(pd: ProblemData) -> _Ops:
-    key = (pd.grid.n_interior, pd.alpha, pd.nu, pd.dt)
-    ops = _OPS_CACHE.get(key)
-    if ops is None:
-        ops = _OPS_CACHE[key] = _Ops(*key)
-    return ops
+    return _ops_for(pd.grid.n_interior, pd.alpha, pd.nu, pd.dt)
 
 
 # ---------------------------------------------------------------------------

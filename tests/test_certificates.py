@@ -199,6 +199,17 @@ class TestCertificateInputs:
         with pytest.raises(ValueError, match="u_norm_source"):
             crafted_inputs(u_norm_source="guess")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["alpha", "nu", "T", "norm_y0_H3", "norm_u_L1H1", "norm_yd_L2Q", "lam"],
+    )
+    def test_non_finite_rejected(self, name, bad):
+        # NaN compares False against 0, so it used to reach certify and
+        # yield lambda1 = nan with two silent 'false' verdicts
+        with pytest.raises(ValueError, match=name):
+            crafted_inputs(**{name: bad})
+
     def test_from_problem_ball_bound(self):
         g = Grid(10)
         y0 = velocity_from_stream(

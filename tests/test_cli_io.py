@@ -168,6 +168,9 @@ class TestConfigParsing:
         p2 = write_cfg(tmp_path, MINIMAL + "y0_modes = 0,1,0.5\n", name="c2.txt")
         with pytest.raises(ConfigError, match="mode numbers must be >= 1"):
             parse_config(p2)
+        p3 = write_cfg(tmp_path, MINIMAL + "y0_modes = 1,1,nan\n", name="c3.txt")
+        with pytest.raises(ConfigError, match="mode amplitude must be finite"):
+            parse_config(p3)
 
     def test_yd_sources_mutually_exclusive(self, tmp_path):
         p = write_cfg(tmp_path, MINIMAL + "yd_modes = 1,1,0.1\nyd_from = somewhere\n")
@@ -222,6 +225,25 @@ class TestCliExitCodes:
         )
         assert rc == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            MINIMAL.replace("alpha = 0.4", "alpha = inf"),
+            MINIMAL + "lambda = inf\n",
+            MINIMAL + "y0_modes = 1,1,nan\n",
+        ],
+        ids=["alpha-inf", "lambda-inf", "mode-nan"],
+    )
+    def test_non_finite_value_is_exit_2(self, tmp_path, capsys, body):
+        # these used to reach the solver and exit 1 ("blew up at step 1") or
+        # escape as a traceback
+        cfg = write_cfg(tmp_path, body)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_blow_up_is_exit_1(self, tmp_path, capsys):
         cfg = write_cfg(

@@ -207,6 +207,12 @@ class TestDomainConstants:
         with pytest.raises(ValueError):
             DomainConstants(C3=-2.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        for name in CONSTANT_NAMES:
+            with pytest.raises(ValueError, match=f"constant {name} must be positive and finite"):
+                DomainConstants(**{name: bad})
+
     def test_source_vocabulary(self):
         dc = DomainConstants(K=2.0, source={"K": "estimated"})
         assert dc.source["K"] == "estimated"

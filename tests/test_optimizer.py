@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sgf2d.adjoint import gradient_field, solve_adjoint
-from sgf2d.grid import Grid, velocity_from_stream
+from sgf2d.grid import Grid, GridMismatchError, velocity_from_stream
 from sgf2d.optimizer import (
     MultiStartReport,
     OptimizeOptions,
@@ -85,6 +85,17 @@ class TestCost:
         u = smooth_control(pd, 2)
         zero_y = Trajectory.zeros(pd.grid, pd.m_steps, pd.dt, "target")
         assert cost(u, base.velocity, None, 0.3) == cost(u, base.velocity, zero_y, 0.3)
+
+    def test_target_on_other_grid_rejected(self):
+        pd = small_problem()
+        base = solve_state(None, pd)
+        other = Grid(pd.grid.n_interior + 2)
+        yd = velocity_from_stream(stream_from_coeffs(other, 0.1 * np.ones((2, 2))))
+        with pytest.raises(GridMismatchError, match="different grid"):
+            cost(pd.zero_control(), base.velocity, yd, pd.lam)
+        short = Trajectory.zeros(pd.grid, pd.m_steps - 1, pd.dt, "target")
+        with pytest.raises(GridMismatchError, match="not aligned"):
+            cost(pd.zero_control(), base.velocity, short, pd.lam)
 
     def test_lam_scaling_isolates_control_term(self):
         pd = small_problem()

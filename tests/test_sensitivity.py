@@ -14,6 +14,7 @@ symmetry, zero propagation) holds to roundoff, not discretization error.
 import numpy as np
 import pytest
 
+from sgf2d.adjoint import duality_gap, solve_adjoint
 from sgf2d.grid import Grid, GridMismatchError, velocity_from_stream
 from sgf2d.sensitivity import solve_linearized, solve_second
 from sgf2d.spaces import stream_from_coeffs
@@ -57,7 +58,16 @@ class TestLinearizedBasics:
         assert tan.q_tangent.kind == "potential_vorticity"
         assert tan.q_tangent.m_steps == pd.m_steps
 
-    def test_base_from_other_problem_rejected(self):
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            lambda base, pd: solve_linearized(base, pd.zero_control(), pd),
+            lambda base, pd: solve_adjoint(base, None, pd),
+            lambda base, pd: duality_gap(base, pd.zero_control(), pd.zero_control(), pd),
+        ],
+        ids=["solve_linearized", "solve_adjoint", "duality_gap"],
+    )
+    def test_base_from_other_problem_rejected(self, solver):
         pd = small_problem()
         base = solve_state(None, pd)
         other = ProblemData(
@@ -69,7 +79,7 @@ class TestLinearizedBasics:
             y0=pd.y0,
         )
         with pytest.raises(ValueError, match="different problem data"):
-            solve_linearized(base, other.zero_control(), other)
+            solver(base, other)
 
     def test_misaligned_direction_rejected(self):
         pd = small_problem()

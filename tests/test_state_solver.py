@@ -23,9 +23,11 @@ from sgf2d.state import (
     BlowUpError,
     ProblemData,
     Trajectory,
+    _ops_for,
     apply_upsilon,
     control_h1_norm,
     curl_upsilon,
+    get_ops,
     l2q_inner,
     left_weights,
     nonlinear_term,
@@ -148,9 +150,37 @@ class TestProblemData:
             dict(m_steps=0),
             dict(L=0.0),
             dict(lam=-0.1),
+            dict(alpha=np.nan),
+            dict(alpha=np.inf),
+            dict(nu=np.nan),
+            dict(nu=np.inf),
+            dict(T=np.nan),
+            dict(T=np.inf),
+            dict(L=np.nan),
+            dict(L=np.inf),
+            dict(lam=np.nan),
+            dict(lam=np.inf),
+            dict(alpha=-np.inf),
         ):
             with pytest.raises(ValueError):
                 ProblemData(**{**ok, **bad})
+
+    def test_operator_cache_is_bounded_and_shared(self):
+        g = Grid(8)
+        y0 = velocity_from_stream(single_mode_stream(g, 1, 1, 0.01))
+        maxsize = _ops_for.cache_info().maxsize
+        problems = [
+            ProblemData(alpha=0.5, nu=0.1, T=1.0, grid=g, m_steps=m, y0=y0)
+            for m in range(1, maxsize + 6)
+        ]
+        first = [get_ops(pd) for pd in problems]
+        assert len({pd.dt for pd in problems}) > maxsize
+        assert _ops_for.cache_info().currsize <= maxsize
+        # the most recent signature is still cached: same object, not a rebuild
+        assert get_ops(problems[-1]) is first[-1]
+        twin = ProblemData(alpha=0.5, nu=0.1, T=1.0, grid=g, m_steps=3, y0=y0)
+        assert get_ops(twin) is get_ops(twin)
+        assert get_ops(twin) is get_ops(problems[2])
 
     def test_y0_must_have_stream(self):
         g = Grid(8)

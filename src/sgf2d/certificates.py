@@ -18,12 +18,11 @@ import numpy as np
 from .adjoint import AdjointState, solve_adjoint
 from .grid import arakawa, VectorField2D
 from .sensitivity import solve_linearized, solve_second
-from .spaces import DomainConstants, inner_l2, norm_hk
+from .spaces import DomainConstants, inner_l2, norm_hk, stack_hk_sq
 from .state import (
     ProblemData,
     StateSolution,
     Trajectory,
-    _h1_sq_slice,
     left_weights,
     nonlinear_term,
     slice_dots,
@@ -77,13 +76,7 @@ class CertificateInputs:
         elif u_norm_source == "actual":
             if u is None:
                 raise ValueError("u_norm_source='actual' requires the control u")
-            slice_h1 = np.array(
-                [
-                    math.sqrt(_h1_sq_slice(u.data[k, 0], u.data[k, 1], h))
-                    for k in range(pd.m_steps + 1)
-                ]
-            )
-            n_u = float(np.dot(tau, slice_h1))
+            n_u = float(np.dot(tau, np.sqrt(stack_hk_sq(u.data, h, 1)[1])))
         else:
             raise ValueError("u_norm_source must be 'actual' or 'ball_bound'")
         target = pd.target_stack()
@@ -304,11 +297,7 @@ def check_adjoint_bound(adj: AdjointState, ci: CertificateInputs):
     from .spaces import InequalityCheck
 
     lambda4 = compute_lambda4(ci, compute_lambda1(ci))
-    g = adj.pd.grid
-    lhs = max(
-        norm_hk(VectorField2D(g, adj.p[k, 0], adj.p[k, 1]), 2)
-        for k in range(adj.pd.m_steps + 1)
-    ) ** 2
+    lhs = float(np.max(stack_hk_sq(adj.p, adj.pd.grid.h, 2)[2]))
     rhs = lambda4 ** 2
     return InequalityCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-12))
 

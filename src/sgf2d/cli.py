@@ -112,12 +112,8 @@ def _cmd_simulate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
 
 
 def _opts_from(rc: RunConfig) -> OptimizeOptions:
-    opts = OptimizeOptions()
-    if rc["tol"] is not None:
-        opts.tol = rc["tol"]
-    if rc["max_iter"] is not None:
-        opts.max_iter = rc["max_iter"]
-    return opts
+    given = {key: rc[key] for key in ("tol", "max_iter") if rc[key] is not None}
+    return OptimizeOptions(**given)
 
 
 def _cmd_optimize(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> int:

@@ -191,8 +191,8 @@ def parse_config(path) -> RunConfig:
     ):
         if not cond:
             raise ConfigError(f"{path}: {name} {msg} (got {values[name]!r})")
-    if values["tol"] is not None and not values["tol"] > 0:
-        raise ConfigError(f"{path}: tol must be positive")
+    if values["tol"] is not None and not 0 < values["tol"] < math.inf:
+        raise ConfigError(f"{path}: tol must be positive and finite")
     if values["max_iter"] is not None and values["max_iter"] < 1:
         raise ConfigError(f"{path}: max_iter must be at least 1")
     if values["yd_modes"] and values["yd_from"]:

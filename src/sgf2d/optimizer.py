@@ -7,6 +7,7 @@ Hilbert norm). Steps use Barzilai-Borwein seeding with Armijo backtracking.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -79,6 +80,13 @@ class OptimizeOptions:
     armijo_c: float = 1e-4
     max_halvings: int = 40
     initial_step: float = 1.0
+
+    def __post_init__(self):
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
+        # max_iter = 0 evaluates the start only and reports the cap
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be nonnegative")
 
 
 @dataclass

@@ -31,8 +31,8 @@ CONSTANT_NAMES = ("K", "K_tilde", "K_hat", "C1", "C2", "C3", "C4")
 def diff1(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     """First difference quotient: centered inside, one-sided at the edges."""
     out = np.empty_like(v)
-    vm = np.moveaxis(v, axis, 0)
-    om = np.moveaxis(out, axis, 0)
+    vm = v.swapaxes(axis, 0)
+    om = out.swapaxes(axis, 0)
     om[1:-1] = (vm[2:] - vm[:-2]) / (2.0 * h)
     om[0] = (vm[1] - vm[0]) / h
     om[-1] = (vm[-1] - vm[-2]) / h
@@ -80,6 +80,35 @@ def norm_hk(v, k: int) -> float:
                     derivs[(i, j)] = diff1(derivs[(i, j - 1)], h, 1)
         total += sum(h2 * np.sum(d * d) for d in derivs.values())
     return float(np.sqrt(total))
+
+
+# input bytes per block of slices in stack_hk_sq; bounds its temporaries
+_BLOCK_BYTES = 1 << 16
+
+
+def stack_hk_sq(data: np.ndarray, h: float, k: int) -> np.ndarray:
+    """Squared norm_hk of orders 0..k of every slice of an (m+1, 2, n, n) stack.
+
+    Row j of the (k+1, m+1) result is norm_hk(slice, j)**2. The time axis is
+    walked in blocks of about _BLOCK_BYTES of input, so the temporaries do
+    not grow with m.
+    """
+    if k not in (0, 1, 2, 3):
+        raise ValueError(f"k must be in 0..3, got {k}")
+    out = np.empty((k + 1, data.shape[0]))
+    step = max(1, _BLOCK_BYTES // max(1, data[0].nbytes))
+    for s in range(0, data.shape[0], step):
+        prev = [data[s : s + step]]
+        b = prev[0].shape[0]
+        acc = np.zeros(b)
+        for order in range(k + 1):
+            if order:
+                # d1^i d2^(order-i), built from order-1 in norm_hk's sequence
+                prev = [diff1(prev[0], h, -1)] + [diff1(d, h, -2) for d in prev]
+            for d in prev:
+                acc += h * h * (d * d).reshape(b, -1).sum(1)
+            out[order, s : s + b] = acc
+    return out
 
 
 def sym_grad_sq(v: VectorField2D) -> float:

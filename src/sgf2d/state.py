@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -90,8 +90,8 @@ class Trajectory:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if not ok or a.shape[0] < 2:
             raise ValueError(f"bad trajectory data shape {a.shape} for kind {self.kind!r}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if not np.isfinite(a).all():
             raise ValueError("trajectory contains non-finite entries")
         a = np.ascontiguousarray(a)
@@ -162,23 +162,10 @@ def l2q_norm(a: Trajectory, weights: np.ndarray) -> float:
     return float(np.sqrt(max(l2q_inner(a, a, weights), 0.0)))
 
 
-def _h1_sq_slice(u1: np.ndarray, u2: np.ndarray, h: float) -> float:
-    total = np.sum(u1 * u1) + np.sum(u2 * u2)
-    for comp in (u1, u2):
-        for axis in (0, 1):
-            d = spaces.diff1(comp, h, axis)
-            total += np.sum(d * d)
-    return float(h * h * total)
-
-
 def control_h1_norm(u: Trajectory) -> float:
     """Discrete L2(0,T;H1) norm: trapezoid in time, H1 quadrature per slice."""
-    w = trap_weights(u.m_steps, u.dt)
-    h = u.grid.h
-    total = 0.0
-    for k in range(u.m_steps + 1):
-        total += w[k] * _h1_sq_slice(u.data[k, 0], u.data[k, 1], h)
-    return float(np.sqrt(total))
+    h1_sq = spaces.stack_hk_sq(u.data, u.grid.h, 1)[1]
+    return float(np.sqrt(np.dot(trap_weights(u.m_steps, u.dt), h1_sq)))
 
 
 def _target_stack(y_d, grid: Grid, m_steps: int) -> np.ndarray:
@@ -315,7 +302,8 @@ def step_state(
 
 @dataclass(frozen=True)
 class StateSolution:
-    """Bundle returned by solve_state: trajectories plus per-step norms."""
+    """Bundle returned by solve_state: trajectories plus per-step norms; the
+    H1 and H3 norms are computed on first read, both in one stack pass."""
 
     pd: ProblemData
     u: Trajectory
@@ -323,8 +311,18 @@ class StateSolution:
     omega: np.ndarray
     q: np.ndarray
     y: np.ndarray
-    norms_h1: np.ndarray
-    norms_h3: np.ndarray
+
+    @cached_property
+    def _norms_sq(self) -> np.ndarray:
+        return spaces.stack_hk_sq(self.y, self.pd.grid.h, 3)
+
+    @cached_property
+    def norms_h1(self) -> np.ndarray:
+        return np.sqrt(self._norms_sq[1])
+
+    @cached_property
+    def norms_h3(self) -> np.ndarray:
+        return np.sqrt(self._norms_sq[3])
 
     @property
     def velocity(self) -> Trajectory:
@@ -380,14 +378,7 @@ def solve_state(u: Trajectory | None, pd: ProblemData) -> StateSolution:
         y[k + 1, 0] = d2c(psi[k + 1], h)
         y[k + 1, 1] = -d1c(psi[k + 1], h)
 
-    norms_h1 = np.empty(m + 1)
-    norms_h3 = np.empty(m + 1)
-    for k in range(m + 1):
-        vf = VectorField2D(pd.grid, y[k, 0], y[k, 1])
-        norms_h1[k] = spaces.norm_hk(vf, 1)
-        norms_h3[k] = spaces.norm_hk(vf, 3)
-
-    return StateSolution(pd, u, psi, omega, q, y, norms_h1, norms_h3)
+    return StateSolution(pd, u, psi, omega, q, y)
 
 
 # ---------------------------------------------------------------------------

@@ -232,12 +232,13 @@ class TestCliExitCodes:
             MINIMAL.replace("alpha = 0.4", "alpha = inf"),
             MINIMAL + "lambda = inf\n",
             MINIMAL + "y0_modes = 1,1,nan\n",
+            MINIMAL + "[run]\ntol = inf\n",
         ],
-        ids=["alpha-inf", "lambda-inf", "mode-nan"],
+        ids=["alpha-inf", "lambda-inf", "mode-nan", "tol-inf"],
     )
     def test_non_finite_value_is_exit_2(self, tmp_path, capsys, body):
-        # these used to reach the solver and exit 1 ("blew up at step 1") or
-        # escape as a traceback
+        # these used to reach the solver and exit 1 ("blew up at step 1"),
+        # escape as a traceback, or (tol = inf) let optimize claim convergence
         cfg = write_cfg(tmp_path, body)
         out = tmp_path / "out"
         rc = main(["simulate", "--config", str(cfg), "--out", str(out)])

@@ -12,6 +12,7 @@ from sgf2d.spaces import (
     NormSuite,
     apply_A,
     check_inequality,
+    diff1,
     estimate_constant,
     grad_sq,
     inner_l2,
@@ -23,9 +24,11 @@ from sgf2d.spaces import (
     sample_field,
     save_constants,
     solenoidal_projection_values,
+    stack_hk_sq,
     stream_from_coeffs,
     sym_grad_sq,
 )
+from sgf2d.state import Trajectory, control_h1_norm, trap_weights
 
 
 def random_field(grid, seed, vector=True, amplitude=1.0):
@@ -105,6 +108,47 @@ class TestSobolevNorms:
     def test_h0_is_l2(self):
         v = random_field(Grid(9), 10)
         assert norm_hk(v, 0) == pytest.approx(norm_l2(v), rel=1e-14)
+
+
+class TestStackNorms:
+    @pytest.mark.parametrize("n", [3, 16, 33])
+    def test_matches_per_slice_norm_hk(self, n):
+        # 20 slices cross a block boundary at n = 16 and n = 33
+        g = Grid(n)
+        rng = np.random.default_rng(n)
+        data = rng.standard_normal((20, 2, n, n))
+        data[3] = 0.0
+        v = random_field(g, 11)  # a smooth divergence-free slice
+        data[7] = np.stack([v.u1, v.u2])
+        got = stack_hk_sq(data, g.h, 3)
+        assert got.shape == (4, 20)
+        assert np.all(got[:, 3] == 0.0)
+        for k in range(4):
+            want = [norm_hk(VectorField2D(g, d[0], d[1]), k) ** 2 for d in data]
+            np.testing.assert_allclose(got[k], want, rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(stack_hk_sq(data, g.h, k), got[: k + 1])
+
+    def test_invalid_order(self):
+        with pytest.raises(ValueError):
+            stack_hk_sq(np.zeros((2, 2, 4, 4)), 0.2, 4)
+
+    def test_control_h1_norm_matches_slice_trapezoid(self):
+        g = Grid(16)
+        m, dt = 9, 0.05
+        rng = np.random.default_rng(2)
+        u = Trajectory(g, dt, "control", rng.standard_normal((m + 1, 2, 16, 16)))
+        # the per-slice formula control_h1_norm used before the stack pass
+        w = trap_weights(m, dt)
+        total = 0.0
+        for k in range(m + 1):
+            u1, u2 = u.data[k]
+            sq = np.sum(u1 * u1) + np.sum(u2 * u2)
+            for comp in (u1, u2):
+                for axis in (0, 1):
+                    d = diff1(comp, g.h, axis)
+                    sq += np.sum(d * d)
+            total += w[k] * g.h * g.h * sq
+        assert control_h1_norm(u) == pytest.approx(np.sqrt(total), rel=1e-14)
 
 
 class TestNormV:

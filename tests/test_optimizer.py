@@ -170,6 +170,22 @@ class TestOptimize:
         assert rep.J_final == 0.0
         assert np.all(rep.u_final.data == 0.0)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"tol": float("inf")},
+            {"tol": float("nan")},
+            {"tol": 0.0},
+            {"tol": -1e-8},
+            {"max_iter": -1},
+        ],
+        ids=["tol-inf", "tol-nan", "tol-zero", "tol-negative", "max_iter-negative"],
+    )
+    def test_options_validated(self, kw):
+        # tol = inf used to stop the first iteration with converged = True
+        with pytest.raises(ValueError, match="tol must be positive and finite|max_iter"):
+            OptimizeOptions(**kw)
+
     def test_iteration_cap_path(self):
         pd = small_problem()
         rep = optimize(pd, None, OptimizeOptions(max_iter=0))

@@ -1,10 +1,12 @@
 """Forward solver: stepping, decay laws, energy, trilinear evaluators."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from sgf2d import spaces
 from sgf2d.certificates import CertificateInputs, check_state_bound
 from sgf2d.grid import (
     Grid,
@@ -18,6 +20,7 @@ from sgf2d.grid import (
     lap5,
     velocity_from_stream,
 )
+from sgf2d.optimizer import cost
 from sgf2d.spaces import DomainConstants, norm_hk, norm_V, stream_from_coeffs
 from sgf2d.state import (
     BlowUpError,
@@ -76,6 +79,12 @@ class TestTrajectory:
             Trajectory(g, 0.1, "stream", np.zeros((1, 6, 6)))  # single slice
         with pytest.raises(ValueError):
             Trajectory(g, 0.0, "stream", np.zeros((3, 6, 6)))
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_non_finite_dt_rejected(self, dt):
+        # NaN and +inf both pass a plain dt <= 0 test
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            Trajectory.zeros(Grid(4), 2, dt)
 
     def test_nonfinite_rejected(self):
         g = Grid(6)
@@ -315,6 +324,53 @@ class TestSolveState:
         assert sol.norms_h1.shape == (5,) and sol.norms_h3.shape == (5,)
         assert sol.norms_h1[0] == pytest.approx(norm_hk(pd.y0, 1), rel=1e-13)
         assert np.all(sol.norms_h1 <= sol.norms_h3 + 1e-15)
+
+    def test_solve_and_cost_compute_no_norm(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("norm pass on the solve path")
+
+        monkeypatch.setattr(spaces, "stack_hk_sq", refuse)
+        pd = small_problem(m=4)
+        sol = solve_state(smooth_control(pd, 2), pd)
+        assert cost(sol.u, sol.velocity, None, 0.1) > 0.0
+
+    def test_norms_computed_once_on_first_read(self, monkeypatch):
+        calls = []
+        real = spaces.stack_hk_sq
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spaces, "stack_hk_sq", counting)
+        pd = small_problem(m=4)
+        sol = solve_state(None, pd)
+        assert calls == []
+        h3 = sol.norms_h3
+        assert calls == [3]
+        h1 = sol.norms_h1
+        assert sol.norms_h3 is h3 and sol.norms_h1 is h1
+        assert calls == [3]
+        for k in range(5):
+            vf = sol.velocity.slice(k)
+            assert h1[k] == pytest.approx(norm_hk(vf, 1), rel=1e-14)
+            assert h3[k] == pytest.approx(norm_hk(vf, 3), rel=1e-14)
+
+    def test_norm_pass_memory_does_not_grow_with_steps(self):
+        # the stack is walked in fixed blocks, so the temporaries are the
+        # same at 50 and at 200 steps
+        g = Grid(32)
+        rng = np.random.default_rng(4)
+        peaks = []
+        for m in (50, 200):
+            data = rng.standard_normal((m + 1, 2, 32, 32))
+            tracemalloc.start()
+            try:
+                spaces.stack_hk_sq(data, g.h, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_velocity_accessors_agree(self):
         pd = small_problem(m=4)

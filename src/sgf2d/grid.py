@@ -107,7 +107,9 @@ def same_grid(*fields) -> Grid:
 # array-level stencils (zero Dirichlet ghost ring)
 
 def pad0(v: np.ndarray) -> np.ndarray:
-    return np.pad(v, 1)
+    p = np.zeros((v.shape[0] + 2, v.shape[1] + 2), dtype=v.dtype)
+    p[1:-1, 1:-1] = v
+    return p
 
 
 def lap5(v: np.ndarray, h: float) -> np.ndarray:

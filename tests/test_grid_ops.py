@@ -12,10 +12,13 @@ from sgf2d.grid import (
     advect,
     arakawa,
     curl2d,
+    d1c,
+    d2c,
     divergence,
     helmholtz_solve,
     lap5,
     laplacian,
+    pad0,
     poisson_solve,
     velocity_from_stream,
 )
@@ -136,6 +139,44 @@ class TestLaplacian:
         lhs = np.sum(lap5(f, g.h) * r)
         rhs = np.sum(f * lap5(r, g.h))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+
+def _padded_stencils(a, b, h):
+    # the stencils written against np.pad: the reference the ghost-ring builder must match bit for bit
+    ap, bp = np.pad(a, 1), np.pad(b, 1)
+    lap = (ap[2:, 1:-1] + ap[:-2, 1:-1] + ap[1:-1, 2:] + ap[1:-1, :-2] - 4.0 * a) / (h * h)
+    d1 = (ap[2:, 1:-1] - ap[:-2, 1:-1]) / (2.0 * h)
+    d2 = (ap[1:-1, 2:] - ap[1:-1, :-2]) / (2.0 * h)
+    aE, aW, aN, aS = ap[2:, 1:-1], ap[:-2, 1:-1], ap[1:-1, 2:], ap[1:-1, :-2]
+    aNE, aNW, aSE, aSW = ap[2:, 2:], ap[:-2, 2:], ap[2:, :-2], ap[:-2, :-2]
+    bE, bW, bN, bS = bp[2:, 1:-1], bp[:-2, 1:-1], bp[1:-1, 2:], bp[1:-1, :-2]
+    bNE, bNW, bSE, bSW = bp[2:, 2:], bp[:-2, 2:], bp[2:, :-2], bp[:-2, :-2]
+    j1 = (aE - aW) * (bN - bS) - (aN - aS) * (bE - bW)
+    j2 = aE * (bNE - bSE) - aW * (bNW - bSW) - aN * (bNE - bNW) + aS * (bSE - bSW)
+    j3 = aNE * (bN - bE) - aSW * (bW - bS) - aNW * (bN - bW) + aSE * (bE - bS)
+    return lap, d1, d2, (j1 + j2 + j3) / (12.0 * h * h)
+
+
+class TestPadFreeStencils:
+    @pytest.mark.parametrize("n", [3, 16, 33])
+    @pytest.mark.parametrize("layout", ["contiguous", "stack_slice", "transposed"])
+    def test_bit_identical_to_np_pad(self, n, layout):
+        g = Grid(n)
+        rng = np.random.default_rng(n)
+        stack = rng.standard_normal((3, 2, n, n))
+        if layout == "contiguous":
+            a, b = stack[0, 0].copy(), stack[1, 1].copy()
+        elif layout == "stack_slice":
+            a, b = stack[2, 0], stack[1, 1]
+        else:
+            a, b = stack[0, 1].T, stack[2, 0][::-1].T
+        lap, d1, d2, jac = _padded_stencils(a, b, g.h)
+        assert np.array_equal(lap5(a, g.h), lap)
+        assert np.array_equal(d1c(a, g.h), d1)
+        assert np.array_equal(d2c(a, g.h), d2)
+        assert np.array_equal(arakawa(a, b, g.h), jac)
+        assert np.array_equal(pad0(a), np.pad(a, 1))
+        assert np.array_equal(pad0(b), np.pad(b, 1))
 
 
 class TestEllipticSolves:

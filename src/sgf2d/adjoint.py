@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridMismatchError, arakawa, d1c, d2c
+from .grid import GridMismatchError, apply_symbol, arakawa, d1c, d2c
 from .sensitivity import _check_base, solve_linearized
 from .state import (
     ProblemData,
@@ -74,16 +74,16 @@ def _adjoint_core(base: StateSolution, source: np.ndarray, pd: ProblemData) -> A
         if rho[k] == 0.0:
             return np.zeros((n, n))
         curl_s = d1c(source[k, 1], h) - d2c(source[k, 0], h)
-        return rho[k] * h2 * ops.inv_Ha(ops.inv_P(curl_s))
+        return rho[k] * h2 * apply_symbol(curl_s, ops.HaiPi_sym)
 
     mu[m] = source_term(m)
     for k in range(m - 1, -1, -1):
-        r[k + 1] = ops.inv_Hb(ops.Ha(mu[k + 1]))
+        r[k + 1] = apply_symbol(mu[k + 1], ops.step_sym[0])
         mu[k] = (
             r[k + 1]
             - dt
             * (
-                ops.inv_Ha(ops.inv_P(arakawa(r[k + 1], base.q[k], h)))
+                apply_symbol(arakawa(r[k + 1], base.q[k], h), ops.HaiPi_sym)
                 - arakawa(r[k + 1], base.psi[k], h)
             )
             + source_term(k)

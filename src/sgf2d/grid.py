@@ -9,6 +9,7 @@ them by a zero ghost ring. ``values[i, j]`` samples the point
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -164,16 +165,27 @@ def _neg_lap_eigenvalues(n: int) -> np.ndarray:
     h = 1.0 / (n + 1)
     k = np.arange(1, n + 1)
     lam = (4.0 / (h * h)) * np.sin(k * np.pi * h / 2.0) ** 2
-    return lam[:, None] + lam[None, :]
+    return _read_only(lam[:, None] + lam[None, :])
 
 
-def _dst2(v: np.ndarray) -> np.ndarray:
-    return dstn(v, type=1)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-def _idst2(v: np.ndarray) -> np.ndarray:
-    n = v.shape[0]
-    return dstn(v, type=1) / (2.0 * (n + 1)) ** 2
+def dst_symbol(values: np.ndarray) -> np.ndarray:
+    """Read-only apply_symbol symbol: values on the DST-I modes, inverse scale folded in."""
+    return _read_only(values / (2.0 * (values.shape[-1] + 1)) ** 2)
+
+
+def apply_symbol(v: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Diagonal DST-I operator: one forward transform, one inverse. A (2, n, n)
+    symbol gives the stack of both operators from a single batched inverse."""
+    return dstn(dstn(v, type=1) * symbol, type=1, axes=(-2, -1))
+
+
+def _dst_divide(v: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    return dstn(dstn(v, type=1) / denom, type=1) / (2.0 * (v.shape[0] + 1)) ** 2
 
 
 def poisson_solve_values(
@@ -182,7 +194,7 @@ def poisson_solve_values(
     """Solve -lap5(psi) = omega with zero Dirichlet boundary."""
     n = omega.shape[0]
     if method == "dst":
-        return _idst2(_dst2(omega) / _neg_lap_eigenvalues(n))
+        return _dst_divide(omega, _neg_lap_eigenvalues(n))
     if method == "cg":
         return _cg_solve(omega, h, a=None, maxiter=maxiter)
     raise ValueError(f"unknown elliptic method {method!r}")
@@ -192,11 +204,11 @@ def helmholtz_solve_values(
     rhs: np.ndarray, a: float, h: float, method: str = "dst", maxiter: int | None = None
 ) -> np.ndarray:
     """Solve (I - a*lap5) f = rhs with zero Dirichlet boundary, a > 0."""
-    if a <= 0:
-        raise ValueError(f"helmholtz coefficient must be positive, got {a}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"helmholtz coefficient must be positive and finite, got {a}")
     n = rhs.shape[0]
     if method == "dst":
-        return _idst2(_dst2(rhs) / (1.0 + a * _neg_lap_eigenvalues(n)))
+        return _dst_divide(rhs, 1.0 + a * _neg_lap_eigenvalues(n))
     if method == "cg":
         return _cg_solve(rhs, h, a=a, maxiter=maxiter)
     raise ValueError(f"unknown elliptic method {method!r}")

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridMismatchError, arakawa, d1c, d2c
+from .grid import GridMismatchError, apply_symbol, arakawa, d1c, d2c
 from .state import ProblemData, StateSolution, Trajectory, get_ops
 
 
@@ -70,9 +70,7 @@ def _propagate(
             - arakawa(dq[k], base.psi[k], h)
             - arakawa(base.q[k], dpsi[k], h)
         )
-        dom = ops.inv_Hb(rhs)
-        dq[k + 1] = ops.Ha(dom)
-        dpsi[k + 1] = ops.inv_P(dom)
+        dq[k + 1], dpsi[k + 1] = apply_symbol(rhs, ops.step_sym)
         z[k + 1, 0] = d2c(dpsi[k + 1], h)
         z[k + 1, 1] = -d1c(dpsi[k + 1], h)
 

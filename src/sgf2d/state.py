@@ -26,11 +26,14 @@ from .grid import (
     GridMismatchError,
     ScalarField2D,
     VectorField2D,
+    _neg_lap_eigenvalues,
+    apply_symbol,
     arakawa,
     cross_quadrature,
     curl2d,
     d1c,
     d2c,
+    dst_symbol,
     helmholtz_solve_values,
     lap5,
     poisson_solve_values,
@@ -239,6 +242,13 @@ class _Ops:
         self.h = 1.0 / (n + 1)
         self.alpha = alpha
         self.b = alpha + nu * dt
+        lam = _neg_lap_eigenvalues(n)
+        ha, hb = 1.0 + alpha * lam, 1.0 + self.b * lam
+        # a step maps its right-hand side to (q, psi) = (Ha Hb^-1, P^-1 Hb^-1) rhs;
+        # all factors are diagonal in the DST-I basis, so the adjoint's
+        # Hb^-1 Ha is step_sym[0] and Ha^-1 P^-1 is one more symbol
+        self.step_sym = dst_symbol(np.stack([ha / hb, 1.0 / (lam * hb)]))
+        self.HaiPi_sym = dst_symbol(1.0 / (lam * ha))
 
     def inv_P(self, v):
         return poisson_solve_values(v, self.h)
@@ -270,9 +280,8 @@ def _step_arrays(q, psi, u1_next, u2_next, ops, dt):
     with np.errstate(over="ignore", invalid="ignore"):
         curl_u = d1c(u2_next, h) - d2c(u1_next, h)
         adv = arakawa(q, psi, h)
-        omega1 = ops.inv_Hb(q + dt * (curl_u - adv))
-        q1 = ops.Ha(omega1)
-        psi1 = ops.inv_P(omega1)
+        q1, psi1 = apply_symbol(q + dt * (curl_u - adv), ops.step_sym)
+        omega1 = -lap5(psi1, h)
     return q1, omega1, psi1
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from sgf2d import grid as grid_module
 from sgf2d.grid import Grid, ScalarField2D, VectorField2D, velocity_from_stream
 from sgf2d.spaces import stream_from_coeffs
 
@@ -64,3 +65,16 @@ def smooth_control(pd, seed, amplitude=0.05, n_modes=3):
         )
         data[k, 0], data[k, 1] = v.u1, v.u2
     return Trajectory(pd.grid, pd.dt, "control", data)
+
+
+def count_dst_calls(monkeypatch):
+    """Count the DST passes from here on: every transform goes through grid.dstn."""
+    calls = []
+    original = grid_module.dstn
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(grid_module, "dstn", counting)
+    return calls

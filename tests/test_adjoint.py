@@ -14,9 +14,17 @@ objective.
 import numpy as np
 import pytest
 
-from sgf2d.adjoint import duality_gap, gradient_field, solve_adjoint
+from sgf2d.adjoint import _adjoint_core, duality_gap, gradient_field, solve_adjoint
 from sgf2d.certificates import CertificateInputs, check_adjoint_bound
-from sgf2d.grid import Grid, GridMismatchError, arakawa, d1c, d2c, velocity_from_stream
+from sgf2d.grid import (
+    Grid,
+    GridMismatchError,
+    apply_symbol,
+    arakawa,
+    d1c,
+    d2c,
+    velocity_from_stream,
+)
 from sgf2d.optimizer import cost
 from sgf2d.sensitivity import solve_linearized
 from sgf2d.spaces import DomainConstants, stream_from_coeffs
@@ -30,7 +38,7 @@ from sgf2d.state import (
     trap_weights,
 )
 
-from helpers import smooth_control
+from helpers import count_dst_calls, smooth_control
 
 
 def small_problem(n=14, m=10, with_target=True):
@@ -150,6 +158,30 @@ class TestDuality:
             assert gap <= 1e-10 * pairing
             # the identity is symmetric in which factor plays the source
             assert duality_gap(base, phi, w, pd) <= 1e-9 * pairing
+
+
+class TestFusedAdjointSymbols:
+    @pytest.mark.parametrize("n", [3, 16, 33])
+    def test_symbols_match_composition(self, n):
+        ops = get_ops(small_problem(n=n))
+        v = np.random.default_rng(n).standard_normal((n, n))
+        pairs = (
+            (apply_symbol(v, ops.step_sym[0]), ops.inv_Hb(ops.Ha(v))),
+            (apply_symbol(v, ops.HaiPi_sym), ops.inv_Ha(ops.inv_P(v))),
+        )
+        for got, ref in pairs:
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_transform_counts_per_step(self, monkeypatch):
+        pd = small_problem(n=8, m=7)
+        base = solve_state(smooth_control(pd, 1), pd)
+        w, phi = smooth_control(pd, 2), smooth_control(pd, 3)
+        calls = count_dst_calls(monkeypatch)
+        solve_linearized(base, w, pd)
+        assert len(calls) == 2 * pd.m_steps
+        calls.clear()
+        _adjoint_core(base, phi.data, pd)
+        assert len(calls) == 6 * pd.m_steps
 
 
 class TestGradientField:

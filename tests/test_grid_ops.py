@@ -9,17 +9,21 @@ from sgf2d.grid import (
     ScalarField2D,
     SolverDivergenceError,
     VectorField2D,
+    _neg_lap_eigenvalues,
     advect,
+    apply_symbol,
     arakawa,
     curl2d,
     d1c,
     d2c,
     divergence,
+    dst_symbol,
     helmholtz_solve,
     lap5,
     laplacian,
     pad0,
     poisson_solve,
+    poisson_solve_values,
     velocity_from_stream,
 )
 from sgf2d.fieldio import read_field, write_field, write_field_csv
@@ -227,6 +231,30 @@ class TestEllipticSolves:
             helmholtz_solve(f, 0.0)
         with pytest.raises(ValueError):
             helmholtz_solve(f, -1.0)
+        # NaN and +inf slip past a bare a <= 0 test: NaN gave a NaN field, inf all zeros
+        for a in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                helmholtz_solve(f, a)
+
+    def test_spectral_cache_read_only(self):
+        g = Grid(5)
+        rhs = np.random.default_rng(9).standard_normal(g.shape)
+        before = poisson_solve_values(rhs, g.h)
+        with pytest.raises(ValueError):
+            _neg_lap_eigenvalues(5)[:] = 1.0
+        assert np.array_equal(poisson_solve_values(rhs, g.h), before)
+
+    @pytest.mark.parametrize("n", [3, 16, 33])
+    def test_stacked_symbol_is_two_single_applications(self, n):
+        v = np.random.default_rng(n).standard_normal((n, n))
+        lam = _neg_lap_eigenvalues(n)
+        pair = dst_symbol(np.stack([1.0 / (1.0 + 0.7 * lam), 1.0 / lam]))
+        out = apply_symbol(v, pair)
+        assert out.shape == (2, n, n)
+        assert np.array_equal(out[0], apply_symbol(v, pair[0]))
+        assert np.array_equal(out[1], apply_symbol(v, pair[1]))
+        with pytest.raises(ValueError):
+            pair[0, 0, 0] = 1.0
 
     def test_unknown_method(self):
         g = Grid(8)

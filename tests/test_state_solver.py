@@ -13,6 +13,7 @@ from sgf2d.grid import (
     GridMismatchError,
     ScalarField2D,
     VectorField2D,
+    apply_symbol,
     arakawa,
     cross_quadrature,
     d1c,
@@ -41,6 +42,7 @@ from sgf2d.state import (
 )
 
 from helpers import (
+    count_dst_calls,
     mode_mu,
     single_mode_stream,
     smooth_control,
@@ -282,6 +284,29 @@ class TestStepState:
         bare = VectorField2D(g, zero, zero)  # no stream attached
         with pytest.raises(ValueError, match="stream"):
             step_state(ScalarField2D(g, zero), bare, VectorField2D(g, zero, zero), pd)
+
+
+class TestFusedStepSymbols:
+    @pytest.mark.parametrize("n", [3, 16, 33])
+    def test_step_pair_matches_composition(self, n):
+        ops = get_ops(small_problem(n=n))
+        v = np.random.default_rng(n).standard_normal((n, n))
+        q, psi = apply_symbol(v, ops.step_sym)
+        for got, ref in ((q, ops.Ha(ops.inv_Hb(v))), (psi, ops.inv_P(ops.inv_Hb(v)))):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_symbols_read_only(self):
+        ops = get_ops(small_problem(n=5))
+        for sym in (ops.step_sym, ops.HaiPi_sym):
+            with pytest.raises(ValueError):
+                sym[0, 0] = 1.0
+
+    def test_solve_state_two_transforms_per_step(self, monkeypatch):
+        pd = small_problem(n=8, m=7)
+        u = smooth_control(pd, 2)
+        calls = count_dst_calls(monkeypatch)
+        solve_state(u, pd)
+        assert len(calls) == 2 * pd.m_steps
 
 
 class TestSolveState:

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from sgf2d import grid as grid_module
 from sgf2d.grid import Grid, ScalarField2D, VectorField2D, velocity_from_stream
 from sgf2d.spaces import stream_from_coeffs
 
@@ -67,14 +66,14 @@ def smooth_control(pd, seed, amplitude=0.05, n_modes=3):
     return Trajectory(pd.grid, pd.dt, "control", data)
 
 
-def count_dst_calls(monkeypatch):
-    """Count the DST passes from here on: every transform goes through grid.dstn."""
+def count_calls(monkeypatch, module, name):
+    """Record each call of module.name from here on; returns the growing list."""
     calls = []
-    original = grid_module.dstn
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(grid_module, "dstn", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls

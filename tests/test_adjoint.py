@@ -14,6 +14,8 @@ objective.
 import numpy as np
 import pytest
 
+from sgf2d import grid as grid_module
+from sgf2d import state as state_module
 from sgf2d.adjoint import _adjoint_core, duality_gap, gradient_field, solve_adjoint
 from sgf2d.certificates import CertificateInputs, check_adjoint_bound
 from sgf2d.grid import (
@@ -38,7 +40,7 @@ from sgf2d.state import (
     trap_weights,
 )
 
-from helpers import count_dst_calls, smooth_control
+from helpers import count_calls, smooth_control
 
 
 def small_problem(n=14, m=10, with_target=True):
@@ -176,12 +178,15 @@ class TestFusedAdjointSymbols:
         pd = small_problem(n=8, m=7)
         base = solve_state(smooth_control(pd, 1), pd)
         w, phi = smooth_control(pd, 2), smooth_control(pd, 3)
-        calls = count_dst_calls(monkeypatch)
+        calls = count_calls(monkeypatch, grid_module, "dstn")
+        # Ha is lap5-based; the sweeps reach it only through the state module's name
+        lap5_calls = count_calls(monkeypatch, state_module, "lap5")
         solve_linearized(base, w, pd)
         assert len(calls) == 2 * pd.m_steps
         calls.clear()
         _adjoint_core(base, phi.data, pd)
         assert len(calls) == 6 * pd.m_steps
+        assert not lap5_calls
 
 
 class TestGradientField:

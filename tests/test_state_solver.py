@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sgf2d import grid as grid_module
 from sgf2d import spaces
 from sgf2d.certificates import CertificateInputs, check_state_bound
 from sgf2d.grid import (
@@ -42,7 +43,7 @@ from sgf2d.state import (
 )
 
 from helpers import (
-    count_dst_calls,
+    count_calls,
     mode_mu,
     single_mode_stream,
     smooth_control,
@@ -304,7 +305,7 @@ class TestFusedStepSymbols:
     def test_solve_state_two_transforms_per_step(self, monkeypatch):
         pd = small_problem(n=8, m=7)
         u = smooth_control(pd, 2)
-        calls = count_dst_calls(monkeypatch)
+        calls = count_calls(monkeypatch, grid_module, "dstn")
         solve_state(u, pd)
         assert len(calls) == 2 * pd.m_steps
 

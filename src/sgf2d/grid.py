@@ -145,14 +145,16 @@ def arakawa(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
     aN, aS = ap[1:-1, 2:], ap[1:-1, :-2]
     aNE, aNW = ap[2:, 2:], ap[:-2, 2:]
     aSE, aSW = ap[2:, :-2], ap[:-2, :-2]
-    bE, bW = bp[2:, 1:-1], bp[:-2, 1:-1]
-    bN, bS = bp[1:-1, 2:], bp[1:-1, :-2]
-    bNE, bNW = bp[2:, 2:], bp[:-2, 2:]
-    bSE, bSW = bp[2:, :-2], bp[:-2, :-2]
+    # each difference of b the stencil needs, e.g. bNE - bSE, is a shifted slice
+    # of one of these four, computed once with the same operands
+    dx = bp[2:] - bp[:-2]  # b(i+1, j) - b(i-1, j), all padded j
+    dy = bp[:, 2:] - bp[:, :-2]  # b(i, j+1) - b(i, j-1), all padded i
+    up = bp[1:, 1:] - bp[:-1, :-1]  # b(i+1, j+1) - b(i, j)
+    dn = bp[:-1, 1:] - bp[1:, :-1]  # b(i, j+1) - b(i+1, j)
 
-    j1 = (aE - aW) * (bN - bS) - (aN - aS) * (bE - bW)
-    j2 = aE * (bNE - bSE) - aW * (bNW - bSW) - aN * (bNE - bNW) + aS * (bSE - bSW)
-    j3 = aNE * (bN - bE) - aSW * (bW - bS) - aNW * (bN - bW) + aSE * (bE - bS)
+    j1 = (aE - aW) * dy[1:-1] - (aN - aS) * dx[:, 1:-1]
+    j2 = aE * dy[2:] - aW * dy[:-2] - aN * dx[:, 2:] + aS * dx[:, :-2]
+    j3 = aNE * dn[1:, 1:] - aSW * dn[:-1, :-1] - aNW * up[:-1, 1:] + aSE * up[1:, :-1]
     return (j1 + j2 + j3) / (12.0 * h * h)
 
 

@@ -74,7 +74,7 @@ def _adjoint_core(base: StateSolution, source: np.ndarray, pd: ProblemData) -> A
         if rho[k] == 0.0:
             return np.zeros((n, n))
         curl_s = d1c(source[k, 1], h) - d2c(source[k, 0], h)
-        return rho[k] * h2 * apply_symbol(curl_s, ops.HaiPi_sym)
+        return rho[k] * h2 * apply_symbol(curl_s, ops.inv_Ha_inv_P_sym)
 
     mu[m] = source_term(m)
     for k in range(m - 1, -1, -1):
@@ -83,7 +83,7 @@ def _adjoint_core(base: StateSolution, source: np.ndarray, pd: ProblemData) -> A
             r[k + 1]
             - dt
             * (
-                apply_symbol(arakawa(r[k + 1], base.q[k], h), ops.HaiPi_sym)
+                apply_symbol(arakawa(r[k + 1], base.q[k], h), ops.inv_Ha_inv_P_sym)
                 - arakawa(r[k + 1], base.psi[k], h)
             )
             + source_term(k)

@@ -145,10 +145,10 @@ def arakawa(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
     aN, aS = ap[1:-1, 2:], ap[1:-1, :-2]
     aNE, aNW = ap[2:, 2:], ap[:-2, 2:]
     aSE, aSW = ap[2:, :-2], ap[:-2, :-2]
-    # each difference of b the stencil needs, e.g. bNE - bSE, is a shifted slice
-    # of one of these four, computed once with the same operands
-    dx = bp[2:] - bp[:-2]  # b(i+1, j) - b(i-1, j), all padded j
-    dy = bp[:, 2:] - bp[:, :-2]  # b(i, j+1) - b(i, j-1), all padded i
+    # every difference of b the stencil takes (bN - bS, bNE - bSE, bN - bE, ...)
+    # is a shifted slice of one of these four, with the same two operands
+    dx = bp[2:] - bp[:-2]  # b(i+1, j) - b(i-1, j)
+    dy = bp[:, 2:] - bp[:, :-2]  # b(i, j+1) - b(i, j-1)
     up = bp[1:, 1:] - bp[:-1, :-1]  # b(i+1, j+1) - b(i, j)
     dn = bp[:-1, 1:] - bp[1:, :-1]  # b(i, j+1) - b(i+1, j)
 

@@ -248,7 +248,7 @@ class _Ops:
         # all factors are diagonal in the DST-I basis, so the adjoint's
         # Hb^-1 Ha is step_sym[0] and Ha^-1 P^-1 is one more symbol
         self.step_sym = dst_symbol(np.stack([ha / hb, 1.0 / (lam * hb)]))
-        self.HaiPi_sym = dst_symbol(1.0 / (lam * ha))
+        self.inv_Ha_inv_P_sym = dst_symbol(1.0 / (lam * ha))
 
     def inv_P(self, v):
         return poisson_solve_values(v, self.h)

@@ -169,7 +169,7 @@ class TestFusedAdjointSymbols:
         v = np.random.default_rng(n).standard_normal((n, n))
         pairs = (
             (apply_symbol(v, ops.step_sym[0]), ops.inv_Hb(ops.Ha(v))),
-            (apply_symbol(v, ops.HaiPi_sym), ops.inv_Ha(ops.inv_P(v))),
+            (apply_symbol(v, ops.inv_Ha_inv_P_sym), ops.inv_Ha(ops.inv_P(v))),
         )
         for got, ref in pairs:
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -146,7 +146,7 @@ class TestLaplacian:
 
 
 def _padded_stencils(a, b, h):
-    # the stencils written against np.pad: the reference the ghost-ring builder must match bit for bit
+    # the stencils written against np.pad: pad0 and its callers must match them bit for bit
     ap, bp = np.pad(a, 1), np.pad(b, 1)
     lap = (ap[2:, 1:-1] + ap[:-2, 1:-1] + ap[1:-1, 2:] + ap[1:-1, :-2] - 4.0 * a) / (h * h)
     d1 = (ap[2:, 1:-1] - ap[:-2, 1:-1]) / (2.0 * h)

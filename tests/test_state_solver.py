@@ -298,7 +298,7 @@ class TestFusedStepSymbols:
 
     def test_symbols_read_only(self):
         ops = get_ops(small_problem(n=5))
-        for sym in (ops.step_sym, ops.HaiPi_sym):
+        for sym in (ops.step_sym, ops.inv_Ha_inv_P_sym):
             with pytest.raises(ValueError):
                 sym[0, 0] = 1.0
 

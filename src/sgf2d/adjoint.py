@@ -70,23 +70,17 @@ def _adjoint_core(base: StateSolution, source: np.ndarray, pd: ProblemData) -> A
     r = np.zeros_like(mu)
     p = np.zeros((m + 1, 2, n, n))
 
-    def source_term(k: int) -> np.ndarray:
-        if rho[k] == 0.0:
-            return np.zeros((n, n))
-        curl_s = d1c(source[k, 1], h) - d2c(source[k, 0], h)
-        return rho[k] * h2 * apply_symbol(curl_s, ops.inv_Ha_inv_P_sym)
-
-    mu[m] = source_term(m)
+    # mu[m] = 0: rho_m = 0, so the terminal step has no source. The advection
+    # term and the source both pass through Ha^-1 P^-1; summed first, they
+    # share one symbol pair
     for k in range(m - 1, -1, -1):
         r[k + 1] = apply_symbol(mu[k + 1], ops.step_sym[0])
+        curl_s = d1c(source[k, 1], h) - d2c(source[k, 0], h)
+        rhs = rho[k] * h2 * curl_s - dt * arakawa(r[k + 1], base.q[k], h)
         mu[k] = (
             r[k + 1]
-            - dt
-            * (
-                apply_symbol(arakawa(r[k + 1], base.q[k], h), ops.inv_Ha_inv_P_sym)
-                - arakawa(r[k + 1], base.psi[k], h)
-            )
-            + source_term(k)
+            + dt * arakawa(r[k + 1], base.psi[k], h)
+            + apply_symbol(rhs, ops.inv_Ha_inv_P_sym)
         )
 
     for k in range(1, m + 1):

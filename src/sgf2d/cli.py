@@ -37,6 +37,7 @@ from .state import (
     BlowUpError,
     ProblemData,
     Trajectory,
+    _warn_cfl,
     slice_dots,
     solve_state,
     trap_weights,
@@ -106,8 +107,10 @@ def _cmd_simulate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
             f"snapshots = {len(idx)}",
             f"final_norm_h1 = {_fmt(sol.norms_h1[-1])}",
             f"final_norm_h3 = {_fmt(sol.norms_h3[-1])}",
+            f"max_cfl = {_fmt(sol.cfl_max)}",
         ],
     )
+    _warn_cfl(sol.cfl_max, stacklevel=2)
     return 0
 
 

@@ -188,6 +188,16 @@ def _target_stack(y_d, grid: Grid, m_steps: int) -> np.ndarray:
     raise ValueError("y_d must be a Trajectory, a VectorField2D, or None")
 
 
+def _warn_cfl(cfl: float, stacklevel: int) -> None:
+    """UserWarning when the advective CFL number max|y| dt/h exceeds 0.5."""
+    if cfl > 0.5:
+        warnings.warn(
+            f"advective CFL number {cfl:.2f} exceeds 0.5; "
+            "the explicit advection step may be inaccurate",
+            stacklevel=stacklevel,
+        )
+
+
 # ---------------------------------------------------------------------------
 # problem data
 
@@ -219,12 +229,7 @@ class ProblemData:
             raise ValueError("y0 must be produced from a stream function")
         _target_stack(self.y_d, self.grid, self.m_steps)  # validates y_d
         speed = max(np.max(np.abs(self.y0.u1)), np.max(np.abs(self.y0.u2)))
-        if speed * self.dt / self.grid.h > 0.5:
-            warnings.warn(
-                f"advective CFL number {speed * self.dt / self.grid.h:.2f} exceeds 0.5; "
-                "the explicit advection step may be inaccurate",
-                stacklevel=2,
-            )
+        _warn_cfl(speed * self.dt / self.grid.h, stacklevel=3)
 
     @property
     def dt(self) -> float:
@@ -312,7 +317,8 @@ def step_state(
 @dataclass(frozen=True)
 class StateSolution:
     """Bundle returned by solve_state: trajectories plus per-step norms; the
-    H1 and H3 norms are computed on first read, both in one stack pass."""
+    H1 and H3 norms are computed on first read, both in one stack pass, and
+    so is the largest CFL number along the trajectory."""
 
     pd: ProblemData
     u: Trajectory
@@ -332,6 +338,11 @@ class StateSolution:
     @cached_property
     def norms_h3(self) -> np.ndarray:
         return np.sqrt(self._norms_sq[3])
+
+    @cached_property
+    def cfl_max(self) -> float:
+        """Largest advective CFL number max|y| dt/h over all time slices."""
+        return float(np.abs(self.y).max()) * self.pd.dt / self.pd.grid.h
 
     @property
     def velocity(self) -> Trajectory:

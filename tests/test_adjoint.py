@@ -185,8 +185,31 @@ class TestFusedAdjointSymbols:
         assert len(calls) == 2 * pd.m_steps
         calls.clear()
         _adjoint_core(base, phi.data, pd)
-        assert len(calls) == 6 * pd.m_steps
+        # one symbol pair for r, one for the summed advection and source terms
+        assert len(calls) == 4 * pd.m_steps
         assert not lap5_calls
+
+
+    @pytest.mark.parametrize("n", [8, 143])
+    @pytest.mark.filterwarnings("ignore:advective CFL")  # counts only, no accuracy claim
+    def test_transform_counts_on_both_dst_paths(self, monkeypatch, n):
+        # n = 8 runs the dense sine matrix, n = 143 (n+1 = 144) scipy's FFT;
+        # grid.dstn is the one door either way
+        pd = small_problem(n=n, m=3)
+        base = solve_state(smooth_control(pd, 1), pd)
+        w, phi = smooth_control(pd, 2), smooth_control(pd, 3)
+        calls = count_calls(monkeypatch, grid_module, "dstn")
+        fft_calls = count_calls(monkeypatch, grid_module, "_fft_dstn")
+        for sweep, per_step in (
+            (lambda: solve_state(base.u, pd), 2),
+            (lambda: solve_linearized(base, w, pd), 2),
+            (lambda: _adjoint_core(base, phi.data, pd), 4),
+        ):
+            calls.clear()
+            fft_calls.clear()
+            sweep()
+            assert len(calls) == per_step * pd.m_steps
+            assert len(fft_calls) == (len(calls) if n == 143 else 0)
 
 
 class TestGradientField:

@@ -279,6 +279,30 @@ class TestSimulate:
         assert report.startswith("simulate\n")
         assert "final_norm_h1 = 0" in report
 
+    def test_max_cfl_reported_and_warned(self, tmp_path):
+        # zero data: max_cfl = 0 and no advisory
+        cfg = write_cfg(tmp_path, MINIMAL)
+        out = tmp_path / "zero"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "max_cfl = 0\n" in (out / "report.txt").read_text()
+        # dt/h = 13/32 on this grid, so a unit mode gives a CFL number above 0.5:
+        # build_problem warns at y0, simulate again on the whole trajectory
+        cfg = write_cfg(tmp_path, TRACKING.replace("1,1,0.01", "1,1,1.0"), "fast.txt")
+        out = tmp_path / "fast"
+        with pytest.warns(UserWarning, match="CFL") as rec:
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len([w for w in rec if "CFL" in str(w.message)]) == 2
+        report = dict(
+            line.split(" = ") for line in (out / "report.txt").read_text().splitlines()[1:]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pd = build_problem(parse_config(cfg))
+        speed0 = max(np.abs(pd.y0.u1).max(), np.abs(pd.y0.u2).max())
+        assert float(report["max_cfl"]) >= speed0 * pd.dt / pd.grid.h > 0.5
+
     def test_snapshot_every_writes_all_steps(self, tmp_path):
         cfg = write_cfg(tmp_path, TRACKING)
         out = tmp_path / "out"

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from sgf2d import grid as grid_module
 from sgf2d.grid import (
     Grid,
     GridMismatchError,
@@ -18,6 +20,7 @@ from sgf2d.grid import (
     d2c,
     divergence,
     dst_symbol,
+    dstn,
     helmholtz_solve,
     lap5,
     laplacian,
@@ -27,6 +30,8 @@ from sgf2d.grid import (
     velocity_from_stream,
 )
 from sgf2d.fieldio import read_field, write_field, write_field_csv
+
+from helpers import count_calls
 
 
 def sine_mode(grid, k, l):
@@ -275,6 +280,42 @@ class TestEllipticSolves:
         a = poisson_solve(rhs, method="dst").values
         b = poisson_solve(rhs, method="cg").values
         assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))
+
+
+class TestDstDispatch:
+    @pytest.mark.parametrize("n", [3, 16, 63, 100, 127, 130, 255, 256])
+    def test_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        cases = ((rng.standard_normal((n, n)), None), (rng.standard_normal((2, n, n)), (-2, -1)))
+        for x, axes in cases:
+            ref = scipy.fft.dstn(x, type=1, axes=(-2, -1))
+            got = dstn(x, type=1, axes=axes)
+            assert got.shape == x.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_matrix_read_only(self):
+        S = grid_module._dst_matrix(16)
+        with pytest.raises(ValueError):
+            S[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "n, fft", [(16, False), (63, False), (100, False), (256, False), (255, True), (511, True)]
+    )
+    def test_path_choice(self, monkeypatch, n, fft):
+        # small grids and n+1 = 101, 257 (prime) take S @ x @ S; n+1 = 256, 512 take the FFT
+        calls = count_calls(monkeypatch, grid_module, "_fft_dstn")
+        dstn(np.ones((n, n)), type=1)
+        assert len(calls) == int(fft)
+
+    def test_other_types_and_axes_rejected(self):
+        with pytest.raises(ValueError, match="DST-I"):
+            dstn(np.ones((4, 4)), type=2)
+        with pytest.raises(ValueError, match="last two axes"):
+            dstn(np.ones((2, 4, 4)), type=1)
+        with pytest.raises(ValueError, match="last two axes"):
+            dstn(np.ones((2, 4, 4)), type=1, axes=(0, 1))
+        with pytest.raises(ValueError, match="last two axes"):
+            dstn(np.ones(4), type=1)
 
 
 class TestStreamVelocityCurl:

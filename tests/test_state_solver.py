@@ -382,6 +382,26 @@ class TestSolveState:
             assert h1[k] == pytest.approx(norm_hk(vf, 1), rel=1e-14)
             assert h3[k] == pytest.approx(norm_hk(vf, 3), rel=1e-14)
 
+    def test_cfl_max_catches_growth_after_t0(self):
+        # y0 sits below the 0.5 advisory, so ProblemData stays silent; a strong
+        # steady control then drives the velocity past it
+        g = Grid(8)
+        y0 = velocity_from_stream(stream_from_coeffs(g, np.array([[0.02, 0.0], [0.01, 0.0]])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pd = ProblemData(alpha=0.1, nu=0.1, T=1.0, grid=g, m_steps=10, y0=y0)
+        v = velocity_from_stream(stream_from_coeffs(g, 5.0 * np.array([[1.0, 0.3], [0.2, 0.0]])))
+        u = Trajectory(g, pd.dt, "control", np.broadcast_to(np.stack([v.u1, v.u2]), (11, 2, 8, 8)))
+        sol = solve_state(u, pd)
+        assert "cfl_max" not in vars(sol)  # lazy: the solve computes nothing extra
+        per_slice = [
+            max(np.abs(sol.y[k, 0]).max(), np.abs(sol.y[k, 1]).max()) * pd.dt / g.h
+            for k in range(pd.m_steps + 1)
+        ]
+        assert per_slice[0] < 0.5 < sol.cfl_max
+        assert sol.cfl_max == max(per_slice)
+        assert sol.cfl_max is sol.cfl_max
+
     def test_norm_pass_memory_does_not_grow_with_steps(self):
         # the stack is walked in fixed blocks, so the temporaries are the
         # same at 50 and at 200 steps

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridMismatchError, apply_symbol, arakawa, d1c, d2c
+from .grid import GridMismatchError, apply_symbol, arakawa, curl_values, velocity_values
 from .sensitivity import _check_base, solve_linearized
 from .state import (
     ProblemData,
@@ -75,18 +75,15 @@ def _adjoint_core(base: StateSolution, source: np.ndarray, pd: ProblemData) -> A
     # share one symbol pair
     for k in range(m - 1, -1, -1):
         r[k + 1] = apply_symbol(mu[k + 1], ops.step_sym[0])
-        curl_s = d1c(source[k, 1], h) - d2c(source[k, 0], h)
+        p[k + 1, 0], p[k + 1, 1] = velocity_values(r[k + 1], h)
+        p[k + 1] *= dt / (tau[k + 1] * h2)
+        curl_s = curl_values(source[k, 0], source[k, 1], h)
         rhs = rho[k] * h2 * curl_s - dt * arakawa(r[k + 1], base.q[k], h)
         mu[k] = (
             r[k + 1]
             + dt * arakawa(r[k + 1], base.psi[k], h)
             + apply_symbol(rhs, ops.inv_Ha_inv_P_sym)
         )
-
-    for k in range(1, m + 1):
-        scale = dt / (tau[k] * h2)
-        p[k, 0] = scale * d2c(r[k], h)
-        p[k, 1] = -scale * d1c(r[k], h)
 
     return AdjointState(pd, p, mu, r)
 

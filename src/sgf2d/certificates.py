@@ -18,7 +18,7 @@ import numpy as np
 from .adjoint import AdjointState, solve_adjoint
 from .grid import arakawa, VectorField2D
 from .sensitivity import solve_linearized, solve_second
-from .spaces import DomainConstants, inner_l2, norm_hk, stack_hk_sq
+from .spaces import DomainConstants, InequalityCheck, inner_l2, norm_hk, stack_hk_sq
 from .state import (
     ProblemData,
     StateSolution,
@@ -284,8 +284,6 @@ def check_state_bound(base: StateSolution, ci: CertificateInputs):
     Advisory when any constant is a unit default; an honest check only with
     supplied or estimated constants.
     """
-    from .spaces import InequalityCheck
-
     lambda1 = compute_lambda1(ci)
     lhs = float(np.max(base.norms_h3)) ** 2
     rhs = (ci.constants.C1 * lambda1 / ci.alpha) ** 2
@@ -294,8 +292,6 @@ def check_state_bound(base: StateSolution, ci: CertificateInputs):
 
 def check_adjoint_bound(adj: AdjointState, ci: CertificateInputs):
     """max_t |p(t)|_{H2}^2 against lambda4^2.  Advisory with default constants."""
-    from .spaces import InequalityCheck
-
     lambda4 = compute_lambda4(ci, compute_lambda1(ci))
     lhs = float(np.max(stack_hk_sq(adj.p, adj.pd.grid.h, 2)[2]))
     rhs = lambda4 ** 2

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fieldio
 from .certificates import CertificateInputs, certify
-from .config import ConfigError, RunConfig, build_problem, parse_config
+from .config import ConfigError, RunConfig, _kinds_list, build_problem, parse_config
 from .grid import ScalarField2D, SolverDivergenceError, VectorField2D
 from .optimizer import (
     OptimizeOptions,
@@ -201,9 +201,8 @@ def _cmd_certify(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: in
 
 
 def _cmd_estimate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> int:
-    kinds = [k.strip() for k in rc["kinds"].split(",") if k.strip()]
     estimates = {}
-    for kind in kinds:
+    for kind in _kinds_list(rc["kinds"]):
         estimates[kind] = estimate_constant(
             kind, rc["samples"], seed, grid=pd.grid, alpha=pd.alpha
         )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fieldio import read_field
 from .grid import Grid, ScalarField2D, VectorField2D, velocity_from_stream
 from .spaces import CONSTANT_NAMES, DomainConstants, load_constants
 from .state import ProblemData, Trajectory
@@ -244,8 +245,6 @@ def _velocity_from_modes(grid: Grid, modes) -> VectorField2D:
 
 
 def _read_reference_trajectory(run_dir, grid: Grid, m_steps: int, dt: float) -> Trajectory:
-    from .fieldio import read_field
-
     data = np.zeros((m_steps + 1, 2, grid.n_interior, grid.n_interior))
     for k in range(m_steps + 1):
         path = f"{run_dir}/fields/y_{k:06d}.bin"

@@ -133,6 +133,16 @@ def d2c(v: np.ndarray, h: float) -> np.ndarray:
     return (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * h)
 
 
+def velocity_values(psi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity (d2 psi, -d1 psi) of a stream-function array, as two arrays."""
+    return d2c(psi, h), -d1c(psi, h)
+
+
+def curl_values(u1: np.ndarray, u2: np.ndarray, h: float) -> np.ndarray:
+    """Scalar curl d1 u2 - d2 u1 of a velocity given as two arrays."""
+    return d1c(u2, h) - d2c(u1, h)
+
+
 def arakawa(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
     """Arakawa Jacobian J(a,b) ~ da/dx1 db/dx2 - da/dx2 db/dx1.
 
@@ -325,20 +335,13 @@ def poisson_solve(
 
 def velocity_from_stream(psi: ScalarField2D) -> VectorField2D:
     """y = (d2 psi, -d1 psi): divergence-free with zero normal trace."""
-    h = psi.grid.h
-    return VectorField2D(
-        psi.grid,
-        d2c(psi.values, h),
-        -d1c(psi.values, h),
-        divergence_free=True,
-        stream=psi,
-    )
+    y1, y2 = velocity_values(psi.values, psi.grid.h)
+    return VectorField2D(psi.grid, y1, y2, divergence_free=True, stream=psi)
 
 
 def curl2d(v: VectorField2D) -> ScalarField2D:
     """Scalar curl d(v2)/dx1 - d(v1)/dx2 by centered differences."""
-    h = v.grid.h
-    return ScalarField2D(v.grid, d1c(v.u2, h) - d2c(v.u1, h))
+    return ScalarField2D(v.grid, curl_values(v.u1, v.u2, v.grid.h))
 
 
 def divergence(v: VectorField2D) -> ScalarField2D:

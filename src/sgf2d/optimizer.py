@@ -15,6 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .adjoint import AdjointState, gradient_field, solve_adjoint
+from .certificates import CertificateInputs, certify
+from .grid import velocity_from_stream
 from .spaces import DomainConstants, solenoidal_projection_values, stream_from_coeffs
 from .state import (
     ProblemData,
@@ -216,10 +218,7 @@ def start_control(pd: ProblemData, seed: int, index: int, scale: float = 0.45) -
     """Deterministic admissible random start: time-modulated stream modes."""
     rng = np.random.default_rng([seed, index])
     coeffs = rng.standard_normal((8, 8))
-    psi = stream_from_coeffs(pd.grid, coeffs)
-    from .grid import velocity_from_stream
-
-    v = velocity_from_stream(psi)
+    v = velocity_from_stream(stream_from_coeffs(pd.grid, coeffs))
     tmod = 1.0 + 0.5 * np.cos(
         np.pi * np.linspace(0.0, 1.0, pd.m_steps + 1) * (1 + index % 2)
     )
@@ -272,8 +271,6 @@ def multi_start_uniqueness(
 
     threshold = exceeds = illustrative = None
     if constants is not None:
-        from .certificates import CertificateInputs, certify
-
         report = certify(CertificateInputs.from_problem(pd, constants))
         threshold = report.uniqueness_threshold
         exceeds = pd.lam > threshold

@@ -1,8 +1,10 @@
 """Exact first and second derivatives of the discrete control-to-state map.
 
 These differentiate the stepper itself (not a re-discretization of the
-linearized equations), so the adjoint built on top is an exact transpose
-and gradient/duality checks are limited only by roundoff.
+linearized equations): both sweeps march through state._march, the loop the
+forward solve takes, with the linearized explicit term. So the adjoint built
+on top is an exact transpose and gradient/duality checks are limited only
+by roundoff. A sweep whose slices overflow raises BlowUpError.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridMismatchError, apply_symbol, arakawa, d1c, d2c
-from .state import ProblemData, StateSolution, Trajectory, get_ops
+from .grid import GridMismatchError, arakawa, curl_values
+from .state import ProblemData, StateSolution, Trajectory, _march, get_ops
 
 
 @dataclass(frozen=True)
@@ -54,26 +56,18 @@ def _propagate(
     The tangent, the second-order tangent and (transposed, in the adjoint
     module) the adjoint are this one sweep with different sources.
     """
-    ops = get_ops(pd)
     n = pd.grid.n_interior
     m = pd.m_steps
     h = pd.grid.h
-    dt = pd.dt
 
     dq = np.zeros((m + 1, n, n))
     dpsi = np.zeros_like(dq)
     z = np.zeros((m + 1, 2, n, n))
 
-    for k in range(m):
-        rhs = dq[k] + dt * (
-            source(k)
-            - arakawa(dq[k], base.psi[k], h)
-            - arakawa(base.q[k], dpsi[k], h)
-        )
-        dq[k + 1], dpsi[k + 1] = apply_symbol(rhs, ops.step_sym)
-        z[k + 1, 0] = d2c(dpsi[k + 1], h)
-        z[k + 1, 1] = -d1c(dpsi[k + 1], h)
+    def explicit(k):
+        return source(k) - arakawa(dq[k], base.psi[k], h) - arakawa(base.q[k], dpsi[k], h)
 
+    _march(dq, dpsi, z, explicit, get_ops(pd), pd.dt)
     return TangentState(pd, z, dq, dpsi)
 
 
@@ -83,9 +77,7 @@ def solve_linearized(base: StateSolution, w: Trajectory, pd: ProblemData) -> Tan
     if w.grid != pd.grid or not w.is_vector or w.m_steps != pd.m_steps:
         raise GridMismatchError("direction w is not aligned with the problem")
     h = pd.grid.h
-    return _propagate(
-        base, pd, lambda k: d1c(w.data[k + 1, 1], h) - d2c(w.data[k + 1, 0], h)
-    )
+    return _propagate(base, pd, lambda k: curl_values(w.data[k + 1, 0], w.data[k + 1, 1], h))
 
 
 def solve_second(

@@ -19,10 +19,12 @@ from .grid import (
     GridMismatchError,
     ScalarField2D,
     VectorField2D,
+    curl_values,
     lap5,
     poisson_solve_values,
     same_grid,
     velocity_from_stream,
+    velocity_values,
 )
 
 CONSTANT_NAMES = ("K", "K_tilde", "K_hat", "C1", "C2", "C3", "C4")
@@ -407,8 +409,4 @@ def solenoidal_projection_values(u1: np.ndarray, u2: np.ndarray, h: float):
     Keeps exactly the part the curl sees: stream = solve(-lap, curl u),
     then differentiates back.
     """
-    from .grid import d1c, d2c
-
-    w = d1c(u2, h) - d2c(u1, h)
-    psi = poisson_solve_values(w, h)
-    return d2c(psi, h), -d1c(psi, h)
+    return velocity_values(poisson_solve_values(curl_values(u1, u2, h), h), h)

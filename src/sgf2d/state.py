@@ -31,13 +31,14 @@ from .grid import (
     arakawa,
     cross_quadrature,
     curl2d,
-    d1c,
-    d2c,
+    curl_values,
     dst_symbol,
     helmholtz_solve_values,
     lap5,
     poisson_solve_values,
     same_grid,
+    velocity_from_stream,
+    velocity_values,
 )
 
 
@@ -279,15 +280,22 @@ def get_ops(pd: ProblemData) -> _Ops:
 # ---------------------------------------------------------------------------
 # stepping
 
-def _step_arrays(q, psi, u1_next, u2_next, ops, dt):
+def _march(q, psi, y, explicit, ops, dt) -> None:
+    """Fill slices 1..m of the (q, psi, y) stacks in place from slice 0.
+
+    Step k sets (q, psi)[k+1] = step_sym applied to q[k] + dt * explicit(k)
+    and y[k+1] to the velocity of psi[k+1]. The state, tangent and
+    second-order sweeps are this loop with different explicit terms.
+    Raises BlowUpError(k+1) when q[k+1] is not finite.
+    """
     h = ops.h
-    # overflow here is the blow-up path; callers check isfinite right after
+    # overflow is the blow-up path, refused by the isfinite check
     with np.errstate(over="ignore", invalid="ignore"):
-        curl_u = d1c(u2_next, h) - d2c(u1_next, h)
-        adv = arakawa(q, psi, h)
-        q1, psi1 = apply_symbol(q + dt * (curl_u - adv), ops.step_sym)
-        omega1 = -lap5(psi1, h)
-    return q1, omega1, psi1
+        for k in range(q.shape[0] - 1):
+            q[k + 1], psi[k + 1] = apply_symbol(q[k] + dt * explicit(k), ops.step_sym)
+            if not np.isfinite(q[k + 1]).all():
+                raise BlowUpError(k + 1)
+            y[k + 1, 0], y[k + 1, 1] = velocity_values(psi[k + 1], h)
 
 
 def step_state(
@@ -299,33 +307,36 @@ def step_state(
         raise GridMismatchError("inputs live on a different grid than the problem")
     if not y_n.divergence_free or y_n.stream is None:
         raise ValueError("y_n must be produced from a stream function")
-    ops = get_ops(pd)
-    q1, omega1, psi1 = _step_arrays(
-        q_n.values, y_n.stream.values, u_slice.u1, u_slice.u2, ops, pd.dt
-    )
-    if not np.isfinite(omega1).all():
-        raise BlowUpError(1)
     g = pd.grid
-    q_f = ScalarField2D(g, q1)
-    omega_f = ScalarField2D(g, omega1)
-    psi_f = ScalarField2D(g, psi1)
-    from .grid import velocity_from_stream
-
-    return q_f, omega_f, psi_f, velocity_from_stream(psi_f)
+    q = np.empty((2,) + g.shape)
+    psi = np.empty_like(q)
+    y = np.empty((2, 2) + g.shape)
+    q[0], psi[0] = q_n.values, y_n.stream.values
+    curl_u = curl_values(u_slice.u1, u_slice.u2, g.h)
+    _march(q, psi, y, lambda k: curl_u - arakawa(q[k], psi[k], g.h), get_ops(pd), pd.dt)
+    psi_f = ScalarField2D(g, psi[1])
+    omega_f = ScalarField2D(g, -lap5(psi[1], g.h))
+    return ScalarField2D(g, q[1]), omega_f, psi_f, velocity_from_stream(psi_f)
 
 
 @dataclass(frozen=True)
 class StateSolution:
-    """Bundle returned by solve_state: trajectories plus per-step norms; the
-    H1 and H3 norms are computed on first read, both in one stack pass, and
-    so is the largest CFL number along the trajectory."""
+    """Bundle returned by solve_state: the stream function, potential
+    vorticity and velocity stacks of the trajectory. The vorticity, the H1
+    and H3 norms (both in one stack pass) and the largest CFL number are
+    computed on first read."""
 
     pd: ProblemData
     u: Trajectory
     psi: np.ndarray
-    omega: np.ndarray
     q: np.ndarray
     y: np.ndarray
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Vorticity -lap5(psi) of every time slice."""
+        h = self.pd.grid.h
+        return np.stack([-lap5(p, h) for p in self.psi])
 
     @cached_property
     def _norms_sq(self) -> np.ndarray:
@@ -361,8 +372,6 @@ class StateSolution:
         return Trajectory(self.pd.grid, self.pd.dt, "stream", self.psi)
 
     def velocity_field(self, k: int) -> VectorField2D:
-        from .grid import velocity_from_stream
-
         return velocity_from_stream(ScalarField2D(self.pd.grid, self.psi[k]))
 
 
@@ -380,25 +389,18 @@ def solve_state(u: Trajectory | None, pd: ProblemData) -> StateSolution:
     h = pd.grid.h
 
     psi = np.empty((m + 1, n, n))
-    omega = np.empty_like(psi)
     q = np.empty_like(psi)
     y = np.empty((m + 1, 2, n, n))
 
     psi[0] = pd.y0.stream.values
-    omega[0] = -lap5(psi[0], h)
-    q[0] = ops.Ha(omega[0])
+    q[0] = ops.Ha(-lap5(psi[0], h))
     y[0, 0], y[0, 1] = pd.y0.u1, pd.y0.u2
 
-    for k in range(m):
-        q[k + 1], omega[k + 1], psi[k + 1] = _step_arrays(
-            q[k], psi[k], u.data[k + 1, 0], u.data[k + 1, 1], ops, pd.dt
-        )
-        if not np.isfinite(omega[k + 1]).all():
-            raise BlowUpError(k + 1)
-        y[k + 1, 0] = d2c(psi[k + 1], h)
-        y[k + 1, 1] = -d1c(psi[k + 1], h)
+    def explicit(k):
+        return curl_values(u.data[k + 1, 0], u.data[k + 1, 1], h) - arakawa(q[k], psi[k], h)
 
-    return StateSolution(pd, u, psi, omega, q, y)
+    _march(q, psi, y, explicit, ops, pd.dt)
+    return StateSolution(pd, u, psi, q, y)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from sgf2d.grid import (
     apply_symbol,
     arakawa,
     curl2d,
+    curl_values,
     d1c,
     d2c,
     divergence,
@@ -28,6 +29,7 @@ from sgf2d.grid import (
     poisson_solve,
     poisson_solve_values,
     velocity_from_stream,
+    velocity_values,
 )
 from sgf2d.fieldio import read_field, write_field, write_field_csv
 
@@ -368,6 +370,19 @@ class TestStreamVelocityCurl:
             errs.append(np.max(np.abs(diff[2:-2, 2:-2])))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
+
+    def test_array_helpers_carry_the_sign_conventions(self):
+        # y = (d2 psi, -d1 psi) and curl u = d1 u2 - d2 u1, bit for bit, and
+        # the field-level operations are these helpers
+        g = Grid(11)
+        rng = np.random.default_rng(12)
+        psi, u1, u2 = rng.standard_normal((3, *g.shape))
+        y1, y2 = velocity_values(psi, g.h)
+        assert np.array_equal(y1, d2c(psi, g.h)) and np.array_equal(y2, -d1c(psi, g.h))
+        assert np.array_equal(curl_values(u1, u2, g.h), d1c(u2, g.h) - d2c(u1, g.h))
+        y = velocity_from_stream(ScalarField2D(g, psi))
+        assert np.array_equal(y.u1, y1) and np.array_equal(y.u2, y2)
+        assert np.array_equal(curl2d(VectorField2D(g, u1, u2)).values, curl_values(u1, u2, g.h))
 
     def test_curl_zero_vector(self):
         g = Grid(8)

@@ -11,6 +11,8 @@ solvers differentiate the stepper exactly, everything else here (linearity,
 symmetry, zero propagation) holds to roundoff, not discretization error.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,14 @@ from sgf2d.adjoint import duality_gap, solve_adjoint
 from sgf2d.grid import Grid, GridMismatchError, velocity_from_stream
 from sgf2d.sensitivity import solve_linearized, solve_second
 from sgf2d.spaces import stream_from_coeffs
-from sgf2d.state import ProblemData, Trajectory, l2q_norm, solve_state, trap_weights
+from sgf2d.state import (
+    BlowUpError,
+    ProblemData,
+    Trajectory,
+    l2q_norm,
+    solve_state,
+    trap_weights,
+)
 
 from helpers import smooth_control
 
@@ -80,6 +89,22 @@ class TestLinearizedBasics:
         )
         with pytest.raises(ValueError, match="different problem data"):
             solver(base, other)
+
+    def test_overflowing_direction_refused(self):
+        # a direction of 1e306 overflows the curl at the walls; the tangent
+        # must refuse at the first step instead of returning NaN slices
+        g = Grid(16)
+        pd = ProblemData(
+            alpha=0.05, nu=0.02, T=2.0, grid=g, m_steps=3,
+            y0=velocity_from_stream(stream_from_coeffs(g, np.zeros((1, 1)))),
+        )
+        base = solve_state(None, pd)
+        w = Trajectory(g, pd.dt, "control", np.full((4, 2, 16, 16), 1e306))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused without a RuntimeWarning
+            with pytest.raises(BlowUpError, match="blew up at step 1") as exc:
+                solve_linearized(base, w, pd)
+        assert exc.value.step == 1
 
     def test_misaligned_direction_rejected(self):
         pd = small_problem()

@@ -8,6 +8,7 @@ import pytest
 
 from sgf2d import grid as grid_module
 from sgf2d import spaces
+from sgf2d import state as state_module
 from sgf2d.certificates import CertificateInputs, check_state_bound
 from sgf2d.grid import (
     Grid,
@@ -401,6 +402,31 @@ class TestSolveState:
         assert per_slice[0] < 0.5 < sol.cfl_max
         assert sol.cfl_max == max(per_slice)
         assert sol.cfl_max is sol.cfl_max
+
+    @pytest.mark.parametrize("m", [3, 9])
+    def test_vorticity_computed_on_first_read(self, monkeypatch, m):
+        pd = small_problem(m=m)
+        calls = count_calls(monkeypatch, state_module, "lap5")
+        sol = solve_state(smooth_control(pd, 2), pd)
+        # both calls build q[0] = Ha(-lap5 psi0); the step loop makes none
+        assert len(calls) == 2
+        assert "omega" not in vars(sol)
+        omega = sol.omega
+        assert len(calls) == 2 + m + 1
+        assert sol.omega is omega
+        for k in range(m + 1):
+            assert np.array_equal(omega[k], -lap5(sol.psi[k], pd.grid.h))
+
+    def test_step_state_is_one_step_of_solve_state(self):
+        pd = small_problem(m=4)
+        u = smooth_control(pd, 3)
+        sol = solve_state(u, pd)
+        q1, om1, ps1, y1 = step_state(ScalarField2D(pd.grid, sol.q[0]), pd.y0, u.slice(1), pd)
+        assert np.array_equal(q1.values, sol.q[1])
+        assert np.array_equal(ps1.values, sol.psi[1])
+        assert np.array_equal(om1.values, sol.omega[1])
+        assert np.array_equal(np.stack([y1.u1, y1.u2]), sol.y[1])
+        assert y1.divergence_free and y1.stream is ps1
 
     def test_norm_pass_memory_does_not_grow_with_steps(self):
         # the stack is walked in fixed blocks, so the temporaries are the

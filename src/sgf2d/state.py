@@ -332,6 +332,11 @@ class StateSolution:
     q: np.ndarray
     y: np.ndarray
 
+    def __post_init__(self):
+        # the cached properties read these stacks later, so they must not change
+        for a in (self.psi, self.q, self.y):
+            a.setflags(write=False)
+
     @cached_property
     def omega(self) -> np.ndarray:
         """Vorticity -lap5(psi) of every time slice."""

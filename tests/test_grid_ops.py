@@ -390,8 +390,6 @@ class TestStreamVelocityCurl:
         assert np.all(curl2d(v).values == 0.0)
 
     def test_curl_of_gradient_vanishes_inside(self):
-        from sgf2d.grid import d1c, d2c
-
         g = Grid(16)
         rng = np.random.default_rng(11)
         f = rng.standard_normal(g.shape)

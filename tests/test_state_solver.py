@@ -417,6 +417,14 @@ class TestSolveState:
         for k in range(m + 1):
             assert np.array_equal(omega[k], -lap5(sol.psi[k], pd.grid.h))
 
+    def test_stacks_read_only(self):
+        # omega, the norms and cfl_max are read from these stacks after the solve
+        pd = small_problem(m=3)
+        sol = solve_state(smooth_control(pd, 2), pd)
+        for a in (sol.psi, sol.q, sol.y):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+
     def test_step_state_is_one_step_of_solve_state(self):
         pd = small_problem(m=4)
         u = smooth_control(pd, 3)

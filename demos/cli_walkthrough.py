@@ -8,6 +8,7 @@ constants and certify a regularized problem with them.  Every artifact
 printed at the end.
 """
 
+import os
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+import sgf2d
 from sgf2d import Grid, ProblemData, solve_state, stream_from_coeffs, velocity_from_stream
 from sgf2d.fieldio import write_field
 from sgf2d.state import Trajectory
@@ -64,8 +66,15 @@ seed = 2026
 
 
 def run(args, cwd):
+    # the child runs in cwd, so it finds sgf2d through the absolute directory
+    # this process imported it from; a relative PYTHONPATH would not resolve there
+    package_root = str(Path(sgf2d.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
     cmd = [sys.executable, "-m", "sgf2d.cli", *args]
-    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"command {' '.join(args)} failed:\n{proc.stderr}")
     return proc.stdout

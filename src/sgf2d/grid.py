@@ -106,10 +106,13 @@ def same_grid(*fields) -> Grid:
 
 # ---------------------------------------------------------------------------
 # array-level stencils (zero Dirichlet ghost ring)
+#
+# Each stencil acts on the last two axes, so a (..., n, n) stack of fields
+# gives every slice the same bits as a call on that slice alone.
 
 def pad0(v: np.ndarray) -> np.ndarray:
-    p = np.zeros((v.shape[0] + 2, v.shape[1] + 2), dtype=v.dtype)
-    p[1:-1, 1:-1] = v
+    p = np.zeros(v.shape[:-2] + (v.shape[-2] + 2, v.shape[-1] + 2), dtype=v.dtype)
+    p[..., 1:-1, 1:-1] = v
     return p
 
 
@@ -117,20 +120,20 @@ def lap5(v: np.ndarray, h: float) -> np.ndarray:
     """Standard 5-point Laplacian with zero ghost values."""
     p = pad0(v)
     return (
-        p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2] - 4.0 * v
+        p[..., 2:, 1:-1] + p[..., :-2, 1:-1] + p[..., 1:-1, 2:] + p[..., 1:-1, :-2] - 4.0 * v
     ) / (h * h)
 
 
 def d1c(v: np.ndarray, h: float) -> np.ndarray:
     """Centered d/dx1 with zero ghosts."""
     p = pad0(v)
-    return (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * h)
+    return (p[..., 2:, 1:-1] - p[..., :-2, 1:-1]) / (2.0 * h)
 
 
 def d2c(v: np.ndarray, h: float) -> np.ndarray:
     """Centered d/dx2 with zero ghosts."""
     p = pad0(v)
-    return (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * h)
+    return (p[..., 1:-1, 2:] - p[..., 1:-1, :-2]) / (2.0 * h)
 
 
 def velocity_values(psi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -141,6 +144,16 @@ def velocity_values(psi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 def curl_values(u1: np.ndarray, u2: np.ndarray, h: float) -> np.ndarray:
     """Scalar curl d1 u2 - d2 u1 of a velocity given as two arrays."""
     return d1c(u2, h) - d2c(u1, h)
+
+
+def slice_sums(a: np.ndarray) -> np.ndarray:
+    """Sum over the last two axes, one slice at a time; a 2-D array gives np.sum(a)."""
+    return a.reshape(a.shape[:-2] + (-1,)).sum(-1)
+
+
+def cross_values(q, z1, z2, p1, p2, h: float) -> np.ndarray:
+    """Quadrature of (q x z) . phi over the last two axes, from component arrays."""
+    return h * h * slice_sums(q * (z1 * p2 - z2 * p1))
 
 
 def arakawa(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
@@ -368,5 +381,4 @@ def advect(y: VectorField2D, q: ScalarField2D) -> ScalarField2D:
 def cross_quadrature(q: ScalarField2D, z: VectorField2D, phi: VectorField2D) -> float:
     """Quadrature of (q x z) . phi where q x z = q*(-z2, z1)."""
     g = same_grid(q, z, phi)
-    h2 = g.h * g.h
-    return float(h2 * np.sum(q.values * (z.u1 * phi.u2 - z.u2 * phi.u1)))
+    return float(cross_values(q.values, z.u1, z.u2, phi.u1, phi.u2, g.h))

@@ -19,10 +19,12 @@ from .grid import (
     GridMismatchError,
     ScalarField2D,
     VectorField2D,
+    cross_values,
     curl_values,
     lap5,
     poisson_solve_values,
     same_grid,
+    slice_sums,
     velocity_from_stream,
     velocity_values,
 )
@@ -47,41 +49,48 @@ def _components(f) -> list[np.ndarray]:
     return [f.u1, f.u2]
 
 
+def inner_l2_values(ca, cb, h: float) -> np.ndarray:
+    """inner_l2 of component lists of (..., n, n) arrays, one value per slice."""
+    return h * h * sum(slice_sums(x * y) for x, y in zip(ca, cb))
+
+
 def inner_l2(a, b) -> float:
     """Interior quadrature h^2 * sum(a*b); fields must share a grid and rank."""
     g = same_grid(a, b)
     ca, cb = _components(a), _components(b)
     if len(ca) != len(cb):
         raise GridMismatchError("cannot pair scalar with vector field")
-    h2 = g.h * g.h
-    return float(h2 * sum(np.sum(x * y) for x, y in zip(ca, cb)))
+    return float(inner_l2_values(ca, cb, g.h))
 
 
 def norm_l2(f) -> float:
     return float(np.sqrt(inner_l2(f, f)))
 
 
-def norm_hk(v, k: int) -> float:
-    """Sobolev-type norm: sqrt of the sum over all derivative multi-indices
-    of order <= k of the squared L2 norms of the difference quotients."""
+def norm_hk_values(comps, h: float, k: int) -> np.ndarray:
+    """norm_hk of a component list of (..., n, n) arrays, one value per slice."""
     if k not in (0, 1, 2, 3):
         raise ValueError(f"k must be in 0..3, got {k}")
-    g = v.grid
-    h = g.h
     h2 = h * h
     total = 0.0
-    for comp in _components(v):
+    for comp in comps:
         # derivs[(i, j)] = d1^i d2^j comp, built order by order (d1 first)
         derivs = {(0, 0): comp}
         for order in range(1, k + 1):
             for i in range(order + 1):
                 j = order - i
                 if i > 0:
-                    derivs[(i, j)] = diff1(derivs[(i - 1, j)], h, 0)
+                    derivs[(i, j)] = diff1(derivs[(i - 1, j)], h, -2)
                 else:
-                    derivs[(i, j)] = diff1(derivs[(i, j - 1)], h, 1)
-        total += sum(h2 * np.sum(d * d) for d in derivs.values())
-    return float(np.sqrt(total))
+                    derivs[(i, j)] = diff1(derivs[(i, j - 1)], h, -1)
+        total += sum(h2 * slice_sums(d * d) for d in derivs.values())
+    return np.sqrt(total)
+
+
+def norm_hk(v, k: int) -> float:
+    """Sobolev-type norm: sqrt of the sum over all derivative multi-indices
+    of order <= k of the squared L2 norms of the difference quotients."""
+    return float(norm_hk_values(_components(v), v.grid.h, k))
 
 
 # input bytes per block of slices in stack_hk_sq; bounds its temporaries
@@ -113,26 +122,33 @@ def stack_hk_sq(data: np.ndarray, h: float, k: int) -> np.ndarray:
     return out
 
 
+def sym_grad_sq_values(u1: np.ndarray, u2: np.ndarray, h: float) -> np.ndarray:
+    """sym_grad_sq of a velocity given as two (..., n, n) arrays, one value per slice."""
+    d11 = diff1(u1, h, -2)
+    d22 = diff1(u2, h, -1)
+    d12 = 0.5 * (diff1(u2, h, -2) + diff1(u1, h, -1))
+    return h * h * (slice_sums(d11 * d11) + slice_sums(d22 * d22) + 2.0 * slice_sums(d12 * d12))
+
+
 def sym_grad_sq(v: VectorField2D) -> float:
     """Squared L2 norm of the symmetric gradient D v."""
-    h = v.grid.h
-    d11 = diff1(v.u1, h, 0)
-    d22 = diff1(v.u2, h, 1)
-    d12 = 0.5 * (diff1(v.u2, h, 0) + diff1(v.u1, h, 1))
+    return float(sym_grad_sq_values(v.u1, v.u2, v.grid.h))
+
+
+def grad_sq_values(u1: np.ndarray, u2: np.ndarray, h: float) -> np.ndarray:
+    """grad_sq of a velocity given as two (..., n, n) arrays, one value per slice."""
     h2 = h * h
-    return float(h2 * (np.sum(d11 * d11) + np.sum(d22 * d22) + 2.0 * np.sum(d12 * d12)))
+    total = 0.0
+    for comp in (u1, u2):
+        for axis in (-2, -1):
+            d = diff1(comp, h, axis)
+            total += h2 * slice_sums(d * d)
+    return total
 
 
 def grad_sq(v: VectorField2D) -> float:
     """Squared L2 norm of the full gradient (all four partials)."""
-    h = v.grid.h
-    h2 = h * h
-    total = 0.0
-    for comp in (v.u1, v.u2):
-        for axis in (0, 1):
-            d = diff1(comp, h, axis)
-            total += h2 * np.sum(d * d)
-    return float(total)
+    return float(grad_sq_values(v.u1, v.u2, v.grid.h))
 
 
 def norm_V(v: VectorField2D, alpha: float) -> float:
@@ -232,18 +248,16 @@ def load_constants(path) -> DomainConstants:
 # ---------------------------------------------------------------------------
 # random divergence-free sample fields (stream-function protocol)
 
-def stream_from_coeffs(
-    grid: Grid, coeffs: np.ndarray, profile: str = "sine"
-) -> ScalarField2D:
-    """Stream function sum_{kl} c_kl m_k(x1) m_l(x2) from mode coefficients.
+def stream_values(grid: Grid, coeffs: np.ndarray, profile: str = "sine") -> np.ndarray:
+    """Values of sum_{kl} c_kl m_k(x1) m_l(x2) for (..., k, l) mode coefficients.
 
     profile "sine": m_k = sin(k pi x) (free-slip samples);
     profile "squared_sine": m_k = sin^2(k pi x) (velocity vanishes on walls).
     """
     coeffs = np.asarray(coeffs, dtype=float)
     x = np.arange(1, grid.n_interior + 1) * grid.h
-    k = np.arange(1, coeffs.shape[0] + 1)
-    l = np.arange(1, coeffs.shape[1] + 1)
+    k = np.arange(1, coeffs.shape[-2] + 1)
+    l = np.arange(1, coeffs.shape[-1] + 1)
     if profile == "sine":
         m1 = np.sin(np.pi * np.outer(k, x))
         m2 = np.sin(np.pi * np.outer(l, x))
@@ -252,8 +266,15 @@ def stream_from_coeffs(
         m2 = np.sin(np.pi * np.outer(l, x)) ** 2
     else:
         raise ValueError(f"unknown profile {profile!r}")
-    values = m1.T @ coeffs @ m2
-    return ScalarField2D(grid, values)
+    return m1.T @ coeffs @ m2
+
+
+def stream_from_coeffs(
+    grid: Grid, coeffs: np.ndarray, profile: str = "sine"
+) -> ScalarField2D:
+    """Stream function sum_{kl} c_kl m_k(x1) m_l(x2) from (k, l) mode coefficients
+    (profiles as in stream_values)."""
+    return ScalarField2D(grid, stream_values(grid, coeffs, profile))
 
 
 def random_velocity(
@@ -316,38 +337,40 @@ def check_inequality(kind: str, fields, constants: DomainConstants, alpha: float
     return InequalityCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-12))
 
 
-def _ratio_fn(kind: str, grid: Grid, alpha: float, n_modes: int):
-    if kind == "korn":
+def _korn_ratio(c: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
+    # (||y||^2 + ||grad y||^2) / (||y||^2 + ||Dy||^2)
+    h = grid.h
+    y = velocity_values(stream_values(grid, c), h)
+    l2 = inner_l2_values(y, y, h)
+    return (l2 + grad_sq_values(*y, h)) / (l2 + sym_grad_sq_values(*y, h))
 
-        def ratio(c):
-            y = velocity_from_stream(stream_from_coeffs(grid, c))
-            l2 = inner_l2(y, y)
-            return (l2 + grad_sq(y)) / (l2 + sym_grad_sq(y))
 
-        shape = (n_modes, n_modes)
-    elif kind == "elliptic":
+def _elliptic_ratio(c: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
+    # ||y||_H2^2 / (||y||^2 + ||Ay||^2); A y is the velocity of lap5(psi)
+    h = grid.h
+    psi = stream_values(grid, c)
+    y = velocity_values(psi, h)
+    ay = velocity_values(lap5(psi, h), h)
+    return norm_hk_values(y, h, 2) ** 2 / (inner_l2_values(y, y, h) + inner_l2_values(ay, ay, h))
 
-        def ratio(c):
-            y = velocity_from_stream(stream_from_coeffs(grid, c))
-            ay = apply_A(y)
-            return norm_hk(y, 2) ** 2 / (inner_l2(y, y) + inner_l2(ay, ay))
 
-        shape = (n_modes, n_modes)
-    elif kind == "trilinear":
-        from .state import nonlinear_term
+def _trilinear_ratio(c: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
+    # |(curl upsilon(z) x z, phi)| / (||phi||_H2 ||z||_H2^2), 0 where the
+    # denominator is; c[..., 0, :, :] generates z and c[..., 1, :, :] phi
+    from .state import curl_upsilon_values
 
-        def ratio(c):
-            z = velocity_from_stream(stream_from_coeffs(grid, c[0]))
-            phi = velocity_from_stream(stream_from_coeffs(grid, c[1]))
-            denom = norm_hk(phi, 2) * norm_hk(z, 2) ** 2
-            if denom == 0.0:
-                return 0.0
-            return abs(nonlinear_term(z, phi, alpha)) / denom
+    h = grid.h
+    u1, u2 = velocity_values(stream_values(grid, c), h)
+    norms = norm_hk_values((u1, u2), h, 2)
+    denom = norms[..., 1] * norms[..., 0] ** 2
+    z1, z2, p1, p2 = u1[..., 0, :, :], u2[..., 0, :, :], u1[..., 1, :, :], u2[..., 1, :, :]
+    num = np.abs(cross_values(curl_upsilon_values(z1, z2, alpha, h), z1, z2, p1, p2, h))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom == 0.0, 0.0, num / denom)
 
-        shape = (2, n_modes, n_modes)
-    else:
-        raise ValueError(f"unknown constant kind {kind!r}")
-    return ratio, shape
+
+# kind -> (batched ratio, number of stream functions per sample)
+_RATIOS = {"korn": (_korn_ratio, 1), "elliptic": (_elliptic_ratio, 1), "trilinear": (_trilinear_ratio, 2)}
 
 
 def estimate_constant(
@@ -364,26 +387,40 @@ def estimate_constant(
 
     Draws `samples` random stream-function fields (standard normal mode
     coefficients), runs a short random hill climb on each, and returns the
-    running maximum of the Rayleigh-type ratio. Sample i is seeded by
-    (seed, i), so estimates are deterministic and nondecreasing in `samples`.
+    largest Rayleigh-type ratio reached. Sample i is seeded by (seed, i), so
+    estimates are deterministic and nondecreasing in `samples`.
+
+    The climbs run side by side, a block of samples at a time, with one
+    batched ratio evaluation per step. A sample's draws do not depend on
+    whether its proposals are accepted, so each sample sees the same
+    proposals, and the result the same bits, as a climb run on its own.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    ratio, shape = _ratio_fn(kind, grid, alpha, n_modes)
+    if kind not in _RATIOS:
+        raise ValueError(f"unknown constant kind {kind!r}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    ratio, fields = _RATIOS[kind]
+    shape = (n_modes, n_modes) if fields == 1 else (fields, n_modes, n_modes)
+    # a block holds about _BLOCK_BYTES of sample velocities, as in stack_hk_sq
+    step = max(1, _BLOCK_BYTES // (fields * 2 * grid.n_interior**2 * 8))
     best = -np.inf
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        c = rng.standard_normal(shape)
-        r = ratio(c)
-        best = max(best, r)
+    for s in range(0, samples, step):
+        rngs = [np.random.default_rng([seed, i]) for i in range(s, min(s + step, samples))]
+        c = np.stack([rng.standard_normal(shape) for rng in rngs])
+        r = ratio(c, grid, alpha)
         sigma = 0.3
         for _ in range(ascent_steps):
-            prop = c + sigma * rng.standard_normal(shape)
-            rp = ratio(prop)
-            if rp > r:
-                r, c = rp, prop
-                best = max(best, r)
+            prop = c + sigma * np.stack([rng.standard_normal(shape) for rng in rngs])
+            rp = ratio(prop, grid, alpha)
+            up = rp > r
+            r[up], c[up] = rp[up], prop[up]
             sigma *= 0.95
+        # each r only rose; Python's max skips a NaN ratio as the running max did
+        best = max(best, *r.tolist())
+    if not math.isfinite(best):
+        raise ValueError(f"{kind} ratio is not finite at alpha={alpha}")
     return float(best)
 
 

@@ -30,7 +30,6 @@ from .grid import (
     apply_symbol,
     arakawa,
     cross_quadrature,
-    curl2d,
     curl_values,
     dst_symbol,
     helmholtz_solve_values,
@@ -417,10 +416,15 @@ def apply_upsilon(y: VectorField2D, alpha: float) -> VectorField2D:
     return VectorField2D(y.grid, y.u1 - alpha * lap5(y.u1, h), y.u2 - alpha * lap5(y.u2, h))
 
 
+def curl_upsilon_values(u1: np.ndarray, u2: np.ndarray, alpha: float, h: float) -> np.ndarray:
+    """(I - alpha*lap) curl of a velocity given as two arrays of shape (..., n, n)."""
+    w = curl_values(u1, u2, h)
+    return w - alpha * lap5(w, h)
+
+
 def curl_upsilon(y: VectorField2D, alpha: float) -> ScalarField2D:
     """Potential vorticity of y by the direct route: (I - alpha*lap) curl y."""
-    w = curl2d(y)
-    return ScalarField2D(y.grid, w.values - alpha * lap5(w.values, y.grid.h))
+    return ScalarField2D(y.grid, curl_upsilon_values(y.u1, y.u2, alpha, y.grid.h))
 
 
 def trilinear_b(phi: VectorField2D, z: VectorField2D, y: VectorField2D) -> float:

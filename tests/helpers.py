@@ -3,7 +3,14 @@
 import numpy as np
 
 from sgf2d.grid import Grid, ScalarField2D, VectorField2D, velocity_from_stream
-from sgf2d.spaces import stream_from_coeffs
+from sgf2d.spaces import (
+    apply_A,
+    grad_sq,
+    inner_l2,
+    norm_hk,
+    stream_from_coeffs,
+    sym_grad_sq,
+)
 
 
 def single_mode_stream(grid, k, l, amp=1.0):
@@ -77,3 +84,43 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def sample_ratio(kind, grid, c, alpha=1.0):
+    """One sample's estimator ratio, from the field-level norms and operators."""
+    if kind == "korn":
+        y = velocity_from_stream(stream_from_coeffs(grid, c))
+        l2 = inner_l2(y, y)
+        return (l2 + grad_sq(y)) / (l2 + sym_grad_sq(y))
+    if kind == "elliptic":
+        y = velocity_from_stream(stream_from_coeffs(grid, c))
+        ay = apply_A(y)
+        return norm_hk(y, 2) ** 2 / (inner_l2(y, y) + inner_l2(ay, ay))
+    from sgf2d.state import nonlinear_term
+
+    z = velocity_from_stream(stream_from_coeffs(grid, c[0]))
+    phi = velocity_from_stream(stream_from_coeffs(grid, c[1]))
+    denom = norm_hk(phi, 2) * norm_hk(z, 2) ** 2
+    if denom == 0.0:
+        return 0.0
+    return abs(nonlinear_term(z, phi, alpha)) / denom
+
+
+def estimate_constant_per_sample(kind, samples, seed, *, grid, alpha=1.0, n_modes=8, ascent_steps=50):
+    """The estimator's hill climb run one sample at a time, one field per call."""
+    shape = (2, n_modes, n_modes) if kind == "trilinear" else (n_modes, n_modes)
+    best = -np.inf
+    for i in range(samples):
+        rng = np.random.default_rng([seed, i])
+        c = rng.standard_normal(shape)
+        r = sample_ratio(kind, grid, c, alpha)
+        best = max(best, r)
+        sigma = 0.3
+        for _ in range(ascent_steps):
+            prop = c + sigma * rng.standard_normal(shape)
+            rp = sample_ratio(kind, grid, prop, alpha)
+            if rp > r:
+                r, c = rp, prop
+                best = max(best, r)
+            sigma *= 0.95
+    return float(best)

@@ -15,9 +15,12 @@ from sgf2d.spaces import (
     diff1,
     estimate_constant,
     grad_sq,
+    grad_sq_values,
     inner_l2,
+    inner_l2_values,
     load_constants,
     norm_hk,
+    norm_hk_values,
     norm_l2,
     norm_V,
     random_velocity,
@@ -26,9 +29,14 @@ from sgf2d.spaces import (
     solenoidal_projection_values,
     stack_hk_sq,
     stream_from_coeffs,
+    stream_values,
     sym_grad_sq,
+    sym_grad_sq_values,
 )
+from sgf2d import spaces
 from sgf2d.state import Trajectory, control_h1_norm, trap_weights
+
+from helpers import estimate_constant_per_sample, sample_ratio
 
 
 def random_field(grid, seed, vector=True, amplitude=1.0):
@@ -328,6 +336,54 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_constant("poincare", samples=1, seed=1, grid=Grid(8))
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["korn", "elliptic", "trilinear"])
+    def test_non_finite_alpha_refused(self, kind, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            estimate_constant(kind, samples=1, seed=1, grid=Grid(8), alpha=alpha)
+
+    def test_overflowing_ratio_refused(self):
+        # a finite alpha this large overflows curl upsilon(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="not finite"):
+                estimate_constant("trilinear", samples=2, seed=1, grid=Grid(8), alpha=1e308)
+
+    # (n, samples, n_modes, ascent_steps); at 16^2 a block holds 16 korn or
+    # elliptic samples and 8 trilinear ones, so 17 samples walk two or three
+    @pytest.mark.parametrize(
+        "n,samples,n_modes,ascent_steps",
+        [(8, 3, 8, 50), (12, 4, 5, 50), (16, 2, 8, 50), (16, 17, 8, 6), (16, 9, 3, 6)],
+    )
+    @pytest.mark.parametrize("kind", ["korn", "elliptic", "trilinear"])
+    def test_batched_climb_equals_per_sample_climb(self, kind, n, samples, n_modes, ascent_steps):
+        kw = dict(grid=Grid(n), n_modes=n_modes, ascent_steps=ascent_steps)
+        assert estimate_constant(kind, samples, 2026, **kw) == estimate_constant_per_sample(
+            kind, samples, 2026, **kw
+        )
+
+    @pytest.mark.parametrize("kind", ["korn", "elliptic", "trilinear"])
+    def test_block_size_does_not_change_the_result(self, kind, monkeypatch):
+        kw = dict(grid=Grid(8), ascent_steps=10)
+        whole = estimate_constant(kind, 7, 11, **kw)
+        for block_bytes in (1, 3 * 2 * 8 * 8 * 8):  # blocks of 1 sample, then of 3 or 1
+            monkeypatch.setattr(spaces, "_BLOCK_BYTES", block_bytes)
+            assert estimate_constant(kind, 7, 11, **kw) == whole
+
+    @pytest.mark.parametrize("kind", ["korn", "elliptic", "trilinear"])
+    def test_batched_ratio_equals_sample_ratio(self, kind):
+        # a zero sample gives the trilinear ratio its zero-denominator branch
+        g = Grid(10)
+        ratio, fields = spaces._RATIOS[kind]
+        shape = (4,) + ((fields,) if fields > 1 else ()) + (3, 3)
+        c = np.random.default_rng(3).standard_normal(shape)
+        if kind == "trilinear":
+            c[1] = 0.0
+        r = ratio(c, g, 0.3)
+        assert r.shape == (4,)
+        assert [float(x) for x in r] == [sample_ratio(kind, g, ci, 0.3) for ci in c]
+        if kind == "trilinear":
+            assert r[1] == 0.0
+
 
 class TestInequalities:
     def test_zero_field_holds(self):
@@ -358,6 +414,37 @@ class TestInequalities:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             check_inequality("sobolev", random_field(Grid(8), 15), DomainConstants())
+
+
+class TestArrayNorms:
+    """The array forms keep leading axes and give each slice the field-level bits."""
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 2)])
+    def test_slices_match_field_norms(self, lead):
+        g = Grid(9)
+        h = g.h
+        coeffs = np.random.default_rng(5).standard_normal(lead + (4, 4))
+        psi = stream_values(g, coeffs)
+        y1, y2 = d2c(psi, h), -d1c(psi, h)
+        q = np.random.default_rng(6).standard_normal(lead + g.shape)
+        l2 = inner_l2_values((y1, y2), (y1, y2), h)
+        grad, sym = grad_sq_values(y1, y2, h), sym_grad_sq_values(y1, y2, h)
+        hk = [norm_hk_values((y1, y2), h, k) for k in range(4)]
+        hk_scalar = [norm_hk_values((q,), h, k) for k in range(4)]
+        for idx in np.ndindex(*lead):
+            psi_i = stream_from_coeffs(g, coeffs[idx])
+            assert np.array_equal(psi[idx], psi_i.values)
+            y = velocity_from_stream(psi_i)
+            assert l2[idx] == inner_l2(y, y)
+            assert grad[idx] == grad_sq(y)
+            assert sym[idx] == sym_grad_sq(y)
+            for k in range(4):
+                assert hk[k][idx] == norm_hk(y, k)
+                assert hk_scalar[k][idx] == norm_hk(ScalarField2D(g, q[idx]), k)
+
+    def test_norm_order_validated(self):
+        with pytest.raises(ValueError):
+            norm_hk_values((np.zeros((2, 5, 5)),), 0.1, 4)
 
 
 class TestStreamFields:

@@ -31,6 +31,7 @@ from sgf2d.grid import (
     velocity_from_stream,
     velocity_values,
 )
+from sgf2d.spaces import diff1
 from sgf2d.fieldio import read_field, write_field, write_field_csv
 
 from helpers import count_calls
@@ -188,6 +189,43 @@ class TestPadFreeStencils:
         assert np.array_equal(arakawa(a, b, g.h), jac)
         assert np.array_equal(pad0(a), np.pad(a, 1))
         assert np.array_equal(pad0(b), np.pad(b, 1))
+
+
+class TestBatchAxis:
+    """Stencils act on the last two axes; every slice of a stack gets its 2-D bits."""
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 2)])
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_stack_equals_per_slice(self, lead, n):
+        h = Grid(n).h
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(lead + (n, n))
+        b = rng.standard_normal(lead + (n, n))
+        batched = {
+            "pad0": pad0(a),
+            "lap5": lap5(a, h),
+            "d1c": d1c(a, h),
+            "d2c": d2c(a, h),
+            "velocity": np.stack(velocity_values(a, h)),
+            "curl": curl_values(a, b, h),
+            "diff1_x1": diff1(a, h, -2),
+            "diff1_x2": diff1(a, h, -1),
+        }
+        for idx in np.ndindex(*lead):
+            ai, bi = a[idx], b[idx]
+            per_slice = {
+                "pad0": pad0(ai),
+                "lap5": lap5(ai, h),
+                "d1c": d1c(ai, h),
+                "d2c": d2c(ai, h),
+                "velocity": np.stack(velocity_values(ai, h)),
+                "curl": curl_values(ai, bi, h),
+                "diff1_x1": diff1(ai, h, 0),
+                "diff1_x2": diff1(ai, h, 1),
+            }
+            for name, want in per_slice.items():
+                got = batched[name][(slice(None),) + idx] if name == "velocity" else batched[name][idx]
+                assert np.array_equal(got, want), name
 
 
 class TestEllipticSolves:

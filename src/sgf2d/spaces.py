@@ -403,8 +403,8 @@ def estimate_constant(
         raise ValueError(f"alpha must be finite, got {alpha}")
     ratio, fields = _RATIOS[kind]
     shape = (n_modes, n_modes) if fields == 1 else (fields, n_modes, n_modes)
-    # a block holds about _BLOCK_BYTES of sample velocities, as in stack_hk_sq
-    step = max(1, _BLOCK_BYTES // (fields * 2 * grid.n_interior**2 * 8))
+    # a block holds about _BLOCK_BYTES of sample stream functions
+    step = max(1, _BLOCK_BYTES // (fields * grid.n_interior**2 * 8))
     best = -np.inf
     for s in range(0, samples, step):
         rngs = [np.random.default_rng([seed, i]) for i in range(s, min(s + step, samples))]

@@ -191,6 +191,21 @@ class TestPadFreeStencils:
         assert np.array_equal(pad0(b), np.pad(b, 1))
 
 
+def _batchable_stencils(a, b, h, axes):
+    y1, y2 = velocity_values(a, h)
+    return {
+        "pad0": pad0(a),
+        "lap5": lap5(a, h),
+        "d1c": d1c(a, h),
+        "d2c": d2c(a, h),
+        "y1": y1,
+        "y2": y2,
+        "curl": curl_values(a, b, h),
+        "diff1_x1": diff1(a, h, axes[0]),
+        "diff1_x2": diff1(a, h, axes[1]),
+    }
+
+
 class TestBatchAxis:
     """Stencils act on the last two axes; every slice of a stack gets its 2-D bits."""
 
@@ -201,31 +216,10 @@ class TestBatchAxis:
         rng = np.random.default_rng(n)
         a = rng.standard_normal(lead + (n, n))
         b = rng.standard_normal(lead + (n, n))
-        batched = {
-            "pad0": pad0(a),
-            "lap5": lap5(a, h),
-            "d1c": d1c(a, h),
-            "d2c": d2c(a, h),
-            "velocity": np.stack(velocity_values(a, h)),
-            "curl": curl_values(a, b, h),
-            "diff1_x1": diff1(a, h, -2),
-            "diff1_x2": diff1(a, h, -1),
-        }
+        batched = _batchable_stencils(a, b, h, (-2, -1))
         for idx in np.ndindex(*lead):
-            ai, bi = a[idx], b[idx]
-            per_slice = {
-                "pad0": pad0(ai),
-                "lap5": lap5(ai, h),
-                "d1c": d1c(ai, h),
-                "d2c": d2c(ai, h),
-                "velocity": np.stack(velocity_values(ai, h)),
-                "curl": curl_values(ai, bi, h),
-                "diff1_x1": diff1(ai, h, 0),
-                "diff1_x2": diff1(ai, h, 1),
-            }
-            for name, want in per_slice.items():
-                got = batched[name][(slice(None),) + idx] if name == "velocity" else batched[name][idx]
-                assert np.array_equal(got, want), name
+            for name, want in _batchable_stencils(a[idx], b[idx], h, (0, 1)).items():
+                assert np.array_equal(batched[name][idx], want), name
 
 
 class TestEllipticSolves:

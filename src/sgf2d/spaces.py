@@ -391,9 +391,12 @@ def estimate_constant(
     estimates are deterministic and nondecreasing in `samples`.
 
     The climbs run side by side, a block of samples at a time, with one
-    batched ratio evaluation per step. A sample's draws do not depend on
-    whether its proposals are accepted, so each sample sees the same
-    proposals, and the result the same bits, as a climb run on its own.
+    batched ratio evaluation per step; the grid stencils and the `*_values`
+    norm forms take the block as a leading batch axis. A sample's draws do
+    not depend on whether its proposals are accepted, so each sample sees
+    the same proposals, and the result the same bits, as a climb run on its
+    own. A non-finite alpha, or a best ratio that is not finite, raises
+    ValueError.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

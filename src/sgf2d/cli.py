@@ -57,12 +57,16 @@ def _snapshot_indices(m: int, every: int) -> list[int]:
     return sorted(picks)
 
 
+def _write_snapshot(fields_dir: Path, name: str, field: ScalarField2D | VectorField2D) -> None:
+    """Write one field as fields_dir/name.bin and fields_dir/name.csv."""
+    fieldio.write_field(fields_dir / f"{name}.bin", field)
+    fieldio.write_field_csv(fields_dir / f"{name}.csv", field)
+
+
 def _write_velocity_snapshots(fields_dir: Path, prefix: str, traj: Trajectory, idx) -> None:
-    g = traj.grid
     for k in idx:
-        f = VectorField2D(g, traj.data[k, 0], traj.data[k, 1])
-        fieldio.write_field(fields_dir / f"{prefix}_{k:06d}.bin", f)
-        fieldio.write_field_csv(fields_dir / f"{prefix}_{k:06d}.csv", f)
+        f = VectorField2D(traj.grid, traj.data[k, 0], traj.data[k, 1])
+        _write_snapshot(fields_dir, f"{prefix}_{k:06d}", f)
 
 
 def _report(out: Path, lines) -> None:
@@ -90,9 +94,7 @@ def _cmd_simulate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
     idx = _snapshot_indices(pd.m_steps, every)
     _write_velocity_snapshots(fields_dir, "y", sol.velocity, idx)
     for k in idx:
-        f = ScalarField2D(pd.grid, sol.omega[k])
-        fieldio.write_field(fields_dir / f"omega_{k:06d}.bin", f)
-        fieldio.write_field_csv(fields_dir / f"omega_{k:06d}.csv", f)
+        _write_snapshot(fields_dir, f"omega_{k:06d}", ScalarField2D(pd.grid, sol.omega[k]))
     with open(out / "log.csv", "w") as fh:
         fh.write("step,time,norm_h1,norm_h3\n")
         for k in range(pd.m_steps + 1):
@@ -125,8 +127,7 @@ def _cmd_optimize(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
     fields_dir.mkdir(parents=True, exist_ok=True)
     idx = _snapshot_indices(pd.m_steps, every)
     _write_velocity_snapshots(fields_dir, "u", rep.u_final, idx)
-    sol = solve_state(rep.u_final, pd)
-    _write_velocity_snapshots(fields_dir, "y", sol.velocity, idx)
+    _write_velocity_snapshots(fields_dir, "y", rep.final_state.velocity, idx)
     rep.write_csv(out / "log.csv")
     first = rep.iterates[0]
     last = rep.iterates[-1]
@@ -236,8 +237,7 @@ def _cmd_multistart(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every:
     for i, rep in enumerate(ms.reports):
         u = rep.u_final
         f = VectorField2D(pd.grid, u.data[mid, 0], u.data[mid, 1])
-        fieldio.write_field(fields_dir / f"u_start{i}_{mid:06d}.bin", f)
-        fieldio.write_field_csv(fields_dir / f"u_start{i}_{mid:06d}.csv", f)
+        _write_snapshot(fields_dir, f"u_start{i}_{mid:06d}", f)
     with open(out / "log.csv", "w") as fh:
         fh.write("start,J_final,converged,iterations,vi_final\n")
         for i, rep in enumerate(ms.reports):

@@ -3,12 +3,18 @@
 Binary layout: 16-byte header = magic b"SGF2", u32 n_interior, u32 component
 count (1 scalar / 2 vector), u32 reserved zero; then the components as
 row-major little-endian float64 blocks (u1 block then u2 block for vectors).
+
+CSV layout: a header line ``x1,x2,value`` (scalar) or ``x1,x2,v1,v2``
+(vector), then one row per interior node in i-major order (node (i, j) is
+line i*n + j + 2 of the file), holding its coordinates and value(s). Every
+number is written with ``%.17g``, so it reads back to the same float64, and
+every line ends in ``\r\n``.
 """
 
 from __future__ import annotations
 
-import csv
 import struct
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -53,21 +59,21 @@ def read_field(path) -> ScalarField2D | VectorField2D:
     return VectorField2D(grid, u1, u2)
 
 
+@lru_cache(maxsize=8)
+def _coord_prefixes(n: int) -> tuple[str, ...]:
+    """The ``x1,x2,`` start of every CSV row on the n x n grid, i-major."""
+    x1, x2 = (x.ravel().tolist() for x in Grid(n).coords())
+    return tuple(f"{a:.17g},{b:.17g}," for a, b in zip(x1, x2))
+
+
 def write_field_csv(path, f: ScalarField2D | VectorField2D) -> None:
     """Plot-friendly export: one row per node, x1,x2 then the value column(s)."""
-    x1, x2 = f.grid.coords()
     if isinstance(f, ScalarField2D):
-        header = ["x1", "x2", "value"]
-        cols = [f.values]
+        header, comps = "x1,x2,value\r\n", (f.values,)
     else:
-        header = ["x1", "x2", "v1", "v2"]
-        cols = [f.u1, f.u2]
+        header, comps = "x1,x2,v1,v2\r\n", (f.u1, f.u2)
+    row = ",".join(["%.17g"] * len(comps)) + "\r\n"
+    values = zip(*(c.ravel().tolist() for c in comps))
+    body = [p + row % v for p, v in zip(_coord_prefixes(f.grid.n_interior), values)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        n = f.grid.n_interior
-        for i in range(n):
-            for j in range(n):
-                row = [f"{x1[i, j]:.17g}", f"{x2[i, j]:.17g}"]
-                row += [f"{c[i, j]:.17g}" for c in cols]
-                w.writerow(row)
+        fh.write(header + "".join(body))

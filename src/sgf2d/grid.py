@@ -164,20 +164,23 @@ def arakawa(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
     is what the conservation and transposition contracts rely on.
     """
     ap, bp = pad0(a), pad0(b)
-    aE, aW = ap[2:, 1:-1], ap[:-2, 1:-1]
-    aN, aS = ap[1:-1, 2:], ap[1:-1, :-2]
-    aNE, aNW = ap[2:, 2:], ap[:-2, 2:]
-    aSE, aSW = ap[2:, :-2], ap[:-2, :-2]
+    aE, aW = ap[..., 2:, 1:-1], ap[..., :-2, 1:-1]
+    aN, aS = ap[..., 1:-1, 2:], ap[..., 1:-1, :-2]
+    aNE, aNW = ap[..., 2:, 2:], ap[..., :-2, 2:]
+    aSE, aSW = ap[..., 2:, :-2], ap[..., :-2, :-2]
     # every difference of b the stencil takes (bN - bS, bNE - bSE, bN - bE, ...)
     # is a shifted slice of one of these four, with the same two operands
-    dx = bp[2:] - bp[:-2]  # b(i+1, j) - b(i-1, j)
-    dy = bp[:, 2:] - bp[:, :-2]  # b(i, j+1) - b(i, j-1)
-    up = bp[1:, 1:] - bp[:-1, :-1]  # b(i+1, j+1) - b(i, j)
-    dn = bp[:-1, 1:] - bp[1:, :-1]  # b(i, j+1) - b(i+1, j)
+    dx = bp[..., 2:, :] - bp[..., :-2, :]  # b(i+1, j) - b(i-1, j)
+    dy = bp[..., 2:] - bp[..., :-2]  # b(i, j+1) - b(i, j-1)
+    up = bp[..., 1:, 1:] - bp[..., :-1, :-1]  # b(i+1, j+1) - b(i, j)
+    dn = bp[..., :-1, 1:] - bp[..., 1:, :-1]  # b(i, j+1) - b(i+1, j)
 
-    j1 = (aE - aW) * dy[1:-1] - (aN - aS) * dx[:, 1:-1]
-    j2 = aE * dy[2:] - aW * dy[:-2] - aN * dx[:, 2:] + aS * dx[:, :-2]
-    j3 = aNE * dn[1:, 1:] - aSW * dn[:-1, :-1] - aNW * up[:-1, 1:] + aSE * up[1:, :-1]
+    j1 = (aE - aW) * dy[..., 1:-1, :] - (aN - aS) * dx[..., 1:-1]
+    j2 = aE * dy[..., 2:, :] - aW * dy[..., :-2, :] - aN * dx[..., 2:] + aS * dx[..., :-2]
+    j3 = (
+        aNE * dn[..., 1:, 1:] - aSW * dn[..., :-1, :-1]
+        - aNW * up[..., :-1, 1:] + aSE * up[..., 1:, :-1]
+    )
     return (j1 + j2 + j3) / (12.0 * h * h)
 
 

@@ -102,6 +102,7 @@ class OptimizeReport:
     final_norm_h1_max: float
     final_norm_h3_max: float
     tol: float
+    final_state: StateSolution  # solve_state(u_final), so callers need not solve again
 
     @property
     def n_iterations(self) -> int:
@@ -198,6 +199,7 @@ def optimize(
         final_norm_h1_max=float(np.max(sol.norms_h1)),
         final_norm_h3_max=float(np.max(sol.norms_h3)),
         tol=tol,
+        final_state=sol,
     )
 
 

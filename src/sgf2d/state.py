@@ -339,8 +339,7 @@ class StateSolution:
     @cached_property
     def omega(self) -> np.ndarray:
         """Vorticity -lap5(psi) of every time slice."""
-        h = self.pd.grid.h
-        return np.stack([-lap5(p, h) for p in self.psi])
+        return -lap5(self.psi, self.pd.grid.h)
 
     @cached_property
     def _norms_sq(self) -> np.ndarray:

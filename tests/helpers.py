@@ -1,5 +1,8 @@
 """Field constructors shared by the test modules (not a test file)."""
 
+import csv
+import io
+
 import numpy as np
 
 from sgf2d.grid import Grid, ScalarField2D, VectorField2D, velocity_from_stream
@@ -124,3 +127,22 @@ def estimate_constant_per_sample(kind, samples, seed, *, grid, alpha=1.0, n_mode
                 best = max(best, r)
             sigma *= 0.95
     return float(best)
+
+
+def row_writer_csv(f) -> bytes:
+    """A field's CSV as csv.writer writes it one node at a time, with f"{v:.17g}" numbers."""
+    x1, x2 = f.grid.coords()
+    if isinstance(f, ScalarField2D):
+        header, cols = ["x1", "x2", "value"], [f.values]
+    else:
+        header, cols = ["x1", "x2", "v1", "v2"], [f.u1, f.u2]
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    n = f.grid.n_interior
+    for i in range(n):
+        for j in range(n):
+            row = [f"{x1[i, j]:.17g}", f"{x2[i, j]:.17g}"]
+            row += [f"{c[i, j]:.17g}" for c in cols]
+            w.writerow(row)
+    return buf.getvalue().encode("ascii")

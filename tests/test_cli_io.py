@@ -23,12 +23,18 @@ except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli
 import numpy as np
 import pytest
 
+from sgf2d import cli as cli_module
+from sgf2d import optimizer as optimizer_module
 from sgf2d.certificates import CertificateReport
 from sgf2d.cli import main
 from sgf2d.config import ConfigError, build_problem, parse_config
 from sgf2d.fieldio import read_field, write_field, write_field_csv
 from sgf2d.grid import Grid, ScalarField2D, VectorField2D
+from sgf2d.optimizer import optimize
 from sgf2d.spaces import load_constants
+from sgf2d.state import solve_state
+
+from helpers import count_calls, row_writer_csv
 
 
 def write_cfg(tmp_path, body, name="cfg.txt"):
@@ -108,6 +114,25 @@ class TestFieldIO:
         first = lines[1].split(",")
         assert float(first[0]) == pytest.approx(0.25)
         assert float(first[2]) == 1.0
+
+    @pytest.mark.parametrize("n", [3, 16, 63])
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_csv_bytes_equal_row_writer(self, tmp_path, n, kind):
+        g = Grid(n)
+        rng = np.random.default_rng(n)
+        special = [-0.0, 5e-324, 1e300, -1e300, 3.0, -42.0, 2.0**53, 0.0, -5e-324]
+        comps = []
+        for c in range(1 if kind == "scalar" else 2):
+            v = rng.standard_normal(n * n) * 10.0 ** rng.integers(-12, 13, n * n)
+            v[len(special)::5] = np.round(v[len(special)::5])  # integer-valued floats
+            v[: len(special)] = special[c:] + special[:c]
+            comps.append(v.reshape(n, n))
+        f = ScalarField2D(g, comps[0]) if kind == "scalar" else VectorField2D(g, *comps)
+        p = tmp_path / "f.csv"
+        write_field_csv(p, f)
+        data = p.read_bytes()
+        assert data == row_writer_csv(f)
+        assert data.count(b"\r\n") == 1 + n * n
 
 
 class TestConfigParsing:
@@ -279,6 +304,20 @@ class TestSimulate:
         assert report.startswith("simulate\n")
         assert "final_norm_h1 = 0" in report
 
+    @pytest.mark.parametrize("every", [0, 3])
+    def test_field_csvs_equal_row_writer(self, tmp_path, every):
+        cfg = write_cfg(tmp_path, TRACKING)
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--snapshot-every", str(every)]) == 0
+        csvs = sorted((out / "fields").glob("*.csv"))
+        bins = sorted((out / "fields").glob("*.bin"))
+        assert [p.stem for p in csvs] == [p.stem for p in bins]
+        # y and omega at steps 0 and 8, and at 3 and 6 when every = 3
+        assert len(csvs) == (4 if every == 0 else 8)
+        for p in csvs:
+            assert p.read_bytes() == row_writer_csv(read_field(p.with_suffix(".bin"))), p.name
+
     def test_max_cfl_reported_and_warned(self, tmp_path):
         # zero data: max_cfl = 0 and no advisory
         cfg = write_cfg(tmp_path, MINIMAL)
@@ -315,6 +354,30 @@ class TestSimulate:
         f = read_field(out / "fields" / "y_000000.bin")
         assert isinstance(f, VectorField2D)
         assert np.abs(f.u1).max() > 0.0
+
+
+class TestOptimizeLeg:
+    def test_final_state_not_solved_again(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, TRACKING + "[run]\nmax_iter = 30\n")
+        rc = parse_config(cfg)
+        pd = build_problem(rc)
+        in_optimize = count_calls(monkeypatch, optimizer_module, "solve_state")
+        in_cli = count_calls(monkeypatch, cli_module, "solve_state")
+        rep = optimize(pd, None, cli_module._opts_from(rc))
+        solves = len(in_optimize)
+        assert solves > 0
+        out = tmp_path / "out"
+        argv = ["optimize", "--config", str(cfg), "--out", str(out), "--snapshot-every", "4"]
+        assert main(argv) == 0
+        # the CLI leg makes exactly the solves of optimize, none of its own
+        assert len(in_optimize) == 2 * solves
+        assert not in_cli
+        fresh = solve_state(rep.u_final, pd)
+        for k in (0, 4, 8):
+            y = read_field(out / "fields" / f"y_{k:06d}.bin")
+            assert np.array_equal(y.u1, fresh.y[k, 0])
+            assert np.array_equal(y.u2, fresh.y[k, 1])
+            assert (out / "fields" / f"y_{k:06d}.csv").read_bytes() == row_writer_csv(y)
 
 
 class TestGradcheck:

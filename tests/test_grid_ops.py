@@ -201,6 +201,7 @@ def _batchable_stencils(a, b, h, axes):
         "y1": y1,
         "y2": y2,
         "curl": curl_values(a, b, h),
+        "arakawa": arakawa(a, b, h),
         "diff1_x1": diff1(a, h, axes[0]),
         "diff1_x2": diff1(a, h, axes[1]),
     }

@@ -186,6 +186,15 @@ class TestOptimize:
         with pytest.raises(ValueError, match="tol must be positive and finite|max_iter"):
             OptimizeOptions(**kw)
 
+    def test_final_state_is_state_of_u_final(self):
+        pd = small_problem()
+        rep = optimize(pd, None, OptimizeOptions(max_iter=5))
+        fresh = solve_state(rep.u_final, pd)
+        assert np.array_equal(rep.final_state.u.data, rep.u_final.data)
+        for name in ("psi", "q", "y"):
+            assert np.array_equal(getattr(rep.final_state, name), getattr(fresh, name)), name
+        assert rep.final_norm_h1_max == float(np.max(fresh.norms_h1))
+
     def test_iteration_cap_path(self):
         pd = small_problem()
         rep = optimize(pd, None, OptimizeOptions(max_iter=0))

@@ -412,10 +412,18 @@ class TestSolveState:
         assert len(calls) == 2
         assert "omega" not in vars(sol)
         omega = sol.omega
-        assert len(calls) == 2 + m + 1
+        # one lap5 call on the whole psi stack
+        assert len(calls) == 2 + 1
         assert sol.omega is omega
         for k in range(m + 1):
             assert np.array_equal(omega[k], -lap5(sol.psi[k], pd.grid.h))
+
+    def test_vorticity_equals_per_slice_stack(self):
+        pd = small_problem(m=5)
+        sol = solve_state(smooth_control(pd, 2), pd)
+        per_slice = np.stack([-lap5(p, pd.grid.h) for p in sol.psi])
+        assert sol.omega.shape == per_slice.shape
+        assert sol.omega.tobytes() == per_slice.tobytes()
 
     def test_stacks_read_only(self):
         # omega, the norms and cfl_max are read from these stacks after the solve

@@ -18,7 +18,7 @@ import numpy as np
 from . import fieldio
 from .certificates import CertificateInputs, certify
 from .config import ConfigError, RunConfig, _kinds_list, build_problem, parse_config
-from .grid import ScalarField2D, SolverDivergenceError, VectorField2D
+from .grid import ScalarField2D, VectorField2D
 from .optimizer import (
     OptimizeOptions,
     cost,
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (BlowUpError, SolverDivergenceError) as exc:
+    except BlowUpError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
 

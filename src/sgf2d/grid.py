@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dstn as _fft_dstn
-from scipy.sparse.linalg import LinearOperator, cg
 
 
 class GridMismatchError(ValueError):
@@ -23,7 +22,11 @@ class GridMismatchError(ValueError):
 
 
 class SolverDivergenceError(RuntimeError):
-    """An elliptic solve failed to reach its residual tolerance."""
+    """An elliptic solve failed to reach its residual tolerance.
+
+    Every elliptic solve is a direct DST-I division, so no solver raises this
+    any more; the name stays exported for callers that catch it.
+    """
 
 
 @dataclass(frozen=True)
@@ -235,19 +238,18 @@ def _dst_matrix(n: int) -> np.ndarray | None:
     return _read_only(2.0 * np.sin(np.pi / (n + 1) * kl))
 
 
-def dstn(x: np.ndarray, type: int = 1, axes=None) -> np.ndarray:
-    """Unnormalized DST-I over the last two axes, as scipy.fft.dstn(x, type=1).
+def dstn(x: np.ndarray, type: int = 1) -> np.ndarray:
+    """Unnormalized DST-I over the last two axes of an (..., n, n) array, as
+    scipy.fft.dstn(x, type=1, axes=(-2, -1)).
 
-    A 2-D input takes axes=None; a stacked (..., n, n) input takes
-    axes=(-2, -1) and broadcasts. Dense sine-matrix products S @ x @ S where
-    they beat the FFT (see _dst_matrix), scipy's FFT elsewhere.
+    Leading axes broadcast. Dense sine-matrix products S @ x @ S where they
+    beat the FFT (see _dst_matrix), scipy's FFT elsewhere.
     """
     x = np.asarray(x)
     if type != 1:
         raise ValueError(f"only the DST-I is implemented, got type={type}")
-    axes = tuple(range(x.ndim)) if axes is None else tuple(axes)
-    if x.ndim < 2 or axes not in ((-2, -1), (x.ndim - 2, x.ndim - 1)):
-        raise ValueError(f"DST-I runs over the last two axes of an array, got axes={axes}")
+    if x.ndim < 2:
+        raise ValueError(f"DST-I runs over the last two axes of an array, got {x.ndim}-D")
     s0, s1 = _dst_matrix(x.shape[-2]), _dst_matrix(x.shape[-1])
     if s0 is None or s1 is None:
         return _fft_dstn(x, type=1, axes=(-2, -1))
@@ -262,65 +264,33 @@ def dst_symbol(values: np.ndarray) -> np.ndarray:
 def apply_symbol(v: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """Diagonal DST-I operator: one forward transform, one inverse. A (2, n, n)
     symbol gives the stack of both operators from a single batched inverse."""
-    return dstn(dstn(v, type=1) * symbol, type=1, axes=(-2, -1))
+    return dstn(dstn(v) * symbol)
 
 
-def _dst_divide(v: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    return dstn(dstn(v, type=1) / denom, type=1) / (2.0 * (v.shape[0] + 1)) ** 2
+@lru_cache(maxsize=32)
+def _poisson_symbol(n: int) -> np.ndarray:
+    """Symbol of (-lap5)^-1 on the n x n grid."""
+    return dst_symbol(1.0 / _neg_lap_eigenvalues(n))
 
 
-def poisson_solve_values(
-    omega: np.ndarray, h: float, method: str = "dst", maxiter: int | None = None
-) -> np.ndarray:
-    """Solve -lap5(psi) = omega with zero Dirichlet boundary."""
-    n = omega.shape[0]
-    if method == "dst":
-        return _dst_divide(omega, _neg_lap_eigenvalues(n))
-    if method == "cg":
-        return _cg_solve(omega, h, a=None, maxiter=maxiter)
-    raise ValueError(f"unknown elliptic method {method!r}")
+@lru_cache(maxsize=32)
+def _helmholtz_symbol(n: int, a: float) -> np.ndarray:
+    """Symbol of (I - a*lap5)^-1 on the n x n grid."""
+    return dst_symbol(1.0 / (1.0 + a * _neg_lap_eigenvalues(n)))
 
 
-def helmholtz_solve_values(
-    rhs: np.ndarray, a: float, h: float, method: str = "dst", maxiter: int | None = None
-) -> np.ndarray:
-    """Solve (I - a*lap5) f = rhs with zero Dirichlet boundary, a > 0."""
+def poisson_solve_values(omega: np.ndarray) -> np.ndarray:
+    """Solve -lap5(psi) = omega with zero Dirichlet boundary, slice by slice
+    over the last two axes."""
+    return apply_symbol(omega, _poisson_symbol(omega.shape[-1]))
+
+
+def helmholtz_solve_values(rhs: np.ndarray, a: float) -> np.ndarray:
+    """Solve (I - a*lap5) f = rhs with zero Dirichlet boundary, a > 0, slice
+    by slice over the last two axes."""
     if not 0 < a < math.inf:
         raise ValueError(f"helmholtz coefficient must be positive and finite, got {a}")
-    n = rhs.shape[0]
-    if method == "dst":
-        return _dst_divide(rhs, 1.0 + a * _neg_lap_eigenvalues(n))
-    if method == "cg":
-        return _cg_solve(rhs, h, a=a, maxiter=maxiter)
-    raise ValueError(f"unknown elliptic method {method!r}")
-
-
-def _cg_solve(rhs: np.ndarray, h: float, a: float | None, maxiter: int | None = None) -> np.ndarray:
-    """Conjugate-gradient fallback; relative residual 1e-11, cap 10*n^2."""
-    n = rhs.shape[0]
-    if maxiter is None:
-        maxiter = 10 * n * n
-
-    def matvec(x):
-        v = x.reshape(n, n)
-        if a is None:
-            out = -lap5(v, h)
-        else:
-            out = v - a * lap5(v, h)
-        return out.ravel()
-
-    op = LinearOperator((n * n, n * n), matvec=matvec, dtype=np.float64)
-    b = rhs.ravel()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(rhs)
-    x, _info = cg(op, b, rtol=1e-13, atol=0.0, maxiter=maxiter)
-    res = np.linalg.norm(matvec(x) - b) / bnorm
-    if res > 1e-11:
-        raise SolverDivergenceError(
-            f"cg stalled at relative residual {res:.3e} (cap {maxiter} iterations)"
-        )
-    return x.reshape(n, n)
+    return apply_symbol(rhs, _helmholtz_symbol(rhs.shape[-1], a))
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +301,14 @@ def laplacian(f: ScalarField2D) -> ScalarField2D:
     return ScalarField2D(f.grid, lap5(f.values, f.grid.h))
 
 
-def helmholtz_solve(
-    rhs: ScalarField2D, a: float, method: str = "dst", maxiter: int | None = None
-) -> ScalarField2D:
+def helmholtz_solve(rhs: ScalarField2D, a: float) -> ScalarField2D:
     """Invert (I - a*Laplacian) with zero Dirichlet boundary."""
-    return ScalarField2D(
-        rhs.grid, helmholtz_solve_values(rhs.values, a, rhs.grid.h, method, maxiter)
-    )
+    return ScalarField2D(rhs.grid, helmholtz_solve_values(rhs.values, a))
 
 
-def poisson_solve(
-    omega: ScalarField2D, method: str = "dst", maxiter: int | None = None
-) -> ScalarField2D:
+def poisson_solve(omega: ScalarField2D) -> ScalarField2D:
     """Stream function recovery: solve -Laplacian(psi) = omega, psi = 0 on walls."""
-    return ScalarField2D(
-        omega.grid, poisson_solve_values(omega.values, omega.grid.h, method, maxiter)
-    )
+    return ScalarField2D(omega.grid, poisson_solve_values(omega.values))
 
 
 def velocity_from_stream(psi: ScalarField2D) -> VectorField2D:

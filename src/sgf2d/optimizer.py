@@ -209,11 +209,8 @@ def solenoidal_part(u: Trajectory) -> Trajectory:
     The dynamics only sees the curl of the control, so controls are compared
     modulo curl-free components; this picks the stream-generated member.
     """
-    h = u.grid.h
-    out = np.empty_like(u.data)
-    for k in range(u.m_steps + 1):
-        out[k, 0], out[k, 1] = solenoidal_projection_values(u.data[k, 0], u.data[k, 1], h)
-    return Trajectory(u.grid, u.dt, u.kind, out)
+    p1, p2 = solenoidal_projection_values(u.data[:, 0], u.data[:, 1], u.grid.h)
+    return Trajectory(u.grid, u.dt, u.kind, np.stack([p1, p2], axis=1))
 
 
 def start_control(pd: ProblemData, seed: int, index: int, scale: float = 0.45) -> Trajectory:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -67,23 +68,28 @@ def norm_l2(f) -> float:
     return float(np.sqrt(inner_l2(f, f)))
 
 
-def norm_hk_values(comps, h: float, k: int) -> np.ndarray:
-    """norm_hk of a component list of (..., n, n) arrays, one value per slice."""
+def _partials(v: np.ndarray, h: float, k: int):
+    """Difference quotients of v, one list per order 0..k.
+
+    Order j lists d1^i d2^(j-i) v for i = 0..j, each built from order j-1
+    (d2 of the first partial, then d1 of every one). k is checked on the
+    call; the differences are taken as the orders are read.
+    """
     if k not in (0, 1, 2, 3):
         raise ValueError(f"k must be in 0..3, got {k}")
+    return accumulate(
+        range(k),
+        lambda prev, _: [diff1(prev[0], h, -1)] + [diff1(d, h, -2) for d in prev],
+        initial=[v],
+    )
+
+
+def norm_hk_values(comps, h: float, k: int) -> np.ndarray:
+    """norm_hk of a component list of (..., n, n) arrays, one value per slice."""
     h2 = h * h
     total = 0.0
     for comp in comps:
-        # derivs[(i, j)] = d1^i d2^j comp, built order by order (d1 first)
-        derivs = {(0, 0): comp}
-        for order in range(1, k + 1):
-            for i in range(order + 1):
-                j = order - i
-                if i > 0:
-                    derivs[(i, j)] = diff1(derivs[(i - 1, j)], h, -2)
-                else:
-                    derivs[(i, j)] = diff1(derivs[(i, j - 1)], h, -1)
-        total += sum(h2 * slice_sums(d * d) for d in derivs.values())
+        total += sum(h2 * slice_sums(d * d) for parts in _partials(comp, h, k) for d in parts)
     return np.sqrt(total)
 
 
@@ -104,22 +110,19 @@ def stack_hk_sq(data: np.ndarray, h: float, k: int) -> np.ndarray:
     walked in blocks of about _BLOCK_BYTES of input, so the temporaries do
     not grow with m.
     """
-    if k not in (0, 1, 2, 3):
-        raise ValueError(f"k must be in 0..3, got {k}")
-    out = np.empty((k + 1, data.shape[0]))
     step = max(1, _BLOCK_BYTES // max(1, data[0].nbytes))
+    blocks = []
     for s in range(0, data.shape[0], step):
-        prev = [data[s : s + step]]
-        b = prev[0].shape[0]
+        block = data[s : s + step]
+        b = block.shape[0]
         acc = np.zeros(b)
-        for order in range(k + 1):
-            if order:
-                # d1^i d2^(order-i), built from order-1 in norm_hk's sequence
-                prev = [diff1(prev[0], h, -1)] + [diff1(d, h, -2) for d in prev]
-            for d in prev:
+        rows = []
+        for parts in _partials(block, h, k):
+            for d in parts:
                 acc += h * h * (d * d).reshape(b, -1).sum(1)
-            out[order, s : s + b] = acc
-    return out
+            rows.append(acc.copy())
+        blocks.append(np.stack(rows))
+    return np.concatenate(blocks, axis=1)
 
 
 def sym_grad_sq_values(u1: np.ndarray, u2: np.ndarray, h: float) -> np.ndarray:
@@ -444,9 +447,10 @@ def sample_field(kind: str, index: int, seed: int, *, grid: Grid, n_modes: int =
 
 
 def solenoidal_projection_values(u1: np.ndarray, u2: np.ndarray, h: float):
-    """Array-level canonical divergence-free representative of (u1, u2).
+    """Array-level canonical divergence-free representative of (u1, u2),
+    slice by slice over the last two axes.
 
     Keeps exactly the part the curl sees: stream = solve(-lap, curl u),
     then differentiates back.
     """
-    return velocity_values(poisson_solve_values(curl_values(u1, u2, h), h), h)
+    return velocity_values(poisson_solve_values(curl_values(u1, u2, h)), h)

@@ -256,13 +256,13 @@ class _Ops:
         self.inv_Ha_inv_P_sym = dst_symbol(1.0 / (lam * ha))
 
     def inv_P(self, v):
-        return poisson_solve_values(v, self.h)
+        return poisson_solve_values(v)
 
     def inv_Ha(self, v):
-        return helmholtz_solve_values(v, self.alpha, self.h)
+        return helmholtz_solve_values(v, self.alpha)
 
     def inv_Hb(self, v):
-        return helmholtz_solve_values(v, self.b, self.h)
+        return helmholtz_solve_values(v, self.b)
 
     def Ha(self, v):
         return v - self.alpha * lap5(v, self.h)

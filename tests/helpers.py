@@ -5,9 +5,10 @@ import io
 
 import numpy as np
 
-from sgf2d.grid import Grid, ScalarField2D, VectorField2D, velocity_from_stream
+from sgf2d.grid import Grid, ScalarField2D, VectorField2D, slice_sums, velocity_from_stream
 from sgf2d.spaces import (
     apply_A,
+    diff1,
     grad_sq,
     inner_l2,
     norm_hk,
@@ -146,3 +147,25 @@ def row_writer_csv(f) -> bytes:
             row += [f"{c[i, j]:.17g}" for c in cols]
             w.writerow(row)
     return buf.getvalue().encode("ascii")
+
+
+def hk_partials_dict(v, h, k):
+    """The Sobolev norms' difference quotients, built by the earlier dict loop:
+    derivs[(i, j)] = d1^i d2^j v, order by order, i ascending within an order."""
+    derivs = {(0, 0): v}
+    for order in range(1, k + 1):
+        for i in range(order + 1):
+            j = order - i
+            if i > 0:
+                derivs[(i, j)] = diff1(derivs[(i - 1, j)], h, -2)
+            else:
+                derivs[(i, j)] = diff1(derivs[(i, j - 1)], h, -1)
+    return derivs
+
+
+def norm_hk_dict_loop(comps, h, k):
+    """norm_hk_values as the earlier dict loop computed it, one value per slice."""
+    total = 0.0
+    for comp in comps:
+        total += sum(h * h * slice_sums(d * d) for d in hk_partials_dict(comp, h, k).values())
+    return np.sqrt(total)

@@ -36,7 +36,12 @@ from sgf2d.spaces import (
 from sgf2d import spaces
 from sgf2d.state import Trajectory, control_h1_norm, trap_weights
 
-from helpers import estimate_constant_per_sample, sample_ratio
+from helpers import (
+    estimate_constant_per_sample,
+    hk_partials_dict,
+    norm_hk_dict_loop,
+    sample_ratio,
+)
 
 
 def random_field(grid, seed, vector=True, amplitude=1.0):
@@ -139,6 +144,39 @@ class TestStackNorms:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             stack_hk_sq(np.zeros((2, 2, 4, 4)), 0.2, 4)
+
+    @pytest.mark.parametrize("n", [3, 16, 63])
+    def test_partials_tree_equals_dict_loop(self, n):
+        # one derivative tree (spaces._partials) feeds both norms; each keeps
+        # its own reduction and the bits of the dict loop it replaced
+        h = Grid(n).h
+        rng = np.random.default_rng(n)
+        for lead in ((), (3,), (2, 2)):
+            comps = rng.standard_normal((2,) + lead + (n, n))
+            for k in range(4):
+                for cs in (comps, comps[:1]):
+                    assert np.array_equal(norm_hk_values(cs, h, k), norm_hk_dict_loop(cs, h, k))
+        data = rng.standard_normal((20, 2, n, n))
+        for k in range(4):
+            derivs = hk_partials_dict(data, h, k)
+            acc, want = np.zeros(20), []
+            for order in range(k + 1):
+                for (i, j), d in derivs.items():
+                    if i + j == order:
+                        acc += h * h * (d * d).reshape(20, -1).sum(1)
+                want.append(acc.copy())
+            assert np.array_equal(stack_hk_sq(data, h, k), np.array(want))
+
+    @pytest.mark.parametrize("k", [4, -1, 10**9])
+    def test_order_checked_before_any_difference(self, monkeypatch, k):
+        def refuse(*args):
+            raise AssertionError("differenced before the order was checked")
+
+        monkeypatch.setattr(spaces, "diff1", refuse)
+        with pytest.raises(ValueError, match="k must be in 0..3"):
+            stack_hk_sq(np.ones((3, 2, 4, 4)), 0.2, k)
+        with pytest.raises(ValueError, match="k must be in 0..3"):
+            norm_hk_values((np.ones((4, 4)), np.ones((4, 4))), 0.2, k)
 
     def test_control_h1_norm_matches_slice_trapezoid(self):
         g = Grid(16)

@@ -1,5 +1,10 @@
 """Stencils, elliptic solves, advection conservation, and field I/O."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -9,9 +14,10 @@ from sgf2d.grid import (
     Grid,
     GridMismatchError,
     ScalarField2D,
-    SolverDivergenceError,
     VectorField2D,
+    _helmholtz_symbol,
     _neg_lap_eigenvalues,
+    _poisson_symbol,
     advect,
     apply_symbol,
     arakawa,
@@ -23,6 +29,7 @@ from sgf2d.grid import (
     dst_symbol,
     dstn,
     helmholtz_solve,
+    helmholtz_solve_values,
     lap5,
     laplacian,
     pad0,
@@ -223,37 +230,40 @@ class TestBatchAxis:
                 assert np.array_equal(batched[name][idx], want), name
 
 
+def _old_route(v, denom):
+    # the pre-symbol solve route, written with scipy's DST-I: divide on the
+    # modes, then scale the inverse transform
+    n = v.shape[-1]
+    return scipy.fft.dstn(scipy.fft.dstn(v, type=1) / denom, type=1) / (2.0 * (n + 1)) ** 2
+
+
 class TestEllipticSolves:
-    @pytest.mark.parametrize("method", ["dst", "cg"])
-    def test_poisson_zero(self, method):
+    def test_poisson_zero(self):
         g = Grid(8)
-        out = poisson_solve(ScalarField2D(g, np.zeros(g.shape)), method=method)
+        out = poisson_solve(ScalarField2D(g, np.zeros(g.shape)))
         assert np.all(out.values == 0.0)
 
-    @pytest.mark.parametrize("method", ["dst", "cg"])
-    def test_poisson_eigenmode(self, method):
+    def test_poisson_eigenmode(self):
         g = Grid(16)
         f = sine_mode(g, 1, 1)
-        out = poisson_solve(ScalarField2D(g, mu_h(g, 1, 1) * f), method=method)
+        out = poisson_solve(ScalarField2D(g, mu_h(g, 1, 1) * f))
         np.testing.assert_allclose(out.values, f, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("method", ["dst", "cg"])
-    def test_poisson_round_trip(self, method):
+    def test_poisson_round_trip(self):
         g = Grid(20)
         rng = np.random.default_rng(5)
         f = rng.standard_normal(g.shape)
         rhs = ScalarField2D(g, -lap5(f, g.h))
-        out = poisson_solve(rhs, method=method)
+        out = poisson_solve(rhs)
         assert np.max(np.abs(out.values - f)) <= 1e-10 * np.max(np.abs(f))
 
-    @pytest.mark.parametrize("method", ["dst", "cg"])
-    def test_helmholtz_round_trip(self, method):
+    def test_helmholtz_round_trip(self):
         g = Grid(20)
         a = 0.37
         rng = np.random.default_rng(6)
         f = rng.standard_normal(g.shape)
         rhs = ScalarField2D(g, f - a * lap5(f, g.h))
-        out = helmholtz_solve(rhs, a, method=method)
+        out = helmholtz_solve(rhs, a)
         assert np.max(np.abs(out.values - f)) <= 1e-10 * np.max(np.abs(f))
 
     def test_helmholtz_eigenmode(self):
@@ -264,9 +274,35 @@ class TestEllipticSolves:
         out = helmholtz_solve(rhs, a)
         np.testing.assert_allclose(out.values, f, rtol=0, atol=1e-11)
 
-    def test_helmholtz_bad_coefficient(self):
+    @pytest.mark.parametrize("n", [3, 16, 63, 130, 255])
+    def test_symbol_route_matches_division_route(self, n):
+        # n = 255 takes the FFT side of dstn, the others the sine matrix
+        v = np.random.default_rng(n).standard_normal((n, n))
+        lam = _neg_lap_eigenvalues(n)
+        for a in (0.37, 1e-3):
+            cases = (
+                (poisson_solve_values(v), _old_route(v, lam)),
+                (helmholtz_solve_values(v, a), _old_route(v, 1.0 + a * lam)),
+            )
+            for got, ref in cases:
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 2)])
+    @pytest.mark.parametrize("n", [3, 16, 255])
+    def test_stack_equals_per_slice(self, lead, n):
+        v = np.random.default_rng(n).standard_normal(lead + (n, n))
+        psi, f = poisson_solve_values(v), helmholtz_solve_values(v, 0.37)
+        assert psi.shape == f.shape == v.shape
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(psi[idx], poisson_solve_values(v[idx]))
+            assert np.array_equal(f[idx], helmholtz_solve_values(v[idx], 0.37))
+
+    def test_helmholtz_bad_coefficient(self, monkeypatch):
         g = Grid(8)
         f = ScalarField2D(g, np.ones(g.shape))
+        # refused before the symbol cache is consulted: NaN never equals
+        # itself, so each NaN call would otherwise add a cache entry
+        lookups = count_calls(monkeypatch, grid_module, "_helmholtz_symbol")
         with pytest.raises(ValueError):
             helmholtz_solve(f, 0.0)
         with pytest.raises(ValueError):
@@ -275,14 +311,17 @@ class TestEllipticSolves:
         for a in (np.nan, np.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 helmholtz_solve(f, a)
+        assert lookups == []
 
     def test_spectral_cache_read_only(self):
         g = Grid(5)
         rhs = np.random.default_rng(9).standard_normal(g.shape)
-        before = poisson_solve_values(rhs, g.h)
-        with pytest.raises(ValueError):
-            _neg_lap_eigenvalues(5)[:] = 1.0
-        assert np.array_equal(poisson_solve_values(rhs, g.h), before)
+        before = poisson_solve_values(rhs), helmholtz_solve_values(rhs, 0.5)
+        for cached in (_neg_lap_eigenvalues(5), _poisson_symbol(5), _helmholtz_symbol(5, 0.5)):
+            with pytest.raises(ValueError):
+                cached[:] = 1.0
+        assert np.array_equal(poisson_solve_values(rhs), before[0])
+        assert np.array_equal(helmholtz_solve_values(rhs, 0.5), before[1])
 
     @pytest.mark.parametrize("n", [3, 16, 33])
     def test_stacked_symbol_is_two_single_applications(self, n):
@@ -296,35 +335,14 @@ class TestEllipticSolves:
         with pytest.raises(ValueError):
             pair[0, 0, 0] = 1.0
 
-    def test_unknown_method(self):
-        g = Grid(8)
-        with pytest.raises(ValueError):
-            poisson_solve(ScalarField2D(g, np.ones(g.shape)), method="jacobi")
-
-    def test_cg_divergence_reported(self):
-        g = Grid(24)
-        rng = np.random.default_rng(7)
-        rhs = ScalarField2D(g, rng.standard_normal(g.shape))
-        with pytest.raises(SolverDivergenceError):
-            poisson_solve(rhs, method="cg", maxiter=2)
-
-    def test_cg_matches_dst(self):
-        g = Grid(12)
-        rng = np.random.default_rng(8)
-        rhs = ScalarField2D(g, rng.standard_normal(g.shape))
-        a = poisson_solve(rhs, method="dst").values
-        b = poisson_solve(rhs, method="cg").values
-        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))
-
 
 class TestDstDispatch:
     @pytest.mark.parametrize("n", [3, 16, 63, 100, 127, 130, 255, 256])
     def test_matches_scipy(self, n):
         rng = np.random.default_rng(n)
-        cases = ((rng.standard_normal((n, n)), None), (rng.standard_normal((2, n, n)), (-2, -1)))
-        for x, axes in cases:
+        for x in (rng.standard_normal((n, n)), rng.standard_normal((2, n, n))):
             ref = scipy.fft.dstn(x, type=1, axes=(-2, -1))
-            got = dstn(x, type=1, axes=axes)
+            got = dstn(x, type=1)
             assert got.shape == x.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -342,15 +360,29 @@ class TestDstDispatch:
         dstn(np.ones((n, n)), type=1)
         assert len(calls) == int(fft)
 
-    def test_other_types_and_axes_rejected(self):
+    def test_other_types_rejected(self):
         with pytest.raises(ValueError, match="DST-I"):
             dstn(np.ones((4, 4)), type=2)
         with pytest.raises(ValueError, match="last two axes"):
-            dstn(np.ones((2, 4, 4)), type=1)
-        with pytest.raises(ValueError, match="last two axes"):
-            dstn(np.ones((2, 4, 4)), type=1, axes=(0, 1))
-        with pytest.raises(ValueError, match="last two axes"):
             dstn(np.ones(4), type=1)
+
+
+class TestImportGraph:
+    def test_import_loads_no_scipy_sparse(self):
+        # every elliptic solve is a DST-I division; nothing needs scipy.sparse
+        package_root = Path(sys.modules["sgf2d"].__file__).resolve().parents[1]
+        code = (
+            "import sys; import sgf2d; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(package_root)},
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestStreamVelocityCurl:

@@ -25,7 +25,7 @@ from sgf2d.optimizer import (
     start_control,
     vi_residual,
 )
-from sgf2d.spaces import DomainConstants, stream_from_coeffs
+from sgf2d.spaces import DomainConstants, solenoidal_projection_values, stream_from_coeffs
 from sgf2d.state import (
     ProblemData,
     Trajectory,
@@ -284,6 +284,14 @@ class TestSolenoidalPart:
         pd = small_problem()
         s = solenoidal_part(smooth_control(pd, 4))
         assert s.kind == "control"
+
+    def test_equals_per_slice_projection(self):
+        pd = small_problem()
+        u = smooth_control(pd, 4)
+        s = solenoidal_part(u)
+        for k in range(pd.m_steps + 1):
+            p1, p2 = solenoidal_projection_values(u.data[k, 0], u.data[k, 1], pd.grid.h)
+            assert np.array_equal(s.data[k, 0], p1) and np.array_equal(s.data[k, 1], p2)
 
 
 class TestMultiStart:

@@ -21,7 +21,7 @@ from sgf2d import (
     stream_from_coeffs,
     velocity_from_stream,
 )
-from sgf2d.state import Trajectory, slice_dots, trap_weights
+from sgf2d.state import Trajectory, l2q_inner_values, trap_weights
 
 n_grid = 24
 m_steps = 30
@@ -64,11 +64,10 @@ def main():
     adj = solve_adjoint(base, pd.y_d, pd)
     grad = gradient_field(u, adj, pd.lam)
     tau = trap_weights(pd.m_steps, pd.dt)
-    h2 = g.h ** 2
 
     w = random_control(pd, rng)
     w = w * (1.0 / np.max(np.abs(w.data)))
-    directional = h2 * float(np.dot(tau, slice_dots(grad.data, w.data)))
+    directional = l2q_inner_values(grad.data, w.data, tau, g.h)
     print(f"\nadjoint directional derivative: {directional:.12e}")
     print(f"{'eps':>8} {'central diff':>18} {'rel gap':>10}")
     for eps in (1e-2, 1e-3, 1e-4):

@@ -20,8 +20,8 @@ from .state import (
     Trajectory,
     _target_stack,
     get_ops,
+    l2q_inner_values,
     left_weights,
-    slice_dots,
     trap_weights,
 )
 
@@ -104,13 +104,11 @@ def duality_gap(
     """|<S'(u)w, phi>_rho - <w, A*(phi)>_tau|: zero up to roundoff."""
     _check_base(base, pd)
     tangent = solve_linearized(base, w, pd)
-    rho = left_weights(pd.m_steps, pd.dt)
-    tau = trap_weights(pd.m_steps, pd.dt)
-    h2 = pd.grid.h ** 2
-    lhs = h2 * np.dot(rho, slice_dots(tangent.z, phi_source.data))
+    h = pd.grid.h
+    lhs = l2q_inner_values(tangent.z, phi_source.data, left_weights(pd.m_steps, pd.dt), h)
     adj = _adjoint_core(base, phi_source.data, pd)
-    rhs = h2 * np.dot(tau, slice_dots(w.data, adj.p))
-    return float(abs(lhs - rhs))
+    rhs = l2q_inner_values(w.data, adj.p, trap_weights(pd.m_steps, pd.dt), h)
+    return abs(lhs - rhs)
 
 
 def gradient_field(u: Trajectory, p: AdjointState, lam: float) -> Trajectory:

@@ -16,16 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import AdjointState, solve_adjoint
-from .grid import arakawa, VectorField2D
+from .grid import arakawa, nonlinear_values
 from .sensitivity import solve_linearized, solve_second
-from .spaces import DomainConstants, InequalityCheck, inner_l2, norm_hk, stack_hk_sq
+from .spaces import DomainConstants, InequalityCheck, norm_hk, stack_hk_sq
 from .state import (
     ProblemData,
     StateSolution,
     Trajectory,
+    l2q_inner_values,
     left_weights,
-    nonlinear_term,
-    slice_dots,
     trap_weights,
 )
 
@@ -80,9 +79,7 @@ class CertificateInputs:
         else:
             raise ValueError("u_norm_source must be 'actual' or 'ball_bound'")
         target = pd.target_stack()
-        n_yd = math.sqrt(
-            h * h * float(np.dot(tau, slice_dots(target, target)))
-        )
+        n_yd = math.sqrt(l2q_inner_values(target, target, tau, h))
         return cls(
             alpha=pd.alpha,
             nu=pd.nu,
@@ -310,37 +307,27 @@ def hessian_quadratic_form(
     method="exact" differentiates the discrete objective itself (agrees with
     second differences to O(eps^2) and polarizes exactly); "pointwise"
     evaluates the integrand |z|^2 + lam|w|^2 - 2(p, curl upsilon(z) x z)
-    slice by slice with trapezoid weights.
+    on the whole time stack with trapezoid weights.
     """
+    if method not in ("exact", "pointwise"):
+        raise ValueError(f"unknown method {method!r}")
     tan = solve_linearized(base, w, pd)
     adj = solve_adjoint(base, None, pd)
     m, dt, h = pd.m_steps, pd.dt, pd.grid.h
-    h2 = h * h
     rho = left_weights(m, dt)
     tau = trap_weights(m, dt)
+    reg = l2q_inner_values(w.data, w.data, tau, h, lam)
     if method == "exact":
-        track = h2 * float(np.dot(rho, slice_dots(tan.z, tan.z)))
-        reg = lam * h2 * float(np.dot(tau, slice_dots(w.data, w.data)))
+        track = l2q_inner_values(tan.z, tan.z, rho, h)
         cross = 0.0
         for k in range(m):
             cross += float(
                 np.vdot(adj.r[k + 1], arakawa(tan.dq[k], tan.dpsi[k], h))
             )
         return track + reg - 2.0 * dt * cross
-    if method == "pointwise":
-        g = pd.grid
-        total = 0.0
-        for k in range(m + 1):
-            zk = VectorField2D(g, tan.z[k, 0], tan.z[k, 1])
-            pk = VectorField2D(g, adj.p[k, 0], adj.p[k, 1])
-            wk = w.slice(k)
-            total += tau[k] * (
-                inner_l2(zk, zk)
-                + lam * inner_l2(wk, wk)
-                - 2.0 * nonlinear_term(zk, pk, pd.alpha)
-            )
-        return total
-    raise ValueError(f"unknown method {method!r}")
+    z, p = tan.z, adj.p
+    cross = nonlinear_values(z[:, 0], z[:, 1], p[:, 0], p[:, 1], pd.alpha, h)
+    return l2q_inner_values(z, z, tau, h) + reg - 2.0 * float(np.dot(tau, cross))
 
 
 def hessian_bilinear_form(
@@ -354,12 +341,9 @@ def hessian_bilinear_form(
     t1 = solve_linearized(base, w1, pd)
     t2 = solve_linearized(base, w2, pd)
     second = solve_second(base, t1, t2, pd)
-    m, dt, h = pd.m_steps, pd.dt, pd.grid.h
-    h2 = h * h
-    rho = left_weights(m, dt)
-    tau = trap_weights(m, dt)
+    h = pd.grid.h
+    rho = left_weights(pd.m_steps, pd.dt)
     mis = base.y - pd.target_stack()
-    track = h2 * float(np.dot(rho, slice_dots(t1.z, t2.z)))
-    track += h2 * float(np.dot(rho, slice_dots(mis, second.z)))
-    reg = lam * h2 * float(np.dot(tau, slice_dots(w1.data, w2.data)))
+    track = l2q_inner_values(t1.z, t2.z, rho, h) + l2q_inner_values(mis, second.z, rho, h)
+    reg = l2q_inner_values(w1.data, w2.data, trap_weights(pd.m_steps, pd.dt), h, lam)
     return track + reg

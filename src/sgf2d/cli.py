@@ -13,8 +13,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fieldio
 from .certificates import CertificateInputs, certify
 from .config import ConfigError, RunConfig, _kinds_list, build_problem, parse_config
@@ -38,7 +36,7 @@ from .state import (
     ProblemData,
     Trajectory,
     _warn_cfl,
-    slice_dots,
+    l2q_inner_values,
     solve_state,
     trap_weights,
 )
@@ -152,15 +150,13 @@ def _cmd_optimize(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
 def _cmd_gradcheck(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> int:
     u = start_control(pd, seed, 0)
     w = start_control(pd, seed, 1)
-    tau = trap_weights(pd.m_steps, pd.dt)
-    h2 = pd.grid.h ** 2
 
     def J(ctrl: Trajectory) -> float:
         return cost(ctrl, solve_state(ctrl, pd).velocity, pd.y_d, pd.lam)
 
     sol = solve_state(u, pd)
     g = gradient_field(u, solve_adjoint(sol, None, pd), pd.lam)
-    adjoint_val = h2 * float(np.dot(tau, slice_dots(g.data, w.data)))
+    adjoint_val = l2q_inner_values(g.data, w.data, trap_weights(pd.m_steps, pd.dt), pd.grid.h)
     rows = []
     for eps in (1e-2, 1e-3, 1e-4):
         fd = (J(u + eps * w) - J(u - eps * w)) / (2.0 * eps)

@@ -149,6 +149,12 @@ def curl_values(u1: np.ndarray, u2: np.ndarray, h: float) -> np.ndarray:
     return d1c(u2, h) - d2c(u1, h)
 
 
+def curl_upsilon_values(u1: np.ndarray, u2: np.ndarray, alpha: float, h: float) -> np.ndarray:
+    """(I - alpha*lap) curl of a velocity given as two arrays of shape (..., n, n)."""
+    w = curl_values(u1, u2, h)
+    return w - alpha * lap5(w, h)
+
+
 def slice_sums(a: np.ndarray) -> np.ndarray:
     """Sum over the last two axes, one slice at a time; a 2-D array gives np.sum(a)."""
     return a.reshape(a.shape[:-2] + (-1,)).sum(-1)
@@ -157,6 +163,12 @@ def slice_sums(a: np.ndarray) -> np.ndarray:
 def cross_values(q, z1, z2, p1, p2, h: float) -> np.ndarray:
     """Quadrature of (q x z) . phi over the last two axes, from component arrays."""
     return h * h * slice_sums(q * (z1 * p2 - z2 * p1))
+
+
+def nonlinear_values(z1, z2, p1, p2, alpha: float, h: float) -> np.ndarray:
+    """The trilinear term (curl upsilon(z) x z, phi) of velocities given as
+    component arrays, one value per (n, n) slice."""
+    return cross_values(curl_upsilon_values(z1, z2, alpha, h), z1, z2, p1, p2, h)
 
 
 def arakawa(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:

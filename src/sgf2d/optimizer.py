@@ -25,9 +25,9 @@ from .state import (
     _target_stack,
     control_h1_norm,
     l2q_inner,
+    l2q_inner_values,
     l2q_norm,
     left_weights,
-    slice_dots,
     solve_state,
     trap_weights,
 )
@@ -40,15 +40,11 @@ def cost(u: Trajectory, y: Trajectory, y_d, lam: float) -> float:
     terminal condition exact), control term uses trapezoid weights. A target
     that is not aligned with y is refused, not broadcast.
     """
-    m, dt = y.m_steps, y.dt
-    h2 = y.grid.h ** 2
-    target = _target_stack(y_d, y.grid, m)
-    rho = left_weights(m, dt)
-    mis = y.data - target
-    track = 0.5 * h2 * np.dot(rho, slice_dots(mis, mis))
-    tau = trap_weights(u.m_steps, u.dt)
-    ctrl = 0.5 * lam * h2 * np.dot(tau, slice_dots(u.data, u.data))
-    return float(track + ctrl)
+    h = y.grid.h
+    mis = y.data - _target_stack(y_d, y.grid, y.m_steps)
+    track = l2q_inner_values(mis, mis, left_weights(y.m_steps, y.dt), h, 0.5)
+    ctrl = l2q_inner_values(u.data, u.data, trap_weights(u.m_steps, u.dt), h, 0.5 * lam)
+    return track + ctrl
 
 
 def project_Uad(u: Trajectory, L: float) -> Trajectory:
@@ -89,6 +85,13 @@ class OptimizeOptions:
         # max_iter = 0 evaluates the start only and reports the cap
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
+        # armijo_c <= 0 accepts steps that raise J
+        if not 0 < self.armijo_c < 1:
+            raise ValueError("armijo_c must lie in (0, 1)")
+        if self.max_halvings < 0:
+            raise ValueError("max_halvings must be nonnegative")
+        if not 0 < self.initial_step < math.inf:
+            raise ValueError("initial_step must be positive and finite")
 
 
 @dataclass
@@ -155,10 +158,8 @@ def optimize(
 
         if prev_u is not None:
             s = u.data - prev_u
-            dg = g.data - prev_g
-            h2 = pd.grid.h ** 2
-            num = h2 * np.dot(tau, slice_dots(s, s))
-            den = h2 * np.dot(tau, slice_dots(s, dg))
+            num = l2q_inner_values(s, s, tau, pd.grid.h)
+            den = l2q_inner_values(s, g.data - prev_g, tau, pd.grid.h)
             if den > 0:
                 step = min(max(num / den, 1e-14), 1e14)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -20,9 +21,9 @@ from .grid import (
     GridMismatchError,
     ScalarField2D,
     VectorField2D,
-    cross_values,
     curl_values,
     lap5,
+    nonlinear_values,
     poisson_solve_values,
     same_grid,
     slice_sums,
@@ -313,67 +314,75 @@ class InequalityCheck(NamedTuple):
     holds: bool
 
 
+# Each a-priori inequality lhs <= C * rhs, written once: the terms map a stack
+# of stream functions (..., n, n), or (..., 2, n, n) for the pair (z, phi) of
+# the trilinear form, to the (lhs, rhs) values of their velocities.
+
+def _korn_terms(psi: np.ndarray, h: float, alpha: float):
+    # ||y||_H1^2 <= K (||y||^2 + ||Dy||^2)
+    y = velocity_values(psi, h)
+    l2 = inner_l2_values(y, y, h)
+    return l2 + grad_sq_values(*y, h), l2 + sym_grad_sq_values(*y, h)
+
+
+def _elliptic_terms(psi: np.ndarray, h: float, alpha: float):
+    # ||y||_H2^2 <= K~ (||y||^2 + ||Ay||^2); A y is the velocity of lap5(psi)
+    y = velocity_values(psi, h)
+    ay = velocity_values(lap5(psi, h), h)
+    return norm_hk_values(y, h, 2) ** 2, inner_l2_values(y, y, h) + inner_l2_values(ay, ay, h)
+
+
+def _trilinear_terms(psi: np.ndarray, h: float, alpha: float):
+    # |(curl upsilon(z) x z, phi)| <= K^ ||phi||_H2 ||z||_H2^2
+    u1, u2 = velocity_values(psi, h)
+    norms = norm_hk_values((u1, u2), h, 2)
+    z1, z2, p1, p2 = u1[..., 0, :, :], u2[..., 0, :, :], u1[..., 1, :, :], u2[..., 1, :, :]
+    return np.abs(nonlinear_values(z1, z2, p1, p2, alpha, h)), norms[..., 1] * norms[..., 0] ** 2
+
+
+# kind -> (terms, number of stream functions per sample, name of the constant)
+_INEQUALITIES = {
+    "korn": (_korn_terms, 1, "K"),
+    "elliptic": (_elliptic_terms, 1, "K_tilde"),
+    "trilinear": (_trilinear_terms, 2, "K_hat"),
+}
+
+
 def check_inequality(kind: str, fields, constants: DomainConstants, alpha: float = 1.0) -> InequalityCheck:
     """Evaluate one of the a-priori inequalities with the given constants.
 
     kind "korn":      ||y||_H1^2         <= K * (||y||_2^2 + ||Dy||_2^2)
     kind "elliptic":  ||y||_H2^2         <= K~ * (||y||_2^2 + ||Ay||_2^2)
     kind "trilinear": |(curl(v(z)) x z, phi)| <= K^ * ||phi||_H2 * ||z||_H2^2
-    """
-    if kind == "korn":
-        y = fields
-        lhs = norm_hk(y, 1) ** 2
-        rhs = constants.K * (inner_l2(y, y) + sym_grad_sq(y))
-    elif kind == "elliptic":
-        y = fields
-        ay = apply_A(y)
-        lhs = norm_hk(y, 2) ** 2
-        rhs = constants.K_tilde * (inner_l2(y, y) + inner_l2(ay, ay))
-    elif kind == "trilinear":
-        from .state import nonlinear_term
 
-        z, phi = fields
-        lhs = abs(nonlinear_term(z, phi, alpha))
-        rhs = constants.K_hat * norm_hk(phi, 2) * norm_hk(z, 2) ** 2
-    else:
+    Evaluates the estimator's terms, the pair whose ratio estimate_constant
+    climbs, on the field (a pair (z, phi) for "trilinear") and multiplies
+    the right side by the constant. The fields must carry their stream
+    functions (velocity_from_stream), as the estimator's samples do.
+    """
+    if kind not in _INEQUALITIES:
         raise ValueError(f"unknown inequality kind {kind!r}")
+    terms, n_fields, name = _INEQUALITIES[kind]
+    fs = (fields,) if n_fields == 1 else tuple(fields)
+    g = same_grid(*fs)
+    if any(f.stream is None for f in fs):
+        raise ValueError("check_inequality requires velocities produced by velocity_from_stream")
+    psi = np.stack([f.stream.values for f in fs])
+    lhs, rhs = terms(psi[0] if n_fields == 1 else psi, g.h, alpha)
+    lhs, rhs = float(lhs), getattr(constants, name) * float(rhs)
     return InequalityCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-12))
 
 
-def _korn_ratio(c: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
-    # (||y||^2 + ||grad y||^2) / (||y||^2 + ||Dy||^2)
-    h = grid.h
-    y = velocity_values(stream_values(grid, c), h)
-    l2 = inner_l2_values(y, y, h)
-    return (l2 + grad_sq_values(*y, h)) / (l2 + sym_grad_sq_values(*y, h))
-
-
-def _elliptic_ratio(c: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
-    # ||y||_H2^2 / (||y||^2 + ||Ay||^2); A y is the velocity of lap5(psi)
-    h = grid.h
-    psi = stream_values(grid, c)
-    y = velocity_values(psi, h)
-    ay = velocity_values(lap5(psi, h), h)
-    return norm_hk_values(y, h, 2) ** 2 / (inner_l2_values(y, y, h) + inner_l2_values(ay, ay, h))
-
-
-def _trilinear_ratio(c: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
-    # |(curl upsilon(z) x z, phi)| / (||phi||_H2 ||z||_H2^2), 0 where the
-    # denominator is; c[..., 0, :, :] generates z and c[..., 1, :, :] phi
-    from .state import curl_upsilon_values
-
-    h = grid.h
-    u1, u2 = velocity_values(stream_values(grid, c), h)
-    norms = norm_hk_values((u1, u2), h, 2)
-    denom = norms[..., 1] * norms[..., 0] ** 2
-    z1, z2, p1, p2 = u1[..., 0, :, :], u2[..., 0, :, :], u1[..., 1, :, :], u2[..., 1, :, :]
-    num = np.abs(cross_values(curl_upsilon_values(z1, z2, alpha, h), z1, z2, p1, p2, h))
+def _ratio(terms, c: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
+    """The estimator's batched ratio lhs/rhs of an inequality's terms on the
+    stream functions of (..., [2,] k, l) mode coefficients; 0 where rhs is."""
+    lhs, rhs = terms(stream_values(grid, c), grid.h, alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(denom == 0.0, 0.0, num / denom)
+        return np.where(rhs == 0.0, 0.0, lhs / rhs)
 
 
 # kind -> (batched ratio, number of stream functions per sample)
-_RATIOS = {"korn": (_korn_ratio, 1), "elliptic": (_elliptic_ratio, 1), "trilinear": (_trilinear_ratio, 2)}
+_RATIOS = {kind: (partial(_ratio, terms), n) for kind, (terms, n, _) in _INEQUALITIES.items()}
 
 
 def estimate_constant(

@@ -29,12 +29,11 @@ from .grid import (
     _neg_lap_eigenvalues,
     apply_symbol,
     arakawa,
-    cross_quadrature,
+    curl_upsilon_values,
     curl_values,
     dst_symbol,
-    helmholtz_solve_values,
     lap5,
-    poisson_solve_values,
+    nonlinear_values,
     same_grid,
     velocity_from_stream,
     velocity_values,
@@ -153,12 +152,23 @@ def slice_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).reshape(a.shape[0], -1).sum(axis=1)
 
 
+def l2q_inner_values(
+    a: np.ndarray, b: np.ndarray, weights: np.ndarray, h: float, scale: float = 1.0
+) -> float:
+    """The L2(Q) pairing scale * h^2 * sum_k weights[k] <a[k], b[k]> of two stacks.
+
+    scale is the coefficient of a form (1/2, lambda, lambda/2). It multiplies
+    h^2 before the sum, the grouping the cost, the step and the Hessian forms
+    were written with, so their values keep their bits.
+    """
+    return float(scale * (h * h) * np.dot(weights, slice_dots(a, b)))
+
+
 def l2q_inner(a: Trajectory, b: Trajectory, weights: np.ndarray) -> float:
     """Space-time inner product with the given per-slice time weights."""
     if a.grid != b.grid or a.data.shape != b.data.shape:
         raise GridMismatchError("trajectories are not aligned")
-    h2 = a.grid.h ** 2
-    return float(h2 * np.dot(weights, slice_dots(a.data, b.data)))
+    return l2q_inner_values(a.data, b.data, weights, a.grid.h)
 
 
 def l2q_norm(a: Trajectory, weights: np.ndarray) -> float:
@@ -254,15 +264,6 @@ class _Ops:
         # Hb^-1 Ha is step_sym[0] and Ha^-1 P^-1 is one more symbol
         self.step_sym = dst_symbol(np.stack([ha / hb, 1.0 / (lam * hb)]))
         self.inv_Ha_inv_P_sym = dst_symbol(1.0 / (lam * ha))
-
-    def inv_P(self, v):
-        return poisson_solve_values(v)
-
-    def inv_Ha(self, v):
-        return helmholtz_solve_values(v, self.alpha)
-
-    def inv_Hb(self, v):
-        return helmholtz_solve_values(v, self.b)
 
     def Ha(self, v):
         return v - self.alpha * lap5(v, self.h)
@@ -415,12 +416,6 @@ def apply_upsilon(y: VectorField2D, alpha: float) -> VectorField2D:
     return VectorField2D(y.grid, y.u1 - alpha * lap5(y.u1, h), y.u2 - alpha * lap5(y.u2, h))
 
 
-def curl_upsilon_values(u1: np.ndarray, u2: np.ndarray, alpha: float, h: float) -> np.ndarray:
-    """(I - alpha*lap) curl of a velocity given as two arrays of shape (..., n, n)."""
-    w = curl_values(u1, u2, h)
-    return w - alpha * lap5(w, h)
-
-
 def curl_upsilon(y: VectorField2D, alpha: float) -> ScalarField2D:
     """Potential vorticity of y by the direct route: (I - alpha*lap) curl y."""
     return ScalarField2D(y.grid, curl_upsilon_values(y.u1, y.u2, alpha, y.grid.h))
@@ -443,4 +438,4 @@ def trilinear_b(phi: VectorField2D, z: VectorField2D, y: VectorField2D) -> float
 
 def nonlinear_term(z: VectorField2D, phi: VectorField2D, alpha: float) -> float:
     """(curl upsilon(z) x z, phi) by the direct curl/apply/cross route."""
-    return cross_quadrature(curl_upsilon(z, alpha), z, phi)
+    return float(nonlinear_values(z.u1, z.u2, phi.u1, phi.u2, alpha, same_grid(z, phi).h))

@@ -31,18 +31,23 @@ from sgf2d.certificates import (
     hessian_bilinear_form,
     hessian_quadratic_form,
 )
-from sgf2d.grid import Grid, velocity_from_stream
+from sgf2d.adjoint import solve_adjoint
+from sgf2d.grid import Grid, VectorField2D, velocity_from_stream
 from sgf2d.optimizer import cost
-from sgf2d.spaces import DomainConstants, stream_from_coeffs
+from sgf2d.sensitivity import solve_linearized
+from sgf2d.spaces import DomainConstants, inner_l2, stream_from_coeffs
 from sgf2d.state import (
     ProblemData,
     control_h1_norm,
     l2q_norm,
+    nonlinear_term,
     solve_state,
     trap_weights,
 )
 
-from helpers import smooth_control
+from sgf2d import certificates as certificates_module
+
+from helpers import count_calls, smooth_control
 
 E = math.e
 
@@ -324,8 +329,37 @@ class TestHessianForms:
         assert diffs[0] < 0.01
         assert diffs[1] < 0.65 * diffs[0]
 
+    def test_pointwise_matches_per_slice_loop(self):
+        # the whole-stack form against the integrand summed one slice at a
+        # time from the field-level forms; only the summation order differs
+        pd = hessian_problem(n=10, m=6)
+        base = solve_state(smooth_control(pd, 3, amplitude=0.02), pd)
+        w = unit_direction(pd, 4)
+        tan, adj = solve_linearized(base, w, pd), solve_adjoint(base, None, pd)
+        tau = trap_weights(pd.m_steps, pd.dt)
+        terms = []
+        for k in range(pd.m_steps + 1):
+            zk = VectorField2D(pd.grid, tan.z[k, 0], tan.z[k, 1])
+            pk = VectorField2D(pd.grid, adj.p[k, 0], adj.p[k, 1])
+            wk = w.slice(k)
+            parts = (inner_l2(zk, zk), pd.lam * inner_l2(wk, wk), -2.0 * nonlinear_term(zk, pk, pd.alpha))
+            terms.append((tau[k], parts))
+        ref = sum(t * sum(parts) for t, parts in terms)
+        scale = sum(t * sum(abs(x) for x in parts) for t, parts in terms)
+        q = hessian_quadratic_form(base, w, pd, pd.lam, method="pointwise")
+        assert abs(q - ref) <= 64 * np.finfo(float).eps * scale
+
     def test_unknown_method_rejected(self):
         pd = hessian_problem(n=10, m=6)
         base = solve_state(None, pd)
         with pytest.raises(ValueError, match="unknown method"):
             hessian_quadratic_form(base, pd.zero_control(), pd, 0.0, method="fast")
+
+    def test_unknown_method_rejected_before_any_sweep(self, monkeypatch):
+        pd = hessian_problem(n=10, m=6)
+        base = solve_state(None, pd)
+        tangents = count_calls(monkeypatch, certificates_module, "solve_linearized")
+        adjoints = count_calls(monkeypatch, certificates_module, "solve_adjoint")
+        with pytest.raises(ValueError, match="unknown method"):
+            hessian_quadratic_form(base, pd.zero_control(), pd, 0.0, method="fast")
+        assert tangents == [] and adjoints == []

@@ -34,6 +34,7 @@ from sgf2d.spaces import (
     sym_grad_sq_values,
 )
 from sgf2d import spaces
+from sgf2d import state as state_module
 from sgf2d.state import Trajectory, control_h1_norm, trap_weights
 
 from helpers import (
@@ -444,6 +445,37 @@ class TestInequalities:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             check_inequality("sobolev", random_field(Grid(8), 15), DomainConstants())
+
+    @pytest.mark.parametrize("kind", ["korn", "elliptic", "trilinear"])
+    def test_check_evaluates_the_estimator_terms(self, kind):
+        # with unit constants lhs/rhs is the estimator's ratio of the same sample, bit for bit
+        g, seed, n_modes = Grid(10), 5, 4
+        shape = (2, n_modes, n_modes) if kind == "trilinear" else (n_modes, n_modes)
+        c = np.random.default_rng([seed, 0]).standard_normal(shape)
+        fields = sample_field(kind, 0, seed, grid=g, n_modes=n_modes)
+        chk = check_inequality(kind, fields, DomainConstants(), alpha=0.3)
+        ratio, _ = spaces._RATIOS[kind]
+        assert chk.lhs / chk.rhs == float(ratio(c[None], g, 0.3)[0])
+
+    def test_field_without_stream_refused(self):
+        g = Grid(8)
+        y = random_field(g, 15)
+        bare = VectorField2D(g, y.u1, y.u2)
+        with pytest.raises(ValueError, match="velocity_from_stream"):
+            check_inequality("korn", bare, DomainConstants())
+        with pytest.raises(ValueError, match="velocity_from_stream"):
+            check_inequality("trilinear", (y, bare), DomainConstants())
+
+    def test_trilinear_does_not_call_into_state(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("spaces called into state")
+
+        monkeypatch.setattr(state_module, "nonlinear_term", refuse)
+        monkeypatch.setattr(state_module, "curl_upsilon_values", refuse)
+        g = Grid(8)
+        chk = check_inequality("trilinear", sample_field("trilinear", 0, 7, grid=g), DomainConstants())
+        assert chk.lhs > 0.0
+        assert estimate_constant("trilinear", samples=2, seed=7, grid=g, ascent_steps=3) > 0.0
 
 
 class TestArrayNorms:

@@ -186,6 +186,26 @@ class TestOptimize:
         with pytest.raises(ValueError, match="tol must be positive and finite|max_iter"):
             OptimizeOptions(**kw)
 
+    @pytest.mark.parametrize(
+        "kw,field",
+        [
+            ({"armijo_c": 0.0}, "armijo_c"),
+            ({"armijo_c": 1.0}, "armijo_c"),
+            ({"armijo_c": -10.0}, "armijo_c"),
+            ({"armijo_c": float("nan")}, "armijo_c"),
+            ({"armijo_c": float("inf")}, "armijo_c"),
+            ({"max_halvings": -1}, "max_halvings"),
+            ({"initial_step": 0.0}, "initial_step"),
+            ({"initial_step": -1.0}, "initial_step"),
+            ({"initial_step": float("inf")}, "initial_step"),
+            ({"initial_step": float("nan")}, "initial_step"),
+        ],
+    )
+    def test_step_options_validated(self, kw, field):
+        # armijo_c = -10 let J rise on accepted steps, against optimize's contract
+        with pytest.raises(ValueError, match=field):
+            OptimizeOptions(**kw)
+
     def test_final_state_is_state_of_u_final(self):
         pd = small_problem()
         rep = optimize(pd, None, OptimizeOptions(max_iter=5))

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fieldio
 from .adjoint import AdjointState, solve_adjoint
 from .grid import arakawa, nonlinear_values
 from .sensitivity import solve_linearized, solve_second
-from .spaces import DomainConstants, InequalityCheck, norm_hk, stack_hk_sq
+from .spaces import DomainConstants, _checked, norm_hk, stack_hk_sq
 from .state import (
     ProblemData,
     StateSolution,
@@ -184,21 +185,20 @@ class CertificateReport:
         if self.verdict_uniqueness != (self.lam > self.uniqueness_threshold):
             raise ValueError("uniqueness verdict inconsistent with stored values")
 
+    def _pairs(self) -> list:
+        """(name, value) of every written field, in the order of both artifacts."""
+        names = _REPORT_FLOATS + _REPORT_BOOLS + _REPORT_STRS
+        return [(n, getattr(self, n)) for n in names] + [
+            (f"source_{c}", self.constants_source[c]) for c in sorted(self.constants_source)
+        ]
+
     def to_text(self) -> str:
-        lines = ["# optimality certificate"]
-        for name in _REPORT_FLOATS:
-            lines.append(f"{name} = {getattr(self, name):.17g}")
-        for name in _REPORT_BOOLS:
-            lines.append(f"{name} = {'true' if getattr(self, name) else 'false'}")
-        for name in _REPORT_STRS:
-            lines.append(f"{name} = {getattr(self, name)}")
-        for cname in sorted(self.constants_source):
-            lines.append(f"source_{cname} = {self.constants_source[cname]}")
-        return "\n".join(lines) + "\n"
+        return fieldio.pairs_text("# optimality certificate", self._pairs())
 
     @classmethod
     def from_text(cls, text: str) -> "CertificateReport":
         kw: dict = {"constants_source": {}}
+        seen: set[str] = set()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -206,6 +206,9 @@ class CertificateReport:
             if "=" not in line:
                 raise ValueError(f"line {lineno}: expected 'key = value'")
             key, _, val = (s.strip() for s in line.partition("="))
+            if key in seen:
+                raise ValueError(f"line {lineno}: duplicate key {key!r}")
+            seen.add(key)
             if key in _REPORT_FLOATS:
                 kw[key] = float(val)
             elif key in _REPORT_BOOLS:
@@ -225,15 +228,8 @@ class CertificateReport:
             fh.write(self.to_text())
 
     def write_csv(self, path) -> None:
-        names = list(_REPORT_FLOATS) + list(_REPORT_BOOLS) + list(_REPORT_STRS)
-        names += [f"source_{c}" for c in sorted(self.constants_source)]
-        vals = [f"{getattr(self, n):.17g}" for n in _REPORT_FLOATS]
-        vals += ["true" if getattr(self, n) else "false" for n in _REPORT_BOOLS]
-        vals += [getattr(self, n) for n in _REPORT_STRS]
-        vals += [self.constants_source[c] for c in sorted(self.constants_source)]
-        with open(path, "w") as fh:
-            fh.write(",".join(names) + "\n")
-            fh.write(",".join(vals) + "\n")
+        names, values = zip(*self._pairs())
+        fieldio.write_rows(path, names, [values])
 
 
 def certify(ci: CertificateInputs, lambda3_reading: str = "printed") -> CertificateReport:
@@ -284,7 +280,7 @@ def check_state_bound(base: StateSolution, ci: CertificateInputs):
     lambda1 = compute_lambda1(ci)
     lhs = float(np.max(base.norms_h3)) ** 2
     rhs = (ci.constants.C1 * lambda1 / ci.alpha) ** 2
-    return InequalityCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-12))
+    return _checked(lhs, rhs)
 
 
 def check_adjoint_bound(adj: AdjointState, ci: CertificateInputs):
@@ -292,7 +288,7 @@ def check_adjoint_bound(adj: AdjointState, ci: CertificateInputs):
     lambda4 = compute_lambda4(ci, compute_lambda1(ci))
     lhs = float(np.max(stack_hk_sq(adj.p, adj.pd.grid.h, 2)[2]))
     rhs = lambda4 ** 2
-    return InequalityCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-12))
+    return _checked(lhs, rhs)
 
 
 def hessian_quadratic_form(

@@ -26,6 +26,7 @@ from .optimizer import (
 )
 from .adjoint import gradient_field, solve_adjoint
 from .spaces import (
+    _INEQUALITIES,
     CONSTANT_NAMES,
     DomainConstants,
     estimate_constant,
@@ -40,12 +41,6 @@ from .state import (
     solve_state,
     trap_weights,
 )
-
-_KIND_TO_CONSTANT = {"korn": "K", "elliptic": "K_tilde", "trilinear": "K_hat"}
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _snapshot_indices(m: int, every: int) -> list[int]:
@@ -63,29 +58,27 @@ def _write_snapshot(fields_dir: Path, name: str, field: ScalarField2D | VectorFi
 
 def _write_velocity_snapshots(fields_dir: Path, prefix: str, traj: Trajectory, idx) -> None:
     for k in idx:
-        f = VectorField2D(traj.grid, traj.data[k, 0], traj.data[k, 1])
-        _write_snapshot(fields_dir, f"{prefix}_{k:06d}", f)
+        _write_snapshot(fields_dir, f"{prefix}_{k:06d}", traj.slice(k))
 
 
-def _report(out: Path, lines) -> None:
-    with open(out / "report.txt", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _problem_lines(pd: ProblemData, seed: int) -> list[str]:
-    return [
-        f"alpha = {_fmt(pd.alpha)}",
-        f"nu = {_fmt(pd.nu)}",
-        f"T = {_fmt(pd.T)}",
-        f"grid = {pd.grid.n_interior}",
-        f"steps = {pd.m_steps}",
-        f"L = {_fmt(pd.L)}",
-        f"lambda = {_fmt(pd.lam)}",
-        f"seed = {seed}",
+def _report(out: Path, subcommand: str, pd: ProblemData, seed: int, pairs) -> None:
+    """report.txt: the subcommand, the problem parameters, then its own pairs."""
+    problem = [
+        ("alpha", pd.alpha),
+        ("nu", pd.nu),
+        ("T", pd.T),
+        ("grid", pd.grid.n_interior),
+        ("steps", pd.m_steps),
+        ("L", pd.L),
+        ("lambda", pd.lam),
+        ("seed", seed),
     ]
+    (out / "report.txt").write_text(fieldio.pairs_text(subcommand, problem + pairs))
 
 
-def _cmd_simulate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> int:
+# Each subcommand writes its artifacts and returns the pairs of its report.txt.
+
+def _cmd_simulate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
     sol = solve_state(None, pd)
     fields_dir = out / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
@@ -93,25 +86,18 @@ def _cmd_simulate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
     _write_velocity_snapshots(fields_dir, "y", sol.velocity, idx)
     for k in idx:
         _write_snapshot(fields_dir, f"omega_{k:06d}", ScalarField2D(pd.grid, sol.omega[k]))
-    with open(out / "log.csv", "w") as fh:
-        fh.write("step,time,norm_h1,norm_h3\n")
-        for k in range(pd.m_steps + 1):
-            fh.write(
-                f"{k},{_fmt(k * pd.dt)},{_fmt(sol.norms_h1[k])},{_fmt(sol.norms_h3[k])}\n"
-            )
-    _report(
-        out,
-        ["simulate"]
-        + _problem_lines(pd, seed)
-        + [
-            f"snapshots = {len(idx)}",
-            f"final_norm_h1 = {_fmt(sol.norms_h1[-1])}",
-            f"final_norm_h3 = {_fmt(sol.norms_h3[-1])}",
-            f"max_cfl = {_fmt(sol.cfl_max)}",
-        ],
+    fieldio.write_rows(
+        out / "log.csv",
+        ["step", "time", "norm_h1", "norm_h3"],
+        [(k, k * pd.dt, sol.norms_h1[k], sol.norms_h3[k]) for k in range(pd.m_steps + 1)],
     )
     _warn_cfl(sol.cfl_max, stacklevel=2)
-    return 0
+    return [
+        ("snapshots", len(idx)),
+        ("final_norm_h1", sol.norms_h1[-1]),
+        ("final_norm_h3", sol.norms_h3[-1]),
+        ("max_cfl", sol.cfl_max),
+    ]
 
 
 def _opts_from(rc: RunConfig) -> OptimizeOptions:
@@ -119,7 +105,7 @@ def _opts_from(rc: RunConfig) -> OptimizeOptions:
     return OptimizeOptions(**given)
 
 
-def _cmd_optimize(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> int:
+def _cmd_optimize(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
     rep = optimize(pd, None, _opts_from(rc))
     fields_dir = out / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
@@ -127,27 +113,19 @@ def _cmd_optimize(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
     _write_velocity_snapshots(fields_dir, "u", rep.u_final, idx)
     _write_velocity_snapshots(fields_dir, "y", rep.final_state.velocity, idx)
     rep.write_csv(out / "log.csv")
-    first = rep.iterates[0]
-    last = rep.iterates[-1]
-    _report(
-        out,
-        ["optimize"]
-        + _problem_lines(pd, seed)
-        + [
-            f"J_initial = {_fmt(first.J)}",
-            f"J_final = {_fmt(rep.J_final)}",
-            f"iterations = {rep.n_iterations}",
-            f"vi_final = {_fmt(last.vi)}",
-            f"tol = {_fmt(rep.tol)}",
-            f"converged = {'true' if rep.converged else 'false'}",
-            f"message = {rep.message}",
-            f"wall_time_s = {rep.wall_time:.3f}",
-        ],
-    )
-    return 0
+    return [
+        ("J_initial", rep.iterates[0].J),
+        ("J_final", rep.J_final),
+        ("iterations", rep.n_iterations),
+        ("vi_final", rep.iterates[-1].vi),
+        ("tol", rep.tol),
+        ("converged", rep.converged),
+        ("message", rep.message),
+        ("wall_time_s", f"{rep.wall_time:.3f}"),
+    ]
 
 
-def _cmd_gradcheck(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> int:
+def _cmd_gradcheck(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
     u = start_control(pd, seed, 0)
     w = start_control(pd, seed, 1)
 
@@ -161,104 +139,72 @@ def _cmd_gradcheck(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: 
     for eps in (1e-2, 1e-3, 1e-4):
         fd = (J(u + eps * w) - J(u - eps * w)) / (2.0 * eps)
         rel = abs(fd - adjoint_val) / max(abs(adjoint_val), 1e-300)
-        rows.append((eps, fd, rel))
+        rows.append((eps, fd, adjoint_val, rel))
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "log.csv", "w") as fh:
-        fh.write("epsilon,fd_value,adjoint_value,relative_error\n")
-        for eps, fd, rel in rows:
-            fh.write(f"{_fmt(eps)},{_fmt(fd)},{_fmt(adjoint_val)},{_fmt(rel)}\n")
-    _report(
-        out,
-        ["gradcheck"]
-        + _problem_lines(pd, seed)
-        + [f"directional_derivative = {_fmt(adjoint_val)}"]
-        + [f"rel_error_at_{_fmt(eps)} = {_fmt(rel)}" for eps, _, rel in rows],
+    fieldio.write_rows(
+        out / "log.csv", ["epsilon", "fd_value", "adjoint_value", "relative_error"], rows
     )
-    return 0
+    return [("directional_derivative", adjoint_val)] + [
+        (f"rel_error_at_{fieldio.text_value(eps)}", rel) for eps, _, _, rel in rows
+    ]
 
 
-def _cmd_certify(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> int:
+def _cmd_certify(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
     ci = CertificateInputs.from_problem(pd, rc.constants, u_norm_source=rc["u_norm_source"])
     rep = certify(ci, lambda3_reading=rc["lambda3_reading"])
     rep.write_text(out / "certificate.txt")
     rep.write_csv(out / "log.csv")
-    _report(
-        out,
-        ["certify"]
-        + _problem_lines(pd, seed)
-        + [
-            f"coercivity_threshold = {_fmt(rep.coercivity_threshold)}",
-            f"uniqueness_threshold = {_fmt(rep.uniqueness_threshold)}",
-            f"verdict_second_order = {'true' if rep.verdict_second_order else 'false'}",
-            f"verdict_uniqueness = {'true' if rep.verdict_uniqueness else 'false'}",
-            f"illustrative = {'true' if rep.illustrative else 'false'}",
-        ],
-    )
-    return 0
+    return [
+        ("coercivity_threshold", rep.coercivity_threshold),
+        ("uniqueness_threshold", rep.uniqueness_threshold),
+        ("verdict_second_order", rep.verdict_second_order),
+        ("verdict_uniqueness", rep.verdict_uniqueness),
+        ("illustrative", rep.illustrative),
+    ]
 
 
-def _cmd_estimate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> int:
-    estimates = {}
-    for kind in _kinds_list(rc["kinds"]):
-        estimates[kind] = estimate_constant(
-            kind, rc["samples"], seed, grid=pd.grid, alpha=pd.alpha
-        )
-    kwargs = {}
-    sources = {name: "default_unit" for name in CONSTANT_NAMES}
-    for kind, value in estimates.items():
-        cname = _KIND_TO_CONSTANT[kind]
-        kwargs[cname] = value
-        sources[cname] = "estimated"
-    dc = DomainConstants(**kwargs, source=sources)
-    save_constants(out / "constants.txt", dc)
-    with open(out / "log.csv", "w") as fh:
-        fh.write("constant,kind,samples,seed,value\n")
-        for kind, value in estimates.items():
-            fh.write(f"{_KIND_TO_CONSTANT[kind]},{kind},{rc['samples']},{seed},{_fmt(value)}\n")
-    _report(
-        out,
-        ["estimate-constants"]
-        + _problem_lines(pd, seed)
-        + [f"{_KIND_TO_CONSTANT[k]} = {_fmt(v)} ({k})" for k, v in estimates.items()],
-    )
-    return 0
+def _cmd_estimate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
+    estimates = {
+        kind: estimate_constant(kind, rc["samples"], seed, grid=pd.grid, alpha=pd.alpha)
+        for kind in _kinds_list(rc["kinds"])
+    }
+    rows = [(_INEQUALITIES[k][2], k, rc["samples"], seed, v) for k, v in estimates.items()]
+    estimated = {row[0]: row[-1] for row in rows}
+    sources = {n: "estimated" if n in estimated else "default_unit" for n in CONSTANT_NAMES}
+    save_constants(out / "constants.txt", DomainConstants(**estimated, source=sources))
+    fieldio.write_rows(out / "log.csv", ["constant", "kind", "samples", "seed", "value"], rows)
+    return [(cname, f"{fieldio.text_value(value)} ({kind})") for cname, kind, *_, value in rows]
 
 
-def _cmd_multistart(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> int:
+def _cmd_multistart(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
     constants = rc.constants if rc.constants_inline else None
     ms = multi_start_uniqueness(pd, rc["n_starts"], seed, constants, _opts_from(rc))
     fields_dir = out / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
     mid = pd.m_steps // 2
     for i, rep in enumerate(ms.reports):
-        u = rep.u_final
-        f = VectorField2D(pd.grid, u.data[mid, 0], u.data[mid, 1])
-        _write_snapshot(fields_dir, f"u_start{i}_{mid:06d}", f)
-    with open(out / "log.csv", "w") as fh:
-        fh.write("start,J_final,converged,iterations,vi_final\n")
-        for i, rep in enumerate(ms.reports):
-            fh.write(
-                f"{i},{_fmt(rep.J_final)},{'true' if rep.converged else 'false'},"
-                f"{rep.n_iterations},{_fmt(rep.iterates[-1].vi)}\n"
-            )
-    lines = (
-        ["multistart"]
-        + _problem_lines(pd, seed)
-        + [
-            f"n_starts = {rc['n_starts']}",
-            f"max_pairwise_distance = {_fmt(ms.max_distance)}",
-            f"distance_tol = {_fmt(ms.distance_tol)}",
-            f"all_within_tol = {'true' if ms.all_within_tol else 'false'}",
-        ]
+        _write_snapshot(fields_dir, f"u_start{i}_{mid:06d}", rep.u_final.slice(mid))
+    fieldio.write_rows(
+        out / "log.csv",
+        ["start", "J_final", "converged", "iterations", "vi_final"],
+        [
+            (i, rep.J_final, rep.converged, rep.n_iterations, rep.iterates[-1].vi)
+            for i, rep in enumerate(ms.reports)
+        ],
     )
+    pairs = [
+        ("n_starts", rc["n_starts"]),
+        ("max_pairwise_distance", ms.max_distance),
+        ("distance_tol", ms.distance_tol),
+        ("all_within_tol", ms.all_within_tol),
+    ]
     if ms.uniqueness_threshold is not None:
-        lines += [
-            f"uniqueness_threshold = {_fmt(ms.uniqueness_threshold)}",
-            f"lambda_exceeds_threshold = {'true' if ms.lambda_exceeds_threshold else 'false'}",
-            f"illustrative = {'true' if ms.illustrative else 'false'}",
+        pairs += [
+            ("uniqueness_threshold", ms.uniqueness_threshold),
+            ("lambda_exceeds_threshold", ms.lambda_exceeds_threshold),
+            ("illustrative", ms.illustrative),
         ]
-    _report(out, lines)
-    return 0
+    return pairs
 
 
 _COMMANDS = {
@@ -296,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(config: RunConfig, subcommand: str, out_dir, seed=None, snapshot_every=None) -> int:
-    """Dispatch a parsed config; creates out_dir only after validation."""
+    """Dispatch a parsed config; creates out_dir only after validation and
+    writes report.txt from the pairs the subcommand returns."""
     if subcommand not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     pd = build_problem(config)
@@ -306,7 +253,9 @@ def run(config: RunConfig, subcommand: str, out_dir, seed=None, snapshot_every=N
         raise ConfigError("snapshot-every must be nonnegative")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[subcommand](config, pd, out, seed, every)
+    pairs = _COMMANDS[subcommand](config, pd, out, seed, every)
+    _report(out, subcommand, pd, seed, pairs)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fieldio import read_field
 from .grid import Grid, ScalarField2D, VectorField2D, velocity_from_stream
-from .spaces import CONSTANT_NAMES, DomainConstants, load_constants
+from .spaces import _INEQUALITIES, CONSTANT_NAMES, DomainConstants, load_constants
 from .state import ProblemData, Trajectory
 
 
@@ -153,14 +153,12 @@ def parse_config(path) -> RunConfig:
             parsed = conv(val)
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
-        if section == "constants":
-            inline_constants[key] = parsed
-        else:
-            if key in seen:
-                raise ConfigError(f"{where}: duplicate key {key!r}")
-            seen[key] = parsed
-            if key in ("y0_modes", "yd_modes"):
-                _parse_modes(parsed, where)
+        target = inline_constants if section == "constants" else seen
+        if key in target:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        target[key] = parsed
+        if key in ("y0_modes", "yd_modes"):
+            _parse_modes(parsed, where)
 
     for req in ("alpha", "nu", "T", "grid", "steps"):
         if req not in seen:
@@ -186,8 +184,9 @@ def parse_config(path) -> RunConfig:
         ),
         (
             "u_norm_source",
-            values["u_norm_source"] in ("ball_bound", "actual"),
-            "must be 'ball_bound' or 'actual'",
+            values["u_norm_source"] == "ball_bound",
+            "must be 'ball_bound': the CLI certifies without a control, "
+            "so 'actual' has no norm to read",
         ),
     ):
         if not cond:
@@ -199,7 +198,7 @@ def parse_config(path) -> RunConfig:
     if values["yd_modes"] and values["yd_from"]:
         raise ConfigError(f"{path}: yd_modes and yd_from are mutually exclusive")
     for kind in _kinds_list(values["kinds"]):
-        if kind not in ("korn", "elliptic", "trilinear"):
+        if kind not in _INEQUALITIES:
             raise ConfigError(f"{path}: unknown estimation kind {kind!r}")
 
     if values["constants_file"] and inline_constants:

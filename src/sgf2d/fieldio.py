@@ -9,6 +9,13 @@ CSV layout: a header line ``x1,x2,value`` (scalar) or ``x1,x2,v1,v2``
 line i*n + j + 2 of the file), holding its coordinates and value(s). Every
 number is written with ``%.17g``, so it reads back to the same float64, and
 every line ends in ``\r\n``.
+
+Text artifacts (reports, certificates, constants files, logs) spell every
+value through ``text_value``: floats, NumPy floats included, as ``%.17g``,
+so they read back to the same float64; bools as ``true``/``false``; anything
+else as ``str``. ``pairs_text`` writes a title line and one ``key = value``
+line per pair; ``write_rows`` writes a CSV of a header line and one line per
+row, lines ending in ``\n``.
 """
 
 from __future__ import annotations
@@ -77,3 +84,24 @@ def write_field_csv(path, f: ScalarField2D | VectorField2D) -> None:
     body = [p + row % v for p, v in zip(_coord_prefixes(f.grid.n_interior), values)]
     with open(path, "w", newline="") as fh:
         fh.write(header + "".join(body))
+
+
+def text_value(v) -> str:
+    """The text spelling of a value in every text artifact (see the module doc)."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return "%.17g" % v
+    return str(v)
+
+
+def pairs_text(title: str, pairs) -> str:
+    """A title line, then one ``key = value`` line per (key, value) pair."""
+    return "".join([title + "\n"] + [f"{k} = {text_value(v)}\n" for k, v in pairs])
+
+
+def write_rows(path, header, rows) -> None:
+    """A CSV of the header names, then one line of text_value cells per row."""
+    lines = [header] + [[text_value(v) for v in row] for row in rows]
+    with open(path, "w") as fh:
+        fh.write("".join(",".join(cells) + "\n" for cells in lines))

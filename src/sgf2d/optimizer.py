@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .adjoint import AdjointState, gradient_field, solve_adjoint
+from . import fieldio
+from .adjoint import gradient_field, solve_adjoint
 from .certificates import CertificateInputs, certify
 from .grid import velocity_from_stream
 from .spaces import DomainConstants, solenoidal_projection_values, stream_from_coeffs
@@ -112,13 +113,8 @@ class OptimizeReport:
         return len(self.iterates)
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iteration,J,grad_norm,step,vi_residual\n")
-            for rec in self.iterates:
-                fh.write(
-                    f"{rec.iteration},{rec.J:.17g},{rec.grad_norm:.17g},"
-                    f"{rec.step:.17g},{rec.vi:.17g}\n"
-                )
+        header = ["iteration", "J", "grad_norm", "step", "vi_residual"]
+        fieldio.write_rows(path, header, self.iterates)
 
 
 def _evaluate(pd: ProblemData, u: Trajectory):

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
+from . import fieldio
 from .grid import (
     Grid,
     GridMismatchError,
@@ -215,16 +215,17 @@ class DomainConstants:
 
 
 def save_constants(path, dc: DomainConstants) -> None:
+    pairs = []
+    for name in CONSTANT_NAMES:
+        pairs += [(name, getattr(dc, name)), (f"{name}_source", dc.source[name])]
     with open(path, "w") as fh:
-        fh.write("# domain constants\n")
-        for name in CONSTANT_NAMES:
-            fh.write(f"{name} = {getattr(dc, name):.17g}\n")
-            fh.write(f"{name}_source = {dc.source[name]}\n")
+        fh.write(fieldio.pairs_text("# domain constants", pairs))
 
 
 def load_constants(path) -> DomainConstants:
     values: dict[str, float] = {}
     sources: dict[str, str] = {}
+    seen: set[str] = set()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -233,6 +234,9 @@ def load_constants(path) -> DomainConstants:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'name = value'")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            seen.add(key)
             if key.endswith("_source"):
                 sources[key[: -len("_source")]] = val
             elif key in CONSTANT_NAMES:
@@ -314,6 +318,11 @@ class InequalityCheck(NamedTuple):
     holds: bool
 
 
+def _checked(lhs: float, rhs: float) -> InequalityCheck:
+    """lhs <= rhs up to a relative roundoff slack of 1e-12."""
+    return InequalityCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-12))
+
+
 # Each a-priori inequality lhs <= C * rhs, written once: the terms map a stack
 # of stream functions (..., n, n), or (..., 2, n, n) for the pair (z, phi) of
 # the trilinear form, to the (lhs, rhs) values of their velocities.
@@ -370,7 +379,7 @@ def check_inequality(kind: str, fields, constants: DomainConstants, alpha: float
     psi = np.stack([f.stream.values for f in fs])
     lhs, rhs = terms(psi[0] if n_fields == 1 else psi, g.h, alpha)
     lhs, rhs = float(lhs), getattr(constants, name) * float(rhs)
-    return InequalityCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-12))
+    return _checked(lhs, rhs)
 
 
 def _ratio(terms, c: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
@@ -379,10 +388,6 @@ def _ratio(terms, c: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     lhs, rhs = terms(stream_values(grid, c), grid.h, alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(rhs == 0.0, 0.0, lhs / rhs)
-
-
-# kind -> (batched ratio, number of stream functions per sample)
-_RATIOS = {kind: (partial(_ratio, terms), n) for kind, (terms, n, _) in _INEQUALITIES.items()}
 
 
 def estimate_constant(
@@ -412,11 +417,11 @@ def estimate_constant(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if kind not in _RATIOS:
+    if kind not in _INEQUALITIES:
         raise ValueError(f"unknown constant kind {kind!r}")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    ratio, fields = _RATIOS[kind]
+    terms, fields, _ = _INEQUALITIES[kind]
     shape = (n_modes, n_modes) if fields == 1 else (fields, n_modes, n_modes)
     # a block holds about _BLOCK_BYTES of sample stream functions
     step = max(1, _BLOCK_BYTES // (fields * grid.n_interior**2 * 8))
@@ -424,11 +429,11 @@ def estimate_constant(
     for s in range(0, samples, step):
         rngs = [np.random.default_rng([seed, i]) for i in range(s, min(s + step, samples))]
         c = np.stack([rng.standard_normal(shape) for rng in rngs])
-        r = ratio(c, grid, alpha)
+        r = _ratio(terms, c, grid, alpha)
         sigma = 0.3
         for _ in range(ascent_steps):
             prop = c + sigma * np.stack([rng.standard_normal(shape) for rng in rngs])
-            rp = ratio(prop, grid, alpha)
+            rp = _ratio(terms, prop, grid, alpha)
             up = rp > r
             r[up], c[up] = rp[up], prop[up]
             sigma *= 0.95

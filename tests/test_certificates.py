@@ -186,6 +186,14 @@ class TestReportIO:
         with pytest.raises(ValueError, match="true or false"):
             CertificateReport.from_text(bad)
 
+    def test_from_text_rejects_repeated_key(self):
+        # an appended line must not override the certified value
+        text = certify(crafted_inputs()).to_text()
+        with pytest.raises(ValueError, match="duplicate key 'lambda1'"):
+            CertificateReport.from_text(text + "lambda1 = 5.0\n")
+        with pytest.raises(ValueError, match="duplicate key 'source_K'"):
+            CertificateReport.from_text(text + "source_K = user_supplied\n")
+
     def test_tampered_verdict_rejected(self):
         rep = certify(crafted_inputs())
         tampered = rep.to_text().replace(

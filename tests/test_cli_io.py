@@ -24,11 +24,12 @@ import numpy as np
 import pytest
 
 from sgf2d import cli as cli_module
+from sgf2d import fieldio
 from sgf2d import optimizer as optimizer_module
 from sgf2d.certificates import CertificateReport
 from sgf2d.cli import main
 from sgf2d.config import ConfigError, build_problem, parse_config
-from sgf2d.fieldio import read_field, write_field, write_field_csv
+from sgf2d.fieldio import read_field, text_value, write_field, write_field_csv
 from sgf2d.grid import Grid, ScalarField2D, VectorField2D
 from sgf2d.optimizer import optimize
 from sgf2d.spaces import load_constants
@@ -165,6 +166,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate key 'alpha'"):
             parse_config(p)
 
+    def test_duplicate_constant_rejected(self, tmp_path):
+        p = write_cfg(tmp_path, MINIMAL + "[constants]\nK = 2.0\nK = 3.0\n")
+        with pytest.raises(ConfigError, match=r"cfg.txt:9: duplicate key 'K'"):
+            parse_config(p)
+
     def test_invariants_name_the_field(self, tmp_path):
         p = write_cfg(tmp_path, MINIMAL.replace("alpha = 0.4", "alpha = -0.4"))
         with pytest.raises(ConfigError, match="alpha must be positive"):
@@ -244,6 +250,17 @@ class TestCliExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_certify_actual_norm_source_is_exit_2(self, tmp_path, capsys):
+        # the CLI certifies without a control, so it has no actual norm to read
+        cfg = write_cfg(tmp_path, TRACKING + "[run]\nu_norm_source = actual\n")
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "u_norm_source must be 'ball_bound'" in err
+        assert "without a control" in err
+        assert not out.exists()
+
     def test_missing_config_file_is_exit_2(self, tmp_path, capsys):
         rc = main(
             ["simulate", "--config", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")]
@@ -283,6 +300,63 @@ class TestCliExitCodes:
             rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert rc == 1
         assert "solver failure" in capsys.readouterr().err
+
+
+def reads_back(text, value) -> bool:
+    """Whether an artifact's text spells the value it was written from."""
+    if isinstance(value, (bool, np.bool_)):
+        return text == ("true" if value else "false")
+    if isinstance(value, (float, np.floating)):
+        return float(text) == value
+    return text == str(value)
+
+
+class TestTextCodec:
+    def test_text_value(self):
+        assert text_value(np.float64(0.1)) == "0.10000000000000001"
+        assert text_value(1e-3) == "0.001"
+        assert text_value(True) == "true"
+        assert text_value(np.bool_(False)) == "false"
+        assert text_value(12) == "12"
+        assert text_value("ball_bound") == "ball_bound"
+
+    @pytest.mark.parametrize(
+        "subcommand",
+        ["simulate", "optimize", "gradcheck", "certify", "estimate-constants", "multistart"],
+    )
+    def test_report_and_log_read_back(self, tmp_path, monkeypatch, subcommand):
+        # record what each writer hands the codec, then read the files back against it
+        pairs_text, write_rows = fieldio.pairs_text, fieldio.write_rows
+        titled, tables = {}, {}
+
+        def recording_pairs_text(title, pairs):
+            titled[title] = list(pairs)
+            return pairs_text(title, titled[title])
+
+        def recording_write_rows(path, header, rows):
+            tables[Path(path).name] = (list(header), [list(r) for r in rows])
+            write_rows(path, header, rows)
+
+        monkeypatch.setattr(fieldio, "pairs_text", recording_pairs_text)
+        monkeypatch.setattr(fieldio, "write_rows", recording_write_rows)
+        cfg = write_cfg(tmp_path, TRACKING)
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+
+        title, *lines = (out / "report.txt").read_text().splitlines()
+        assert title == subcommand
+        assert [line.split(" = ", 1)[0] for line in lines] == [k for k, _ in titled[title]]
+        for line, (_, value) in zip(lines, titled[title]):
+            assert reads_back(line.split(" = ", 1)[1], value), line
+
+        header, *rows = (out / "log.csv").read_text().splitlines()
+        written_header, written_rows = tables["log.csv"]
+        assert header.split(",") == written_header
+        assert len(rows) == len(written_rows) > 0
+        for row, values in zip(rows, written_rows):
+            cells = row.split(",")
+            assert len(cells) == len(values) == len(written_header), row
+            assert all(reads_back(c, v) for c, v in zip(cells, values)), row
 
 
 class TestSimulate:

@@ -330,6 +330,15 @@ class TestDomainConstants:
             assert getattr(back, name) == getattr(dc, name)
         assert back.source == dc.source
 
+    def test_load_rejects_repeated_key(self, tmp_path):
+        path = tmp_path / "twice.txt"
+        path.write_text("K = 1.0\nK = 2.0\n")
+        with pytest.raises(ValueError, match=r"twice.txt:2: duplicate key 'K'"):
+            load_constants(path)
+        path.write_text("K = 1.0\nK_source = estimated\nK_source = user_supplied\n")
+        with pytest.raises(ValueError, match=r"twice.txt:3: duplicate key 'K_source'"):
+            load_constants(path)
+
     def test_load_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("K = 1.0\nQ = 2.0\n")
@@ -404,12 +413,12 @@ class TestEstimators:
     def test_batched_ratio_equals_sample_ratio(self, kind):
         # a zero sample gives the trilinear ratio its zero-denominator branch
         g = Grid(10)
-        ratio, fields = spaces._RATIOS[kind]
+        terms, fields, _ = spaces._INEQUALITIES[kind]
         shape = (4,) + ((fields,) if fields > 1 else ()) + (3, 3)
         c = np.random.default_rng(3).standard_normal(shape)
         if kind == "trilinear":
             c[1] = 0.0
-        r = ratio(c, g, 0.3)
+        r = spaces._ratio(terms, c, g, 0.3)
         assert r.shape == (4,)
         assert [float(x) for x in r] == [sample_ratio(kind, g, ci, 0.3) for ci in c]
         if kind == "trilinear":
@@ -454,8 +463,8 @@ class TestInequalities:
         c = np.random.default_rng([seed, 0]).standard_normal(shape)
         fields = sample_field(kind, 0, seed, grid=g, n_modes=n_modes)
         chk = check_inequality(kind, fields, DomainConstants(), alpha=0.3)
-        ratio, _ = spaces._RATIOS[kind]
-        assert chk.lhs / chk.rhs == float(ratio(c[None], g, 0.3)[0])
+        terms = spaces._INEQUALITIES[kind][0]
+        assert chk.lhs / chk.rhs == float(spaces._ratio(terms, c[None], g, 0.3)[0])
 
     def test_field_without_stream_refused(self):
         g = Grid(8)

@@ -117,6 +117,9 @@ def _cmd_optimize(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
         ("J_initial", rep.iterates[0].J),
         ("J_final", rep.J_final),
         ("iterations", rep.n_iterations),
+        ("n_state_solves", rep.n_state_solves),
+        ("n_adjoint_solves", rep.n_adjoint_solves),
+        ("n_halvings", rep.n_halvings),
         ("vi_final", rep.iterates[-1].vi),
         ("tol", rep.tol),
         ("converged", rep.converged),

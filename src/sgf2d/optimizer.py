@@ -2,7 +2,11 @@
 
 The admissible set is the centered ball of radius L in the discrete
 L2(0,T;H1) norm; projection is radial (exact for a centered ball in a
-Hilbert norm). Steps use Barzilai-Borwein seeding with Armijo backtracking.
+Hilbert norm). Each line search starts from the short Barzilai-Borwein step
+(BB2) <s,y>/<y,y> in the trapezoid-weighted L2(Q) pairing, with s and y the
+last iterate and gradient differences; when <s,y> <= 0 (no positive
+curvature along s) the previous step is kept. The step is then halved until
+the monotone Armijo test holds, so J never rises on an accepted step.
 """
 
 from __future__ import annotations
@@ -107,6 +111,9 @@ class OptimizeReport:
     final_norm_h3_max: float
     tol: float
     final_state: StateSolution  # solve_state(u_final), so callers need not solve again
+    n_state_solves: int
+    n_adjoint_solves: int
+    n_halvings: int  # over every line search, a failed last one included
 
     @property
     def n_iterations(self) -> int:
@@ -136,6 +143,8 @@ def optimize(
     sol, J = _evaluate(pd, u)
     tol = opts.tol if opts.tol is not None else 1e-8 * (1.0 + abs(J))
     g = gradient_field(u, solve_adjoint(sol, None, pd), pd.lam)
+    n_state = n_adjoint = 1
+    n_halvings = 0
 
     records: list[IterRecord] = []
     prev_u = prev_g = None
@@ -154,24 +163,26 @@ def optimize(
 
         if prev_u is not None:
             s = u.data - prev_u
-            num = l2q_inner_values(s, s, tau, pd.grid.h)
-            den = l2q_inner_values(s, g.data - prev_g, tau, pd.grid.h)
-            if den > 0:
-                step = min(max(num / den, 1e-14), 1e14)
+            y = g.data - prev_g
+            sy = l2q_inner_values(s, y, tau, pd.grid.h)
+            if sy > 0:
+                step = min(max(sy / l2q_inner_values(y, y, tau, pd.grid.h), 1e-14), 1e14)
 
         accepted = False
         t = step
-        for _ in range(opts.max_halvings + 1):
+        for halvings in range(opts.max_halvings + 1):
             trial = project_Uad((u - t * g), pd.L)
             decrease = l2q_inner(g, trial - u, tau)
             # decrease <= 0 is not automatic for radial projection; require it
             # so accepted steps never increase J
             if decrease <= 0.0:
                 trial_sol, trial_J = _evaluate(pd, trial)
+                n_state += 1
                 if trial_J <= J + opts.armijo_c * decrease:
                     accepted = True
                     break
             t *= 0.5
+        n_halvings += halvings
         if not accepted:
             message = "line search failed (no sufficient decrease)"
             break
@@ -180,6 +191,7 @@ def optimize(
         u, sol, J = trial, trial_sol, trial_J
         last_step = t
         g = gradient_field(u, solve_adjoint(sol, None, pd), pd.lam)
+        n_adjoint += 1
     else:
         # cap reached: record the final point
         vi = vi_residual(u, g, pd.L)
@@ -197,6 +209,9 @@ def optimize(
         final_norm_h3_max=float(np.max(sol.norms_h3)),
         tol=tol,
         final_state=sol,
+        n_state_solves=n_state,
+        n_adjoint_solves=n_adjoint,
+        n_halvings=n_halvings,
     )
 
 

@@ -39,9 +39,15 @@ def diff1(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     out = np.empty_like(v)
     vm = v.swapaxes(axis, 0)
     om = out.swapaxes(axis, 0)
-    om[1:-1] = (vm[2:] - vm[:-2]) / (2.0 * h)
-    om[0] = (vm[1] - vm[0]) / h
-    om[-1] = (vm[-1] - vm[-2]) / h
+    np.subtract(vm[2:], vm[:-2], out=om[1:-1])
+    np.subtract(vm[1], vm[0], out=om[0])
+    np.subtract(vm[-1], vm[-2], out=om[-1])
+    # doubling the two edge rows is exact and (2d)/(2h) rounds as d/h does, so
+    # one contiguous pass divides every row (for h <= 1/2, 2d overflows only
+    # where d/h does); in-place division of the strided interior alone is
+    # slower than a temporary on stacks of 16^2 slices
+    om[:: om.shape[0] - 1] *= 2.0
+    out /= 2.0 * h
     return out
 
 

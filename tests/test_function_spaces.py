@@ -38,6 +38,7 @@ from sgf2d import state as state_module
 from sgf2d.state import Trajectory, control_h1_norm, trap_weights
 
 from helpers import (
+    diff1_temporaries,
     estimate_constant_per_sample,
     hk_partials_dict,
     norm_hk_dict_loop,
@@ -122,6 +123,29 @@ class TestSobolevNorms:
     def test_h0_is_l2(self):
         v = random_field(Grid(9), 10)
         assert norm_hk(v, 0) == pytest.approx(norm_l2(v), rel=1e-14)
+
+
+class TestDiff1:
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    @pytest.mark.parametrize("lead", [(), (3,), (3, 2)], ids=["2d", "k", "k-2"])
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_bits_equal_temporaries_form(self, n, lead, axis):
+        v = np.random.default_rng(n).standard_normal(lead + (n, n))
+        h = 1.0 / (n + 1)
+        got = diff1(v, h, axis)
+        assert got.dtype == v.dtype and got.shape == v.shape
+        assert np.array_equal(got, diff1_temporaries(v, h, axis))
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_bits_equal_at_the_ends_of_the_float_range(self, axis):
+        # subnormal and overflowing edge differences, where doubling could show
+        v = 1e-315 * np.random.default_rng(4).standard_normal((3, 2, 6, 6))
+        v[..., 1, :] = np.copysign(1e308, v[..., 1, :])
+        v[..., :, 1] = np.copysign(1e308, v[..., :, 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = diff1(v, 0.3, axis), diff1_temporaries(v, 0.3, axis)
+        assert np.isinf(want).any() and (np.abs(want[want != 0]) < 1e-300).any()
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestStackNorms:

@@ -30,14 +30,16 @@ from sgf2d.state import (
     ProblemData,
     Trajectory,
     control_h1_norm,
+    l2q_inner_values,
     l2q_norm,
     left_weights,
     solve_state,
     trap_weights,
 )
 from sgf2d.grid import d1c, d2c
+from sgf2d import optimizer as optimizer_module
 
-from helpers import smooth_control
+from helpers import count_calls, smooth_control
 
 
 def small_problem(n=12, m=8, lam=1e-3, L=2.0, with_target=True, y0_amp=0.01):
@@ -53,6 +55,32 @@ def small_problem(n=12, m=8, lam=1e-3, L=2.0, with_target=True, y0_amp=0.01):
     return ProblemData(
         alpha=0.4, nu=0.2, T=0.25, grid=g, m_steps=m, y0=y0, y_d=yd, L=L, lam=lam
     )
+
+
+def reachable_problem():
+    """Target y_d = S(u_hat) of a time-constant control, on a ball of radius 2|u_hat|."""
+    g = Grid(12)
+    y0 = velocity_from_stream(stream_from_coeffs(g, np.zeros((1, 1))))
+    pd0 = ProblemData(
+        alpha=0.05, nu=0.02, T=1.5, grid=g, m_steps=12, y0=y0, L=10.0, lam=1e-4
+    )
+    uhat = constant_control(pd0, np.array([[0.05]]))
+    yhat = solve_state(uhat, pd0).velocity
+    return ProblemData(
+        alpha=0.05,
+        nu=0.02,
+        T=1.5,
+        grid=g,
+        m_steps=12,
+        y0=y0,
+        y_d=yhat,
+        L=2.0 * control_h1_norm(uhat),
+        lam=1e-4,
+    )
+
+
+def gradient_at(pd, u):
+    return gradient_field(u, solve_adjoint(solve_state(u, pd), None, pd), pd.lam)
 
 
 def constant_control(pd, coeffs):
@@ -233,24 +261,7 @@ class TestOptimize:
         assert "line search failed" in rep.message
 
     def test_reachable_target_strong_reduction(self):
-        g = Grid(12)
-        y0 = velocity_from_stream(stream_from_coeffs(g, np.zeros((1, 1))))
-        pd0 = ProblemData(
-            alpha=0.05, nu=0.02, T=1.5, grid=g, m_steps=12, y0=y0, L=10.0, lam=1e-4
-        )
-        uhat = constant_control(pd0, np.array([[0.05]]))
-        yhat = solve_state(uhat, pd0).velocity
-        pd = ProblemData(
-            alpha=0.05,
-            nu=0.02,
-            T=1.5,
-            grid=g,
-            m_steps=12,
-            y0=y0,
-            y_d=yhat,
-            L=2.0 * control_h1_norm(uhat),
-            lam=1e-4,
-        )
+        pd = reachable_problem()
         rep = optimize(pd, None, OptimizeOptions(max_iter=200))
         J0 = rep.iterates[0].J
         assert rep.converged
@@ -261,6 +272,55 @@ class TestOptimize:
         # every recorded iterate is admissible; check the final one directly
         assert control_h1_norm(rep.u_final) <= pd.L * (1.0 + 1e-12)
         assert rep.iterates[-1].vi <= rep.tol
+
+    def test_bb2_step_needs_few_state_solves(self):
+        # the short BB step is accepted untouched on most iterations; the long
+        # step <s,s>/<s,y> made 239 state solves in 117 iterations here
+        rep = optimize(reachable_problem(), None, OptimizeOptions(max_iter=200))
+        assert rep.converged
+        assert rep.n_state_solves <= 1.5 * rep.n_iterations
+
+    def test_second_step_is_halved_bb2(self):
+        # at lam = 0.1 both BB steps are near 1/lam; here they differ by 0.16%
+        pd = reachable_problem()
+        u0 = start_control(pd, 3, 0)
+        first = optimize(pd, u0, OptimizeOptions(max_iter=1))
+        second = optimize(pd, u0, OptimizeOptions(max_iter=2))
+        assert second.n_iterations == 3 and second.iterates[1].step == first.iterates[1].step
+        u1 = first.u_final
+        tau, h = trap_weights(pd.m_steps, pd.dt), pd.grid.h
+        s = u1.data - project_Uad(u0, pd.L).data
+        y = gradient_at(pd, u1).data - gradient_at(pd, u0).data
+        sy = l2q_inner_values(s, y, tau, h)
+        assert sy > 0
+        bb2 = sy / l2q_inner_values(y, y, tau, h)
+        step = second.iterates[2].step
+        k = round(np.log2(bb2 / step))
+        assert k >= 0 and step == bb2 * 0.5**k
+
+    def test_report_counts_equal_wrapped_calls(self, monkeypatch):
+        states = count_calls(monkeypatch, optimizer_module, "solve_state")
+        adjoints = count_calls(monkeypatch, optimizer_module, "solve_adjoint")
+        rep = optimize(reachable_problem(), None, OptimizeOptions(max_iter=200))
+        assert rep.converged
+        assert (rep.n_state_solves, rep.n_adjoint_solves) == (len(states), len(adjoints))
+        # one adjoint per accepted step and one at the start
+        assert rep.n_adjoint_solves == rep.n_iterations
+        # the ball stays inactive, so every trial is solved: accepted plus halved
+        assert rep.n_state_solves == rep.n_iterations + rep.n_halvings
+
+    def test_failed_line_search_counts_its_halvings(self, monkeypatch):
+        states = count_calls(monkeypatch, optimizer_module, "solve_state")
+        pd = small_problem(L=1e5, lam=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = optimize(
+                pd, None, OptimizeOptions(max_iter=5, initial_step=1e18, max_halvings=3)
+            )
+        assert "line search failed" in rep.message
+        # the start, then four rejected trials of the first line search
+        assert (rep.n_iterations, rep.n_halvings, rep.n_adjoint_solves) == (1, 3, 1)
+        assert rep.n_state_solves == len(states) == 5
 
     def test_deterministic(self):
         pd = small_problem(lam=0.1)

@@ -18,6 +18,7 @@ from .state import (
     ProblemData,
     StateSolution,
     Trajectory,
+    _check_aligned,
     _target_stack,
     get_ops,
     l2q_inner_values,
@@ -38,6 +39,10 @@ class AdjointState:
     p: np.ndarray
     mu: np.ndarray
     r: np.ndarray
+
+    def __post_init__(self):  # shared through the base's sweep memo
+        for a in (self.p, self.mu, self.r):
+            a.setflags(write=False)
 
     @property
     def p_traj(self) -> Trajectory:
@@ -91,11 +96,14 @@ def _adjoint_core(base: StateSolution, source: np.ndarray, pd: ProblemData) -> A
 def solve_adjoint(base: StateSolution, y_d, pd: ProblemData) -> AdjointState:
     """Adjoint of the tracking objective: source is the mismatch y - y_d.
 
-    y_d = None means the problem's own target pd.y_d.
+    y_d = None means the problem's own target pd.y_d. Read-only and memoized
+    on base: a repeat call with the same pd object and a mismatch of the same
+    bits returns the same AdjointState.
     """
     _check_base(base, pd)
     target = _target_stack(pd.y_d if y_d is None else y_d, pd.grid, pd.m_steps)
-    return _adjoint_core(base, base.y - target, pd)
+    source = base.y - target
+    return base._memo_sweep("adjoint", pd, source, lambda: _adjoint_core(base, source, pd))
 
 
 def duality_gap(
@@ -103,6 +111,7 @@ def duality_gap(
 ) -> float:
     """|<S'(u)w, phi>_rho - <w, A*(phi)>_tau|: zero up to roundoff."""
     _check_base(base, pd)
+    _check_aligned(phi_source, pd, "adjoint source phi")
     tangent = solve_linearized(base, w, pd)
     h = pd.grid.h
     lhs = l2q_inner_values(tangent.z, phi_source.data, left_weights(pd.m_steps, pd.dt), h)

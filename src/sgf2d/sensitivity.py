@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridMismatchError, arakawa, curl_values
-from .state import ProblemData, StateSolution, Trajectory, _march, get_ops
+from .grid import arakawa, curl_values
+from .state import ProblemData, StateSolution, Trajectory, _check_aligned, _march, get_ops
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,10 @@ class TangentState:
     z: np.ndarray
     dq: np.ndarray
     dpsi: np.ndarray
+
+    def __post_init__(self):  # shared through the base's sweep memo
+        for a in (self.z, self.dq, self.dpsi):
+            a.setflags(write=False)
 
     @property
     def z_traj(self) -> Trajectory:
@@ -72,12 +76,19 @@ def _propagate(
 
 
 def solve_linearized(base: StateSolution, w: Trajectory, pd: ProblemData) -> TangentState:
-    """Tangent z = S'(u)[w]: the derivative of every discrete step, z(0) = 0."""
+    """Tangent z = S'(u)[w]: the derivative of every discrete step, z(0) = 0.
+
+    Read-only and memoized on base: a repeat call with the same pd object and
+    a w of the same bits returns the same TangentState.
+    """
     _check_base(base, pd)
-    if w.grid != pd.grid or not w.is_vector or w.m_steps != pd.m_steps:
-        raise GridMismatchError("direction w is not aligned with the problem")
+    _check_aligned(w, pd, "direction w")
     h = pd.grid.h
-    return _propagate(base, pd, lambda k: curl_values(w.data[k + 1, 0], w.data[k + 1, 1], h))
+
+    def solve() -> TangentState:
+        return _propagate(base, pd, lambda k: curl_values(w.data[k + 1, 0], w.data[k + 1, 1], h))
+
+    return base._memo_sweep("tangent", pd, w.data, solve, copy_key=True)
 
 
 def solve_second(

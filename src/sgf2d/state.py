@@ -181,6 +181,17 @@ def control_h1_norm(u: Trajectory) -> float:
     return float(np.sqrt(np.dot(trap_weights(u.m_steps, u.dt), h1_sq)))
 
 
+def _check_aligned(traj: Trajectory, pd: ProblemData, what: str) -> None:
+    """Refuse a trajectory that is not a vector stack on pd's grid and time steps."""
+    if (
+        traj.grid != pd.grid
+        or not traj.is_vector
+        or traj.m_steps != pd.m_steps
+        or not math.isclose(traj.dt, pd.dt, rel_tol=1e-12)
+    ):
+        raise GridMismatchError(f"{what} is not aligned with the problem")
+
+
 def _target_stack(y_d, grid: Grid, m_steps: int) -> np.ndarray:
     """The target as an (m_steps+1, 2, n, n) array; None is the zero target."""
     n = grid.n_interior
@@ -324,7 +335,8 @@ class StateSolution:
     """Bundle returned by solve_state: the stream function, potential
     vorticity and velocity stacks of the trajectory. The vorticity, the H1
     and H3 norms (both in one stack pass) and the largest CFL number are
-    computed on first read."""
+    computed on first read. The last tangent and tracking-adjoint sweeps
+    around this state are kept on it (see _memo_sweep)."""
 
     pd: ProblemData
     u: Trajectory
@@ -359,6 +371,24 @@ class StateSolution:
         """Largest advective CFL number max|y| dt/h over all time slices."""
         return float(np.abs(self.y).max()) * self.pd.dt / self.pd.grid.h
 
+    @cached_property
+    def _sweeps(self) -> dict:
+        return {}
+
+    def _memo_sweep(self, kind: str, pd: ProblemData, key: np.ndarray, solve, copy_key=False):
+        """solve(), or the result of the last kind sweep on this state when that
+        had the same pd object and a key of the same bits (compared as int64,
+        so -0.0 is not 0.0). copy_key keeps a copy of a key the caller can write.
+        """
+        bits = key.view(np.int64)
+        slot = self._sweeps.get(kind)
+        if slot is not None and slot[0] is pd and np.array_equal(slot[1], bits):
+            return slot[2]
+        self._sweeps[kind] = slot = None  # free the old result before the sweep
+        result = solve()
+        self._sweeps[kind] = (pd, bits.copy() if copy_key else bits, result)
+        return result
+
     @property
     def velocity(self) -> Trajectory:
         return Trajectory(self.pd.grid, self.pd.dt, "velocity", self.y)
@@ -383,10 +413,7 @@ def solve_state(u: Trajectory | None, pd: ProblemData) -> StateSolution:
     """March the control-to-state map from y0 under the control u."""
     if u is None:
         u = pd.zero_control()
-    if u.grid != pd.grid or not u.is_vector:
-        raise GridMismatchError("control is not aligned with the problem grid")
-    if u.m_steps != pd.m_steps:
-        raise ValueError(f"control has {u.m_steps} steps, problem has {pd.m_steps}")
+    _check_aligned(u, pd, "control")
     ops = get_ops(pd)
     n = pd.grid.n_interior
     m = pd.m_steps

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import conftest
+from sgf2d import adjoint as adjoint_module
+from sgf2d import sensitivity as sensitivity_module
 from sgf2d.adjoint import duality_gap, gradient_field, solve_adjoint
 from sgf2d.certificates import (
     CertificateInputs,
@@ -53,7 +55,7 @@ from sgf2d.state import (
     trilinear_b,
 )
 
-from helpers import smooth_control, windowed_stream
+from helpers import count_calls, smooth_control, windowed_stream
 
 
 def record(num, ok, detail):
@@ -333,6 +335,20 @@ def test_criterion_07_hessian_coercivity(estimated_constants):
         f"hessian form exceeds (lam - threshold)|w|^2 for 20 random admissible "
         f"w at lam = 2x coercivity threshold {coer:.3f} (min margin {min_margin:.1e})",
     )
+
+
+def test_criterion_07_sweeps_the_tracking_adjoint_once(estimated_constants, monkeypatch):
+    # criterion 7's 20 Hessian forms share one base, so they share its adjoint
+    dc, _, _, _ = estimated_constants
+    g = Grid(16)
+    rep = certify(CertificateInputs.from_problem(certification_problem(g, 10, 0.0), dc))
+    pd = certification_problem(g, 10, 2.0 * rep.coercivity_threshold)
+    base = solve_state(None, pd)
+    tangents = count_calls(monkeypatch, sensitivity_module, "_propagate")
+    adjoints = count_calls(monkeypatch, adjoint_module, "_adjoint_core")
+    for i in range(20):
+        hessian_quadratic_form(base, start_control(pd, 40, i), pd, pd.lam)
+    assert (len(tangents), len(adjoints)) == (20, 1)
 
 
 def test_criterion_08_multistart_uniqueness(estimated_constants):

@@ -14,6 +14,7 @@ objective.
 import numpy as np
 import pytest
 
+from sgf2d import adjoint as adjoint_module
 from sgf2d import grid as grid_module
 from sgf2d import state as state_module
 from sgf2d.adjoint import _adjoint_core, duality_gap, gradient_field, solve_adjoint
@@ -162,6 +163,106 @@ class TestDuality:
             assert gap <= 1e-10 * pairing
             # the identity is symmetric in which factor plays the source
             assert duality_gap(base, phi, w, pd) <= 1e-9 * pairing
+
+    def test_misaligned_inputs_rejected(self):
+        pd = small_problem(n=8, m=4)
+        base = solve_state(None, pd)
+        w, phi = smooth_control(pd, 2), smooth_control(pd, 3)
+        n = pd.grid.n_interior
+        other = small_problem(n=9, m=4)
+        bad_phis = [
+            Trajectory(pd.grid, pd.dt, "control", np.zeros((pd.m_steps, 2, n, n))),
+            Trajectory(pd.grid, pd.dt, "vorticity", np.zeros((pd.m_steps + 1, n, n))),
+            other.zero_control(),
+            Trajectory(pd.grid, 0.37, "control", phi.data),
+        ]
+        for bad in bad_phis:
+            with pytest.raises(GridMismatchError, match="not aligned"):
+                duality_gap(base, w, bad, pd)
+        with pytest.raises(GridMismatchError, match="not aligned"):
+            duality_gap(base, Trajectory(pd.grid, 0.37, "control", w.data), phi, pd)
+
+
+class TestSweepMemo:
+    """The tracking adjoint kept on its base state, keyed by pd and the bits
+    of the mismatch y - y_d."""
+
+    def test_hit_returns_the_same_adjoint(self, monkeypatch):
+        pd = small_problem()
+        base = solve_state(smooth_control(pd, 1), pd)
+        sweeps = count_calls(monkeypatch, adjoint_module, "_adjoint_core")
+        adj = solve_adjoint(base, None, pd)
+        # the same target passed explicitly gives the same mismatch bits
+        assert solve_adjoint(base, pd.y_d, pd) is adj
+        assert solve_adjoint(base, None, pd) is adj
+        assert len(sweeps) == 1
+        ref = _adjoint_core(base, base.y - pd.target_stack(), pd)
+        for got, want in ((adj.p, ref.p), (adj.mu, ref.mu), (adj.r, ref.r)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_reassigned_target_recomputes(self):
+        pd = small_problem()
+        base = solve_state(smooth_control(pd, 1), pd)
+        adj = solve_adjoint(base, None, pd)
+        pd.y_d = velocity_from_stream(
+            stream_from_coeffs(pd.grid, 0.1 * np.random.default_rng(8).standard_normal((2, 2)))
+        )
+        adj2 = solve_adjoint(base, None, pd)
+        assert adj2 is not adj
+        ref = _adjoint_core(base, base.y - pd.target_stack(), pd)
+        assert adj2.p.tobytes() == ref.p.tobytes()
+        assert adj2.p.tobytes() != adj.p.tobytes()
+
+    def test_one_ulp_in_the_mismatch_is_a_miss(self):
+        # with no target the mismatch is y itself; a target of minus one ulp
+        # at a positive entry moves that mismatch entry up by exactly one ulp
+        pd = small_problem(with_target=False)
+        base = solve_state(smooth_control(pd, 1), pd)
+        adj = solve_adjoint(base, None, pd)
+        e = (4,) + np.unravel_index(np.argmax(base.y[4]), base.y[4].shape)
+        yd = np.zeros_like(base.y)
+        yd[e] = -np.spacing(base.y[e])
+        mismatch = base.y - yd
+        assert mismatch[e] == np.nextafter(base.y[e], np.inf)
+        adj2 = solve_adjoint(base, Trajectory(pd.grid, pd.dt, "target", yd), pd)
+        assert adj2 is not adj
+        assert adj2.p.tobytes() == _adjoint_core(base, mismatch, pd).p.tobytes()
+
+    def test_negative_zero_in_the_mismatch_is_a_miss(self):
+        # at rest the second velocity component is -0.0 everywhere, so a
+        # -0.0 target entry turns that mismatch entry from -0.0 into +0.0
+        g = Grid(8)
+        rest = velocity_from_stream(stream_from_coeffs(g, np.zeros((1, 1))))
+        pd = ProblemData(alpha=0.4, nu=0.2, T=0.25, grid=g, m_steps=4, y0=rest)
+        base = solve_state(None, pd)
+        assert np.signbit(base.y[2, 1, 3, 3])
+        yd = np.zeros_like(base.y)
+        adj = solve_adjoint(base, Trajectory(g, pd.dt, "target", yd), pd)
+        flipped = yd.copy()
+        flipped[2, 1, 3, 3] = -0.0
+        assert np.array_equal(base.y - flipped, base.y - yd)  # equal as numbers
+        assert solve_adjoint(base, Trajectory(g, pd.dt, "target", flipped), pd) is not adj
+
+    def test_other_problem_object_is_a_miss(self):
+        pd = small_problem()
+        base = solve_state(smooth_control(pd, 1), pd)
+        twin = ProblemData(
+            alpha=pd.alpha, nu=pd.nu, T=pd.T, grid=pd.grid, m_steps=pd.m_steps,
+            y0=pd.y0, y_d=pd.y_d,
+        )
+        adj = solve_adjoint(base, None, pd)
+        adj_twin = solve_adjoint(base, None, twin)
+        assert adj_twin is not adj and adj_twin.pd is twin
+        assert adj_twin.p.tobytes() == adj.p.tobytes()
+
+    def test_adjoint_arrays_are_read_only(self):
+        pd = small_problem()
+        base = solve_state(smooth_control(pd, 1), pd)
+        phi = smooth_control(pd, 2)
+        for adj in (solve_adjoint(base, None, pd), _adjoint_core(base, phi.data, pd)):
+            for a in (adj.p, adj.mu, adj.r):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[1] = 0.0
 
 
 class TestFusedAdjointSymbols:

@@ -31,10 +31,10 @@ from sgf2d.certificates import (
     hessian_bilinear_form,
     hessian_quadratic_form,
 )
-from sgf2d.adjoint import solve_adjoint
+from sgf2d.adjoint import duality_gap, solve_adjoint
 from sgf2d.grid import Grid, VectorField2D, velocity_from_stream
 from sgf2d.optimizer import cost
-from sgf2d.sensitivity import solve_linearized
+from sgf2d.sensitivity import solve_linearized, solve_second
 from sgf2d.spaces import DomainConstants, inner_l2, stream_from_coeffs
 from sgf2d.state import (
     ProblemData,
@@ -45,7 +45,9 @@ from sgf2d.state import (
     trap_weights,
 )
 
+from sgf2d import adjoint as adjoint_module
 from sgf2d import certificates as certificates_module
+from sgf2d import sensitivity as sensitivity_module
 
 from helpers import count_calls, smooth_control
 
@@ -371,3 +373,37 @@ class TestHessianForms:
         with pytest.raises(ValueError, match="unknown method"):
             hessian_quadratic_form(base, pd.zero_control(), pd, 0.0, method="fast")
         assert tangents == [] and adjoints == []
+
+
+class TestSweepSolveCounts:
+    """A sweep63-shaped op: duality gap, tangent, second order, Hessian form."""
+
+    @staticmethod
+    def op(base, w, phi, pd):
+        gap = duality_gap(base, w, phi, pd)
+        tan = solve_linearized(base, w, pd)
+        second = solve_second(base, tan, tan, pd)
+        return gap, hessian_quadratic_form(base, w, pd, pd.lam), tan.z, second.z
+
+    def test_each_sweep_once_per_base(self, monkeypatch):
+        pd = hessian_problem(n=16, m=4)
+        base = solve_state(smooth_control(pd, 3, amplitude=0.02), pd)
+        inputs = [
+            (smooth_control(pd, 4), smooth_control(pd, 5)),
+            (smooth_control(pd, 6), smooth_control(pd, 7)),
+        ]
+        # memo-free references: each input on a base of its own
+        refs = [self.op(solve_state(base.u, pd), w, phi, pd) for w, phi in inputs]
+        tangents = count_calls(monkeypatch, sensitivity_module, "_propagate")
+        adjoints = count_calls(monkeypatch, adjoint_module, "_adjoint_core")
+        # first op: the tangent and the second order; phi's and the tracking adjoint
+        got = self.op(base, *inputs[0], pd)
+        assert (len(tangents), len(adjoints)) == (2, 2)
+        tangents.clear()
+        adjoints.clear()
+        # second op on the same base: the tracking adjoint is kept
+        got2 = self.op(base, *inputs[1], pd)
+        assert (len(tangents), len(adjoints)) == (2, 1)
+        for out, ref in ((got, refs[0]), (got2, refs[1])):
+            assert out[:2] == ref[:2]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(out[2:], ref[2:]))

@@ -118,6 +118,13 @@ class TestLinearizedBasics:
         with pytest.raises(GridMismatchError, match="not aligned"):
             solve_linearized(base, short, pd)
 
+    def test_direction_with_other_step_size_rejected(self):
+        pd = small_problem(n=8, m=4)
+        base = solve_state(None, pd)
+        w = Trajectory(pd.grid, 0.37, "control", smooth_control(pd, 2).data)
+        with pytest.raises(GridMismatchError, match="not aligned"):
+            solve_linearized(base, w, pd)
+
 
 class TestLinearity:
     def test_homogeneous_in_direction(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sgf2d import grid as grid_module
-from sgf2d import spaces
+from sgf2d import sensitivity, spaces
 from sgf2d import state as state_module
 from sgf2d.certificates import CertificateInputs, check_state_bound
 from sgf2d.grid import (
@@ -18,6 +18,7 @@ from sgf2d.grid import (
     apply_symbol,
     arakawa,
     cross_quadrature,
+    curl_values,
     d1c,
     d2c,
     helmholtz_solve_values,
@@ -26,6 +27,7 @@ from sgf2d.grid import (
     velocity_from_stream,
 )
 from sgf2d.optimizer import cost
+from sgf2d.sensitivity import solve_linearized, solve_second
 from sgf2d.spaces import DomainConstants, norm_hk, norm_V, stream_from_coeffs
 from sgf2d.state import (
     BlowUpError,
@@ -330,6 +332,15 @@ class TestSolveState:
         with pytest.raises(GridMismatchError):
             solve_state(Trajectory.zeros(Grid(9), 5, pd.dt, "control"), pd)
 
+    def test_control_step_size_checked(self):
+        # same grid and slice count, sampled with another step size
+        pd = small_problem(m=5)
+        with pytest.raises(GridMismatchError, match="not aligned"):
+            solve_state(Trajectory.zeros(pd.grid, 5, 3.0 * pd.dt, "control"), pd)
+        # a dt that differs from pd.dt only by roundoff is the same step
+        u = Trajectory.zeros(pd.grid, 5, pd.dt * (1.0 + 1e-14), "control")
+        assert np.array_equal(solve_state(u, pd).y, solve_state(None, pd).y)
+
     def test_single_mode_decay_law_and_first_order(self):
         # semi-discrete law: omega(T) = omega0 * exp(-mu nu T / (1 + alpha mu));
         # the backward-Euler-in-time error is first order, so it halves with dt
@@ -527,6 +538,101 @@ class TestSolveState:
         chk = check_state_bound(sol, ci)
         assert chk.lhs == pytest.approx(float(np.max(sol.norms_h3)) ** 2, rel=1e-14)
         assert chk.holds
+
+
+def memo_free_tangent(base, w, pd):
+    """The tangent sweep of solve_linearized without the memo on base."""
+    h = pd.grid.h
+    return sensitivity._propagate(
+        base, pd, lambda k: curl_values(w.data[k + 1, 0], w.data[k + 1, 1], h)
+    )
+
+
+class TestSweepMemo:
+    """The tangent sweep kept on its base state, keyed by pd and the bits of w."""
+
+    def test_hit_returns_the_same_tangent(self, monkeypatch):
+        pd = small_problem()
+        base = solve_state(smooth_control(pd, 1), pd)
+        w = smooth_control(pd, 2)
+        sweeps = count_calls(monkeypatch, sensitivity, "_propagate")
+        tan = solve_linearized(base, w, pd)
+        # an equal w in a new Trajectory is a hit too: the key is the bits
+        assert solve_linearized(base, w * 1.0, pd) is tan
+        assert len(sweeps) == 1
+        ref = memo_free_tangent(base, w, pd)
+        for got, want in ((tan.z, ref.z), (tan.dq, ref.dq), (tan.dpsi, ref.dpsi)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_ulp_in_w_is_a_miss(self):
+        pd = small_problem()
+        base = solve_state(smooth_control(pd, 1), pd)
+        w = smooth_control(pd, 2)
+        tan = solve_linearized(base, w, pd)
+        data = w.data.copy()
+        data[3, 1, 7, 5] = np.nextafter(data[3, 1, 7, 5], np.inf)
+        w2 = w.with_data(data)
+        tan2 = solve_linearized(base, w2, pd)
+        assert tan2 is not tan
+        assert tan2.z.tobytes() == memo_free_tangent(base, w2, pd).z.tobytes()
+        assert tan2.z.tobytes() != tan.z.tobytes()
+
+    def test_negative_zero_is_a_miss(self):
+        pd = small_problem()
+        base = solve_state(smooth_control(pd, 1), pd)
+        w = pd.zero_control()
+        tan = solve_linearized(base, w, pd)
+        data = w.data.copy()
+        data[2, 0, 4, 4] = -0.0
+        assert np.array_equal(data, w.data)  # equal as numbers, not as bits
+        assert solve_linearized(base, w.with_data(data), pd) is not tan
+
+    def test_other_problem_object_is_a_miss(self):
+        pd = small_problem()
+        base = solve_state(smooth_control(pd, 1), pd)
+        w = smooth_control(pd, 2)
+        twin = ProblemData(
+            alpha=pd.alpha, nu=pd.nu, T=pd.T, grid=pd.grid, m_steps=pd.m_steps, y0=pd.y0
+        )
+        tan = solve_linearized(base, w, pd)
+        tan_twin = solve_linearized(base, w, twin)
+        assert tan_twin is not tan and tan_twin.pd is twin
+        assert tan_twin.z.tobytes() == tan.z.tobytes()
+
+    def test_caller_writes_into_the_array_behind_w(self):
+        # a Trajectory built on a view makes only the view read-only; the
+        # memo must keep its own copy of the key
+        pd = small_problem()
+        base = solve_state(smooth_control(pd, 1), pd)
+        owner = smooth_control(pd, 2).data.copy()
+        w = Trajectory(pd.grid, pd.dt, "control", owner[:])
+        tan = solve_linearized(base, w, pd)
+        owner *= 2.0
+        tan2 = solve_linearized(base, w, pd)
+        assert tan2 is not tan
+        assert tan2.z.tobytes() == memo_free_tangent(base, w, pd).z.tobytes()
+
+    def test_one_slot_per_base(self):
+        pd = small_problem()
+        base = solve_state(smooth_control(pd, 1), pd)
+        wa, wb = smooth_control(pd, 2), smooth_control(pd, 3)
+        ta = solve_linearized(base, wa, pd)
+        solve_linearized(base, wb, pd)
+        # wb took the slot, so wa is swept again (same bits, new object)
+        ta2 = solve_linearized(base, wa, pd)
+        assert ta2 is not ta and ta2.z.tobytes() == ta.z.tobytes()
+        other = solve_state(smooth_control(pd, 1), pd)
+        assert solve_linearized(other, wa, pd) is not ta2
+
+    def test_tangent_arrays_are_read_only(self):
+        pd = small_problem()
+        base = solve_state(smooth_control(pd, 1), pd)
+        w = smooth_control(pd, 2)
+        tan = solve_linearized(base, w, pd)
+        for t in (tan, solve_second(base, tan, tan, pd)):
+            for a in (t.z, t.dq, t.dpsi):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[1] = 0.0
 
 
 class TestTrilinearForm:

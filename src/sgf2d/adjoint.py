@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridMismatchError, apply_symbol, arakawa, curl_values, velocity_values
+from .grid import apply_symbol, arakawa, curl_values, velocity_values
 from .sensitivity import _check_base, solve_linearized
 from .state import (
     ProblemData,
@@ -101,7 +101,7 @@ def solve_adjoint(base: StateSolution, y_d, pd: ProblemData) -> AdjointState:
     bits returns the same AdjointState.
     """
     _check_base(base, pd)
-    target = _target_stack(pd.y_d if y_d is None else y_d, pd.grid, pd.m_steps)
+    target = _target_stack(pd.y_d if y_d is None else y_d, pd.grid, pd.m_steps, pd.dt)
     source = base.y - target
     return base._memo_sweep("adjoint", pd, source, lambda: _adjoint_core(base, source, pd))
 
@@ -126,6 +126,5 @@ def gradient_field(u: Trajectory, p: AdjointState, lam: float) -> Trajectory:
     Contract: sum_k tau_k h^2 <g_k, w_k> equals the directional derivative
     of the full cost along any direction w.
     """
-    if u.grid != p.pd.grid or u.m_steps != p.pd.m_steps:
-        raise GridMismatchError("control and adjoint are not aligned")
+    _check_aligned(u, p.pd, "control")
     return Trajectory(u.grid, u.dt, "control", lam * u.data + p.p)

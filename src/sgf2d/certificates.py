@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fieldio
 from .adjoint import AdjointState, solve_adjoint
-from .grid import arakawa, nonlinear_values
+from .grid import nonlinear_values
 from .sensitivity import solve_linearized, solve_second
 from .spaces import DomainConstants, _checked, norm_hk, stack_hk_sq
 from .state import (
@@ -317,9 +317,7 @@ def hessian_quadratic_form(
         track = l2q_inner_values(tan.z, tan.z, rho, h)
         cross = 0.0
         for k in range(m):
-            cross += float(
-                np.vdot(adj.r[k + 1], arakawa(tan.dq[k], tan.dpsi[k], h))
-            )
+            cross += float(np.vdot(adj.r[k + 1], tan.cross[k]))
         return track + reg - 2.0 * dt * cross
     z, p = tan.z, adj.p
     cross = nonlinear_values(z[:, 0], z[:, 1], p[:, 0], p[:, 1], pd.alpha, h)

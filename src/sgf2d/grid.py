@@ -178,25 +178,47 @@ def arakawa(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
     sum(c * J(a,b)) is exactly antisymmetric in every argument pair, which
     is what the conservation and transposition contracts rely on.
     """
-    ap, bp = pad0(a), pad0(b)
-    aE, aW = ap[..., 2:, 1:-1], ap[..., :-2, 1:-1]
-    aN, aS = ap[..., 1:-1, 2:], ap[..., 1:-1, :-2]
-    aNE, aNW = ap[..., 2:, 2:], ap[..., :-2, 2:]
-    aSE, aSW = ap[..., 2:, :-2], ap[..., :-2, :-2]
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    # Flattened over the whole padded stack, node (i, j) sits at p = i*s + j and
+    # each neighbour is a contiguous slice at offset +-1, +-s or +-s+-1. Every
+    # interior node reaches only its own slice's ghost ring; the ghost nodes,
+    # computed along the way, are dropped at the end.
+    s = a.shape[-1] + 2
+    ap = pad0(a)
+    af, bf = ap.reshape(-1), pad0(b).reshape(-1)
+    lo, hi = s + 1, af.size - s - 1  # p over [lo, hi) covers every interior node
+    size = hi - lo
     # every difference of b the stencil takes (bN - bS, bNE - bSE, bN - bE, ...)
     # is a shifted slice of one of these four, with the same two operands
-    dx = bp[..., 2:, :] - bp[..., :-2, :]  # b(i+1, j) - b(i-1, j)
-    dy = bp[..., 2:] - bp[..., :-2]  # b(i, j+1) - b(i, j-1)
-    up = bp[..., 1:, 1:] - bp[..., :-1, :-1]  # b(i+1, j+1) - b(i, j)
-    dn = bp[..., :-1, 1:] - bp[..., 1:, :-1]  # b(i, j+1) - b(i+1, j)
+    dy = bf[2:] - bf[:-2]  # dy[p - 1] = b(i, j+1) - b(i, j-1)
+    dx = bf[2 * s:] - bf[: -2 * s]  # dx[p - s] = b(i+1, j) - b(i-1, j)
+    up = bf[s + 1:] - bf[: -s - 1]  # up[p] = b(i+1, j+1) - b(i, j)
+    dn = bf[1: af.size - s + 1] - bf[s:]  # dn[p] = b(i, j+1) - b(i+1, j)
 
-    j1 = (aE - aW) * dy[..., 1:-1, :] - (aN - aS) * dx[..., 1:-1]
-    j2 = aE * dy[..., 2:, :] - aW * dy[..., :-2, :] - aN * dx[..., 2:] + aS * dx[..., :-2]
-    j3 = (
-        aNE * dn[..., 1:, 1:] - aSW * dn[..., :-1, :-1]
-        - aNW * up[..., :-1, 1:] + aSE * up[..., 1:, :-1]
-    )
-    return (j1 + j2 + j3) / (12.0 * h * h)
+    def a_at(offset):
+        return af[lo + offset: hi + offset]
+
+    aE, aW, aN, aS = a_at(s), a_at(-s), a_at(1), a_at(-1)
+    # j1 = (aE - aW)(bN - bS) - (aN - aS)(bE - bW), then j2 and j3 term by
+    # term, left to right; out= reuses the temporaries without changing a bit
+    j = aE - aW
+    j *= dy[s: s + size]
+    t = aN - aS
+    t *= dx[1: 1 + size]
+    j -= t
+    j2 = aE * dy[2 * s:]
+    j2 -= np.multiply(aW, dy[:size], out=t)
+    j2 -= np.multiply(aN, dx[2:], out=t)
+    j2 += np.multiply(aS, dx[:size], out=t)
+    j += j2
+    j3 = np.multiply(a_at(s + 1), dn[s + 1: s + 1 + size], out=j2)
+    j3 -= np.multiply(a_at(-s - 1), dn[:size], out=t)
+    j3 -= np.multiply(a_at(1 - s), up[1: 1 + size], out=t)
+    j3 += np.multiply(a_at(s - 1), up[s: s + size], out=t)
+    total = np.empty_like(ap)
+    np.add(j, j3, out=total.reshape(-1)[lo:hi])
+    return total[..., 1:-1, 1:-1] / (12.0 * h * h)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def cost(u: Trajectory, y: Trajectory, y_d, lam: float) -> float:
     that is not aligned with y is refused, not broadcast.
     """
     h = y.grid.h
-    mis = y.data - _target_stack(y_d, y.grid, y.m_steps)
+    mis = y.data - _target_stack(y_d, y.grid, y.m_steps, y.dt)
     track = l2q_inner_values(mis, mis, left_weights(y.m_steps, y.dt), h, 0.5)
     ctrl = l2q_inner_values(u.data, u.data, trap_weights(u.m_steps, u.dt), h, 0.5 * lam)
     return track + ctrl

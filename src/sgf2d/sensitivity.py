@@ -10,6 +10,7 @@ by roundoff. A sweep whose slices overflow raises BlowUpError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -31,6 +32,22 @@ class TangentState:
         for a in (self.z, self.dq, self.dpsi):
             a.setflags(write=False)
 
+    @cached_property
+    def cross(self) -> np.ndarray:
+        """Read-only stack of J(dq[k], dpsi[k]) for k < m, computed on first read.
+
+        A sweep along one tangent (solve_second(base, t, t)) and the exact
+        Hessian form both take their cross term from here.
+        """
+        h = self.pd.grid.h
+        out = np.empty_like(self.dq[:-1])
+        # slice by slice: one call on the whole stack would hold about 15
+        # temporaries of the stack's size
+        for k in range(out.shape[0]):
+            out[k] = arakawa(self.dq[k], self.dpsi[k], h)
+        out.setflags(write=False)
+        return out
+
     @property
     def z_traj(self) -> Trajectory:
         return Trajectory(self.pd.grid, self.pd.dt, "tangent", self.z)
@@ -41,14 +58,9 @@ class TangentState:
 
 
 def _check_base(base: StateSolution, pd: ProblemData) -> None:
-    b = base.pd
-    if (
-        b.grid != pd.grid
-        or b.m_steps != pd.m_steps
-        or b.alpha != pd.alpha
-        or b.nu != pd.nu
-        or b.T != pd.T
-    ):
+    """Refuse pd unless base was solved under its grid, m_steps, alpha, nu and T,
+    as they were when base was built (pd may be base.pd, changed since)."""
+    if base._solved_under != pd._sweep_params():
         raise ValueError("base solution was produced under different problem data")
 
 
@@ -98,7 +110,8 @@ def solve_second(
 
     Same propagator as solve_linearized, no control forcing, bilinear source
     from the interaction of the two tangents; symmetric in (t1, t2) by
-    construction.
+    construction. With one tangent object (t1 is t2) the source is
+    -2 * t1.cross[k], the same bits as the sum of its two equal terms.
     """
     _check_base(base, pd)
     for t in (t1, t2):
@@ -107,6 +120,8 @@ def solve_second(
     h = pd.grid.h
 
     def minus_cross(k: int) -> np.ndarray:
+        if t1 is t2:
+            return -2.0 * t1.cross[k]
         return -(arakawa(t1.dq[k], t2.dpsi[k], h) + arakawa(t2.dq[k], t1.dpsi[k], h))
 
     return _propagate(base, pd, minus_cross)

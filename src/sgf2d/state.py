@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -192,14 +192,21 @@ def _check_aligned(traj: Trajectory, pd: ProblemData, what: str) -> None:
         raise GridMismatchError(f"{what} is not aligned with the problem")
 
 
-def _target_stack(y_d, grid: Grid, m_steps: int) -> np.ndarray:
-    """The target as an (m_steps+1, 2, n, n) array; None is the zero target."""
+def _target_stack(y_d, grid: Grid, m_steps: int, dt: float) -> np.ndarray:
+    """The target as an (m_steps+1, 2, n, n) array; None is the zero target.
+    A target trajectory must match the grid, the step count and dt (to 1e-12
+    relative, as _check_aligned)."""
     n = grid.n_interior
     shape = (m_steps + 1, 2, n, n)
     if y_d is None:
         return np.zeros(shape)
     if isinstance(y_d, Trajectory):
-        if y_d.grid != grid or y_d.m_steps != m_steps or not y_d.is_vector:
+        if (
+            y_d.grid != grid
+            or y_d.m_steps != m_steps
+            or not y_d.is_vector
+            or not math.isclose(y_d.dt, dt, rel_tol=1e-12)
+        ):
             raise GridMismatchError("target trajectory is not aligned with the problem")
         return y_d.data
     if isinstance(y_d, VectorField2D):
@@ -248,7 +255,7 @@ class ProblemData:
             raise GridMismatchError("y0 lives on a different grid")
         if not self.y0.divergence_free or self.y0.stream is None:
             raise ValueError("y0 must be produced from a stream function")
-        _target_stack(self.y_d, self.grid, self.m_steps)  # validates y_d
+        _target_stack(self.y_d, self.grid, self.m_steps, self.dt)  # validates y_d
         speed = max(np.max(np.abs(self.y0.u1)), np.max(np.abs(self.y0.u2)))
         _warn_cfl(speed * self.dt / self.grid.h, stacklevel=3)
 
@@ -256,8 +263,12 @@ class ProblemData:
     def dt(self) -> float:
         return self.T / self.m_steps
 
+    def _sweep_params(self) -> tuple:
+        """What the sweeps around a solved state depend on: grid, m_steps, alpha, nu, T."""
+        return (self.grid, self.m_steps, self.alpha, self.nu, self.T)
+
     def target_stack(self) -> np.ndarray:
-        return _target_stack(self.y_d, self.grid, self.m_steps)
+        return _target_stack(self.y_d, self.grid, self.m_steps, self.dt)
 
     def zero_control(self) -> Trajectory:
         return Trajectory.zeros(self.grid, self.m_steps, self.dt, "control")
@@ -336,18 +347,21 @@ class StateSolution:
     vorticity and velocity stacks of the trajectory. The vorticity, the H1
     and H3 norms (both in one stack pass) and the largest CFL number are
     computed on first read. The last tangent and tracking-adjoint sweeps
-    around this state are kept on it (see _memo_sweep)."""
+    around this state are kept on it (see _memo_sweep). pd's parameters are
+    recorded when it is built, because ProblemData is mutable."""
 
     pd: ProblemData
     u: Trajectory
     psi: np.ndarray
     q: np.ndarray
     y: np.ndarray
+    _solved_under: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the cached properties read these stacks later, so they must not change
         for a in (self.psi, self.q, self.y):
             a.setflags(write=False)
+        object.__setattr__(self, "_solved_under", self.pd._sweep_params())
 
     @cached_property
     def omega(self) -> np.ndarray:

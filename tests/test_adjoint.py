@@ -117,6 +117,24 @@ class TestAdjointBasics:
         with pytest.raises(ValueError, match="y_d must be"):
             solve_adjoint(base, 3.0, pd)
 
+    def test_target_with_other_step_size_rejected(self):
+        # 14^2 x 10 against a target sampled with dt 0.37
+        pd = small_problem()
+        base = solve_state(None, pd)
+        target = Trajectory(pd.grid, 0.37, "target", base.y)
+        with pytest.raises(GridMismatchError, match="not aligned"):
+            solve_adjoint(base, target, pd)
+        with pytest.raises(GridMismatchError, match="not aligned"):
+            cost(smooth_control(pd, 1), base.velocity, target, pd.lam)
+        with pytest.raises(GridMismatchError, match="not aligned"):
+            ProblemData(
+                alpha=pd.alpha, nu=pd.nu, T=pd.T, grid=pd.grid, m_steps=pd.m_steps,
+                y0=pd.y0, y_d=target,
+            )
+        # a dt within 1e-12 relative is the same step
+        near = Trajectory(pd.grid, pd.dt * (1.0 + 1e-14), "target", base.y)
+        assert not np.any(solve_adjoint(base, near, pd).p)
+
     def test_affine_in_target(self):
         # p depends linearly on the mismatch y - y_d
         pd = small_problem()
@@ -352,6 +370,15 @@ class TestGradientField:
         other = small_problem(n=9)
         with pytest.raises(GridMismatchError, match="not aligned"):
             gradient_field(other.zero_control(), adj, 1.0)
+
+    def test_control_with_other_step_size_rejected(self):
+        pd = small_problem()
+        adj = solve_adjoint(solve_state(None, pd), None, pd)
+        u = smooth_control(pd, 2)
+        with pytest.raises(GridMismatchError, match="not aligned"):
+            gradient_field(Trajectory(pd.grid, 0.37, "control", u.data), adj, 1.0)
+        near = Trajectory(pd.grid, pd.dt * (1.0 + 1e-14), "control", u.data)
+        assert np.array_equal(gradient_field(near, adj, 1.0).data, gradient_field(u, adj, 1.0).data)
 
     def test_gradient_matches_central_differences(self):
         pd = strong_tracking_problem()

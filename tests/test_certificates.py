@@ -32,14 +32,16 @@ from sgf2d.certificates import (
     hessian_quadratic_form,
 )
 from sgf2d.adjoint import duality_gap, solve_adjoint
-from sgf2d.grid import Grid, VectorField2D, velocity_from_stream
+from sgf2d.grid import Grid, VectorField2D, arakawa, velocity_from_stream
 from sgf2d.optimizer import cost
 from sgf2d.sensitivity import solve_linearized, solve_second
 from sgf2d.spaces import DomainConstants, inner_l2, stream_from_coeffs
 from sgf2d.state import (
     ProblemData,
     control_h1_norm,
+    l2q_inner_values,
     l2q_norm,
+    left_weights,
     nonlinear_term,
     solve_state,
     trap_weights,
@@ -359,6 +361,21 @@ class TestHessianForms:
         q = hessian_quadratic_form(base, w, pd, pd.lam, method="pointwise")
         assert abs(q - ref) <= 64 * np.finfo(float).eps * scale
 
+    def test_exact_matches_per_step_loop(self):
+        # the exact form as a loop that takes J(dq_k, dpsi_k) fresh at every step
+        pd = hessian_problem(n=10, m=6)
+        base = solve_state(smooth_control(pd, 3, amplitude=0.02), pd)
+        w = unit_direction(pd, 4)
+        tan, adj = solve_linearized(base, w, pd), solve_adjoint(base, None, pd)
+        m, dt, h = pd.m_steps, pd.dt, pd.grid.h
+        track = l2q_inner_values(tan.z, tan.z, left_weights(m, dt), h)
+        reg = l2q_inner_values(w.data, w.data, trap_weights(m, dt), h, pd.lam)
+        cross = 0.0
+        for k in range(m):
+            cross += float(np.vdot(adj.r[k + 1], arakawa(tan.dq[k], tan.dpsi[k], h)))
+        ref = track + reg - 2.0 * dt * cross
+        assert hessian_quadratic_form(base, w, pd, pd.lam) == ref
+
     def test_unknown_method_rejected(self):
         pd = hessian_problem(n=10, m=6)
         base = solve_state(None, pd)
@@ -407,3 +424,16 @@ class TestSweepSolveCounts:
         for out, ref in ((got, refs[0]), (got2, refs[1])):
             assert out[:2] == ref[:2]
             assert all(a.tobytes() == b.tobytes() for a, b in zip(out[2:], ref[2:]))
+
+    def test_seven_arakawa_calls_per_step(self, monkeypatch):
+        # per step: 2 in the tangent, 2 in phi's adjoint, 2 in the second-order
+        # sweep and 1 for the tangent's J(dq, dpsi), which the second-order
+        # source and the Hessian form share; the tracking adjoint (2 more) is
+        # kept from the first op on the base
+        pd = hessian_problem(n=16, m=4)
+        base = solve_state(smooth_control(pd, 3, amplitude=0.02), pd)
+        self.op(base, smooth_control(pd, 4), smooth_control(pd, 5), pd)
+        calls = count_calls(monkeypatch, sensitivity_module, "arakawa")
+        calls_adj = count_calls(monkeypatch, adjoint_module, "arakawa")
+        self.op(base, smooth_control(pd, 6), smooth_control(pd, 7), pd)
+        assert (len(calls), len(calls_adj)) == (5 * pd.m_steps, 2 * pd.m_steps)

@@ -177,7 +177,8 @@ def _padded_stencils(a, b, h):
 
 
 class TestPadFreeStencils:
-    @pytest.mark.parametrize("n", [3, 16, 33])
+    # 63 is sweep63's grid, on the dense-matrix side of dstn
+    @pytest.mark.parametrize("n", [3, 4, 16, 33, 63])
     @pytest.mark.parametrize("layout", ["contiguous", "stack_slice", "transposed"])
     def test_bit_identical_to_np_pad(self, n, layout):
         g = Grid(n)
@@ -193,7 +194,9 @@ class TestPadFreeStencils:
         assert np.array_equal(lap5(a, g.h), lap)
         assert np.array_equal(d1c(a, g.h), d1)
         assert np.array_equal(d2c(a, g.h), d2)
-        assert np.array_equal(arakawa(a, b, g.h), jac)
+        got = arakawa(a, b, g.h)
+        assert np.array_equal(got, jac)
+        assert got.flags.c_contiguous and got.flags.writeable
         assert np.array_equal(pad0(a), np.pad(a, 1))
         assert np.array_equal(pad0(b), np.pad(b, 1))
 
@@ -217,7 +220,7 @@ def _batchable_stencils(a, b, h, axes):
 class TestBatchAxis:
     """Stencils act on the last two axes; every slice of a stack gets its 2-D bits."""
 
-    @pytest.mark.parametrize("lead", [(3,), (2, 2)])
+    @pytest.mark.parametrize("lead", [(3,), (2, 2), (20,)])
     @pytest.mark.parametrize("n", [3, 16])
     def test_stack_equals_per_slice(self, lead, n):
         h = Grid(n).h
@@ -225,6 +228,7 @@ class TestBatchAxis:
         a = rng.standard_normal(lead + (n, n))
         b = rng.standard_normal(lead + (n, n))
         batched = _batchable_stencils(a, b, h, (-2, -1))
+        assert batched["arakawa"].flags.c_contiguous and batched["arakawa"].flags.writeable
         for idx in np.ndindex(*lead):
             for name, want in _batchable_stencils(a[idx], b[idx], h, (0, 1)).items():
                 assert np.array_equal(batched[name][idx], want), name

@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from sgf2d.adjoint import duality_gap, solve_adjoint
-from sgf2d.grid import Grid, GridMismatchError, velocity_from_stream
-from sgf2d.sensitivity import solve_linearized, solve_second
+from sgf2d import sensitivity as sensitivity_module
+from sgf2d.grid import Grid, GridMismatchError, arakawa, velocity_from_stream
+from sgf2d.sensitivity import TangentState, solve_linearized, solve_second
 from sgf2d.spaces import stream_from_coeffs
 from sgf2d.state import (
     BlowUpError,
@@ -29,7 +30,7 @@ from sgf2d.state import (
     trap_weights,
 )
 
-from helpers import smooth_control
+from helpers import count_calls, smooth_control
 
 
 def small_problem(n=12, m=8, seed=5):
@@ -89,6 +90,27 @@ class TestLinearizedBasics:
         )
         with pytest.raises(ValueError, match="different problem data"):
             solver(base, other)
+
+    @pytest.mark.parametrize("name", ["nu", "alpha", "T"])
+    def test_base_of_changed_problem_data_refused(self, name):
+        # ProblemData is mutable and base.pd is the same object: the base
+        # records the parameters it was solved under
+        pd = small_problem()
+        base = solve_state(None, pd)
+        w = smooth_control(pd, 2)
+        kept = solve_linearized(base, w, pd)
+        solve_adjoint(base, None, pd)
+        old = getattr(pd, name)
+        setattr(pd, name, 2.0 * old)
+        for solver in (
+            lambda: solve_linearized(base, w, pd),
+            lambda: solve_adjoint(base, None, pd),
+            lambda: solve_second(base, kept, kept, pd),
+        ):
+            with pytest.raises(ValueError, match="different problem data"):
+                solver()
+        setattr(pd, name, old)
+        assert solve_linearized(base, w, pd) is kept
 
     def test_overflowing_direction_refused(self):
         # a direction of 1e306 overflows the curl at the walls; the tangent
@@ -165,6 +187,36 @@ class TestSecondOrder:
         z21 = solve_second(base, t2, t1, pd)
         # the cross source is assembled symmetrically, so this is bitwise
         assert np.array_equal(z12.z, z21.z)
+
+    def test_one_tangent_object_matches_the_two_call_path(self):
+        # t_copy is a distinct TangentState over the same arrays, so the
+        # second sweep takes the two-call cross term instead of 2 * t.cross
+        pd = small_problem()
+        base = solve_state(smooth_control(pd, 1), pd)
+        t = solve_linearized(base, smooth_control(pd, 2), pd)
+        t_copy = TangentState(t.pd, t.z, t.dq, t.dpsi)
+        one = solve_second(base, t, t, pd)
+        two = solve_second(base, t, t_copy, pd)
+        for a, b in ((one.z, two.z), (one.dq, two.dq), (one.dpsi, two.dpsi)):
+            assert a.tobytes() == b.tobytes()
+        assert "cross" not in vars(t_copy)
+
+    def test_cross_is_read_only_and_computed_once(self, monkeypatch):
+        pd = small_problem()
+        base = solve_state(smooth_control(pd, 1), pd)
+        t = solve_linearized(base, smooth_control(pd, 2), pd)
+        calls = count_calls(monkeypatch, sensitivity_module, "arakawa")
+        cross = t.cross
+        assert len(calls) == pd.m_steps
+        assert t.cross is cross
+        solve_second(base, t, t, pd)
+        assert len(calls) == pd.m_steps + 2 * pd.m_steps  # the sweep's own two per step
+        assert cross.shape == (pd.m_steps,) + pd.grid.shape
+        assert not cross.flags.writeable
+        with pytest.raises(ValueError):
+            cross[0, 0, 0] = 1.0
+        for k in range(pd.m_steps):
+            assert np.array_equal(cross[k], arakawa(t.dq[k], t.dpsi[k], pd.grid.h))
 
     def test_bilinear_scaling(self):
         pd = small_problem()

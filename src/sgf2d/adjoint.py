@@ -101,7 +101,7 @@ def solve_adjoint(base: StateSolution, y_d, pd: ProblemData) -> AdjointState:
     bits returns the same AdjointState.
     """
     _check_base(base, pd)
-    target = _target_stack(pd.y_d if y_d is None else y_d, pd.grid, pd.m_steps, pd.dt)
+    target = _target_stack(pd.y_d if y_d is None else y_d, pd)
     source = base.y - target
     return base._memo_sweep("adjoint", pd, source, lambda: _adjoint_core(base, source, pd))
 

@@ -198,29 +198,20 @@ class CertificateReport:
     @classmethod
     def from_text(cls, text: str) -> "CertificateReport":
         kw: dict = {"constants_source": {}}
-        seen: set[str] = set()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected 'key = value'")
-            key, _, val = (s.strip() for s in line.partition("="))
-            if key in seen:
-                raise ValueError(f"line {lineno}: duplicate key {key!r}")
-            seen.add(key)
+        for where, _, key, val in fieldio.read_pairs(text.splitlines(), "certificate"):
             if key in _REPORT_FLOATS:
                 kw[key] = float(val)
             elif key in _REPORT_BOOLS:
-                if val not in ("true", "false"):
-                    raise ValueError(f"line {lineno}: {key} must be true or false")
-                kw[key] = val == "true"
+                try:
+                    kw[key] = fieldio.bool_value(val)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {key}: {exc}") from exc
             elif key in _REPORT_STRS:
                 kw[key] = val
             elif key.startswith("source_"):
                 kw["constants_source"][key[len("source_"):]] = val
             else:
-                raise ValueError(f"line {lineno}: unknown key {key!r}")
+                raise ValueError(f"{where}: unknown key {key!r}")
         return cls(**kw)
 
     def write_text(self, path) -> None:

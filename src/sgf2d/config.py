@@ -1,9 +1,12 @@
 """Flat key-value run configuration.
 
-Format: one `name = value` per line, `#` comments, optional `[problem]`,
-`[run]`, `[constants]` section headers. Keys before any header belong to
-[problem]. Unknown keys are rejected with file:line and a close-match
-suggestion; invariant violations name the offending field.
+Format: one `name = value` per line, optional `[problem]`, `[run]`,
+`[constants]` section headers; keys before any header belong to [problem].
+Lines are read by `fieldio.read_pairs`, the reader of constants files and
+certificates too: `#` starts a comment anywhere on a line, and a line without
+`=`, a repeated key or an unknown section is refused with file:line. Unknown
+keys are rejected with file:line and a close-match suggestion; invariant
+violations name the offending field.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldio import read_field
+from .fieldio import read_field, read_pairs
 from .grid import Grid, ScalarField2D, VectorField2D, velocity_from_stream
 from .spaces import _INEQUALITIES, CONSTANT_NAMES, DomainConstants, load_constants
 from .state import ProblemData, Trajectory
@@ -24,52 +27,37 @@ class ConfigError(ValueError):
     """Raised for unparsable configs and invariant violations."""
 
 
+# every key of [problem] and [run] as name: (type, default); _REQUIRED has none
+_REQUIRED = object()
 _PROBLEM_KEYS = {
-    "alpha": float,
-    "nu": float,
-    "T": float,
-    "grid": int,
-    "steps": int,
-    "L": float,
-    "lambda": float,
-    "y0_modes": str,
-    "yd_modes": str,
-    "yd_from": str,
+    "alpha": (float, _REQUIRED),
+    "nu": (float, _REQUIRED),
+    "T": (float, _REQUIRED),
+    "grid": (int, _REQUIRED),
+    "steps": (int, _REQUIRED),
+    "L": (float, 1.0),
+    "lambda": (float, 0.0),
+    "y0_modes": (str, ""),
+    "yd_modes": (str, ""),
+    "yd_from": (str, ""),
 }
 _RUN_KEYS = {
-    "seed": int,
-    "snapshot_every": int,
-    "tol": float,
-    "max_iter": int,
-    "n_starts": int,
-    "samples": int,
-    "kinds": str,
-    "lambda3_reading": str,
-    "u_norm_source": str,
-    "constants_file": str,
+    "seed": (int, 0),
+    "snapshot_every": (int, 0),
+    "tol": (float, None),
+    "max_iter": (int, None),
+    "n_starts": (int, 4),
+    "samples": (int, 100),
+    "kinds": (str, "korn,elliptic,trilinear"),
+    "lambda3_reading": (str, "printed"),
+    "u_norm_source": (str, "ball_bound"),
+    "constants_file": (str, ""),
 }
 _SECTION_KEYS = {
     "problem": _PROBLEM_KEYS,
     "run": _RUN_KEYS,
-    "constants": {name: float for name in CONSTANT_NAMES},
-}
-
-_DEFAULTS = {
-    "L": 1.0,
-    "lambda": 0.0,
-    "y0_modes": "",
-    "yd_modes": "",
-    "yd_from": "",
-    "seed": 0,
-    "snapshot_every": 0,
-    "tol": None,
-    "max_iter": None,
-    "n_starts": 4,
-    "samples": 100,
-    "kinds": "korn,elliptic,trilinear",
-    "lambda3_reading": "printed",
-    "u_norm_source": "ball_bound",
-    "constants_file": "",
+    # an unset constant keeps DomainConstants's default
+    "constants": dict.fromkeys(CONSTANT_NAMES, (float, None)),
 }
 
 
@@ -118,28 +106,13 @@ def parse_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
-    section = "problem"
-    seen: dict[str, object] = {}
+    try:
+        pairs = list(read_pairs(raw_lines, path, tuple(_SECTION_KEYS)))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    values = {k: d for keys in (_PROBLEM_KEYS, _RUN_KEYS) for k, (_, d) in keys.items()}
     inline_constants: dict[str, float] = {}
-    for lineno, raw in enumerate(raw_lines, start=1):
-        where = f"{path}:{lineno}"
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"{where}: malformed section header {line!r}")
-            name = line[1:-1].strip()
-            if name not in _SECTION_KEYS:
-                raise ConfigError(
-                    f"{where}: unknown section [{name}]; expected "
-                    + ", ".join(f"[{s}]" for s in _SECTION_KEYS)
-                )
-            section = name
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{where}: expected 'name = value'")
-        key, _, val = (s.strip() for s in line.partition("="))
+    for where, section, key, val in pairs:
         keys = _SECTION_KEYS[section]
         if key not in keys:
             hint = ""
@@ -148,23 +121,17 @@ def parse_config(path) -> RunConfig:
             if close:
                 hint = f"; did you mean {close[0]!r}?"
             raise ConfigError(f"{where}: unknown key {key!r} in [{section}]{hint}")
-        conv = keys[key]
         try:
-            parsed = conv(val)
+            parsed = keys[key][0](val)
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
-        target = inline_constants if section == "constants" else seen
-        if key in target:
-            raise ConfigError(f"{where}: duplicate key {key!r}")
-        target[key] = parsed
+        (inline_constants if section == "constants" else values)[key] = parsed
         if key in ("y0_modes", "yd_modes"):
             _parse_modes(parsed, where)
 
-    for req in ("alpha", "nu", "T", "grid", "steps"):
-        if req not in seen:
-            raise ConfigError(f"{path}: missing required key {req!r}")
-    values = dict(_DEFAULTS)
-    values.update(seen)
+    for key, value in values.items():
+        if value is _REQUIRED:
+            raise ConfigError(f"{path}: missing required key {key!r}")
 
     for name, cond, msg in (
         ("alpha", values["alpha"] > 0, "must be positive"),

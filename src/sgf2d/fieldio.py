@@ -15,7 +15,9 @@ value through ``text_value``: floats, NumPy floats included, as ``%.17g``,
 so they read back to the same float64; bools as ``true``/``false``; anything
 else as ``str``. ``pairs_text`` writes a title line and one ``key = value``
 line per pair; ``write_rows`` writes a CSV of a header line and one line per
-row, lines ending in ``\n``.
+row, lines ending in ``\n``. ``read_pairs`` is the one reader of ``key = value``
+text (configs, constants files, certificates) and ``bool_value`` reads a bool
+back.
 """
 
 from __future__ import annotations
@@ -93,6 +95,45 @@ def text_value(v) -> str:
     if isinstance(v, (float, np.floating)):
         return "%.17g" % v
     return str(v)
+
+
+def bool_value(text: str) -> bool:
+    """The inverse of text_value on bools: ``true`` or ``false``, nothing else."""
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+def read_pairs(lines, source, sections=()):
+    """Yield (where, section, key, value) per ``key = value`` line; the inverse
+    of pairs_text. ``where`` is ``source:lineno``.
+
+    ``#`` starts a comment anywhere on a line and blank lines are skipped. A
+    ``[name]`` line starts a section and is accepted only for a name in
+    ``sections``; lines before any header belong to the first of them (None
+    when there are none). A line without ``=`` and a key repeated within a
+    section raise ValueError.
+    """
+    section = sections[0] if sections else None
+    seen = set()
+    for lineno, raw in enumerate(lines, start=1):
+        where = f"{source}:{lineno}"
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in sections:
+                expected = ", ".join(f"[{s}]" for s in sections) or "none"
+                raise ValueError(f"{where}: unknown section [{section}]; expected {expected}")
+            continue
+        if "=" not in line:
+            raise ValueError(f"{where}: expected 'name = value'")
+        key, _, value = (s.strip() for s in line.partition("="))
+        if (section, key) in seen:
+            raise ValueError(f"{where}: duplicate key {key!r}")
+        seen.add((section, key))
+        yield where, section, key, value
 
 
 def pairs_text(title: str, pairs) -> str:

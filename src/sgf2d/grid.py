@@ -69,12 +69,9 @@ class ScalarField2D:
 
     grid: Grid
     values: np.ndarray
-    boundary_rule: str = "dirichlet_zero"
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values, self.grid.shape))
-        if self.boundary_rule != "dirichlet_zero":
-            raise ValueError(f"unsupported boundary rule {self.boundary_rule!r}")
 
 
 @dataclass(frozen=True)

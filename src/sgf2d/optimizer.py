@@ -1,11 +1,13 @@
 """Projected-gradient solver for the tracking control problem on a norm ball.
 
 The admissible set is the centered ball of radius L in the discrete
-L2(0,T;H1) norm; projection is radial (exact for a centered ball in a
-Hilbert norm). Each line search starts from the short Barzilai-Borwein step
-(BB2) <s,y>/<y,y> in the trapezoid-weighted L2(Q) pairing, with s and y the
-last iterate and gradient differences; when <s,y> <= 0 (no positive
-curvature along s) the previous step is kept. The step is then halved until
+L2(0,T;H1) norm; projection is radial. A radial map is the metric projection
+only in the ball's own H1 norm, not in the L2(Q) metric the gradient step
+uses, so with the ball active the line search can fail short of the optimum.
+Each line search starts from the short Barzilai-Borwein step (BB2)
+<s,y>/<y,y> in the trapezoid-weighted L2(Q) pairing, with s and y the last
+iterate and gradient differences; when <s,y> <= 0 (no positive curvature
+along s) the previous step is kept. The step is then halved until
 the monotone Armijo test holds, so J never rises on an accepted step.
 """
 
@@ -46,14 +48,19 @@ def cost(u: Trajectory, y: Trajectory, y_d, lam: float) -> float:
     that is not aligned with y is refused, not broadcast.
     """
     h = y.grid.h
-    mis = y.data - _target_stack(y_d, y.grid, y.m_steps, y.dt)
+    mis = y.data - _target_stack(y_d, y)
     track = l2q_inner_values(mis, mis, left_weights(y.m_steps, y.dt), h, 0.5)
     ctrl = l2q_inner_values(u.data, u.data, trap_weights(u.m_steps, u.dt), h, 0.5 * lam)
     return track + ctrl
 
 
 def project_Uad(u: Trajectory, L: float) -> Trajectory:
-    """Metric projection onto the centered L2(0,T;H1) ball of radius L."""
+    """Radial projection onto the centered L2(0,T;H1) ball of radius L.
+
+    This is the metric projection in the ball's own H1 norm, not in the
+    L2(Q) metric of the gradient step: outside the ball its result is in
+    general not the L2(Q)-nearest point of the ball.
+    """
     if L <= 0:
         raise ValueError("L must be positive")
     r = control_h1_norm(u)
@@ -107,8 +114,6 @@ class OptimizeReport:
     converged: bool
     message: str
     wall_time: float
-    final_norm_h1_max: float
-    final_norm_h3_max: float
     tol: float
     final_state: StateSolution  # solve_state(u_final), so callers need not solve again
     n_state_solves: int
@@ -118,6 +123,14 @@ class OptimizeReport:
     @property
     def n_iterations(self) -> int:
         return len(self.iterates)
+
+    @property
+    def final_norm_h1_max(self) -> float:
+        return float(np.max(self.final_state.norms_h1))
+
+    @property
+    def final_norm_h3_max(self) -> float:
+        return float(np.max(self.final_state.norms_h3))
 
     def write_csv(self, path) -> None:
         header = ["iteration", "J", "grad_norm", "step", "vi_residual"]
@@ -205,8 +218,6 @@ def optimize(
         converged=converged,
         message=message,
         wall_time=time.perf_counter() - t0,
-        final_norm_h1_max=float(np.max(sol.norms_h1)),
-        final_norm_h3_max=float(np.max(sol.norms_h3)),
         tol=tol,
         final_state=sol,
         n_state_solves=n_state,

@@ -231,75 +231,46 @@ def save_constants(path, dc: DomainConstants) -> None:
 def load_constants(path) -> DomainConstants:
     values: dict[str, float] = {}
     sources: dict[str, str] = {}
-    seen: set[str] = set()
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'name = value'")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            seen.add(key)
-            if key.endswith("_source"):
-                sources[key[: -len("_source")]] = val
-            elif key in CONSTANT_NAMES:
-                values[key] = float(val)
+        for where, _, key, val in fieldio.read_pairs(fh, path):
+            name = key.removesuffix("_source")
+            if name not in CONSTANT_NAMES:
+                raise ValueError(f"{where}: unknown constant {key!r}")
+            if name == key:
+                values[name] = float(val)
             else:
-                raise ValueError(f"{path}:{lineno}: unknown constant {key!r}")
-    dc = DomainConstants(**values)
-    for name, src in sources.items():
-        if name not in CONSTANT_NAMES:
-            raise ValueError(f"unknown constant {name!r} in source entry")
-        dc.source[name] = src
-    # re-validate the sources that were just overwritten
-    DomainConstants(**{n: getattr(dc, n) for n in CONSTANT_NAMES}, source=dict(dc.source))
-    return dc
+                sources[name] = val
+    return DomainConstants(**values, source=sources)
 
 
 # ---------------------------------------------------------------------------
 # random divergence-free sample fields (stream-function protocol)
 
-def stream_values(grid: Grid, coeffs: np.ndarray, profile: str = "sine") -> np.ndarray:
-    """Values of sum_{kl} c_kl m_k(x1) m_l(x2) for (..., k, l) mode coefficients.
-
-    profile "sine": m_k = sin(k pi x) (free-slip samples);
-    profile "squared_sine": m_k = sin^2(k pi x) (velocity vanishes on walls).
-    """
+def stream_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Values of sum_{kl} c_kl sin(k pi x1) sin(l pi x2) for (..., k, l) mode
+    coefficients (free-slip samples)."""
     coeffs = np.asarray(coeffs, dtype=float)
     x = np.arange(1, grid.n_interior + 1) * grid.h
     k = np.arange(1, coeffs.shape[-2] + 1)
     l = np.arange(1, coeffs.shape[-1] + 1)
-    if profile == "sine":
-        m1 = np.sin(np.pi * np.outer(k, x))
-        m2 = np.sin(np.pi * np.outer(l, x))
-    elif profile == "squared_sine":
-        m1 = np.sin(np.pi * np.outer(k, x)) ** 2
-        m2 = np.sin(np.pi * np.outer(l, x)) ** 2
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
+    m1 = np.sin(np.pi * np.outer(k, x))
+    m2 = np.sin(np.pi * np.outer(l, x))
     return m1.T @ coeffs @ m2
 
 
-def stream_from_coeffs(
-    grid: Grid, coeffs: np.ndarray, profile: str = "sine"
-) -> ScalarField2D:
-    """Stream function sum_{kl} c_kl m_k(x1) m_l(x2) from (k, l) mode coefficients
-    (profiles as in stream_values)."""
-    return ScalarField2D(grid, stream_values(grid, coeffs, profile))
+def stream_from_coeffs(grid: Grid, coeffs: np.ndarray) -> ScalarField2D:
+    """Stream function of (k, l) sine-mode coefficients, as in stream_values."""
+    return ScalarField2D(grid, stream_values(grid, coeffs))
 
 
 def random_velocity(
     grid: Grid,
     rng: np.random.Generator,
     n_modes: int = 8,
-    profile: str = "sine",
     amplitude: float = 1.0,
 ) -> VectorField2D:
     coeffs = amplitude * rng.standard_normal((n_modes, n_modes))
-    return velocity_from_stream(stream_from_coeffs(grid, coeffs, profile))
+    return velocity_from_stream(stream_from_coeffs(grid, coeffs))
 
 
 # ---------------------------------------------------------------------------

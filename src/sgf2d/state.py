@@ -181,36 +181,30 @@ def control_h1_norm(u: Trajectory) -> float:
     return float(np.sqrt(np.dot(trap_weights(u.m_steps, u.dt), h1_sq)))
 
 
-def _check_aligned(traj: Trajectory, pd: ProblemData, what: str) -> None:
-    """Refuse a trajectory that is not a vector stack on pd's grid and time steps."""
+def _check_aligned(traj: Trajectory, like, what: str) -> None:
+    """Refuse a trajectory that is not a vector stack on the grid and time steps
+    of like, a ProblemData or a Trajectory."""
     if (
-        traj.grid != pd.grid
+        traj.grid != like.grid
         or not traj.is_vector
-        or traj.m_steps != pd.m_steps
-        or not math.isclose(traj.dt, pd.dt, rel_tol=1e-12)
+        or traj.m_steps != like.m_steps
+        or not math.isclose(traj.dt, like.dt, rel_tol=1e-12)
     ):
         raise GridMismatchError(f"{what} is not aligned with the problem")
 
 
-def _target_stack(y_d, grid: Grid, m_steps: int, dt: float) -> np.ndarray:
-    """The target as an (m_steps+1, 2, n, n) array; None is the zero target.
-    A target trajectory must match the grid, the step count and dt (to 1e-12
-    relative, as _check_aligned)."""
-    n = grid.n_interior
-    shape = (m_steps + 1, 2, n, n)
+def _target_stack(y_d, like) -> np.ndarray:
+    """The target as an (m_steps+1, 2, n, n) array on the grid and steps of like
+    (a ProblemData or a Trajectory); None is the zero target."""
+    n = like.grid.n_interior
+    shape = (like.m_steps + 1, 2, n, n)
     if y_d is None:
         return np.zeros(shape)
     if isinstance(y_d, Trajectory):
-        if (
-            y_d.grid != grid
-            or y_d.m_steps != m_steps
-            or not y_d.is_vector
-            or not math.isclose(y_d.dt, dt, rel_tol=1e-12)
-        ):
-            raise GridMismatchError("target trajectory is not aligned with the problem")
+        _check_aligned(y_d, like, "target trajectory")
         return y_d.data
     if isinstance(y_d, VectorField2D):
-        if y_d.grid != grid:
+        if y_d.grid != like.grid:
             raise GridMismatchError("target lives on a different grid")
         return np.broadcast_to(np.stack([y_d.u1, y_d.u2]), shape)
     raise ValueError("y_d must be a Trajectory, a VectorField2D, or None")
@@ -255,7 +249,7 @@ class ProblemData:
             raise GridMismatchError("y0 lives on a different grid")
         if not self.y0.divergence_free or self.y0.stream is None:
             raise ValueError("y0 must be produced from a stream function")
-        _target_stack(self.y_d, self.grid, self.m_steps, self.dt)  # validates y_d
+        _target_stack(self.y_d, self)  # validates y_d
         speed = max(np.max(np.abs(self.y0.u1)), np.max(np.abs(self.y0.u2)))
         _warn_cfl(speed * self.dt / self.grid.h, stacklevel=3)
 
@@ -268,7 +262,7 @@ class ProblemData:
         return (self.grid, self.m_steps, self.alpha, self.nu, self.T)
 
     def target_stack(self) -> np.ndarray:
-        return _target_stack(self.y_d, self.grid, self.m_steps, self.dt)
+        return _target_stack(self.y_d, self)
 
     def zero_control(self) -> Trajectory:
         return Trajectory.zeros(self.grid, self.m_steps, self.dt, "control")

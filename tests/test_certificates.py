@@ -182,13 +182,32 @@ class TestReportIO:
 
     def test_from_text_rejects_malformed(self):
         rep = certify(crafted_inputs())
-        with pytest.raises(ValueError, match="key = value"):
+        with pytest.raises(ValueError, match="expected 'name = value'"):
             CertificateReport.from_text(rep.to_text() + "stray line\n")
         with pytest.raises(ValueError, match="unknown key"):
             CertificateReport.from_text(rep.to_text() + "lambda9 = 1.0\n")
         bad = rep.to_text().replace("illustrative = true", "illustrative = yes")
         with pytest.raises(ValueError, match="true or false"):
             CertificateReport.from_text(bad)
+
+    def test_from_text_skips_comments_and_blanks(self):
+        rep = certify(crafted_inputs())
+        title, *lines = rep.to_text().splitlines()
+        text = "\n".join([title, ""] + [f"{line}  # note" for line in lines] + ["", ""])
+        assert CertificateReport.from_text(text) == rep
+
+    def test_from_text_rejects_section_line(self):
+        text = certify(crafted_inputs()).to_text()
+        n = len(text.splitlines()) + 1
+        with pytest.raises(ValueError, match=rf"certificate:{n}: unknown section \[x\]"):
+            CertificateReport.from_text(text + "[x]\n")
+
+    def test_from_text_bare_line_message(self):
+        text = certify(crafted_inputs()).to_text()
+        n = len(text.splitlines()) + 1
+        with pytest.raises(ValueError) as exc:
+            CertificateReport.from_text(text + "stray line\n")
+        assert str(exc.value) == f"certificate:{n}: expected 'name = value'"
 
     def test_from_text_rejects_repeated_key(self):
         # an appended line must not override the certified value

@@ -192,6 +192,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"unknown section \[weird\]"):
             parse_config(p2)
 
+    def test_bare_line_message(self, tmp_path):
+        p = write_cfg(tmp_path, MINIMAL + "just words  # comment\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(p)
+        assert str(exc.value) == f"{p}:7: expected 'name = value'"
+
     def test_mode_syntax_errors(self, tmp_path):
         p = write_cfg(tmp_path, MINIMAL + "y0_modes = 1,1\n")
         with pytest.raises(ConfigError, match="is not 'k1,k2,amplitude'"):

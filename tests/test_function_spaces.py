@@ -375,6 +375,19 @@ class TestDomainConstants:
         with pytest.raises(ValueError, match="expected"):
             load_constants(path)
 
+    def test_load_bare_line_message(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("K = 1.0\nK 1.0\n")
+        with pytest.raises(ValueError) as exc:
+            load_constants(path)
+        assert str(exc.value) == f"{path}:2: expected 'name = value'"
+
+    def test_load_rejects_section_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("K = 1.0\n[constants]\nC1 = 2.0\n")
+        with pytest.raises(ValueError, match=r"bad.txt:2: unknown section \[constants\]"):
+            load_constants(path)
+
     def test_load_skips_comments_and_blanks(self, tmp_path):
         path = tmp_path / "ok.txt"
         path.write_text("# header\n\nK = 3.5  # trailing\nK_source = user_supplied\n")
@@ -551,10 +564,6 @@ class TestStreamFields:
         x1, x2 = g.coords()
         expected = 0.8 * np.sin(2 * np.pi * x1) * np.sin(3 * np.pi * x2)
         assert np.abs(psi.values - expected).max() < 1e-14
-
-    def test_unknown_profile(self):
-        with pytest.raises(ValueError):
-            stream_from_coeffs(Grid(6), np.ones((2, 2)), profile="cosine")
 
     def test_random_velocity_divergence_free_and_seeded(self):
         g = Grid(10)

@@ -1,4 +1,5 @@
-"""Static checks over the package source: every module imports only what it uses."""
+"""Static checks over the package source: every module imports only what it
+uses, and only fieldio splits ``key = value`` lines."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,29 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def equals_splits(tree: ast.Module) -> list[int]:
+    """Line numbers of every ``.partition("=")`` or ``.split("=")`` style call."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("partition", "rpartition", "split", "rsplit")
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == "="
+    )
+
+
+def test_fieldio_splits_pairs():
+    assert equals_splits(ast.parse((SRC / "fieldio.py").read_text()))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "fieldio.py"], ids=lambda p: p.name
+)
+def test_only_fieldio_splits_pairs(path):
+    # every key = value reader goes through fieldio.read_pairs
+    assert equals_splits(ast.parse(path.read_text())) == []

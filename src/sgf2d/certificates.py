@@ -11,7 +11,7 @@ from the per-slice integrand (method="pointwise").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,14 +71,11 @@ class CertificateInputs:
     ) -> "CertificateInputs":
         h = pd.grid.h
         tau = trap_weights(pd.m_steps, pd.dt)
-        if u_norm_source == "ball_bound":
-            n_u = math.sqrt(pd.T) * pd.L
-        elif u_norm_source == "actual":
+        n_u = math.sqrt(pd.T) * pd.L  # the ball bound; __post_init__ checks the source
+        if u_norm_source == "actual":
             if u is None:
                 raise ValueError("u_norm_source='actual' requires the control u")
             n_u = float(np.dot(tau, np.sqrt(stack_hk_sq(u.data, h, 1)[1])))
-        else:
-            raise ValueError("u_norm_source must be 'actual' or 'ball_bound'")
         target = pd.target_stack()
         n_yd = math.sqrt(l2q_inner_values(target, target, tau, h))
         return cls(
@@ -142,20 +139,9 @@ def compute_lambda4(ci: CertificateInputs, lambda1: float) -> float:
     return math.sqrt(2.0 * c.K_tilde * bracket * data)
 
 
-_REPORT_FLOATS = (
-    "lambda1",
-    "lambda2",
-    "lambda3",
-    "lambda3_printed",
-    "lambda3_derived",
-    "lambda3_rel_discrepancy",
-    "lambda4",
-    "lam",
-    "coercivity_threshold",
-    "uniqueness_threshold",
-)
-_REPORT_BOOLS = ("verdict_second_order", "verdict_uniqueness", "illustrative")
-_REPORT_STRS = ("lambda3_reading", "u_norm_source")
+# how from_text reads each field type back; the fields themselves, in their
+# declared order, are the text schema
+_TEXT_TYPES = {"float": float, "bool": fieldio.bool_value, "str": str}
 
 
 @dataclass(frozen=True)
@@ -166,7 +152,6 @@ class CertificateReport:
     lambda3_printed: float
     lambda3_derived: float
     lambda3_rel_discrepancy: float
-    lambda3_reading: str
     lambda4: float
     lam: float
     coercivity_threshold: float
@@ -174,6 +159,7 @@ class CertificateReport:
     verdict_second_order: bool
     verdict_uniqueness: bool
     illustrative: bool
+    lambda3_reading: str
     u_norm_source: str
     constants_source: dict = field(default_factory=dict)
 
@@ -185,10 +171,14 @@ class CertificateReport:
         if self.verdict_uniqueness != (self.lam > self.uniqueness_threshold):
             raise ValueError("uniqueness verdict inconsistent with stored values")
 
+    @classmethod
+    def _text_fields(cls) -> dict:
+        """name: reader of every field written as its own line, in written order."""
+        return {f.name: _TEXT_TYPES[f.type] for f in fields(cls) if f.type in _TEXT_TYPES}
+
     def _pairs(self) -> list:
         """(name, value) of every written field, in the order of both artifacts."""
-        names = _REPORT_FLOATS + _REPORT_BOOLS + _REPORT_STRS
-        return [(n, getattr(self, n)) for n in names] + [
+        return [(n, getattr(self, n)) for n in self._text_fields()] + [
             (f"source_{c}", self.constants_source[c]) for c in sorted(self.constants_source)
         ]
 
@@ -197,21 +187,18 @@ class CertificateReport:
 
     @classmethod
     def from_text(cls, text: str) -> "CertificateReport":
+        readers = cls._text_fields()
         kw: dict = {"constants_source": {}}
         for where, _, key, val in fieldio.read_pairs(text.splitlines(), "certificate"):
-            if key in _REPORT_FLOATS:
-                kw[key] = float(val)
-            elif key in _REPORT_BOOLS:
-                try:
-                    kw[key] = fieldio.bool_value(val)
-                except ValueError as exc:
-                    raise ValueError(f"{where}: {key}: {exc}") from exc
-            elif key in _REPORT_STRS:
-                kw[key] = val
+            if key in readers:
+                kw[key] = fieldio.typed_value(where, key, val, readers[key])
             elif key.startswith("source_"):
                 kw["constants_source"][key[len("source_"):]] = val
             else:
                 raise ValueError(f"{where}: unknown key {key!r}")
+        missing = [n for n in readers if n not in kw]
+        if missing:
+            raise ValueError(f"certificate: missing fields {', '.join(missing)}")
         return cls(**kw)
 
     def write_text(self, path) -> None:

@@ -3,8 +3,9 @@
 Subcommands: simulate | optimize | gradcheck | certify | estimate-constants
 | multistart. All artifacts land under --out: fields/*.bin, fields/*.csv,
 log.csv, report.txt, certificate.txt. Exit codes: 0 success, 1 solver
-failure, 2 config error. Configs are parsed and validated before anything
-is written, so a config error leaves no partial artifacts.
+failure, 2 config error. A config is parsed, validated and built into its
+problem and optimizer options before anything is written, so a config error
+leaves no partial artifacts.
 """
 
 from __future__ import annotations
@@ -15,15 +16,9 @@ from pathlib import Path
 
 from . import fieldio
 from .certificates import CertificateInputs, certify
-from .config import ConfigError, RunConfig, _kinds_list, build_problem, parse_config
+from .config import ConfigError, RunConfig, parse_config
 from .grid import ScalarField2D, VectorField2D
-from .optimizer import (
-    OptimizeOptions,
-    cost,
-    multi_start_uniqueness,
-    optimize,
-    start_control,
-)
+from .optimizer import cost, multi_start_uniqueness, optimize, start_control
 from .adjoint import gradient_field, solve_adjoint
 from .spaces import (
     _INEQUALITIES,
@@ -100,13 +95,8 @@ def _cmd_simulate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
     ]
 
 
-def _opts_from(rc: RunConfig) -> OptimizeOptions:
-    given = {key: rc[key] for key in ("tol", "max_iter") if rc[key] is not None}
-    return OptimizeOptions(**given)
-
-
 def _cmd_optimize(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
-    rep = optimize(pd, None, _opts_from(rc))
+    rep = optimize(pd, None, rc.options)
     fields_dir = out / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
     idx = _snapshot_indices(pd.m_steps, every)
@@ -169,7 +159,7 @@ def _cmd_certify(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: in
 def _cmd_estimate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
     estimates = {
         kind: estimate_constant(kind, rc["samples"], seed, grid=pd.grid, alpha=pd.alpha)
-        for kind in _kinds_list(rc["kinds"])
+        for kind in rc["kinds"]
     }
     rows = [(_INEQUALITIES[k][2], k, rc["samples"], seed, v) for k, v in estimates.items()]
     estimated = {row[0]: row[-1] for row in rows}
@@ -181,7 +171,7 @@ def _cmd_estimate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
 
 def _cmd_multistart(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
     constants = rc.constants if rc.constants_inline else None
-    ms = multi_start_uniqueness(pd, rc["n_starts"], seed, constants, _opts_from(rc))
+    ms = multi_start_uniqueness(pd, rc["n_starts"], seed, constants, rc.options)
     fields_dir = out / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
     mid = pd.m_steps // 2
@@ -200,6 +190,7 @@ def _cmd_multistart(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every:
         ("max_pairwise_distance", ms.max_distance),
         ("distance_tol", ms.distance_tol),
         ("all_within_tol", ms.all_within_tol),
+        ("all_converged", ms.all_converged),
     ]
     if ms.uniqueness_threshold is not None:
         pairs += [
@@ -245,11 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(config: RunConfig, subcommand: str, out_dir, seed=None, snapshot_every=None) -> int:
-    """Dispatch a parsed config; creates out_dir only after validation and
-    writes report.txt from the pairs the subcommand returns."""
+    """Dispatch a parsed config on its problem; creates out_dir only after
+    validation and writes report.txt from the pairs the subcommand returns."""
     if subcommand not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
-    pd = build_problem(config)
+    pd = config.problem
     seed = config["seed"] if seed is None else seed
     every = config["snapshot_every"] if snapshot_every is None else snapshot_every
     if every < 0:

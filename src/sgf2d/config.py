@@ -5,20 +5,30 @@ Format: one `name = value` per line, optional `[problem]`, `[run]`,
 Lines are read by `fieldio.read_pairs`, the reader of constants files and
 certificates too: `#` starts a comment anywhere on a line, and a line without
 `=`, a repeated key or an unknown section is refused with file:line. Unknown
-keys are rejected with file:line and a close-match suggestion; invariant
-violations name the offending field.
-"""
+keys are rejected with file:line and a close-match suggestion.
+
+Where each check lives: every value is typed once, at its line, by its key's
+parser in `_PROBLEM_KEYS`/`_RUN_KEYS` (mode triples and estimation kinds
+included) through `fieldio.typed_value` (`file:line: bad value for KEY: ...`).
+The problem's and optimizer's invariants are checked only by the library:
+`parse_config` builds the `ProblemData` (with `build_problem`, which reads
+`yd_from` snapshots and may raise the y0 CFL warning) and the
+`OptimizeOptions`, and turns their ValueError into a ConfigError naming the
+file. The rows left here check what only the CLI reads: `snapshot_every`,
+`n_starts`, `samples`, `lambda3_reading`, `u_norm_source`, and that `yd_modes`
+and `yd_from`, and `constants_file` and `[constants]`, exclude each other."""
 
 from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fieldio import read_field, read_pairs
+from .fieldio import read_field, read_pairs, typed_value
 from .grid import Grid, ScalarField2D, VectorField2D, velocity_from_stream
+from .optimizer import OptimizeOptions
 from .spaces import _INEQUALITIES, CONSTANT_NAMES, DomainConstants, load_constants
 from .state import ProblemData, Trajectory
 
@@ -27,7 +37,38 @@ class ConfigError(ValueError):
     """Raised for unparsable configs and invariant violations."""
 
 
-# every key of [problem] and [run] as name: (type, default); _REQUIRED has none
+def _parse_modes(text: str) -> tuple[tuple[int, int, float], ...]:
+    """`k1,k2,amplitude` triples separated by `;`."""
+    modes = []
+    for part in text.split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        bits = [b.strip() for b in part.split(",")]
+        if len(bits) != 3:
+            raise ValueError(f"mode {part!r} is not 'k1,k2,amplitude'")
+        try:
+            k1, k2, amp = int(bits[0]), int(bits[1]), float(bits[2])
+        except ValueError as exc:
+            raise ValueError(f"mode {part!r}: {exc}") from exc
+        if k1 < 1 or k2 < 1:
+            raise ValueError(f"mode numbers must be >= 1 in {part!r}")
+        if not math.isfinite(amp):
+            raise ValueError(f"mode amplitude must be finite in {part!r}")
+        modes.append((k1, k2, amp))
+    return tuple(modes)
+
+
+def _parse_kinds(text: str) -> tuple[str, ...]:
+    """Comma-separated estimation kinds, each a key of spaces._INEQUALITIES."""
+    kinds = tuple(k.strip() for k in text.split(",") if k.strip())
+    for kind in kinds:
+        if kind not in _INEQUALITIES:
+            raise ValueError(f"unknown estimation kind {kind!r}")
+    return kinds
+
+
+# every key of [problem] and [run] as name: (parser, default); _REQUIRED has none
 _REQUIRED = object()
 _PROBLEM_KEYS = {
     "alpha": (float, _REQUIRED),
@@ -37,8 +78,8 @@ _PROBLEM_KEYS = {
     "steps": (int, _REQUIRED),
     "L": (float, 1.0),
     "lambda": (float, 0.0),
-    "y0_modes": (str, ""),
-    "yd_modes": (str, ""),
+    "y0_modes": (_parse_modes, ()),
+    "yd_modes": (_parse_modes, ()),
     "yd_from": (str, ""),
 }
 _RUN_KEYS = {
@@ -48,7 +89,7 @@ _RUN_KEYS = {
     "max_iter": (int, None),
     "n_starts": (int, 4),
     "samples": (int, 100),
-    "kinds": (str, "korn,elliptic,trilinear"),
+    "kinds": (_parse_kinds, tuple(_INEQUALITIES)),
     "lambda3_reading": (str, "printed"),
     "u_norm_source": (str, "ball_bound"),
     "constants_file": (str, ""),
@@ -61,34 +102,15 @@ _SECTION_KEYS = {
 }
 
 
-def _parse_modes(text: str, where: str) -> list[tuple[int, int, float]]:
-    """`k1,k2,amplitude` triples separated by `;`."""
-    modes = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        bits = [b.strip() for b in part.split(",")]
-        if len(bits) != 3:
-            raise ConfigError(f"{where}: mode {part!r} is not 'k1,k2,amplitude'")
-        try:
-            k1, k2, amp = int(bits[0]), int(bits[1]), float(bits[2])
-        except ValueError as exc:
-            raise ConfigError(f"{where}: mode {part!r}: {exc}") from exc
-        if k1 < 1 or k2 < 1:
-            raise ConfigError(f"{where}: mode numbers must be >= 1 in {part!r}")
-        if not math.isfinite(amp):
-            raise ConfigError(f"{where}: mode amplitude must be finite in {part!r}")
-        modes.append((k1, k2, amp))
-    return modes
-
-
 @dataclass
 class RunConfig:
     path: str
     values: dict
     constants: DomainConstants
     constants_inline: bool
+    # built by parse_config from the values, before anything is written
+    problem: ProblemData = field(init=False)
+    options: OptimizeOptions = field(init=False)
 
     def __getitem__(self, key):
         return self.values[key]
@@ -99,48 +121,34 @@ class RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    """Read and validate a config file; all errors carry file:line."""
+    """Read and validate a config file and build its problem and optimizer
+    options; all errors carry file:line or the file."""
     try:
         with open(path) as fh:
             raw_lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
-    try:
-        pairs = list(read_pairs(raw_lines, path, tuple(_SECTION_KEYS)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     values = {k: d for keys in (_PROBLEM_KEYS, _RUN_KEYS) for k, (_, d) in keys.items()}
     inline_constants: dict[str, float] = {}
-    for where, section, key, val in pairs:
-        keys = _SECTION_KEYS[section]
-        if key not in keys:
-            hint = ""
-            pool = [k for sec in _SECTION_KEYS.values() for k in sec]
-            close = difflib.get_close_matches(key, pool, n=1)
-            if close:
-                hint = f"; did you mean {close[0]!r}?"
-            raise ConfigError(f"{where}: unknown key {key!r} in [{section}]{hint}")
-        try:
-            parsed = keys[key][0](val)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
-        (inline_constants if section == "constants" else values)[key] = parsed
-        if key in ("y0_modes", "yd_modes"):
-            _parse_modes(parsed, where)
+    try:
+        for where, section, key, val in read_pairs(raw_lines, path, tuple(_SECTION_KEYS)):
+            keys = _SECTION_KEYS[section]
+            if key not in keys:
+                pool = [k for sec in _SECTION_KEYS.values() for k in sec]
+                close = difflib.get_close_matches(key, pool, n=1)
+                hint = f"; did you mean {close[0]!r}?" if close else ""
+                raise ValueError(f"{where}: unknown key {key!r} in [{section}]{hint}")
+            parsed = typed_value(where, key, val, keys[key][0])
+            (inline_constants if section == "constants" else values)[key] = parsed
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     for key, value in values.items():
         if value is _REQUIRED:
             raise ConfigError(f"{path}: missing required key {key!r}")
 
     for name, cond, msg in (
-        ("alpha", values["alpha"] > 0, "must be positive"),
-        ("nu", values["nu"] > 0, "must be positive"),
-        ("T", values["T"] > 0, "must be positive"),
-        ("grid", values["grid"] >= 4, "must be at least 4"),
-        ("steps", values["steps"] >= 1, "must be at least 1"),
-        ("L", values["L"] > 0, "must be positive"),
-        ("lambda", values["lambda"] >= 0, "must be nonnegative"),
         ("snapshot_every", values["snapshot_every"] >= 0, "must be nonnegative"),
         ("n_starts", values["n_starts"] >= 2, "must be at least 2"),
         ("samples", values["samples"] >= 1, "must be at least 1"),
@@ -158,15 +166,8 @@ def parse_config(path) -> RunConfig:
     ):
         if not cond:
             raise ConfigError(f"{path}: {name} {msg} (got {values[name]!r})")
-    if values["tol"] is not None and not 0 < values["tol"] < math.inf:
-        raise ConfigError(f"{path}: tol must be positive and finite")
-    if values["max_iter"] is not None and values["max_iter"] < 1:
-        raise ConfigError(f"{path}: max_iter must be at least 1")
     if values["yd_modes"] and values["yd_from"]:
         raise ConfigError(f"{path}: yd_modes and yd_from are mutually exclusive")
-    for kind in _kinds_list(values["kinds"]):
-        if kind not in _INEQUALITIES:
-            raise ConfigError(f"{path}: unknown estimation kind {kind!r}")
 
     if values["constants_file"] and inline_constants:
         raise ConfigError(
@@ -191,11 +192,14 @@ def parse_config(path) -> RunConfig:
         constants = DomainConstants()
         inline = False
 
-    return RunConfig(path=str(path), values=values, constants=constants, constants_inline=inline)
-
-
-def _kinds_list(text: str) -> list[str]:
-    return [k.strip() for k in text.split(",") if k.strip()]
+    rc = RunConfig(path=str(path), values=values, constants=constants, constants_inline=inline)
+    given = {key: values[key] for key in ("tol", "max_iter") if values[key] is not None}
+    try:
+        rc.options = OptimizeOptions(**given)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    rc.problem = build_problem(rc)
+    return rc
 
 
 def modes_to_stream(grid: Grid, modes) -> ScalarField2D:
@@ -210,7 +214,7 @@ def _velocity_from_modes(grid: Grid, modes) -> VectorField2D:
     return velocity_from_stream(modes_to_stream(grid, modes))
 
 
-def _read_reference_trajectory(run_dir, grid: Grid, m_steps: int, dt: float) -> Trajectory:
+def _read_reference_trajectory(run_dir, grid: Grid, m_steps: int, T: float) -> Trajectory:
     data = np.zeros((m_steps + 1, 2, grid.n_interior, grid.n_interior))
     for k in range(m_steps + 1):
         path = f"{run_dir}/fields/y_{k:06d}.bin"
@@ -226,27 +230,28 @@ def _read_reference_trajectory(run_dir, grid: Grid, m_steps: int, dt: float) -> 
         if f.grid != grid:
             raise ConfigError(f"yd_from: {path} is on a different grid")
         data[k, 0], data[k, 1] = f.u1, f.u2
-    return Trajectory(grid, dt, "target", data)
+    return Trajectory(grid, T / m_steps, "target", data)
 
 
 def build_problem(rc: RunConfig) -> ProblemData:
+    """The problem of a config's values; a ValueError of the library (an
+    invariant of Grid or ProblemData, an unreadable yd_from snapshot) becomes
+    a ConfigError naming the config."""
     v = rc.values
-    grid = Grid(v["grid"])
-    y0 = _velocity_from_modes(grid, _parse_modes(v["y0_modes"], rc.path))
-    dt = v["T"] / v["steps"]
-    y_d = None
-    if v["yd_modes"]:
-        y_d = _velocity_from_modes(grid, _parse_modes(v["yd_modes"], rc.path))
-    elif v["yd_from"]:
-        y_d = _read_reference_trajectory(v["yd_from"], grid, v["steps"], dt)
     try:
+        grid = Grid(v["grid"])
+        y_d = None
+        if v["yd_modes"]:
+            y_d = _velocity_from_modes(grid, v["yd_modes"])
+        elif v["yd_from"] and v["steps"] >= 1:  # ProblemData refuses other step counts
+            y_d = _read_reference_trajectory(v["yd_from"], grid, v["steps"], v["T"])
         return ProblemData(
             alpha=v["alpha"],
             nu=v["nu"],
             T=v["T"],
             grid=grid,
             m_steps=v["steps"],
-            y0=y0,
+            y0=_velocity_from_modes(grid, v["y0_modes"]),
             y_d=y_d,
             L=v["L"],
             lam=v["lambda"],

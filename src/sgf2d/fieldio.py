@@ -16,8 +16,8 @@ so they read back to the same float64; bools as ``true``/``false``; anything
 else as ``str``. ``pairs_text`` writes a title line and one ``key = value``
 line per pair; ``write_rows`` writes a CSV of a header line and one line per
 row, lines ending in ``\n``. ``read_pairs`` is the one reader of ``key = value``
-text (configs, constants files, certificates) and ``bool_value`` reads a bool
-back.
+text (configs, constants files, certificates), ``typed_value`` the one step that
+turns each value read into its type, and ``bool_value`` reads a bool back.
 """
 
 from __future__ import annotations
@@ -102,6 +102,14 @@ def bool_value(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"expected true or false, got {text!r}")
     return text == "true"
+
+
+def typed_value(where, key, text, parse):
+    """parse(text); its ValueError is re-raised as ``where: bad value for key: …``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: bad value for {key}: {exc}") from exc
 
 
 def read_pairs(lines, source, sections=()):

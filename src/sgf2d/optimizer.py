@@ -263,6 +263,11 @@ class MultiStartReport:
     lambda_exceeds_threshold: bool | None
     illustrative: bool | None
 
+    @property
+    def all_converged(self) -> bool:
+        """Whether every start met its tolerance; all_within_tol counts stalled starts too."""
+        return all(r.converged for r in self.reports)
+
 
 def multi_start_uniqueness(
     pd: ProblemData,

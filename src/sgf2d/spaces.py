@@ -237,7 +237,7 @@ def load_constants(path) -> DomainConstants:
             if name not in CONSTANT_NAMES:
                 raise ValueError(f"{where}: unknown constant {key!r}")
             if name == key:
-                values[name] = float(val)
+                values[name] = fieldio.typed_value(where, key, val, float)
             else:
                 sources[name] = val
     return DomainConstants(**values, source=sources)

@@ -209,6 +209,32 @@ class TestReportIO:
             CertificateReport.from_text(text + "stray line\n")
         assert str(exc.value) == f"certificate:{n}: expected 'name = value'"
 
+    def test_from_text_bad_number_names_its_line(self):
+        text = certify(crafted_inputs()).to_text()
+        assert text.splitlines()[1].startswith("lambda1 = ")
+        bad = "\n".join(["# optimality certificate", "lambda1 = x"] + text.splitlines()[2:])
+        with pytest.raises(ValueError) as exc:
+            CertificateReport.from_text(bad)
+        assert str(exc.value).startswith("certificate:2: bad value for lambda1: ")
+
+    def test_from_text_names_missing_fields(self):
+        lines = certify(crafted_inputs()).to_text().splitlines()
+        kept = [line for line in lines if not line.startswith(("lambda2 ", "lam "))]
+        with pytest.raises(ValueError) as exc:
+            CertificateReport.from_text("\n".join(kept))
+        assert str(exc.value) == "certificate: missing fields lambda2, lam"
+
+    def test_text_order_is_field_order(self):
+        text = certify(crafted_inputs()).to_text()
+        names = [line.split(" = ", 1)[0] for line in text.splitlines()[1:]]
+        assert names[:15] == [
+            "lambda1", "lambda2", "lambda3", "lambda3_printed", "lambda3_derived",
+            "lambda3_rel_discrepancy", "lambda4", "lam", "coercivity_threshold",
+            "uniqueness_threshold", "verdict_second_order", "verdict_uniqueness",
+            "illustrative", "lambda3_reading", "u_norm_source",
+        ]
+        assert all(n.startswith("source_") for n in names[15:])
+
     def test_from_text_rejects_repeated_key(self):
         # an appended line must not override the certified value
         text = certify(crafted_inputs()).to_text()

@@ -209,6 +209,43 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="mode amplitude must be finite"):
             parse_config(p3)
 
+    def test_modes_and_kinds_refused_at_their_line(self, tmp_path):
+        p = write_cfg(tmp_path, MINIMAL + "y0_modes = 1,1\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(p)
+        assert str(exc.value) == (
+            f"{p}:7: bad value for y0_modes: mode '1,1' is not 'k1,k2,amplitude'"
+        )
+        p2 = write_cfg(tmp_path, MINIMAL + "[run]\nkinds = korn,weird\n", name="c2.txt")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(p2)
+        assert str(exc.value) == f"{p2}:8: bad value for kinds: unknown estimation kind 'weird'"
+
+    def test_builds_problem_and_options(self, tmp_path):
+        rc = parse_config(write_cfg(tmp_path, TRACKING + "[run]\ntol = 1e-6\nmax_iter = 7\n"))
+        assert rc.problem.alpha == 0.4
+        assert rc.problem.m_steps == 8
+        assert rc.problem.lam == 1e-3
+        assert rc.options.tol == 1e-6
+        assert rc.options.max_iter == 7
+        built = build_problem(rc)
+        assert np.array_equal(built.y0.u1, rc.problem.y0.u1)
+        assert np.array_equal(built.target_stack(), rc.problem.target_stack())
+
+    def test_library_refuses_infinite_alpha(self, tmp_path):
+        # ProblemData holds the check; parse_config builds it and names the file
+        p = write_cfg(tmp_path, MINIMAL.replace("alpha = 0.4", "alpha = inf"))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(p)
+        assert str(exc.value) == f"{p}: alpha must be positive and finite"
+
+    def test_yd_from_with_no_steps_refused_by_library(self, tmp_path):
+        p = write_cfg(
+            tmp_path, MINIMAL.replace("steps = 8", "steps = 0") + "yd_from = nowhere\n"
+        )
+        with pytest.raises(ConfigError, match="m_steps must be >= 1"):
+            parse_config(p)
+
     def test_yd_sources_mutually_exclusive(self, tmp_path):
         p = write_cfg(tmp_path, MINIMAL + "yd_modes = 1,1,0.1\nyd_from = somewhere\n")
         with pytest.raises(ConfigError, match="mutually exclusive"):
@@ -293,6 +330,21 @@ class TestCliExitCodes:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "subcommand, body",
+        [
+            ("simulate", MINIMAL.replace("grid = 12", "grid = 3")),
+            ("optimize", TRACKING + "[run]\nmax_iter = 0\n"),
+        ],
+        ids=["grid-3", "max-iter-0"],
+    )
+    def test_library_accepted_value_is_exit_0(self, tmp_path, subcommand, body):
+        # the smallest grid Grid takes, and an optimize run that evaluates its start only
+        cfg = write_cfg(tmp_path, body)
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "report.txt").exists()
 
     def test_blow_up_is_exit_1(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -443,7 +495,7 @@ class TestOptimizeLeg:
         pd = build_problem(rc)
         in_optimize = count_calls(monkeypatch, optimizer_module, "solve_state")
         in_cli = count_calls(monkeypatch, cli_module, "solve_state")
-        rep = optimize(pd, None, cli_module._opts_from(rc))
+        rep = optimize(pd, None, rc.options)
         solves = len(in_optimize)
         assert solves > 0
         out = tmp_path / "out"
@@ -560,11 +612,21 @@ class TestMultistart:
         assert len(lines) == 3
         report = (out / "report.txt").read_text()
         assert "max_pairwise_distance = " in report
-        assert "all_within_tol = true" in report
+        assert "all_within_tol = true\nall_converged = true\n" in report
         # no constants configured: no threshold lines
         assert "uniqueness_threshold" not in report
         assert (out / "fields" / "u_start0_000003.bin").exists()
         assert (out / "fields" / "u_start1_000003.bin").exists()
+
+    def test_stalled_starts_not_converged(self, tmp_path):
+        # both starts stop after 3 iterations with vi near 2.3e-5, far above tol
+        cfg = write_cfg(tmp_path, TRACKING + "[run]\nn_starts = 2\n")
+        out = tmp_path / "out"
+        assert main(["multistart", "--config", str(cfg), "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert "all_within_tol = false\nall_converged = false\n" in report
+        rows = (out / "log.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[2] for row in rows] == ["false", "false"]
 
 
 class TestReferenceTarget:
@@ -600,6 +662,17 @@ class TestReferenceTarget:
         assert rc == 2
         err = capsys.readouterr().err
         assert "missing snapshot" in err
+        assert not out.exists()
+
+
+    def test_corrupt_snapshot_is_config_error(self, tmp_path, capsys):
+        # read_field's ValueError reaches the user as a config error, not a traceback
+        (tmp_path / "ref" / "fields").mkdir(parents=True)
+        (tmp_path / "ref" / "fields" / "y_000000.bin").write_bytes(b"XXXX" + bytes(12))
+        cfg = write_cfg(tmp_path, MINIMAL + f"yd_from = {tmp_path / 'ref'}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "bad magic" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -382,6 +382,13 @@ class TestDomainConstants:
             load_constants(path)
         assert str(exc.value) == f"{path}:2: expected 'name = value'"
 
+    def test_load_bad_number_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("K = abc\n")
+        with pytest.raises(ValueError) as exc:
+            load_constants(path)
+        assert str(exc.value).startswith(f"{path}:1: bad value for K: ")
+
     def test_load_rejects_section_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("K = 1.0\n[constants]\nC1 = 2.0\n")

@@ -1,10 +1,13 @@
 """Static checks over the package source: every module imports only what it
-uses, and only fieldio splits ``key = value`` lines."""
+uses, only fieldio splits ``key = value`` lines, and the CLI reads only the
+config keys that config's key table declares."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from sgf2d.config import _PROBLEM_KEYS, _RUN_KEYS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sgf2d"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -55,3 +58,23 @@ def test_fieldio_splits_pairs():
 def test_only_fieldio_splits_pairs(path):
     # every key = value reader goes through fieldio.read_pairs
     assert equals_splits(ast.parse(path.read_text())) == []
+
+
+def config_keys_read(tree: ast.Module) -> set[str]:
+    """Every constant key of an ``rc["…"]`` or ``config["…"]`` subscript."""
+    return {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("rc", "config")
+        and isinstance(node.slice, ast.Constant)
+        and isinstance(node.slice.value, str)
+    }
+
+
+def test_cli_reads_only_declared_config_keys():
+    # the key table in config is the only declaration of a config key
+    read = config_keys_read(ast.parse((SRC / "cli.py").read_text()))
+    assert {"seed", "snapshot_every", "kinds", "n_starts"} <= read
+    assert read - set(_PROBLEM_KEYS) - set(_RUN_KEYS) == set()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import apply_symbol, arakawa, curl_values, velocity_values
+from .grid import _time_blocks, apply_symbol, arakawa, curl_values, velocity_values
 from .sensitivity import _check_base, solve_linearized
 from .state import (
     ProblemData,
@@ -75,20 +75,25 @@ def _adjoint_core(base: StateSolution, source: np.ndarray, pd: ProblemData) -> A
     r = np.zeros_like(mu)
     p = np.zeros((m + 1, 2, n, n))
 
-    # mu[m] = 0: rho_m = 0, so the terminal step has no source. The advection
-    # term and the source both pass through Ha^-1 P^-1; summed first, they
-    # share one symbol pair
+    # mu[m] = 0: rho_m = 0, so the terminal step has no source. Until step k
+    # overwrites it, mu[k] holds that step's source term rho_k h^2 curl(source_k).
+    # The advection term and the source both pass through Ha^-1 P^-1; summed
+    # first, they share one symbol pair
+    for b in _time_blocks(source[:m]):
+        mu[b] = curl_values(source[b, 0], source[b, 1], h)
+    mu[:m] *= (rho[:m] * h2)[:, None, None]
     for k in range(m - 1, -1, -1):
         r[k + 1] = apply_symbol(mu[k + 1], ops.step_sym[0])
-        p[k + 1, 0], p[k + 1, 1] = velocity_values(r[k + 1], h)
-        p[k + 1] *= dt / (tau[k + 1] * h2)
-        curl_s = curl_values(source[k, 0], source[k, 1], h)
-        rhs = rho[k] * h2 * curl_s - dt * arakawa(r[k + 1], base.q[k], h)
+        rhs = mu[k] - dt * arakawa(r[k + 1], base.q[k], h)
         mu[k] = (
             r[k + 1]
             + dt * arakawa(r[k + 1], base.psi[k], h)
             + apply_symbol(rhs, ops.inv_Ha_inv_P_sym)
         )
+    r_out, p_out = r[1:], p[1:]
+    for b in _time_blocks(r_out):
+        p_out[b, 0], p_out[b, 1] = velocity_values(r_out[b], h)
+    p_out *= (dt / (tau[1:] * h2))[:, None, None, None]
 
     return AdjointState(pd, p, mu, r)
 

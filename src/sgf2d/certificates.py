@@ -164,6 +164,11 @@ class CertificateReport:
     constants_source: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # inf is a legitimate overflow of the bounds; NaN would make both
+        # verdicts read false as if consistent
+        for f in fields(self):
+            if f.type == "float" and math.isnan(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must not be NaN")
         if self.coercivity_threshold < 0 or self.uniqueness_threshold < 0:
             raise ValueError("thresholds must be nonnegative")
         if self.verdict_second_order != (self.lam > self.coercivity_threshold):
@@ -225,7 +230,13 @@ def certify(ci: CertificateInputs, lambda3_reading: str = "printed") -> Certific
     l3d = compute_lambda3(ci, l1, "derived")
     l3 = l3p if lambda3_reading == "printed" else l3d
     l4 = compute_lambda4(ci, l1)
-    disc = abs(l3p - l3d) / max(l3p, l3d) if max(l3p, l3d) > 0 else 0.0
+    big = max(l3p, l3d)
+    if l3p == l3d:  # both zero, or both overflowed to inf
+        disc = 0.0
+    elif big == math.inf:  # the limit as one reading grows alone
+        disc = 1.0
+    else:
+        disc = abs(l3p - l3d) / big
     k_hat = ci.constants.K_hat
     coer = 2.0 * k_hat * l3 ** 2 * l4
     uniq = 2.0 * k_hat * l2 ** 2 * l4

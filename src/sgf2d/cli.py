@@ -110,6 +110,7 @@ def _cmd_optimize(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
         ("n_state_solves", rep.n_state_solves),
         ("n_adjoint_solves", rep.n_adjoint_solves),
         ("n_halvings", rep.n_halvings),
+        ("ball_ratio", rep.ball_ratio),
         ("vi_final", rep.iterates[-1].vi),
         ("tol", rep.tol),
         ("converged", rep.converged),

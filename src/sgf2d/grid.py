@@ -152,6 +152,19 @@ def curl_upsilon_values(u1: np.ndarray, u2: np.ndarray, alpha: float, h: float) 
     return w - alpha * lap5(w, h)
 
 
+# input bytes per block when a pass walks a stack of time slices. One call per
+# block bounds the temporaries: at 63^2 x 100 a whole-stack curl, velocity or
+# norm costs more in page faults (glibc maps and unmaps its large temporaries)
+# than a call per slice, while small stacks stay one call
+_BLOCK_BYTES = 1 << 16
+
+
+def _time_blocks(a: np.ndarray) -> list:
+    """Slices of a's leading axis, in order, each about _BLOCK_BYTES of a."""
+    n, step = a.shape[0], max(1, _BLOCK_BYTES // max(1, a[0].nbytes))
+    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
+
+
 def slice_sums(a: np.ndarray) -> np.ndarray:
     """Sum over the last two axes, one slice at a time; a 2-D array gives np.sum(a)."""
     return a.reshape(a.shape[:-2] + (-1,)).sum(-1)

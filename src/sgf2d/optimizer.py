@@ -119,9 +119,11 @@ class OptimizeReport:
     n_state_solves: int
     n_adjoint_solves: int
     n_halvings: int  # over every line search, a failed last one included
+    ball_ratio: float  # control_h1_norm(u_final) / L; 1 on the sphere
 
     @property
     def n_iterations(self) -> int:
+        """Recorded iterates, the start included, so max_iter = 0 gives 1."""
         return len(self.iterates)
 
     @property
@@ -166,12 +168,15 @@ def optimize(
     converged = False
     message = "iteration cap reached"
 
-    for it in range(opts.max_iter):
+    # the last pass records the point reached at the cap and only tests it
+    for it in range(opts.max_iter + 1):
         vi = vi_residual(u, g, pd.L)
         records.append(IterRecord(it, J, l2q_norm(g, tau), last_step, vi))
         if vi <= tol:
             converged = True
             message = "vi residual within tolerance"
+            break
+        if it == opts.max_iter:
             break
 
         if prev_u is not None:
@@ -205,11 +210,6 @@ def optimize(
         last_step = t
         g = gradient_field(u, solve_adjoint(sol, None, pd), pd.lam)
         n_adjoint += 1
-    else:
-        # cap reached: record the final point
-        vi = vi_residual(u, g, pd.L)
-        records.append(IterRecord(opts.max_iter, J, l2q_norm(g, tau), last_step, vi))
-        converged = vi <= tol
 
     return OptimizeReport(
         iterates=records,
@@ -223,6 +223,7 @@ def optimize(
         n_state_solves=n_state,
         n_adjoint_solves=n_adjoint,
         n_halvings=n_halvings,
+        ball_ratio=control_h1_norm(u) / pd.L,
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -17,6 +18,8 @@ import numpy as np
 
 from . import fieldio
 from .grid import (
+    _BLOCK_BYTES,
+    _time_blocks,
     Grid,
     GridMismatchError,
     ScalarField2D,
@@ -49,6 +52,15 @@ def diff1(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     om[:: om.shape[0] - 1] *= 2.0
     out /= 2.0 * h
     return out
+
+
+@lru_cache(maxsize=16)
+def diff1_matrix(n: int) -> np.ndarray:
+    """Read-only n x n matrix D of diff1 on the n x n grid: D @ v and v @ D.T
+    are diff1(v, h, -2) and diff1(v, h, -1) up to roundoff."""
+    d = diff1(np.eye(n), Grid(n).h, -2)
+    d.setflags(write=False)
+    return d
 
 
 def _components(f) -> list[np.ndarray]:
@@ -106,21 +118,15 @@ def norm_hk(v, k: int) -> float:
     return float(norm_hk_values(_components(v), v.grid.h, k))
 
 
-# input bytes per block of slices in stack_hk_sq; bounds its temporaries
-_BLOCK_BYTES = 1 << 16
-
-
 def stack_hk_sq(data: np.ndarray, h: float, k: int) -> np.ndarray:
     """Squared norm_hk of orders 0..k of every slice of an (m+1, 2, n, n) stack.
 
     Row j of the (k+1, m+1) result is norm_hk(slice, j)**2. The time axis is
-    walked in blocks of about _BLOCK_BYTES of input, so the temporaries do
-    not grow with m.
+    walked in grid._time_blocks, so the temporaries do not grow with m.
     """
-    step = max(1, _BLOCK_BYTES // max(1, data[0].nbytes))
     blocks = []
-    for s in range(0, data.shape[0], step):
-        block = data[s : s + step]
+    for s in _time_blocks(data):
+        block = data[s]
         b = block.shape[0]
         acc = np.zeros(b)
         rows = []

@@ -27,6 +27,7 @@ from .grid import (
     ScalarField2D,
     VectorField2D,
     _neg_lap_eigenvalues,
+    _time_blocks,
     apply_symbol,
     arakawa,
     curl_upsilon_values,
@@ -176,8 +177,18 @@ def l2q_norm(a: Trajectory, weights: np.ndarray) -> float:
 
 
 def control_h1_norm(u: Trajectory) -> float:
-    """Discrete L2(0,T;H1) norm: trapezoid in time, H1 quadrature per slice."""
-    h1_sq = spaces.stack_hk_sq(u.data, u.grid.h, 1)[1]
+    """Discrete L2(0,T;H1) norm: trapezoid in time, H1 quadrature per slice.
+
+    The slice values are stack_hk_sq's order-1 sums up to roundoff, with both
+    difference quotients taken as products by the cached diff1 matrix.
+    """
+    d = spaces.diff1_matrix(u.grid.n_interior)
+    h1_sq = np.empty(u.m_steps + 1)
+    for b in _time_blocks(u.data):
+        a = u.data[b]
+        d1, d2 = d @ a, a @ d.T
+        h1_sq[b] = (a * a + d1 * d1 + d2 * d2).reshape(a.shape[0], -1).sum(1)
+    h1_sq *= u.grid.h ** 2
     return float(np.sqrt(np.dot(trap_weights(u.m_steps, u.dt), h1_sq)))
 
 
@@ -435,8 +446,13 @@ def solve_state(u: Trajectory | None, pd: ProblemData) -> StateSolution:
     q[0] = ops.Ha(-lap5(psi[0], h))
     y[0, 0], y[0, 1] = pd.y0.u1, pd.y0.u2
 
+    forcing = u.data[1:]
+    curl_u = np.empty_like(psi[1:])
+    for b in _time_blocks(forcing):
+        curl_u[b] = curl_values(forcing[b, 0], forcing[b, 1], h)
+
     def explicit(k):
-        return curl_values(u.data[k + 1, 0], u.data[k + 1, 1], h) - arakawa(q[k], psi[k], h)
+        return curl_u[k] - arakawa(q[k], psi[k], h)
 
     _march(q, psi, y, explicit, ops, pd.dt)
     return StateSolution(pd, u, psi, q, y)

@@ -180,3 +180,52 @@ def norm_hk_dict_loop(comps, h, k):
     for comp in comps:
         total += sum(h * h * slice_sums(d * d) for d in hk_partials_dict(comp, h, k).values())
     return np.sqrt(total)
+
+
+def adjoint_core_per_step(base, source, pd):
+    """adjoint._adjoint_core's (p, mu, r) as written before the source curls and
+    the velocities left the loop: one curl and one velocity per step."""
+    from sgf2d.grid import apply_symbol, arakawa, curl_values, velocity_values
+    from sgf2d.state import get_ops, left_weights, trap_weights
+
+    ops = get_ops(pd)
+    n, m, h, dt = pd.grid.n_interior, pd.m_steps, pd.grid.h, pd.dt
+    h2 = h * h
+    rho, tau = left_weights(m, dt), trap_weights(m, dt)
+    mu = np.zeros((m + 1, n, n))
+    r = np.zeros_like(mu)
+    p = np.zeros((m + 1, 2, n, n))
+    for k in range(m - 1, -1, -1):
+        r[k + 1] = apply_symbol(mu[k + 1], ops.step_sym[0])
+        p[k + 1, 0], p[k + 1, 1] = velocity_values(r[k + 1], h)
+        p[k + 1] *= dt / (tau[k + 1] * h2)
+        curl_s = curl_values(source[k, 0], source[k, 1], h)
+        rhs = rho[k] * h2 * curl_s - dt * arakawa(r[k + 1], base.q[k], h)
+        mu[k] = (
+            r[k + 1]
+            + dt * arakawa(r[k + 1], base.psi[k], h)
+            + apply_symbol(rhs, ops.inv_Ha_inv_P_sym)
+        )
+    return p, mu, r
+
+
+def solve_state_per_step(u, pd):
+    """solve_state's (psi, q, y) as written before the forcing's curl left the
+    step: one curl per step."""
+    from sgf2d.grid import arakawa, curl_values, lap5
+    from sgf2d.state import _march, get_ops
+
+    ops = get_ops(pd)
+    n, m, h = pd.grid.n_interior, pd.m_steps, pd.grid.h
+    psi = np.empty((m + 1, n, n))
+    q = np.empty_like(psi)
+    y = np.empty((m + 1, 2, n, n))
+    psi[0] = pd.y0.stream.values
+    q[0] = ops.Ha(-lap5(psi[0], h))
+    y[0, 0], y[0, 1] = pd.y0.u1, pd.y0.u2
+
+    def explicit(k):
+        return curl_values(u.data[k + 1, 0], u.data[k + 1, 1], h) - arakawa(q[k], psi[k], h)
+
+    _march(q, psi, y, explicit, ops, pd.dt)
+    return psi, q, y

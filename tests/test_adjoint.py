@@ -22,6 +22,7 @@ from sgf2d.certificates import CertificateInputs, check_adjoint_bound
 from sgf2d.grid import (
     Grid,
     GridMismatchError,
+    _time_blocks,
     apply_symbol,
     arakawa,
     d1c,
@@ -43,7 +44,7 @@ from sgf2d.state import (
     trap_weights,
 )
 
-from helpers import count_calls, smooth_control
+from helpers import adjoint_core_per_step, count_calls, smooth_control
 
 
 def small_problem(n=14, m=10, with_target=True):
@@ -334,6 +335,33 @@ class TestFusedAdjointSymbols:
             sweep()
             assert len(calls) == per_step * pd.m_steps
             assert len(fft_calls) == (len(calls) if n == 143 else 0)
+
+
+class TestSourceTermsOncePerSweep:
+    # at 40^2 x 6 the source curls take three time blocks, the velocities two
+    @pytest.mark.parametrize("n,m", [(8, 5), (16, 3), (40, 6)])
+    @pytest.mark.parametrize("source", ["phi", "tracking"])
+    def test_bits_equal_per_step_loop(self, n, m, source):
+        pd = small_problem(n=n, m=m)
+        base = solve_state(smooth_control(pd, 1), pd)
+        src = smooth_control(pd, 3).data if source == "phi" else base.y - pd.target_stack()
+        assert np.abs(src).max() > 0.0
+        adj = _adjoint_core(base, src, pd)
+        for name, ref in zip(("p", "mu", "r"), adjoint_core_per_step(base, src, pd)):
+            assert getattr(adj, name).tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("n,m", [(8, 1), (8, 4), (8, 9), (40, 6)])
+    def test_one_curl_and_one_velocity_call_per_time_block(self, monkeypatch, n, m):
+        pd = small_problem(n=n, m=m)
+        base = solve_state(smooth_control(pd, 1), pd)
+        src = smooth_control(pd, 3).data
+        curls = count_calls(monkeypatch, adjoint_module, "curl_values")
+        velocities = count_calls(monkeypatch, adjoint_module, "velocity_values")
+        _adjoint_core(base, src, pd)
+        expected = (len(_time_blocks(src[:m])), len(_time_blocks(base.q[1:])))
+        assert (len(curls), len(velocities)) == expected
+        # small stacks are one block whatever m is
+        assert expected == ((1, 1) if n == 8 else (3, 2))
 
 
 class TestGradientField:

@@ -15,6 +15,7 @@ O(1).  The Hessian quadratic form is verified against second differences of
 the actual cost and against its own bilinear polarization.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -223,6 +224,60 @@ class TestReportIO:
         with pytest.raises(ValueError) as exc:
             CertificateReport.from_text("\n".join(kept))
         assert str(exc.value) == "certificate: missing fields lambda2, lam"
+
+    @staticmethod
+    def _edited(text, **values):
+        lines = text.splitlines()
+        for i, line in enumerate(lines):
+            key = line.split(" = ", 1)[0]
+            if key in values:
+                lines[i] = f"{key} = {values[key]}"
+        return "\n".join(lines) + "\n"
+
+    def test_from_text_refuses_nan(self):
+        # read back, NaN gave verdict_second_order = false as a consistent report
+        text = certify(crafted_inputs()).to_text()
+        bad = self._edited(text, lambda1="nan", coercivity_threshold="nan")
+        with pytest.raises(ValueError, match="lambda1 must not be NaN"):
+            CertificateReport.from_text(bad)
+        bad = self._edited(text, coercivity_threshold="nan")
+        with pytest.raises(ValueError, match="coercivity_threshold must not be NaN"):
+            CertificateReport.from_text(bad)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "lambda1",
+            "lambda2",
+            "lambda3",
+            "lambda3_printed",
+            "lambda3_derived",
+            "lambda3_rel_discrepancy",
+            "lambda4",
+            "lam",
+            "coercivity_threshold",
+            "uniqueness_threshold",
+        ],
+    )
+    def test_every_float_field_refuses_nan(self, name):
+        rep = certify(crafted_inputs())
+        with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+            dataclasses.replace(rep, **{name: math.nan})
+
+    def test_inf_accepted(self):
+        text = certify(crafted_inputs()).to_text()
+        back = CertificateReport.from_text(self._edited(text, lambda4="inf"))
+        assert back.lambda4 == math.inf
+
+    @pytest.mark.parametrize("norm_y0,disc", [(22.0, 1.0), (40.0, 0.0)])
+    def test_overflowed_lambda3_discrepancy_is_a_number(self, norm_y0, disc):
+        # at 22 the printed product overflows alone, at 40 both readings do;
+        # |inf - x| / inf used to give a NaN discrepancy
+        rep = certify(crafted_inputs(norm_y0=norm_y0))
+        assert rep.lambda3_printed == math.inf
+        assert (rep.lambda3_derived == math.inf) == (disc == 0.0)
+        assert rep.lambda3_rel_discrepancy == disc
+        assert CertificateReport.from_text(rep.to_text()) == rep
 
     def test_text_order_is_field_order(self):
         text = certify(crafted_inputs()).to_text()

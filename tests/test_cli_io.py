@@ -512,6 +512,17 @@ class TestOptimizeLeg:
             assert (out / "fields" / f"y_{k:06d}.csv").read_bytes() == row_writer_csv(y)
 
 
+    def test_ball_ratio_reported_after_halvings(self, tmp_path):
+        # TRACKING's ball is active: the run ends on the sphere
+        cfg = write_cfg(tmp_path, TRACKING)
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        pairs = [line.split(" = ", 1) for line in (out / "report.txt").read_text().splitlines()[1:]]
+        keys = [k for k, _ in pairs]
+        assert keys[keys.index("n_halvings") + 1] == "ball_ratio"
+        assert abs(float(dict(pairs)["ball_ratio"]) - 1.0) <= 1e-12
+
+
 class TestGradcheck:
     def test_csv_contract_and_accuracy(self, tmp_path):
         cfg = write_cfg(tmp_path, TRACKING)

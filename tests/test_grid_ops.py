@@ -18,6 +18,7 @@ from sgf2d.grid import (
     _helmholtz_symbol,
     _neg_lap_eigenvalues,
     _poisson_symbol,
+    _time_blocks,
     advect,
     apply_symbol,
     arakawa,
@@ -232,6 +233,21 @@ class TestBatchAxis:
         for idx in np.ndindex(*lead):
             for name, want in _batchable_stencils(a[idx], b[idx], h, (0, 1)).items():
                 assert np.array_equal(batched[name][idx], want), name
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 3, 3), (4, 2, 16, 16), (100, 63, 63), (7, 2, 63, 63), (9, 2, 40, 40)]
+    )
+    def test_time_blocks_cover_the_stack_in_order(self, shape):
+        a = np.zeros(shape)
+        blocks = _time_blocks(a)
+        # each block ends inside the stack, so it can index a longer array too
+        starts = [b.start for b in blocks]
+        assert starts == sorted(starts) and starts[0] == 0
+        assert [b.stop for b in blocks] == starts[1:] + [shape[0]]
+        limit = max(grid_module._BLOCK_BYTES, a[0].nbytes)
+        assert all(0 < a[b].nbytes <= limit for b in blocks)
+        # a stack that fits is one block
+        assert (len(blocks) == 1) == (a.nbytes <= limit)
 
 
 def _old_route(v, denom):

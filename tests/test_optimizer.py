@@ -250,6 +250,14 @@ class TestOptimize:
         assert rep.message == "iteration cap reached"
         assert rep.n_iterations == 1
 
+    def test_cap_point_within_tolerance_reports_it(self):
+        # the start is the optimum: the point reached at the cap meets tol
+        pd = small_problem(with_target=False, y0_amp=0.0, lam=0.5)
+        rep = optimize(pd, None, OptimizeOptions(max_iter=0))
+        assert rep.converged
+        assert rep.message == "vi residual within tolerance"
+        assert rep.n_iterations == 1
+
     def test_line_search_failure_reported(self):
         pd = small_problem(L=1e5, lam=0.0)
         with warnings.catch_warnings():
@@ -272,6 +280,29 @@ class TestOptimize:
         # every recorded iterate is admissible; check the final one directly
         assert control_h1_norm(rep.u_final) <= pd.L * (1.0 + 1e-12)
         assert rep.iterates[-1].vi <= rep.tol
+
+    def test_inactive_ball_norm_roundoff_changes_no_bit(self, monkeypatch):
+        # the ball norm only decides r <= L, so with the ball inactive a
+        # relative change of 1e-12 in it leaves every iterate as it was
+        pd = reachable_problem()
+        ref = optimize(pd, None, OptimizeOptions(max_iter=200))
+        assert ref.converged and ref.ball_ratio < 1.0
+        real = optimizer_module.control_h1_norm
+        monkeypatch.setattr(
+            optimizer_module, "control_h1_norm", lambda u: real(u) * (1.0 + 1e-12)
+        )
+        rep = optimize(pd, None, OptimizeOptions(max_iter=200))
+        assert rep.u_final.data.tobytes() == ref.u_final.data.tobytes()
+        assert (rep.J_final, rep.n_iterations) == (ref.J_final, ref.n_iterations)
+
+    def test_ball_ratio_is_final_norm_over_radius(self):
+        pd = reachable_problem()
+        rep = optimize(pd, None, OptimizeOptions(max_iter=200))
+        assert rep.ball_ratio == control_h1_norm(rep.u_final) / pd.L
+        assert 0.0 < rep.ball_ratio < 1.0
+        # an active ball leaves the final iterate on the sphere
+        rep = optimize(small_problem(L=0.01, lam=0.0), None, OptimizeOptions(max_iter=5))
+        assert abs(rep.ball_ratio - 1.0) <= 1e-12
 
     def test_bb2_step_needs_few_state_solves(self):
         # the short BB step is accepted untouched on most iterations; the long

@@ -15,6 +15,7 @@ from sgf2d.grid import (
     GridMismatchError,
     ScalarField2D,
     VectorField2D,
+    _time_blocks,
     apply_symbol,
     arakawa,
     cross_quadrature,
@@ -53,6 +54,7 @@ from helpers import (
     single_mode_stream,
     smooth_control,
     smooth_raw_field,
+    solve_state_per_step,
     windowed_stream,
     windowed_velocity,
 )
@@ -153,6 +155,37 @@ class TestTimeQuadrature:
         data = np.broadcast_to(np.stack([v.u1, v.u2]), (m + 1, 2, 9, 9)).copy()
         u = Trajectory(g, T / m, "control", data)
         assert control_h1_norm(u) == pytest.approx(np.sqrt(T) * norm_hk(v, 1), rel=1e-12)
+
+
+class TestControlH1Norm:
+    @staticmethod
+    def _stack(kind, n, m):
+        rng = np.random.default_rng(n)
+        if kind == "random":
+            return rng.standard_normal((m + 1, 2, n, n))
+        if kind == "constant":
+            return np.full((m + 1, 2, n, n), 0.7)
+        coeffs = rng.standard_normal((3, 3))
+        v = velocity_from_stream(stream_from_coeffs(Grid(n), coeffs))
+        tmod = np.cos(np.linspace(0.0, 1.0, m + 1))
+        return tmod[:, None, None, None] * np.stack([v.u1, v.u2])[None]
+
+    @pytest.mark.parametrize("kind", ["random", "smooth", "constant"])
+    @pytest.mark.parametrize("n", [3, 8, 16, 63])
+    def test_equals_stack_hk_sq_trapezoid(self, n, kind):
+        g, m, dt = Grid(n), 4, 0.1
+        u = Trajectory(g, dt, "control", self._stack(kind, n, m))
+        ref = np.sqrt(np.dot(trap_weights(m, dt), spaces.stack_hk_sq(u.data, g.h, 1)[1]))
+        assert abs(control_h1_norm(u) - ref) <= 1e-14 * ref
+
+    def test_diff1_matrix_cached_read_only(self):
+        d = spaces.diff1_matrix(11)
+        assert spaces.diff1_matrix(11) is d
+        assert not d.flags.writeable
+        v = np.random.default_rng(2).standard_normal((11, 11))
+        h = Grid(11).h
+        for got, ref in ((d @ v, spaces.diff1(v, h, -2)), (v @ d.T, spaces.diff1(v, h, -1))):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestProblemData:
@@ -358,6 +391,23 @@ class TestSolveState:
             errs.append(abs(got - law) / law)
         assert errs[0] < 0.01
         assert 0.4 < errs[1] / errs[0] < 0.6
+
+    # at 40^2 the forcing's curl takes three time blocks
+    @pytest.mark.parametrize("n,m", [(8, 5), (16, 3), (40, 5)])
+    def test_bits_equal_per_step_forcing(self, n, m):
+        pd = small_problem(n=n, m=m)
+        u = smooth_control(pd, 2)
+        sol = solve_state(u, pd)
+        for name, ref in zip(("psi", "q", "y"), solve_state_per_step(u, pd)):
+            assert getattr(sol, name).tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("n,m", [(8, 1), (8, 6), (40, 5)])
+    def test_one_forcing_curl_per_time_block(self, monkeypatch, n, m):
+        pd = small_problem(n=n, m=m)
+        u = smooth_control(pd, 2)
+        curls = count_calls(monkeypatch, state_module, "curl_values")
+        solve_state(u, pd)
+        assert len(curls) == len(_time_blocks(u.data[1:])) == (1 if n == 8 else 3)
 
     def test_norms_recorded(self):
         pd = small_problem(m=4)

@@ -8,6 +8,7 @@ proven constants instead upgrades it.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -52,7 +53,7 @@ def main():
 
     # rerun with lam above both thresholds and print the full certificate;
     # the larger one can be either, the groupings scale differently
-    pd.lam = 2.0 * max(rep0.coercivity_threshold, rep0.uniqueness_threshold)
+    pd = replace(pd, lam=2.0 * max(rep0.coercivity_threshold, rep0.uniqueness_threshold))
     rep = certify(CertificateInputs.from_problem(pd, dc))
     print()
     print(rep.to_text())

@@ -91,10 +91,28 @@ class CertificateInputs:
         )
 
 
+def _inf_on_overflow(f, *args) -> float:
+    """f(*args), or inf where its float result overflows. The bounds grow like
+    exponentials of the data, and math.exp and float ** raise OverflowError
+    where a product of floats would give inf; finite results keep their bits."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
+
+
+def _exp(x: float) -> float:
+    return _inf_on_overflow(math.exp, x)
+
+
+def _sq(x: float) -> float:
+    return _inf_on_overflow(pow, x, 2)
+
+
 def compute_lambda1(ci: CertificateInputs) -> float:
     """lambda1^2 = (1 + 4*K*alpha_hat)(|y0|_{H3}^2 + |u|_{L1(0,T;H1)}^2)."""
     alpha_hat = max(1.0 / (2.0 * ci.alpha), 2.0 * ci.alpha)
-    s = ci.norm_y0_H3 ** 2 + ci.norm_u_L1H1 ** 2
+    s = _sq(ci.norm_y0_H3) + _sq(ci.norm_u_L1H1)
     return math.sqrt((1.0 + 4.0 * ci.constants.K * alpha_hat) * s)
 
 
@@ -102,21 +120,22 @@ def compute_lambda2(ci: CertificateInputs, lambda1: float) -> float:
     """lambda2^2 = Kt[(1 + C2*T*(1+1/a)*C1*l1/a) e^{C2*T(1+(1+1/a)*C1*l1)} + 1/(a*nu)]."""
     a, c = ci.alpha, ci.constants
     growth = c.C2 * ci.T * (1.0 + 1.0 / a) * c.C1 * lambda1 / a
-    expo = math.exp(c.C2 * ci.T * (1.0 + (1.0 + 1.0 / a) * c.C1 * lambda1))
+    expo = _exp(c.C2 * ci.T * (1.0 + (1.0 + 1.0 / a) * c.C1 * lambda1))
     return math.sqrt(c.K_tilde * ((1.0 + growth) * expo + 1.0 / (a * ci.nu)))
 
 
 def _lambda3_sq(ci: CertificateInputs, lambda1: float, reading: str) -> float:
     a, c = ci.alpha, ci.constants
-    A = c.C3 * ci.T * c.C1 * lambda1 * (1.0 + a) / a ** 2
+    A = c.C3 * ci.T * c.C1 * lambda1 * (1.0 + a) / _sq(a)
     B = c.C3 * ci.T * (1.0 + c.C1 * lambda1 * (1.0 + 1.0 / a))
-    paren = 1.0 + (2.0 / a) * c.C3 * ci.T * c.C1 * lambda1 * (1.0 + 1.0 / a) * math.exp(A)
+    eA, eB = _exp(A), _exp(B)
+    paren = 1.0 + (2.0 / a) * c.C3 * ci.T * c.C1 * lambda1 * (1.0 + 1.0 / a) * eA
     if reading == "printed":
         # grouping exactly as displayed: one product of all four factors
-        return c.K_tilde * (1.0 / (a * ci.nu)) * math.exp(A) * paren * math.exp(B)
+        return c.K_tilde * (1.0 / (a * ci.nu)) * eA * paren * eB
     if reading == "derived":
         # grouping the derivation supports: dissipative term added, not multiplied
-        return c.K_tilde * (paren * math.exp(B) + (1.0 / (a * ci.nu)) * math.exp(A))
+        return c.K_tilde * (paren * eB + (1.0 / (a * ci.nu)) * eA)
     raise ValueError(f"unknown lambda3 reading {reading!r}")
 
 
@@ -129,13 +148,13 @@ def compute_lambda4(ci: CertificateInputs, lambda1: float) -> float:
     """Adjoint bound: 2*Kt[(1 + C4*T*C1*l1*(1+1/a)/a e^{A}) e^{B} + e^{E}/(a*nu)]
     times (C1^2*l1^2/a^2 + |y_d|^2)."""
     a, c = ci.alpha, ci.constants
-    A = c.C4 * ci.T * c.C1 * lambda1 * (1.0 + a) / a ** 2
+    A = c.C4 * ci.T * c.C1 * lambda1 * (1.0 + a) / _sq(a)
     B = c.C4 * ci.T * (1.0 + c.C1 * lambda1 * (1.0 + 1.0 / a))
-    E = c.C4 * ci.T * c.C1 * lambda1 * (1.0 + a) ** 2 / a
+    E = c.C4 * ci.T * c.C1 * lambda1 * _sq(1.0 + a) / a
     bracket = (
-        1.0 + (1.0 / a) * c.C4 * ci.T * c.C1 * lambda1 * (1.0 + 1.0 / a) * math.exp(A)
-    ) * math.exp(B) + (1.0 / (a * ci.nu)) * math.exp(E)
-    data = c.C1 ** 2 * lambda1 ** 2 / a ** 2 + ci.norm_yd_L2Q ** 2
+        1.0 + (1.0 / a) * c.C4 * ci.T * c.C1 * lambda1 * (1.0 + 1.0 / a) * _exp(A)
+    ) * _exp(B) + (1.0 / (a * ci.nu)) * _exp(E)
+    data = _sq(c.C1) * _sq(lambda1) / _sq(a) + _sq(ci.norm_yd_L2Q)
     return math.sqrt(2.0 * c.K_tilde * bracket * data)
 
 
@@ -238,8 +257,8 @@ def certify(ci: CertificateInputs, lambda3_reading: str = "printed") -> Certific
     else:
         disc = abs(l3p - l3d) / big
     k_hat = ci.constants.K_hat
-    coer = 2.0 * k_hat * l3 ** 2 * l4
-    uniq = 2.0 * k_hat * l2 ** 2 * l4
+    coer = 2.0 * k_hat * _sq(l3) * l4
+    uniq = 2.0 * k_hat * _sq(l2) * l4
     return CertificateReport(
         lambda1=l1,
         lambda2=l2,
@@ -267,8 +286,8 @@ def check_state_bound(base: StateSolution, ci: CertificateInputs):
     supplied or estimated constants.
     """
     lambda1 = compute_lambda1(ci)
-    lhs = float(np.max(base.norms_h3)) ** 2
-    rhs = (ci.constants.C1 * lambda1 / ci.alpha) ** 2
+    lhs = _sq(float(np.max(base.norms_h3)))
+    rhs = _sq(ci.constants.C1 * lambda1 / ci.alpha)
     return _checked(lhs, rhs)
 
 
@@ -276,7 +295,7 @@ def check_adjoint_bound(adj: AdjointState, ci: CertificateInputs):
     """max_t |p(t)|_{H2}^2 against lambda4^2.  Advisory with default constants."""
     lambda4 = compute_lambda4(ci, compute_lambda1(ci))
     lhs = float(np.max(stack_hk_sq(adj.p, adj.pd.grid.h, 2)[2]))
-    rhs = lambda4 ** 2
+    rhs = _sq(lambda4)
     return _checked(lhs, rhs)
 
 

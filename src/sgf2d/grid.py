@@ -159,10 +159,16 @@ def curl_upsilon_values(u1: np.ndarray, u2: np.ndarray, alpha: float, h: float) 
 _BLOCK_BYTES = 1 << 16
 
 
+def _blocks(count: int, item_bytes: int) -> list:
+    """Slices of range(count), in order, each about _BLOCK_BYTES of items of
+    item_bytes, and at least one item."""
+    step = max(1, _BLOCK_BYTES // max(1, item_bytes))
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
+
+
 def _time_blocks(a: np.ndarray) -> list:
     """Slices of a's leading axis, in order, each about _BLOCK_BYTES of a."""
-    n, step = a.shape[0], max(1, _BLOCK_BYTES // max(1, a[0].nbytes))
-    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
+    return _blocks(a.shape[0], a[0].nbytes)
 
 
 def slice_sums(a: np.ndarray) -> np.ndarray:

@@ -83,7 +83,7 @@ class IterRecord(NamedTuple):
     vi: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizeOptions:
     tol: float | None = None
     max_iter: int = 500
@@ -257,12 +257,19 @@ def start_control(pd: ProblemData, seed: int, index: int, scale: float = 0.45) -
 class MultiStartReport:
     reports: list
     distances: np.ndarray
-    max_distance: float
     distance_tol: float
-    all_within_tol: bool
     uniqueness_threshold: float | None
     lambda_exceeds_threshold: bool | None
     illustrative: bool | None
+
+    @property
+    def max_distance(self) -> float:
+        """Largest pairwise distance between the starts' solenoidal parts."""
+        return float(self.distances.max())
+
+    @property
+    def all_within_tol(self) -> bool:
+        return self.max_distance <= self.distance_tol
 
     @property
     def all_converged(self) -> bool:
@@ -294,8 +301,6 @@ def multi_start_uniqueness(
         for j in range(i + 1, n_starts):
             d = l2q_norm(sol_parts[i] - sol_parts[j], tau)
             distances[i, j] = distances[j, i] = d
-    max_distance = float(distances.max())
-    distance_tol = 1e-5 * pd.L
 
     threshold = exceeds = illustrative = None
     if constants is not None:
@@ -307,9 +312,7 @@ def multi_start_uniqueness(
     return MultiStartReport(
         reports=reports,
         distances=distances,
-        max_distance=max_distance,
-        distance_tol=distance_tol,
-        all_within_tol=max_distance <= distance_tol,
+        distance_tol=1e-5 * pd.L,
         uniqueness_threshold=threshold,
         lambda_exceeds_threshold=exceeds,
         illustrative=illustrative,

@@ -58,9 +58,8 @@ class TangentState:
 
 
 def _check_base(base: StateSolution, pd: ProblemData) -> None:
-    """Refuse pd unless base was solved under its grid, m_steps, alpha, nu and T,
-    as they were when base was built (pd may be base.pd, changed since)."""
-    if base._solved_under != pd._sweep_params():
+    """Refuse pd unless base was solved under its grid, m_steps, alpha, nu and T."""
+    if base.pd._sweep_params() != pd._sweep_params():
         raise ValueError("base solution was produced under different problem data")
 
 
@@ -100,7 +99,7 @@ def solve_linearized(base: StateSolution, w: Trajectory, pd: ProblemData) -> Tan
     def solve() -> TangentState:
         return _propagate(base, pd, lambda k: curl_values(w.data[k + 1, 0], w.data[k + 1, 1], h))
 
-    return base._memo_sweep("tangent", pd, w.data, solve, copy_key=True)
+    return base._memo_sweep("tangent", pd, w.data, solve)
 
 
 def solve_second(

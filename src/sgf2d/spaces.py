@@ -12,13 +12,14 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from . import fieldio
 from .grid import (
-    _BLOCK_BYTES,
+    _blocks,
     _time_blocks,
     Grid,
     GridMismatchError,
@@ -198,9 +199,10 @@ class NormSuite:
 # ---------------------------------------------------------------------------
 # domain constants
 
-@dataclass
+@dataclass(frozen=True)
 class DomainConstants:
-    """Constants of the a-priori estimates; provenance recorded per constant."""
+    """Constants of the a-priori estimates; provenance recorded per constant
+    in source, a read-only copy with "default_unit" where none is given."""
 
     K: float = 1.0
     K_tilde: float = 1.0
@@ -209,17 +211,18 @@ class DomainConstants:
     C2: float = 1.0
     C3: float = 1.0
     C4: float = 1.0
-    source: dict = field(
-        default_factory=lambda: {name: "default_unit" for name in CONSTANT_NAMES}
-    )
+    source: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in CONSTANT_NAMES:
+        source = dict.fromkeys(CONSTANT_NAMES, "default_unit") | dict(self.source)
+        for name in source:
+            if name not in CONSTANT_NAMES:
+                raise ValueError(f"unknown constant {name!r} in source")
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"constant {name} must be positive and finite")
-            self.source.setdefault(name, "default_unit")
-            if self.source[name] not in ("user_supplied", "estimated", "default_unit"):
-                raise ValueError(f"bad source for {name}: {self.source[name]!r}")
+            if source[name] not in ("user_supplied", "estimated", "default_unit"):
+                raise ValueError(f"bad source for {name}: {source[name]!r}")
+        object.__setattr__(self, "source", MappingProxyType(source))
 
     @property
     def any_default(self) -> bool:
@@ -406,11 +409,10 @@ def estimate_constant(
         raise ValueError(f"alpha must be finite, got {alpha}")
     terms, fields, _ = _INEQUALITIES[kind]
     shape = (n_modes, n_modes) if fields == 1 else (fields, n_modes, n_modes)
-    # a block holds about _BLOCK_BYTES of sample stream functions
-    step = max(1, _BLOCK_BYTES // (fields * grid.n_interior**2 * 8))
     best = -np.inf
-    for s in range(0, samples, step):
-        rngs = [np.random.default_rng([seed, i]) for i in range(s, min(s + step, samples))]
+    # a block holds about grid._BLOCK_BYTES of sample stream functions
+    for b in _blocks(samples, fields * grid.n_interior**2 * 8):
+        rngs = [np.random.default_rng([seed, i]) for i in range(b.start, b.stop)]
         c = np.stack([rng.standard_normal(shape) for rng in rngs])
         r = _ratio(terms, c, grid, alpha)
         sigma = 0.3

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -71,7 +71,8 @@ class Trajectory:
     """Uniformly spaced time sequence of fields on one grid.
 
     ``data`` has shape (m_steps+1, 2, n, n) for vector kinds and
-    (m_steps+1, n, n) for scalar kinds.
+    (m_steps+1, n, n) for scalar kinds. It keeps its own read-only
+    C-contiguous float64 copy, so the caller's array stays writeable.
     """
 
     grid: Grid
@@ -84,7 +85,7 @@ class Trajectory:
 
     def __post_init__(self):
         n = self.grid.n_interior
-        a = np.asarray(self.data, dtype=np.float64)
+        a = np.array(self.data, dtype=np.float64, order="C")
         if self.kind in self._VECTOR_KINDS:
             ok = a.ndim == 4 and a.shape[1:] == (2, n, n)
         elif self.kind in self._SCALAR_KINDS:
@@ -97,7 +98,6 @@ class Trajectory:
             raise ValueError("dt must be positive and finite")
         if not np.isfinite(a).all():
             raise ValueError("trajectory contains non-finite entries")
-        a = np.ascontiguousarray(a)
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
@@ -234,7 +234,7 @@ def _warn_cfl(cfl: float, stacklevel: int) -> None:
 # ---------------------------------------------------------------------------
 # problem data
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemData:
     """Model, discretization, target, and cost parameters of one problem."""
 
@@ -352,21 +352,18 @@ class StateSolution:
     vorticity and velocity stacks of the trajectory. The vorticity, the H1
     and H3 norms (both in one stack pass) and the largest CFL number are
     computed on first read. The last tangent and tracking-adjoint sweeps
-    around this state are kept on it (see _memo_sweep). pd's parameters are
-    recorded when it is built, because ProblemData is mutable."""
+    around this state are kept on it (see _memo_sweep)."""
 
     pd: ProblemData
     u: Trajectory
     psi: np.ndarray
     q: np.ndarray
     y: np.ndarray
-    _solved_under: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the cached properties read these stacks later, so they must not change
         for a in (self.psi, self.q, self.y):
             a.setflags(write=False)
-        object.__setattr__(self, "_solved_under", self.pd._sweep_params())
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -394,10 +391,11 @@ class StateSolution:
     def _sweeps(self) -> dict:
         return {}
 
-    def _memo_sweep(self, kind: str, pd: ProblemData, key: np.ndarray, solve, copy_key=False):
+    def _memo_sweep(self, kind: str, pd: ProblemData, key: np.ndarray, solve):
         """solve(), or the result of the last kind sweep on this state when that
         had the same pd object and a key of the same bits (compared as int64,
-        so -0.0 is not 0.0). copy_key keeps a copy of a key the caller can write.
+        so -0.0 is not 0.0). The key is kept as given, so no one may write
+        into it: a Trajectory's own data or an array the caller just made.
         """
         bits = key.view(np.int64)
         slot = self._sweeps.get(kind)
@@ -405,7 +403,7 @@ class StateSolution:
             return slot[2]
         self._sweeps[kind] = slot = None  # free the old result before the sweep
         result = solve()
-        self._sweeps[kind] = (pd, bits.copy() if copy_key else bits, result)
+        self._sweeps[kind] = (pd, bits, result)
         return result
 
     @property

@@ -11,6 +11,8 @@ to the PDE it is supposed to approximate rather than just to the discrete
 objective.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -223,9 +225,9 @@ class TestSweepMemo:
         pd = small_problem()
         base = solve_state(smooth_control(pd, 1), pd)
         adj = solve_adjoint(base, None, pd)
-        pd.y_d = velocity_from_stream(
+        pd = replace(pd, y_d=velocity_from_stream(
             stream_from_coeffs(pd.grid, 0.1 * np.random.default_rng(8).standard_normal((2, 2)))
-        )
+        ))
         adj2 = solve_adjoint(base, None, pd)
         assert adj2 is not adj
         ref = _adjoint_core(base, base.y - pd.target_stack(), pd)

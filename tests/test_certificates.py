@@ -24,6 +24,8 @@ import pytest
 from sgf2d.certificates import (
     CertificateInputs,
     CertificateReport,
+    _exp,
+    _sq,
     certify,
     compute_lambda1,
     compute_lambda2,
@@ -278,6 +280,22 @@ class TestReportIO:
         assert (rep.lambda3_derived == math.inf) == (disc == 0.0)
         assert rep.lambda3_rel_discrepancy == disc
         assert CertificateReport.from_text(rep.to_text()) == rep
+
+    @pytest.mark.parametrize("norm_y0", [54.0, 1e200])
+    def test_overflowing_bounds_read_inf(self, norm_y0):
+        # math.exp (at 54) and float ** (1e200 ** 2) raise OverflowError
+        # where a product of floats gives inf
+        rep = certify(crafted_inputs(norm_y0=norm_y0))
+        assert rep.coercivity_threshold == rep.uniqueness_threshold == math.inf
+        assert not rep.verdict_second_order and not rep.verdict_uniqueness
+        assert CertificateReport.from_text(rep.to_text()) == rep
+
+    def test_overflow_step_keeps_finite_values(self):
+        xs = np.random.default_rng(3).uniform(-700.0, 700.0, 200).tolist() + [0.0]
+        assert [_exp(x) for x in xs] == [math.exp(x) for x in xs]
+        xs += [1e154, -1e154]
+        assert [_sq(x) for x in xs] == [x ** 2 for x in xs]
+        assert _exp(710.0) == _sq(1e155) == math.inf
 
     def test_text_order_is_field_order(self):
         text = certify(crafted_inputs()).to_text()

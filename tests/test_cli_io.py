@@ -8,6 +8,7 @@ generate for it; when an installed `sgf2d` is on PATH, that is run too.
 """
 
 import importlib
+import math
 import os
 import shutil
 import subprocess
@@ -574,6 +575,20 @@ class TestCertify:
         rep = CertificateReport.from_text((out / "certificate.txt").read_text())
         assert not rep.illustrative
         assert rep.constants_source["K"] == "user_supplied"
+
+    def test_overflowing_bounds_certify_to_inf(self, tmp_path):
+        # math.exp in lambda2 overflowed here and the run ended in a traceback
+        body = "alpha = 0.5\nnu = 0.1\nT = 0.5\ngrid = 12\nsteps = 4\ny0_modes = 1,1,5\n"
+        cfg = write_cfg(tmp_path, body)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # y0's CFL number is 24
+            assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 0
+        rep = CertificateReport.from_text((out / "certificate.txt").read_text())
+        assert rep.coercivity_threshold == rep.uniqueness_threshold == math.inf
+        assert not rep.verdict_second_order and not rep.verdict_uniqueness
+        report = (out / "report.txt").read_text()
+        assert "uniqueness_threshold = inf\n" in report
 
 
 class TestEstimateConstants:

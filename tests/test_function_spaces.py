@@ -1,5 +1,7 @@
 """Inner products, Sobolev norms, domain constants, and the inequality checks."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -334,6 +336,29 @@ class TestDomainConstants:
         assert dc.source["C1"] == "default_unit"
         with pytest.raises(ValueError):
             DomainConstants(source={"K": "guessed"})
+
+    def test_changed_constant_is_checked_again(self):
+        # K = -1 made certify raise a math domain error
+        dc = DomainConstants()
+        with pytest.raises(FrozenInstanceError):
+            dc.K = -1.0
+        with pytest.raises(ValueError, match="constant K must be positive"):
+            replace(dc, K=-1.0)
+
+    def test_source_is_a_read_only_copy(self):
+        given = {"K": "estimated"}
+        dc = DomainConstants(K=2.0, source=given)
+        assert given == {"K": "estimated"}
+        with pytest.raises(TypeError):
+            dc.source["K"] = "made_up"
+        given["K"] = "made_up"
+        assert dc.source["K"] == "estimated"
+        assert replace(dc, K=3.0).source == dc.source
+
+    @pytest.mark.parametrize("name", ["k", "C5", "K_source"])
+    def test_unknown_source_name_refused(self, name):
+        with pytest.raises(ValueError, match=f"unknown constant '{name}'"):
+            DomainConstants(source={name: "estimated"})
 
     def test_any_default_clears(self):
         dc = DomainConstants(source={name: "user_supplied" for name in CONSTANT_NAMES})

@@ -8,6 +8,7 @@ reachable target the loop actually closes most of the gap to zero cost.
 """
 
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -233,6 +234,14 @@ class TestOptimize:
         # armijo_c = -10 let J rise on accepted steps, against optimize's contract
         with pytest.raises(ValueError, match=field):
             OptimizeOptions(**kw)
+
+    def test_options_are_checked_again_on_replace(self):
+        # max_iter = -3 used to return a report with no iterates
+        opts = OptimizeOptions()
+        with pytest.raises(FrozenInstanceError):
+            opts.max_iter = -3
+        with pytest.raises(ValueError, match="max_iter"):
+            replace(opts, max_iter=-3)
 
     def test_final_state_is_state_of_u_final(self):
         pd = small_problem()

@@ -12,6 +12,7 @@ symmetry, zero propagation) holds to roundoff, not discretization error.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,23 +94,20 @@ class TestLinearizedBasics:
 
     @pytest.mark.parametrize("name", ["nu", "alpha", "T"])
     def test_base_of_changed_problem_data_refused(self, name):
-        # ProblemData is mutable and base.pd is the same object: the base
-        # records the parameters it was solved under
+        # a copy of base.pd with one sweep parameter changed is refused
         pd = small_problem()
         base = solve_state(None, pd)
         w = smooth_control(pd, 2)
         kept = solve_linearized(base, w, pd)
         solve_adjoint(base, None, pd)
-        old = getattr(pd, name)
-        setattr(pd, name, 2.0 * old)
+        changed = replace(pd, **{name: 2.0 * getattr(pd, name)})
         for solver in (
-            lambda: solve_linearized(base, w, pd),
-            lambda: solve_adjoint(base, None, pd),
-            lambda: solve_second(base, kept, kept, pd),
+            lambda: solve_linearized(base, w, changed),
+            lambda: solve_adjoint(base, None, changed),
+            lambda: solve_second(base, kept, kept, changed),
         ):
             with pytest.raises(ValueError, match="different problem data"):
                 solver()
-        setattr(pd, name, old)
         assert solve_linearized(base, w, pd) is kept
 
     def test_overflowing_direction_refused(self):

@@ -1,6 +1,7 @@
 """Static checks over the package source: every module imports only what it
-uses, only fieldio splits ``key = value`` lines, and the CLI reads only the
-config keys that config's key table declares."""
+uses, only fieldio splits ``key = value`` lines, the CLI reads only the
+config keys that config's key table declares, and every checked dataclass
+is frozen."""
 
 import ast
 from pathlib import Path
@@ -71,6 +72,36 @@ def config_keys_read(tree: ast.Module) -> set[str]:
         and isinstance(node.slice, ast.Constant)
         and isinstance(node.slice.value, str)
     }
+
+
+def checked_dataclasses(tree: ast.Module) -> dict[str, bool]:
+    """name: whether declared frozen=True, of every @dataclass class that
+    defines __post_init__."""
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or not any(
+            isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for f in node.body
+        ):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            name = call.func if call else deco
+            if isinstance(name, ast.Name) and name.id == "dataclass":
+                out[node.name] = call is not None and any(
+                    k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+                    for k in call.keywords
+                )
+    return out
+
+
+def test_checked_dataclasses_are_frozen():
+    # __post_init__ checks the fields once; an assignment afterwards would skip
+    # the checks, so a changed value is built with dataclasses.replace
+    found = {}
+    for path in MODULES:
+        found.update(checked_dataclasses(ast.parse(path.read_text())))
+    assert {"ProblemData", "OptimizeOptions", "DomainConstants", "Trajectory"} <= set(found)
+    assert [name for name, frozen in found.items() if not frozen] == []
 
 
 def test_cli_reads_only_declared_config_keys():

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ class TestTrajectory:
         u = Trajectory.zeros(Grid(6), 3, 0.1, "control")
         with pytest.raises(ValueError):
             u.data[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("dtype,step", [(np.float64, 1), (np.float32, -1)])
+    def test_keeps_its_own_copy(self, dtype, step):
+        owner = np.zeros((3, 2, 6, 6), dtype=dtype)[..., ::step]
+        u = Trajectory(Grid(6), 0.1, "control", owner)
+        assert owner.flags.writeable
+        owner[1, 0, 2, 2] = np.nan
+        assert np.all(u.data == 0.0)
+        assert u.data.dtype == np.float64 and u.data.flags.c_contiguous
 
     def test_from_fields_round_trip(self):
         g = Grid(7)
@@ -214,6 +224,15 @@ class TestProblemData:
         ):
             with pytest.raises(ValueError):
                 ProblemData(**{**ok, **bad})
+
+    @pytest.mark.parametrize("name,bad", [("alpha", -0.5), ("L", np.inf), ("lam", -1.0)])
+    def test_a_changed_value_is_checked_again(self, name, bad):
+        # an assignment would skip the checks of __post_init__; replace runs them
+        pd = small_problem()
+        with pytest.raises(FrozenInstanceError):
+            setattr(pd, name, bad)
+        with pytest.raises(ValueError, match="must be"):
+            replace(pd, **{name: bad})
 
     def test_operator_cache_is_bounded_and_shared(self):
         g = Grid(8)
@@ -650,17 +669,18 @@ class TestSweepMemo:
         assert tan_twin.z.tobytes() == tan.z.tobytes()
 
     def test_caller_writes_into_the_array_behind_w(self):
-        # a Trajectory built on a view makes only the view read-only; the
-        # memo must keep its own copy of the key
+        # w keeps its own copy, so the caller's writes change neither w nor
+        # the memo's key
         pd = small_problem()
         base = solve_state(smooth_control(pd, 1), pd)
         owner = smooth_control(pd, 2).data.copy()
         w = Trajectory(pd.grid, pd.dt, "control", owner[:])
         tan = solve_linearized(base, w, pd)
+        kept = w.data.copy()
         owner *= 2.0
-        tan2 = solve_linearized(base, w, pd)
-        assert tan2 is not tan
-        assert tan2.z.tobytes() == memo_free_tangent(base, w, pd).z.tobytes()
+        assert w.data.tobytes() == kept.tobytes()
+        assert solve_linearized(base, w, pd) is tan
+        assert tan.z.tobytes() == memo_free_tangent(base, w, pd).z.tobytes()
 
     def test_one_slot_per_base(self):
         pd = small_problem()

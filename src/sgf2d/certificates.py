@@ -109,6 +109,14 @@ def _sq(x: float) -> float:
     return _inf_on_overflow(pow, x, 2)
 
 
+def _div(x: float, y: float) -> float:
+    """x / y of nonnegative x and y, where y may have underflowed to 0: the
+    quotient is then inf, or 0 where x is 0. Other quotients keep their bits."""
+    if y == 0.0:
+        return math.inf if x else 0.0
+    return x / y
+
+
 def compute_lambda1(ci: CertificateInputs) -> float:
     """lambda1^2 = (1 + 4*K*alpha_hat)(|y0|_{H3}^2 + |u|_{L1(0,T;H1)}^2)."""
     alpha_hat = max(1.0 / (2.0 * ci.alpha), 2.0 * ci.alpha)
@@ -121,21 +129,21 @@ def compute_lambda2(ci: CertificateInputs, lambda1: float) -> float:
     a, c = ci.alpha, ci.constants
     growth = c.C2 * ci.T * (1.0 + 1.0 / a) * c.C1 * lambda1 / a
     expo = _exp(c.C2 * ci.T * (1.0 + (1.0 + 1.0 / a) * c.C1 * lambda1))
-    return math.sqrt(c.K_tilde * ((1.0 + growth) * expo + 1.0 / (a * ci.nu)))
+    return math.sqrt(c.K_tilde * ((1.0 + growth) * expo + _div(1.0, a * ci.nu)))
 
 
 def _lambda3_sq(ci: CertificateInputs, lambda1: float, reading: str) -> float:
     a, c = ci.alpha, ci.constants
-    A = c.C3 * ci.T * c.C1 * lambda1 * (1.0 + a) / _sq(a)
+    A = _div(c.C3 * ci.T * c.C1 * lambda1 * (1.0 + a), _sq(a))
     B = c.C3 * ci.T * (1.0 + c.C1 * lambda1 * (1.0 + 1.0 / a))
     eA, eB = _exp(A), _exp(B)
     paren = 1.0 + (2.0 / a) * c.C3 * ci.T * c.C1 * lambda1 * (1.0 + 1.0 / a) * eA
     if reading == "printed":
         # grouping exactly as displayed: one product of all four factors
-        return c.K_tilde * (1.0 / (a * ci.nu)) * eA * paren * eB
+        return c.K_tilde * _div(1.0, a * ci.nu) * eA * paren * eB
     if reading == "derived":
         # grouping the derivation supports: dissipative term added, not multiplied
-        return c.K_tilde * (paren * eB + (1.0 / (a * ci.nu)) * eA)
+        return c.K_tilde * (paren * eB + _div(1.0, a * ci.nu) * eA)
     raise ValueError(f"unknown lambda3 reading {reading!r}")
 
 
@@ -148,13 +156,13 @@ def compute_lambda4(ci: CertificateInputs, lambda1: float) -> float:
     """Adjoint bound: 2*Kt[(1 + C4*T*C1*l1*(1+1/a)/a e^{A}) e^{B} + e^{E}/(a*nu)]
     times (C1^2*l1^2/a^2 + |y_d|^2)."""
     a, c = ci.alpha, ci.constants
-    A = c.C4 * ci.T * c.C1 * lambda1 * (1.0 + a) / _sq(a)
+    A = _div(c.C4 * ci.T * c.C1 * lambda1 * (1.0 + a), _sq(a))
     B = c.C4 * ci.T * (1.0 + c.C1 * lambda1 * (1.0 + 1.0 / a))
     E = c.C4 * ci.T * c.C1 * lambda1 * _sq(1.0 + a) / a
     bracket = (
         1.0 + (1.0 / a) * c.C4 * ci.T * c.C1 * lambda1 * (1.0 + 1.0 / a) * _exp(A)
-    ) * _exp(B) + (1.0 / (a * ci.nu)) * _exp(E)
-    data = _sq(c.C1) * _sq(lambda1) / _sq(a) + _sq(ci.norm_yd_L2Q)
+    ) * _exp(B) + _div(1.0, a * ci.nu) * _exp(E)
+    data = _div(_sq(c.C1) * _sq(lambda1), _sq(a)) + _sq(ci.norm_yd_L2Q)
     return math.sqrt(2.0 * c.K_tilde * bracket * data)
 
 

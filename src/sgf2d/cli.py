@@ -17,7 +17,7 @@ from pathlib import Path
 from . import fieldio
 from .certificates import CertificateInputs, certify
 from .config import ConfigError, RunConfig, parse_config
-from .grid import ScalarField2D, VectorField2D
+from .grid import Grid, ScalarField2D, VectorField2D
 from .optimizer import cost, multi_start_uniqueness, optimize, start_control
 from .adjoint import gradient_field, solve_adjoint
 from .spaces import (
@@ -51,9 +51,11 @@ def _write_snapshot(fields_dir: Path, name: str, field: ScalarField2D | VectorFi
     fieldio.write_field_csv(fields_dir / f"{name}.csv", field)
 
 
-def _write_velocity_snapshots(fields_dir: Path, prefix: str, traj: Trajectory, idx) -> None:
+def _write_velocity_snapshots(fields_dir: Path, prefix: str, grid: Grid, data, idx) -> None:
+    """Write the picked slices k of an (m+1, 2, n, n) velocity stack."""
     for k in idx:
-        _write_snapshot(fields_dir, f"{prefix}_{k:06d}", traj.slice(k))
+        field = VectorField2D(grid, data[k, 0], data[k, 1])
+        _write_snapshot(fields_dir, f"{prefix}_{k:06d}", field)
 
 
 def _report(out: Path, subcommand: str, pd: ProblemData, seed: int, pairs) -> None:
@@ -78,7 +80,7 @@ def _cmd_simulate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
     fields_dir = out / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
     idx = _snapshot_indices(pd.m_steps, every)
-    _write_velocity_snapshots(fields_dir, "y", sol.velocity, idx)
+    _write_velocity_snapshots(fields_dir, "y", pd.grid, sol.y, idx)
     for k in idx:
         _write_snapshot(fields_dir, f"omega_{k:06d}", ScalarField2D(pd.grid, sol.omega[k]))
     fieldio.write_rows(
@@ -100,8 +102,8 @@ def _cmd_optimize(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
     fields_dir = out / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
     idx = _snapshot_indices(pd.m_steps, every)
-    _write_velocity_snapshots(fields_dir, "u", rep.u_final, idx)
-    _write_velocity_snapshots(fields_dir, "y", rep.final_state.velocity, idx)
+    _write_velocity_snapshots(fields_dir, "u", pd.grid, rep.u_final.data, idx)
+    _write_velocity_snapshots(fields_dir, "y", pd.grid, rep.final_state.y, idx)
     rep.write_csv(out / "log.csv")
     return [
         ("J_initial", rep.iterates[0].J),

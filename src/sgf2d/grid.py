@@ -124,21 +124,29 @@ def lap5(v: np.ndarray, h: float) -> np.ndarray:
     ) / (h * h)
 
 
+def _d1_padded(p: np.ndarray, h: float) -> np.ndarray:
+    return (p[..., 2:, 1:-1] - p[..., :-2, 1:-1]) / (2.0 * h)
+
+
+def _d2_padded(p: np.ndarray, h: float) -> np.ndarray:
+    return (p[..., 1:-1, 2:] - p[..., 1:-1, :-2]) / (2.0 * h)
+
+
 def d1c(v: np.ndarray, h: float) -> np.ndarray:
     """Centered d/dx1 with zero ghosts."""
-    p = pad0(v)
-    return (p[..., 2:, 1:-1] - p[..., :-2, 1:-1]) / (2.0 * h)
+    return _d1_padded(pad0(v), h)
 
 
 def d2c(v: np.ndarray, h: float) -> np.ndarray:
     """Centered d/dx2 with zero ghosts."""
-    p = pad0(v)
-    return (p[..., 1:-1, 2:] - p[..., 1:-1, :-2]) / (2.0 * h)
+    return _d2_padded(pad0(v), h)
 
 
 def velocity_values(psi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity (d2 psi, -d1 psi) of a stream-function array, as two arrays."""
-    return d2c(psi, h), -d1c(psi, h)
+    """Velocity (d2 psi, -d1 psi) of a stream-function array, as two arrays:
+    the bits of d2c and -d1c, from one padded copy of psi."""
+    p = pad0(psi)
+    return _d2_padded(p, h), -_d1_padded(p, h)
 
 
 def curl_values(u1: np.ndarray, u2: np.ndarray, h: float) -> np.ndarray:

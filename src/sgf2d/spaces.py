@@ -38,18 +38,36 @@ from .grid import (
 CONSTANT_NAMES = ("K", "K_tilde", "K_hat", "C1", "C2", "C3", "C4")
 
 
-def diff1(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """First difference quotient: centered inside, one-sided at the edges."""
-    out = np.empty_like(v)
+def diff1(v: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """First difference quotient along one of the last two axes of v:
+    centered inside, one-sided at the edges.
+
+    A non-contiguous v is copied to C order first. The result is written to
+    out where one is given: a C-contiguous array of v's shape and dtype that
+    does not overlap v.
+    """
+    v = np.ascontiguousarray(v)
+    if out is None:
+        out = np.empty_like(v)
+    elif out.shape != v.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {v.shape}")
+    axis %= v.ndim
+    if axis < v.ndim - 2:
+        raise ValueError(f"diff1 differences one of the last two axes, got axis {axis}")
+    # Flattened, the neighbours of a node along the axis sit at offsets +-s.
+    # One contiguous pass differences the whole stack at that offset; at the
+    # two edge rows it straddles rows or slices, and those rows are then
+    # overwritten with their one-sided differences.
+    s = 1 if axis == v.ndim - 1 else v.shape[-1]
+    vf, of = v.reshape(-1), out.reshape(-1)
+    np.subtract(vf[2 * s:], vf[: vf.size - 2 * s], out=of[s: of.size - s])
     vm = v.swapaxes(axis, 0)
     om = out.swapaxes(axis, 0)
-    np.subtract(vm[2:], vm[:-2], out=om[1:-1])
     np.subtract(vm[1], vm[0], out=om[0])
     np.subtract(vm[-1], vm[-2], out=om[-1])
     # doubling the two edge rows is exact and (2d)/(2h) rounds as d/h does, so
     # one contiguous pass divides every row (for h <= 1/2, 2d overflows only
-    # where d/h does); in-place division of the strided interior alone is
-    # slower than a temporary on stacks of 16^2 slices
+    # where d/h does)
     om[:: om.shape[0] - 1] *= 2.0
     out /= 2.0 * h
     return out
@@ -89,28 +107,34 @@ def norm_l2(f) -> float:
 
 
 def _partials(v: np.ndarray, h: float, k: int):
-    """Difference quotients of v, one list per order 0..k.
+    """Difference quotients of v, one (j+1, *v.shape) array per order j = 0..k.
 
-    Order j lists d1^i d2^(j-i) v for i = 0..j, each built from order j-1
-    (d2 of the first partial, then d1 of every one). k is checked on the
-    call; the differences are taken as the orders are read.
+    Part i of order j is d1^i d2^(j-i) v. Order j takes two diff1 calls on
+    order j-1: d2 of its first part, then d1 of all its parts at once. k is
+    checked on the call; the differences are taken as the orders are read.
     """
     if k not in (0, 1, 2, 3):
         raise ValueError(f"k must be in 0..3, got {k}")
-    return accumulate(
-        range(k),
-        lambda prev, _: [diff1(prev[0], h, -1)] + [diff1(d, h, -2) for d in prev],
-        initial=[v],
-    )
+
+    def next_order(prev, _):
+        d = np.empty((prev.shape[0] + 1,) + prev.shape[1:], dtype=prev.dtype)
+        diff1(prev[0], h, -1, out=d[0])
+        diff1(prev, h, -2, out=d[1:])
+        return d
+
+    return accumulate(range(k), next_order, initial=v[None])
 
 
 def norm_hk_values(comps, h: float, k: int) -> np.ndarray:
-    """norm_hk of a component list of (..., n, n) arrays, one value per slice."""
-    h2 = h * h
-    total = 0.0
-    for comp in comps:
-        total += sum(h2 * slice_sums(d * d) for parts in _partials(comp, h, k) for d in parts)
-    return np.sqrt(total)
+    """norm_hk of a component list of (..., n, n) arrays, one value per slice.
+
+    The components are differenced as one stack and each order is reduced
+    in one slice_sums call.
+    """
+    sq = np.concatenate([h * h * slice_sums(p * p) for p in _partials(np.stack(comps), h, k)])
+    # sq is (part, component, ...); sum() adds rows left to right, so the
+    # parts add up within each component, then the components, in turn
+    return np.sqrt(sum(sum(sq)))
 
 
 def norm_hk(v, k: int) -> float:
@@ -129,22 +153,30 @@ def stack_hk_sq(data: np.ndarray, h: float, k: int) -> np.ndarray:
     for s in _time_blocks(data):
         block = data[s]
         b = block.shape[0]
-        acc = np.zeros(b)
-        rows = []
-        for parts in _partials(block, h, k):
-            for d in parts:
-                acc += h * h * (d * d).reshape(b, -1).sum(1)
-            rows.append(acc.copy())
-        blocks.append(np.stack(rows))
+        sq = [(p * p).reshape(p.shape[0], b, -1).sum(-1) for p in _partials(block, h, k)]
+        # running sums over the parts; order j ends at part j(j+3)/2
+        acc = np.cumsum(h * h * np.concatenate(sq), axis=0)
+        blocks.append(acc[[j * (j + 3) // 2 for j in range(k + 1)]])
     return np.concatenate(blocks, axis=1)
+
+
+def _gradient_sq_values(u1: np.ndarray, u2: np.ndarray, h: float):
+    """(grad_sq, sym_grad_sq) of a velocity given as two (..., n, n) arrays,
+    one value per slice each, from the four first partials taken once."""
+    y = np.stack((u1, u2))
+    d = np.empty((2,) + y.shape, dtype=y.dtype)  # d[a, c] = d_(a+1) u_(c+1)
+    diff1(y, h, -2, out=d[0])
+    diff1(y, h, -1, out=d[1])
+    ss = slice_sums(d * d)
+    hss = h * h * ss  # summed component by component: u1's partials, then u2's
+    grad = hss[0, 0] + hss[1, 0] + hss[0, 1] + hss[1, 1]
+    d12 = 0.5 * (d[0, 1] + d[1, 0])
+    return grad, h * h * (ss[0, 0] + ss[1, 1] + 2.0 * slice_sums(d12 * d12))
 
 
 def sym_grad_sq_values(u1: np.ndarray, u2: np.ndarray, h: float) -> np.ndarray:
     """sym_grad_sq of a velocity given as two (..., n, n) arrays, one value per slice."""
-    d11 = diff1(u1, h, -2)
-    d22 = diff1(u2, h, -1)
-    d12 = 0.5 * (diff1(u2, h, -2) + diff1(u1, h, -1))
-    return h * h * (slice_sums(d11 * d11) + slice_sums(d22 * d22) + 2.0 * slice_sums(d12 * d12))
+    return _gradient_sq_values(u1, u2, h)[1]
 
 
 def sym_grad_sq(v: VectorField2D) -> float:
@@ -154,13 +186,7 @@ def sym_grad_sq(v: VectorField2D) -> float:
 
 def grad_sq_values(u1: np.ndarray, u2: np.ndarray, h: float) -> np.ndarray:
     """grad_sq of a velocity given as two (..., n, n) arrays, one value per slice."""
-    h2 = h * h
-    total = 0.0
-    for comp in (u1, u2):
-        for axis in (-2, -1):
-            d = diff1(comp, h, axis)
-            total += h2 * slice_sums(d * d)
-    return total
+    return _gradient_sq_values(u1, u2, h)[0]
 
 
 def grad_sq(v: VectorField2D) -> float:
@@ -255,16 +281,21 @@ def load_constants(path) -> DomainConstants:
 # ---------------------------------------------------------------------------
 # random divergence-free sample fields (stream-function protocol)
 
+@lru_cache(maxsize=16)
+def _sine_matrix(grid: Grid, modes: int) -> np.ndarray:
+    """Read-only (modes, n) matrix of sin(k pi x) at the grid's interior nodes x."""
+    x = np.arange(1, grid.n_interior + 1) * grid.h
+    k = np.arange(1, modes + 1)
+    m = np.sin(np.pi * np.outer(k, x))
+    m.setflags(write=False)
+    return m
+
+
 def stream_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Values of sum_{kl} c_kl sin(k pi x1) sin(l pi x2) for (..., k, l) mode
     coefficients (free-slip samples)."""
     coeffs = np.asarray(coeffs, dtype=float)
-    x = np.arange(1, grid.n_interior + 1) * grid.h
-    k = np.arange(1, coeffs.shape[-2] + 1)
-    l = np.arange(1, coeffs.shape[-1] + 1)
-    m1 = np.sin(np.pi * np.outer(k, x))
-    m2 = np.sin(np.pi * np.outer(l, x))
-    return m1.T @ coeffs @ m2
+    return _sine_matrix(grid, coeffs.shape[-2]).T @ coeffs @ _sine_matrix(grid, coeffs.shape[-1])
 
 
 def stream_from_coeffs(grid: Grid, coeffs: np.ndarray) -> ScalarField2D:
@@ -317,7 +348,8 @@ def _korn_terms(psi: np.ndarray, h: float, alpha: float):
     # ||y||_H1^2 <= K (||y||^2 + ||Dy||^2)
     y = velocity_values(psi, h)
     l2 = inner_l2_values(y, y, h)
-    return l2 + grad_sq_values(*y, h), l2 + sym_grad_sq_values(*y, h)
+    grad, sym = _gradient_sq_values(*y, h)
+    return l2 + grad, l2 + sym
 
 
 def _elliptic_terms(psi: np.ndarray, h: float, alpha: float):
@@ -395,11 +427,13 @@ def estimate_constant(
 
     The climbs run side by side, a block of samples at a time, with one
     batched ratio evaluation per step; the grid stencils and the `*_values`
-    norm forms take the block as a leading batch axis. A sample's draws do
-    not depend on whether its proposals are accepted, so each sample sees
-    the same proposals, and the result the same bits, as a climb run on its
-    own. A non-finite alpha, or a best ratio that is not finite, raises
-    ValueError.
+    norm forms take the block as a leading batch axis, and the norms take
+    their difference quotients in stacked passes. A sample's draws do not
+    depend on whether its proposals are accepted, so each sample's start
+    and steps come from one draw of its generator, which gives the normals
+    of consecutive draws: each sample sees the same proposals, and the
+    result the same bits, as a climb run on its own. A non-finite alpha, or
+    a best ratio that is not finite, raises ValueError.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -412,12 +446,14 @@ def estimate_constant(
     best = -np.inf
     # a block holds about grid._BLOCK_BYTES of sample stream functions
     for b in _blocks(samples, fields * grid.n_interior**2 * 8):
-        rngs = [np.random.default_rng([seed, i]) for i in range(b.start, b.stop)]
-        c = np.stack([rng.standard_normal(shape) for rng in rngs])
+        rngs = (np.random.default_rng([seed, i]) for i in range(b.start, b.stop))
+        # (ascent_steps + 1, samples, *shape): each sample's start, then its steps
+        draws = np.stack([rng.standard_normal((ascent_steps + 1,) + shape) for rng in rngs], axis=1)
+        c = draws[0]
         r = _ratio(terms, c, grid, alpha)
         sigma = 0.3
-        for _ in range(ascent_steps):
-            prop = c + sigma * np.stack([rng.standard_normal(shape) for rng in rngs])
+        for step in draws[1:]:
+            prop = c + sigma * step
             rp = _ratio(terms, prop, grid, alpha)
             up = rp > r
             r[up], c[up] = rp[up], prop[up]

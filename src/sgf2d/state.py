@@ -262,7 +262,8 @@ class ProblemData:
             raise ValueError("y0 must be produced from a stream function")
         _target_stack(self.y_d, self)  # validates y_d
         speed = max(np.max(np.abs(self.y0.u1)), np.max(np.abs(self.y0.u2)))
-        _warn_cfl(speed * self.dt / self.grid.h, stacklevel=3)
+        # past _warn_cfl, this method and the dataclass __init__: the caller
+        _warn_cfl(speed * self.dt / self.grid.h, stacklevel=4)
 
     @property
     def dt(self) -> float:

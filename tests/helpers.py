@@ -229,3 +229,24 @@ def solve_state_per_step(u, pd):
 
     _march(q, psi, y, explicit, ops, pd.dt)
     return psi, q, y
+
+
+def korn_terms_reference(psi, h):
+    """The Korn ratio's (lhs, rhs) as grad_sq_values and sym_grad_sq_values
+    computed them before they shared one gradient: a diff1 call per partial."""
+    from sgf2d.grid import velocity_values
+    from sgf2d.spaces import inner_l2_values
+
+    u1, u2 = velocity_values(psi, h)
+    h2 = h * h
+    grad = 0.0
+    for comp in (u1, u2):
+        for axis in (-2, -1):
+            d = diff1_temporaries(comp, h, axis)
+            grad += h2 * slice_sums(d * d)
+    d11 = diff1_temporaries(u1, h, -2)
+    d22 = diff1_temporaries(u2, h, -1)
+    d12 = 0.5 * (diff1_temporaries(u2, h, -2) + diff1_temporaries(u1, h, -1))
+    sym = h2 * (slice_sums(d11 * d11) + slice_sums(d22 * d22) + 2.0 * slice_sums(d12 * d12))
+    l2 = inner_l2_values((u1, u2), (u1, u2), h)
+    return l2 + grad, l2 + sym

@@ -24,6 +24,7 @@ import pytest
 from sgf2d.certificates import (
     CertificateInputs,
     CertificateReport,
+    _div,
     _exp,
     _sq,
     certify,
@@ -296,6 +297,27 @@ class TestReportIO:
         xs += [1e154, -1e154]
         assert [_sq(x) for x in xs] == [x ** 2 for x in xs]
         assert _exp(710.0) == _sq(1e155) == math.inf
+
+    @pytest.mark.parametrize(
+        "kw", [{}, {"norm_y0": 1.0}, {"nu": 1e-200}], ids=["y0-zero", "y0-one", "nu-tiny"]
+    )
+    def test_tiny_alpha_certifies(self, kw):
+        # alpha^2 (and alpha*nu) underflow to 0; the divisions by them used to
+        # raise ZeroDivisionError. With y0 = 0, lambda1 = 0 and the thresholds
+        # are finite but near 1e300; otherwise the bounds overflow to inf
+        rep = certify(crafted_inputs(alpha=1e-200, **kw))
+        assert not rep.verdict_second_order and not rep.verdict_uniqueness
+        assert min(rep.coercivity_threshold, rep.uniqueness_threshold) > 1e299
+        if kw:
+            assert rep.coercivity_threshold == rep.uniqueness_threshold == math.inf
+        assert CertificateReport.from_text(rep.to_text()) == rep
+
+    def test_underflow_division_keeps_finite_quotients(self):
+        rng = np.random.default_rng(4)
+        xs, ys = rng.uniform(0.0, 1e3, 100).tolist(), rng.uniform(1e-300, 1.0, 100).tolist()
+        assert [_div(x, y) for x, y in zip(xs, ys)] == [x / y for x, y in zip(xs, ys)]
+        assert _div(2.0, 0.0) == math.inf and _div(0.0, 0.0) == 0.0
+        assert _div(1e300, 1e-300) == math.inf
 
     def test_text_order_is_field_order(self):
         text = certify(crafted_inputs()).to_text()

@@ -34,7 +34,7 @@ from sgf2d.fieldio import read_field, text_value, write_field, write_field_csv
 from sgf2d.grid import Grid, ScalarField2D, VectorField2D
 from sgf2d.optimizer import optimize
 from sgf2d.spaces import load_constants
-from sgf2d.state import solve_state
+from sgf2d.state import StateSolution, solve_state
 
 from helpers import count_calls, row_writer_csv
 
@@ -475,6 +475,43 @@ class TestSimulate:
         speed0 = max(np.abs(pd.y0.u1).max(), np.abs(pd.y0.u2).max())
         assert float(report["max_cfl"]) >= speed0 * pd.dt / pd.grid.h > 0.5
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "optimize"])
+    def test_snapshots_written_from_the_stack(self, tmp_path, monkeypatch, subcommand):
+        # the snapshot slices are read from the solution's (m+1, 2, n, n)
+        # stack, not from a Trajectory copy of all of it; same bytes
+        copies = []
+        whole_stack = StateSolution.velocity
+
+        def counted(self):
+            copies.append(1)
+            return whole_stack.fget(self)
+
+        monkeypatch.setattr(StateSolution, "velocity", property(counted))
+        cfg = write_cfg(tmp_path, TRACKING + "[run]\nmax_iter = 5\n")
+        rc = parse_config(cfg)
+        pd = build_problem(rc)
+        if subcommand == "simulate":
+            stacks = {"y": solve_state(None, pd).y}
+        else:
+            rep = optimize(pd, None, rc.options)
+            stacks = {"u": rep.u_final.data, "y": rep.final_state.y}
+        in_solver = len(copies)  # the optimizer's cost reads the copy itself
+        out = tmp_path / "out"
+        argv = [subcommand, "--config", str(cfg), "--out", str(out), "--snapshot-every", "3"]
+        assert main(argv) == 0
+        assert len(copies) == 2 * in_solver
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        for prefix, data in stacks.items():
+            for k in (0, 3, 6, 8):
+                name = f"{prefix}_{k:06d}"
+                f = VectorField2D(pd.grid, data[k, 0], data[k, 1])
+                write_field(ref / f"{name}.bin", f)
+                write_field_csv(ref / f"{name}.csv", f)
+                for ext in (".bin", ".csv"):
+                    got = (out / "fields" / f"{name}{ext}").read_bytes()
+                    assert got == (ref / f"{name}{ext}").read_bytes(), name + ext
+
     def test_snapshot_every_writes_all_steps(self, tmp_path):
         cfg = write_cfg(tmp_path, TRACKING)
         out = tmp_path / "out"
@@ -589,6 +626,15 @@ class TestCertify:
         assert not rep.verdict_second_order and not rep.verdict_uniqueness
         report = (out / "report.txt").read_text()
         assert "uniqueness_threshold = inf\n" in report
+
+    def test_tiny_alpha_certifies(self, tmp_path):
+        # alpha^2 underflows to 0 in the lambda3 and lambda4 exponents
+        cfg = write_cfg(tmp_path, TRACKING.replace("alpha = 0.4", "alpha = 1e-200"))
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 0
+        rep = CertificateReport.from_text((out / "certificate.txt").read_text())
+        assert rep.coercivity_threshold == rep.uniqueness_threshold == math.inf
+        assert not rep.verdict_second_order and not rep.verdict_uniqueness
 
 
 class TestEstimateConstants:

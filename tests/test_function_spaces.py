@@ -40,9 +40,11 @@ from sgf2d import state as state_module
 from sgf2d.state import Trajectory, control_h1_norm, trap_weights
 
 from helpers import (
+    count_calls,
     diff1_temporaries,
     estimate_constant_per_sample,
     hk_partials_dict,
+    korn_terms_reference,
     norm_hk_dict_loop,
     sample_ratio,
 )
@@ -148,6 +150,31 @@ class TestDiff1:
             got, want = diff1(v, 0.3, axis), diff1_temporaries(v, 0.3, axis)
         assert np.isinf(want).any() and (np.abs(want[want != 0]) < 1e-300).any()
         assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_non_contiguous_input(self, axis):
+        # the flat offset passes run on a C-contiguous copy of a strided view
+        stack = np.random.default_rng(8).standard_normal((3, 2, 14, 7))
+        h = 1.0 / 8
+        for v in (stack.swapaxes(-2, -1), stack[..., ::2, :], stack[1, 0].T):
+            assert not v.flags.c_contiguous
+            got = diff1(v, h, axis)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, diff1_temporaries(v, h, axis))
+
+    def test_out_buffer(self):
+        v = np.random.default_rng(9).standard_normal((4, 9, 9))
+        h = 0.1
+        for axis in (-1, -2, 1, 2):
+            out = np.full_like(v, np.nan)
+            assert diff1(v, h, axis, out=out) is out
+            assert np.array_equal(out, diff1_temporaries(v, h, axis))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            diff1(v, h, -1, out=np.empty((4, 9, 9)).swapaxes(-2, -1))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            diff1(v, h, -1, out=np.empty((2, 9, 9)))
+        with pytest.raises(ValueError, match="last two axes"):
+            diff1(v, h, 0)
 
 
 class TestStackNorms:
@@ -493,6 +520,33 @@ class TestEstimators:
         if kind == "trilinear":
             assert r[1] == 0.0
 
+    # a ratio differences its components as one stack; a diff1 call per
+    # component and partial took 8 calls for korn and 10 for the others
+    @pytest.mark.parametrize("kind,most", [("korn", 2), ("elliptic", 4), ("trilinear", 4)])
+    def test_diff1_calls_per_ratio(self, monkeypatch, kind, most):
+        g = Grid(16)
+        terms, fields, _ = spaces._INEQUALITIES[kind]
+        shape = (10,) + ((fields,) if fields > 1 else ()) + (8, 8)
+        c = np.random.default_rng(4).standard_normal(shape)
+        calls = count_calls(monkeypatch, spaces, "diff1")
+        spaces._ratio(terms, c, g, 0.5)
+        assert 0 < len(calls) <= most
+
+    @pytest.mark.parametrize("lead", [(), (10,), (2, 3)])
+    def test_korn_ratio_equals_per_partial_reference(self, lead):
+        # the four first partials are taken once and shared by grad_sq and
+        # sym_grad_sq; the bits are those of a diff1 call per partial
+        g = Grid(16)
+        c = np.random.default_rng(5).standard_normal(lead + (8, 8))
+        lhs, rhs = korn_terms_reference(stream_values(g, c), g.h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.where(rhs == 0.0, 0.0, lhs / rhs)
+        got = spaces._ratio(spaces._korn_terms, c, g, 1.0)
+        assert np.array_equal(got, want)
+        psi = stream_values(g, c)
+        got_lhs, got_rhs = spaces._korn_terms(psi, g.h, 1.0)
+        assert np.array_equal(got_lhs, lhs) and np.array_equal(got_rhs, rhs)
+
 
 class TestInequalities:
     def test_zero_field_holds(self):
@@ -588,6 +642,25 @@ class TestArrayNorms:
 
 
 class TestStreamFields:
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 5), (4, 2, 6, 3)])
+    def test_cached_sines_equal_direct_formula(self, shape):
+        g = Grid(13)
+        coeffs = np.random.default_rng(6).standard_normal(shape)
+        x = np.arange(1, g.n_interior + 1) * g.h
+        m1 = np.sin(np.pi * np.outer(np.arange(1, shape[-2] + 1), x))
+        m2 = np.sin(np.pi * np.outer(np.arange(1, shape[-1] + 1), x))
+        want = m1.T @ coeffs @ m2
+        for _ in range(2):  # the second call reads the cached matrices
+            assert np.array_equal(stream_values(g, coeffs), want)
+
+    def test_sine_matrices_cached_read_only(self):
+        g = Grid(11)
+        m = spaces._sine_matrix(g, 5)
+        assert spaces._sine_matrix(Grid(11), 5) is m
+        assert m.shape == (5, 11) and not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
     def test_single_mode_matches_direct_evaluation(self):
         g = Grid(14)
         coeffs = np.zeros((2, 3))

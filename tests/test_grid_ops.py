@@ -469,6 +469,18 @@ class TestStreamVelocityCurl:
         assert np.array_equal(y.u1, y1) and np.array_equal(y.u2, y2)
         assert np.array_equal(curl2d(VectorField2D(g, u1, u2)).values, curl_values(u1, u2, g.h))
 
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    def test_velocity_pads_once(self, monkeypatch, lead):
+        # both components come from one padded copy of psi, with the bits of
+        # d2c and -d1c (a padded copy each)
+        g = Grid(13)
+        psi = np.random.default_rng(13).standard_normal(lead + g.shape)
+        want = d2c(psi, g.h), -d1c(psi, g.h)
+        pads = count_calls(monkeypatch, grid_module, "pad0")
+        y1, y2 = velocity_values(psi, g.h)
+        assert len(pads) == 1
+        assert np.array_equal(y1, want[0]) and np.array_equal(y2, want[1])
+
     def test_curl_zero_vector(self):
         g = Grid(8)
         v = VectorField2D(g, np.zeros(g.shape), np.zeros(g.shape))

@@ -269,8 +269,19 @@ class TestProblemData:
     def test_cfl_warning(self):
         g = Grid(8)
         y0 = velocity_from_stream(single_mode_stream(g, 1, 1, 2.0))
-        with pytest.warns(UserWarning, match="CFL"):
+        with pytest.warns(UserWarning, match="CFL") as rec:
             ProblemData(alpha=0.5, nu=0.1, T=10.0, grid=g, m_steps=10, y0=y0)
+        # the warning names the line that built the problem, not the
+        # dataclass's generated __init__
+        assert [w.filename for w in rec] == [__file__]
+
+    def test_cfl_warning_names_caller_at_12_by_4(self):
+        g = Grid(12)
+        x1, x2 = g.coords()
+        psi = ScalarField2D(g, 5.0 * np.sin(np.pi * x1) * np.sin(np.pi * x2))
+        with pytest.warns(UserWarning, match="CFL") as rec:
+            ProblemData(alpha=0.5, nu=0.1, T=1.0, grid=g, m_steps=4, y0=velocity_from_stream(psi))
+        assert rec[0].filename == __file__
 
     def test_dt(self):
         pd = small_problem(m=8, T=0.4)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _time_blocks, apply_symbol, arakawa, curl_values, velocity_values
+from .grid import apply_symbol, arakawa, stack_curl, stack_velocity
 from .sensitivity import _check_base, solve_linearized
 from .state import (
     ProblemData,
@@ -57,7 +57,8 @@ def _adjoint_core(base: StateSolution, source: np.ndarray, pd: ProblemData) -> A
     """Backward sweep driven by the vector-field source trajectory.
 
     Exact transpose of sensitivity._propagate: each step applies the
-    transposed linearized step map in reverse order.
+    transposed linearized step map in reverse order. Its source curls are
+    written before the march, its velocities p taken in one pass after it.
 
     source[k] is the integrand paired against the velocity tangent with
     left-rectangle time weights rho_k (rho_m = 0).
@@ -79,8 +80,7 @@ def _adjoint_core(base: StateSolution, source: np.ndarray, pd: ProblemData) -> A
     # overwrites it, mu[k] holds that step's source term rho_k h^2 curl(source_k).
     # The advection term and the source both pass through Ha^-1 P^-1; summed
     # first, they share one symbol pair
-    for b in _time_blocks(source[:m]):
-        mu[b] = curl_values(source[b, 0], source[b, 1], h)
+    stack_curl(source[:m], h, out=mu[:m])
     mu[:m] *= (rho[:m] * h2)[:, None, None]
     for k in range(m - 1, -1, -1):
         r[k + 1] = apply_symbol(mu[k + 1], ops.step_sym[0])
@@ -90,10 +90,8 @@ def _adjoint_core(base: StateSolution, source: np.ndarray, pd: ProblemData) -> A
             + dt * arakawa(r[k + 1], base.psi[k], h)
             + apply_symbol(rhs, ops.inv_Ha_inv_P_sym)
         )
-    r_out, p_out = r[1:], p[1:]
-    for b in _time_blocks(r_out):
-        p_out[b, 0], p_out[b, 1] = velocity_values(r_out[b], h)
-    p_out *= (dt / (tau[1:] * h2))[:, None, None, None]
+    stack_velocity(r[1:], h, out=p[1:])
+    p[1:] *= (dt / (tau[1:] * h2))[:, None, None, None]
 
     return AdjointState(pd, p, mu, r)
 

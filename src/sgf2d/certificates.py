@@ -117,27 +117,34 @@ def _div(x: float, y: float) -> float:
     return x / y
 
 
+def _mul(*factors: float) -> float:
+    """Product of nonnegative factors, left to right, where one may have
+    overflowed to inf: an exact 0 factor makes it 0, as a 0 numerator does in
+    _div. Other products keep their bits."""
+    return 0.0 if 0.0 in factors else math.prod(factors)
+
+
 def compute_lambda1(ci: CertificateInputs) -> float:
     """lambda1^2 = (1 + 4*K*alpha_hat)(|y0|_{H3}^2 + |u|_{L1(0,T;H1)}^2)."""
     alpha_hat = max(1.0 / (2.0 * ci.alpha), 2.0 * ci.alpha)
     s = _sq(ci.norm_y0_H3) + _sq(ci.norm_u_L1H1)
-    return math.sqrt((1.0 + 4.0 * ci.constants.K * alpha_hat) * s)
+    return math.sqrt(_mul(1.0 + 4.0 * ci.constants.K * alpha_hat, s))
 
 
 def compute_lambda2(ci: CertificateInputs, lambda1: float) -> float:
     """lambda2^2 = Kt[(1 + C2*T*(1+1/a)*C1*l1/a) e^{C2*T(1+(1+1/a)*C1*l1)} + 1/(a*nu)]."""
     a, c = ci.alpha, ci.constants
-    growth = c.C2 * ci.T * (1.0 + 1.0 / a) * c.C1 * lambda1 / a
-    expo = _exp(c.C2 * ci.T * (1.0 + (1.0 + 1.0 / a) * c.C1 * lambda1))
+    growth = _mul(c.C2, ci.T, 1.0 + 1.0 / a, c.C1, lambda1) / a
+    expo = _exp(c.C2 * ci.T * (1.0 + _mul(1.0 + 1.0 / a, c.C1, lambda1)))
     return math.sqrt(c.K_tilde * ((1.0 + growth) * expo + _div(1.0, a * ci.nu)))
 
 
 def _lambda3_sq(ci: CertificateInputs, lambda1: float, reading: str) -> float:
     a, c = ci.alpha, ci.constants
     A = _div(c.C3 * ci.T * c.C1 * lambda1 * (1.0 + a), _sq(a))
-    B = c.C3 * ci.T * (1.0 + c.C1 * lambda1 * (1.0 + 1.0 / a))
+    B = c.C3 * ci.T * (1.0 + _mul(c.C1, lambda1, 1.0 + 1.0 / a))
     eA, eB = _exp(A), _exp(B)
-    paren = 1.0 + (2.0 / a) * c.C3 * ci.T * c.C1 * lambda1 * (1.0 + 1.0 / a) * eA
+    paren = 1.0 + _mul(2.0 / a, c.C3, ci.T, c.C1, lambda1, 1.0 + 1.0 / a, eA)
     if reading == "printed":
         # grouping exactly as displayed: one product of all four factors
         return c.K_tilde * _div(1.0, a * ci.nu) * eA * paren * eB
@@ -157,13 +164,13 @@ def compute_lambda4(ci: CertificateInputs, lambda1: float) -> float:
     times (C1^2*l1^2/a^2 + |y_d|^2)."""
     a, c = ci.alpha, ci.constants
     A = _div(c.C4 * ci.T * c.C1 * lambda1 * (1.0 + a), _sq(a))
-    B = c.C4 * ci.T * (1.0 + c.C1 * lambda1 * (1.0 + 1.0 / a))
-    E = c.C4 * ci.T * c.C1 * lambda1 * _sq(1.0 + a) / a
+    B = c.C4 * ci.T * (1.0 + _mul(c.C1, lambda1, 1.0 + 1.0 / a))
+    E = _mul(c.C4, ci.T, c.C1, lambda1, _sq(1.0 + a)) / a
     bracket = (
-        1.0 + (1.0 / a) * c.C4 * ci.T * c.C1 * lambda1 * (1.0 + 1.0 / a) * _exp(A)
+        1.0 + _mul(1.0 / a, c.C4, ci.T, c.C1, lambda1, 1.0 + 1.0 / a, _exp(A))
     ) * _exp(B) + _div(1.0, a * ci.nu) * _exp(E)
     data = _div(_sq(c.C1) * _sq(lambda1), _sq(a)) + _sq(ci.norm_yd_L2Q)
-    return math.sqrt(2.0 * c.K_tilde * bracket * data)
+    return math.sqrt(_mul(2.0 * c.K_tilde, bracket, data))
 
 
 # how from_text reads each field type back; the fields themselves, in their
@@ -265,8 +272,8 @@ def certify(ci: CertificateInputs, lambda3_reading: str = "printed") -> Certific
     else:
         disc = abs(l3p - l3d) / big
     k_hat = ci.constants.K_hat
-    coer = 2.0 * k_hat * _sq(l3) * l4
-    uniq = 2.0 * k_hat * _sq(l2) * l4
+    coer = _mul(2.0 * k_hat, _sq(l3), l4)
+    uniq = _mul(2.0 * k_hat, _sq(l2), l4)
     return CertificateReport(
         lambda1=l1,
         lambda2=l2,

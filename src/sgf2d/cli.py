@@ -18,7 +18,7 @@ from . import fieldio
 from .certificates import CertificateInputs, certify
 from .config import ConfigError, RunConfig, parse_config
 from .grid import Grid, ScalarField2D, VectorField2D
-from .optimizer import cost, multi_start_uniqueness, optimize, start_control
+from .optimizer import _evaluate, multi_start_uniqueness, optimize, start_control
 from .adjoint import gradient_field, solve_adjoint
 from .spaces import (
     _INEQUALITIES,
@@ -30,7 +30,6 @@ from .spaces import (
 from .state import (
     BlowUpError,
     ProblemData,
-    Trajectory,
     _warn_cfl,
     l2q_inner_values,
     solve_state,
@@ -124,16 +123,12 @@ def _cmd_optimize(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
 def _cmd_gradcheck(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
     u = start_control(pd, seed, 0)
     w = start_control(pd, seed, 1)
-
-    def J(ctrl: Trajectory) -> float:
-        return cost(ctrl, solve_state(ctrl, pd).velocity, pd.y_d, pd.lam)
-
     sol = solve_state(u, pd)
     g = gradient_field(u, solve_adjoint(sol, None, pd), pd.lam)
     adjoint_val = l2q_inner_values(g.data, w.data, trap_weights(pd.m_steps, pd.dt), pd.grid.h)
     rows = []
     for eps in (1e-2, 1e-3, 1e-4):
-        fd = (J(u + eps * w) - J(u - eps * w)) / (2.0 * eps)
+        fd = (_evaluate(pd, u + eps * w)[1] - _evaluate(pd, u - eps * w)[1]) / (2.0 * eps)
         rel = abs(fd - adjoint_val) / max(abs(adjoint_val), 1e-300)
         rows.append((eps, fd, adjoint_val, rel))
     out.mkdir(parents=True, exist_ok=True)

@@ -179,6 +179,20 @@ def _time_blocks(a: np.ndarray) -> list:
     return _blocks(a.shape[0], a[0].nbytes)
 
 
+def stack_curl(u: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """out[k] = curl of the velocity u[k], one curl_values call per time block of u."""
+    for b in _time_blocks(u):
+        out[b] = curl_values(u[b, 0], u[b, 1], h)
+    return out
+
+
+def stack_velocity(psi: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """out[k] = velocity of the stream function psi[k], one call per time block of psi."""
+    for b in _time_blocks(psi):
+        out[b, 0], out[b, 1] = velocity_values(psi[b], h)
+    return out
+
+
 def slice_sums(a: np.ndarray) -> np.ndarray:
     """Sum over the last two axes, one slice at a time; a 2-D array gives np.sum(a)."""
     return a.reshape(a.shape[:-2] + (-1,)).sum(-1)
@@ -203,7 +217,7 @@ def arakawa(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
     is what the conservation and transposition contracts rely on.
     """
     if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
+        raise ValueError(f"arakawa operands differ in shape: {a.shape} vs {b.shape}")
     # Flattened over the whole padded stack, node (i, j) sits at p = i*s + j and
     # each neighbour is a contiguous slice at offset +-1, +-s or +-s+-1. Every
     # interior node reaches only its own slice's ghost ring; the ghost nodes,
@@ -399,9 +413,3 @@ def advect(y: VectorField2D, q: ScalarField2D) -> ScalarField2D:
             "advect requires a divergence-free velocity produced by velocity_from_stream"
         )
     return ScalarField2D(q.grid, arakawa(q.values, y.stream.values, q.grid.h))
-
-
-def cross_quadrature(q: ScalarField2D, z: VectorField2D, phi: VectorField2D) -> float:
-    """Quadrature of (q x z) . phi where q x z = q*(-z2, z1)."""
-    g = same_grid(q, z, phi)
-    return float(cross_values(q.values, z.u1, z.u2, phi.u1, phi.u2, g.h))

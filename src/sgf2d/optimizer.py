@@ -47,9 +47,15 @@ def cost(u: Trajectory, y: Trajectory, y_d, lam: float) -> float:
     terminal condition exact), control term uses trapezoid weights. A target
     that is not aligned with y is refused, not broadcast.
     """
-    h = y.grid.h
-    mis = y.data - _target_stack(y_d, y)
-    track = l2q_inner_values(mis, mis, left_weights(y.m_steps, y.dt), h, 0.5)
+    return _cost_values(u, y.data, y_d, lam, y)
+
+
+def _cost_values(u: Trajectory, y: np.ndarray, y_d, lam: float, like) -> float:
+    """cost of a velocity stack y on the grid and time steps of like (a
+    ProblemData or a Trajectory)."""
+    h = like.grid.h
+    mis = y - _target_stack(y_d, like)
+    track = l2q_inner_values(mis, mis, left_weights(like.m_steps, like.dt), h, 0.5)
     ctrl = l2q_inner_values(u.data, u.data, trap_weights(u.m_steps, u.dt), h, 0.5 * lam)
     return track + ctrl
 
@@ -140,9 +146,9 @@ class OptimizeReport:
 
 
 def _evaluate(pd: ProblemData, u: Trajectory):
+    """The state under u and the cost there, read from the state's velocity stack."""
     sol = solve_state(u, pd)
-    J = cost(u, sol.velocity, pd.y_d, pd.lam)
-    return sol, J
+    return sol, _cost_values(u, sol.y, pd.y_d, pd.lam, pd)
 
 
 def optimize(

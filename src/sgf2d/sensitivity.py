@@ -2,20 +2,19 @@
 
 These differentiate the stepper itself (not a re-discretization of the
 linearized equations): both sweeps march through state._march, the loop the
-forward solve takes, with the linearized explicit term. So the adjoint built
-on top is an exact transpose and gradient/duality checks are limited only
-by roundoff. A sweep whose slices overflow raises BlowUpError.
+forward solve takes, from a source stack written before it. So the adjoint
+built on top is an exact transpose and gradient/duality checks are limited
+only by roundoff. A sweep whose slices overflow raises BlowUpError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .grid import arakawa, curl_values
+from .grid import _time_blocks, arakawa, stack_curl, stack_velocity
 from .state import ProblemData, StateSolution, Trajectory, _check_aligned, _march, get_ops
 
 
@@ -41,10 +40,8 @@ class TangentState:
         """
         h = self.pd.grid.h
         out = np.empty_like(self.dq[:-1])
-        # slice by slice: one call on the whole stack would hold about 15
-        # temporaries of the stack's size
-        for k in range(out.shape[0]):
-            out[k] = arakawa(self.dq[k], self.dpsi[k], h)
+        for b in _time_blocks(out):
+            out[b] = arakawa(self.dq[b], self.dpsi[b], h)
         out.setflags(write=False)
         return out
 
@@ -63,26 +60,17 @@ def _check_base(base: StateSolution, pd: ProblemData) -> None:
         raise ValueError("base solution was produced under different problem data")
 
 
-def _propagate(
-    base: StateSolution, pd: ProblemData, source: Callable[[int], np.ndarray]
-) -> TangentState:
-    """The linearized stepper from rest, forced by source(k) on step k -> k+1.
+def _propagate(base: StateSolution, pd: ProblemData, dq: np.ndarray) -> TangentState:
+    """The linearized stepper around base from rest, taking over dq.
 
-    The tangent, the second-order tangent and (transposed, in the adjoint
+    On entry dq[0] = 0 and dq[k+1] holds the source of step k -> k+1. The
+    tangent, the second-order tangent and (transposed, in the adjoint
     module) the adjoint are this one sweep with different sources.
     """
-    n = pd.grid.n_interior
-    m = pd.m_steps
-    h = pd.grid.h
-
-    dq = np.zeros((m + 1, n, n))
     dpsi = np.zeros_like(dq)
-    z = np.zeros((m + 1, 2, n, n))
-
-    def explicit(k):
-        return source(k) - arakawa(dq[k], base.psi[k], h) - arakawa(base.q[k], dpsi[k], h)
-
-    _march(dq, dpsi, z, explicit, get_ops(pd), pd.dt)
+    _march(dq, dpsi, ((dq, base.psi), (base.q, dpsi)), get_ops(pd), pd.dt)
+    z = np.zeros((dq.shape[0], 2) + dq.shape[1:])
+    stack_velocity(dpsi[1:], pd.grid.h, out=z[1:])
     return TangentState(pd, z, dq, dpsi)
 
 
@@ -94,10 +82,11 @@ def solve_linearized(base: StateSolution, w: Trajectory, pd: ProblemData) -> Tan
     """
     _check_base(base, pd)
     _check_aligned(w, pd, "direction w")
-    h = pd.grid.h
 
     def solve() -> TangentState:
-        return _propagate(base, pd, lambda k: curl_values(w.data[k + 1, 0], w.data[k + 1, 1], h))
+        dq = np.zeros(base.q.shape)
+        stack_curl(w.data[1:], pd.grid.h, out=dq[1:])  # step k's source, the curl of w[k+1]
+        return _propagate(base, pd, dq)
 
     return base._memo_sweep("tangent", pd, w.data, solve)
 
@@ -108,19 +97,20 @@ def solve_second(
     """Second derivative S''(u)[w1, w2] given the two first-order tangents.
 
     Same propagator as solve_linearized, no control forcing, bilinear source
-    from the interaction of the two tangents; symmetric in (t1, t2) by
+    -(J(t1.dq, t2.dpsi) + J(t2.dq, t1.dpsi)); symmetric in (t1, t2) by
     construction. With one tangent object (t1 is t2) the source is
-    -2 * t1.cross[k], the same bits as the sum of its two equal terms.
+    -2 * t1.cross, the same bits as the sum of its two equal terms.
     """
     _check_base(base, pd)
     for t in (t1, t2):
         if t.pd is not pd:
             _check_base(base, t.pd)
     h = pd.grid.h
-
-    def minus_cross(k: int) -> np.ndarray:
-        if t1 is t2:
-            return -2.0 * t1.cross[k]
-        return -(arakawa(t1.dq[k], t2.dpsi[k], h) + arakawa(t2.dq[k], t1.dpsi[k], h))
-
-    return _propagate(base, pd, minus_cross)
+    dq = np.zeros(base.q.shape)
+    source = dq[1:]
+    if t1 is t2:
+        np.multiply(-2.0, t1.cross, out=source)
+    else:
+        for b in _time_blocks(source):
+            source[b] = -(arakawa(t1.dq[b], t2.dpsi[b], h) + arakawa(t2.dq[b], t1.dpsi[b], h))
+    return _propagate(base, pd, dq)

@@ -102,10 +102,6 @@ def inner_l2(a, b) -> float:
     return float(inner_l2_values(ca, cb, g.h))
 
 
-def norm_l2(f) -> float:
-    return float(np.sqrt(inner_l2(f, f)))
-
-
 def _partials(v: np.ndarray, h: float, k: int):
     """Difference quotients of v, one (j+1, *v.shape) array per order j = 0..k.
 
@@ -161,8 +157,9 @@ def stack_hk_sq(data: np.ndarray, h: float, k: int) -> np.ndarray:
 
 
 def _gradient_sq_values(u1: np.ndarray, u2: np.ndarray, h: float):
-    """(grad_sq, sym_grad_sq) of a velocity given as two (..., n, n) arrays,
-    one value per slice each, from the four first partials taken once."""
+    """Squared L2 norms of the full gradient (all four partials) and of the
+    symmetric gradient of a velocity given as two (..., n, n) arrays, one
+    value per slice each, from the four first partials taken once."""
     y = np.stack((u1, u2))
     d = np.empty((2,) + y.shape, dtype=y.dtype)  # d[a, c] = d_(a+1) u_(c+1)
     diff1(y, h, -2, out=d[0])
@@ -182,16 +179,6 @@ def sym_grad_sq_values(u1: np.ndarray, u2: np.ndarray, h: float) -> np.ndarray:
 def sym_grad_sq(v: VectorField2D) -> float:
     """Squared L2 norm of the symmetric gradient D v."""
     return float(sym_grad_sq_values(v.u1, v.u2, v.grid.h))
-
-
-def grad_sq_values(u1: np.ndarray, u2: np.ndarray, h: float) -> np.ndarray:
-    """grad_sq of a velocity given as two (..., n, n) arrays, one value per slice."""
-    return _gradient_sq_values(u1, u2, h)[0]
-
-
-def grad_sq(v: VectorField2D) -> float:
-    """Squared L2 norm of the full gradient (all four partials)."""
-    return float(grad_sq_values(v.u1, v.u2, v.grid.h))
 
 
 def norm_V(v: VectorField2D, alpha: float) -> float:

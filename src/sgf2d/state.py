@@ -9,6 +9,8 @@ omega = -lap psi and velocity y = (d2 psi, -d1 psi). One step solves
 then q_{n+1} = (I - alpha*lap) omega_{n+1}: diffusion implicit, advection
 explicit. All inverses are the spectral solves from ``grid``, so each step
 is an exactly linear (and exactly differentiable) map.
+Each sweep writes its sources into the slots its march overwrites and
+takes its velocities after the march, in one blocked pass each.
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ from .grid import (
     _time_blocks,
     apply_symbol,
     arakawa,
-    curl_upsilon_values,
     curl_values,
     dst_symbol,
     lap5,
     nonlinear_values,
     same_grid,
+    stack_curl,
+    stack_velocity,
     velocity_from_stream,
-    velocity_values,
 )
 
 
@@ -308,22 +310,24 @@ def get_ops(pd: ProblemData) -> _Ops:
 # ---------------------------------------------------------------------------
 # stepping
 
-def _march(q, psi, y, explicit, ops, dt) -> None:
-    """Fill slices 1..m of the (q, psi, y) stacks in place from slice 0.
+def _march(q, psi, advected, ops, dt) -> None:
+    """Fill slices 1..m of the (q, psi) stacks in place from slice 0.
 
-    Step k sets (q, psi)[k+1] = step_sym applied to q[k] + dt * explicit(k)
-    and y[k+1] to the velocity of psi[k+1]. The state, tangent and
-    second-order sweeps are this loop with different explicit terms.
+    On entry q[k+1] holds step k's source f. Step k subtracts J(a[k], b[k])
+    from f for each stack pair (a, b) of advected, in order, and overwrites
+    (q, psi)[k+1] with step_sym applied to q[k] + dt * f. The state advects
+    ((q, psi),), a linearized sweep ((q, base psi), (base q, psi)).
     Raises BlowUpError(k+1) when q[k+1] is not finite.
     """
     h = ops.h
     # overflow is the blow-up path, refused by the isfinite check
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(q.shape[0] - 1):
-            q[k + 1], psi[k + 1] = apply_symbol(q[k] + dt * explicit(k), ops.step_sym)
+            for a, b in advected:
+                q[k + 1] -= arakawa(a[k], b[k], h)
+            q[k + 1], psi[k + 1] = apply_symbol(q[k] + dt * q[k + 1], ops.step_sym)
             if not np.isfinite(q[k + 1]).all():
                 raise BlowUpError(k + 1)
-            y[k + 1, 0], y[k + 1, 1] = velocity_values(psi[k + 1], h)
 
 
 def step_state(
@@ -338,10 +342,9 @@ def step_state(
     g = pd.grid
     q = np.empty((2,) + g.shape)
     psi = np.empty_like(q)
-    y = np.empty((2, 2) + g.shape)
     q[0], psi[0] = q_n.values, y_n.stream.values
-    curl_u = curl_values(u_slice.u1, u_slice.u2, g.h)
-    _march(q, psi, y, lambda k: curl_u - arakawa(q[k], psi[k], g.h), get_ops(pd), pd.dt)
+    q[1] = curl_values(u_slice.u1, u_slice.u2, g.h)
+    _march(q, psi, ((q, psi),), get_ops(pd), pd.dt)
     psi_f = ScalarField2D(g, psi[1])
     omega_f = ScalarField2D(g, -lap5(psi[1], g.h))
     return ScalarField2D(g, q[1]), omega_f, psi_f, velocity_from_stream(psi_f)
@@ -444,32 +447,14 @@ def solve_state(u: Trajectory | None, pd: ProblemData) -> StateSolution:
     psi[0] = pd.y0.stream.values
     q[0] = ops.Ha(-lap5(psi[0], h))
     y[0, 0], y[0, 1] = pd.y0.u1, pd.y0.u2
-
-    forcing = u.data[1:]
-    curl_u = np.empty_like(psi[1:])
-    for b in _time_blocks(forcing):
-        curl_u[b] = curl_values(forcing[b, 0], forcing[b, 1], h)
-
-    def explicit(k):
-        return curl_u[k] - arakawa(q[k], psi[k], h)
-
-    _march(q, psi, y, explicit, ops, pd.dt)
+    stack_curl(u.data[1:], h, out=q[1:])  # step k's source, the curl of u[k+1]
+    _march(q, psi, ((q, psi),), ops, pd.dt)
+    stack_velocity(psi[1:], h, out=y[1:])
     return StateSolution(pd, u, psi, q, y)
 
 
 # ---------------------------------------------------------------------------
 # direct evaluators used by tests and the inequality suite
-
-def apply_upsilon(y: VectorField2D, alpha: float) -> VectorField2D:
-    """(I - alpha*lap) applied componentwise with zero ghosts."""
-    h = y.grid.h
-    return VectorField2D(y.grid, y.u1 - alpha * lap5(y.u1, h), y.u2 - alpha * lap5(y.u2, h))
-
-
-def curl_upsilon(y: VectorField2D, alpha: float) -> ScalarField2D:
-    """Potential vorticity of y by the direct route: (I - alpha*lap) curl y."""
-    return ScalarField2D(y.grid, curl_upsilon_values(y.u1, y.u2, alpha, y.grid.h))
-
 
 def trilinear_b(phi: VectorField2D, z: VectorField2D, y: VectorField2D) -> float:
     """b(phi, z, y) = quadrature of (phi . grad z) . y.

@@ -9,7 +9,6 @@ from sgf2d.grid import Grid, ScalarField2D, VectorField2D, slice_sums, velocity_
 from sgf2d.spaces import (
     apply_A,
     diff1,
-    grad_sq,
     inner_l2,
     norm_hk,
     stream_from_coeffs,
@@ -88,6 +87,22 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def count_velocity_reads(monkeypatch):
+    """Record each read of StateSolution.velocity, the checked Trajectory copy
+    of the velocity stack; returns the growing list."""
+    from sgf2d.state import StateSolution
+
+    reads = []
+    whole_stack = StateSolution.velocity
+
+    def counted(self):
+        reads.append(1)
+        return whole_stack.fget(self)
+
+    monkeypatch.setattr(StateSolution, "velocity", property(counted))
+    return reads
 
 
 def sample_ratio(kind, grid, c, alpha=1.0):
@@ -209,11 +224,22 @@ def adjoint_core_per_step(base, source, pd):
     return p, mu, r
 
 
+def march_per_step(q, psi, y, explicit, ops, dt):
+    """Fill slices 1..m of (q, psi, y) as state._march did before the sources
+    and the velocities left its loop: step k adds dt * explicit(k), and y[k+1]
+    is the velocity of psi[k+1]."""
+    from sgf2d.grid import apply_symbol, velocity_values
+
+    for k in range(q.shape[0] - 1):
+        q[k + 1], psi[k + 1] = apply_symbol(q[k] + dt * explicit(k), ops.step_sym)
+        y[k + 1, 0], y[k + 1, 1] = velocity_values(psi[k + 1], ops.h)
+
+
 def solve_state_per_step(u, pd):
     """solve_state's (psi, q, y) as written before the forcing's curl left the
-    step: one curl per step."""
+    step: one curl and one velocity per step."""
     from sgf2d.grid import arakawa, curl_values, lap5
-    from sgf2d.state import _march, get_ops
+    from sgf2d.state import get_ops
 
     ops = get_ops(pd)
     n, m, h = pd.grid.n_interior, pd.m_steps, pd.grid.h
@@ -227,8 +253,50 @@ def solve_state_per_step(u, pd):
     def explicit(k):
         return curl_values(u.data[k + 1, 0], u.data[k + 1, 1], h) - arakawa(q[k], psi[k], h)
 
-    _march(q, psi, y, explicit, ops, pd.dt)
+    march_per_step(q, psi, y, explicit, ops, pd.dt)
     return psi, q, y
+
+
+def propagate_per_step(base, pd, source):
+    """The linearized sweep's (z, dq, dpsi) as written before its source left
+    the step: source(k) on step k, one velocity per step."""
+    from sgf2d.grid import arakawa
+    from sgf2d.state import get_ops
+
+    n, m, h = pd.grid.n_interior, pd.m_steps, pd.grid.h
+    dq = np.zeros((m + 1, n, n))
+    dpsi = np.zeros_like(dq)
+    z = np.zeros((m + 1, 2, n, n))
+
+    def explicit(k):
+        return source(k) - arakawa(dq[k], base.psi[k], h) - arakawa(base.q[k], dpsi[k], h)
+
+    march_per_step(dq, dpsi, z, explicit, get_ops(pd), pd.dt)
+    return z, dq, dpsi
+
+
+def tangent_per_step(base, w, pd):
+    """solve_linearized's (z, dq, dpsi) with one curl of w per step."""
+    from sgf2d.grid import curl_values
+
+    h = pd.grid.h
+    return propagate_per_step(
+        base, pd, lambda k: curl_values(w.data[k + 1, 0], w.data[k + 1, 1], h)
+    )
+
+
+def second_per_step(base, t1, t2, pd):
+    """solve_second's (z, dq, dpsi) with its cross term taken per step."""
+    from sgf2d.grid import arakawa
+
+    h = pd.grid.h
+
+    def minus_cross(k):
+        if t1 is t2:
+            return -2.0 * arakawa(t1.dq[k], t1.dpsi[k], h)
+        return -(arakawa(t1.dq[k], t2.dpsi[k], h) + arakawa(t2.dq[k], t1.dpsi[k], h))
+
+    return propagate_per_step(base, pd, minus_cross)
 
 
 def korn_terms_reference(psi, h):
@@ -250,3 +318,44 @@ def korn_terms_reference(psi, h):
     sym = h2 * (slice_sums(d11 * d11) + slice_sums(d22 * d22) + 2.0 * slice_sums(d12 * d12))
     l2 = inner_l2_values((u1, u2), (u1, u2), h)
     return l2 + grad, l2 + sym
+
+
+def cross_quadrature(q, z, phi):
+    """Quadrature of (q x z) . phi where q x z = q*(-z2, z1), of fields on one grid."""
+    from sgf2d.grid import cross_values, same_grid
+
+    g = same_grid(q, z, phi)
+    return float(cross_values(q.values, z.u1, z.u2, phi.u1, phi.u2, g.h))
+
+
+def apply_upsilon(y, alpha):
+    """(I - alpha*lap) applied componentwise with zero ghosts."""
+    from sgf2d.grid import lap5
+
+    h = y.grid.h
+    return VectorField2D(y.grid, y.u1 - alpha * lap5(y.u1, h), y.u2 - alpha * lap5(y.u2, h))
+
+
+def curl_upsilon(y, alpha):
+    """Potential vorticity of y by the direct route: (I - alpha*lap) curl y."""
+    from sgf2d.grid import curl_upsilon_values
+
+    return ScalarField2D(y.grid, curl_upsilon_values(y.u1, y.u2, alpha, y.grid.h))
+
+
+def grad_sq_values(u1, u2, h):
+    """Squared L2 norm of the full gradient (all four partials) of a velocity
+    given as two (..., n, n) arrays, one value per slice."""
+    from sgf2d.spaces import _gradient_sq_values
+
+    return _gradient_sq_values(u1, u2, h)[0]
+
+
+def grad_sq(v):
+    """Squared L2 norm of the full gradient of a velocity field."""
+    return float(grad_sq_values(v.u1, v.u2, v.grid.h))
+
+
+def norm_l2(f):
+    """Discrete L2 norm of a field, sqrt(inner_l2(f, f))."""
+    return float(np.sqrt(inner_l2(f, f)))

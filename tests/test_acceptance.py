@@ -25,7 +25,7 @@ from sgf2d.certificates import (
     compute_lambda4,
     hessian_quadratic_form,
 )
-from sgf2d.grid import Grid, cross_quadrature, velocity_from_stream
+from sgf2d.grid import Grid, velocity_from_stream
 from sgf2d.optimizer import (
     OptimizeOptions,
     cost,
@@ -44,9 +44,7 @@ from sgf2d.spaces import (
 from sgf2d.state import (
     ProblemData,
     Trajectory,
-    apply_upsilon,
     control_h1_norm,
-    curl_upsilon,
     l2q_norm,
     left_weights,
     slice_dots,
@@ -55,7 +53,14 @@ from sgf2d.state import (
     trilinear_b,
 )
 
-from helpers import count_calls, smooth_control, windowed_stream
+from helpers import (
+    apply_upsilon,
+    count_calls,
+    cross_quadrature,
+    curl_upsilon,
+    smooth_control,
+    windowed_stream,
+)
 
 
 def record(num, ok, detail):

@@ -26,6 +26,7 @@ from sgf2d.certificates import (
     CertificateReport,
     _div,
     _exp,
+    _mul,
     _sq,
     certify,
     compute_lambda1,
@@ -36,7 +37,7 @@ from sgf2d.certificates import (
     hessian_quadratic_form,
 )
 from sgf2d.adjoint import duality_gap, solve_adjoint
-from sgf2d.grid import Grid, VectorField2D, arakawa, velocity_from_stream
+from sgf2d.grid import Grid, VectorField2D, _time_blocks, arakawa, velocity_from_stream
 from sgf2d.optimizer import cost
 from sgf2d.sensitivity import solve_linearized, solve_second
 from sgf2d.spaces import DomainConstants, inner_l2, stream_from_coeffs
@@ -54,6 +55,7 @@ from sgf2d.state import (
 from sgf2d import adjoint as adjoint_module
 from sgf2d import certificates as certificates_module
 from sgf2d import sensitivity as sensitivity_module
+from sgf2d import state as state_module
 
 from helpers import count_calls, smooth_control
 
@@ -312,6 +314,31 @@ class TestReportIO:
             assert rep.coercivity_threshold == rep.uniqueness_threshold == math.inf
         assert CertificateReport.from_text(rep.to_text()) == rep
 
+    @pytest.mark.parametrize("norm_y0", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [1e-310, 5e-324])
+    def test_subnormal_alpha_certifies(self, alpha, norm_y0):
+        # 1/(2 alpha) and 1/alpha overflow to inf; with y0 = 0 their products
+        # with lambda1 = 0 used to give NaN. An exact 0 factor keeps them 0
+        rep = certify(crafted_inputs(alpha=alpha, norm_y0=norm_y0))
+        assert rep.lambda1 == (0.0 if norm_y0 == 0.0 else math.inf)
+        assert rep.coercivity_threshold == rep.uniqueness_threshold == math.inf
+        assert not rep.verdict_second_order and not rep.verdict_uniqueness
+        assert CertificateReport.from_text(rep.to_text()) == rep
+
+    def test_huge_alpha_with_zero_data_certifies(self):
+        # (1 + alpha)^2 overflows beside lambda1 = 0 in lambda4's exponent
+        rep = certify(crafted_inputs(alpha=1e200))
+        assert rep.lambda1 == 0.0
+        assert math.isfinite(rep.lambda4) and rep.lambda4 > 0.0
+        assert CertificateReport.from_text(rep.to_text()) == rep
+
+    def test_zero_factor_products_keep_finite_bits(self):
+        rng = np.random.default_rng(5)
+        fs = rng.uniform(0.0, 1e3, (100, 4)).tolist()
+        assert [_mul(*f) for f in fs] == [f[0] * f[1] * f[2] * f[3] for f in fs]
+        assert _mul(math.inf, 0.0) == _mul(0.0, 2.0, math.inf) == 0.0
+        assert _mul(math.inf, 2.0) == math.inf
+
     def test_underflow_division_keeps_finite_quotients(self):
         rng = np.random.default_rng(4)
         xs, ys = rng.uniform(0.0, 1e3, 100).tolist(), rng.uniform(1e-300, 1.0, 100).tolist()
@@ -566,14 +593,22 @@ class TestSweepSolveCounts:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(out[2:], ref[2:]))
 
     def test_seven_arakawa_calls_per_step(self, monkeypatch):
-        # per step: 2 in the tangent, 2 in phi's adjoint, 2 in the second-order
-        # sweep and 1 for the tangent's J(dq, dpsi), which the second-order
-        # source and the Hessian form share; the tracking adjoint (2 more) is
-        # kept from the first op on the base
+        # per step: 2 in the tangent's march, 2 in the second-order sweep's
+        # march and 2 in phi's adjoint; the tangent's J(dq, dpsi), which the
+        # second-order source and the Hessian form share, takes one call per
+        # time block of the cross stack; the tracking adjoint (2 more per
+        # step) is kept from the first op on the base
         pd = hessian_problem(n=16, m=4)
         base = solve_state(smooth_control(pd, 3, amplitude=0.02), pd)
         self.op(base, smooth_control(pd, 4), smooth_control(pd, 5), pd)
-        calls = count_calls(monkeypatch, sensitivity_module, "arakawa")
+        calls_march = count_calls(monkeypatch, state_module, "arakawa")
+        calls_cross = count_calls(monkeypatch, sensitivity_module, "arakawa")
         calls_adj = count_calls(monkeypatch, adjoint_module, "arakawa")
         self.op(base, smooth_control(pd, 6), smooth_control(pd, 7), pd)
-        assert (len(calls), len(calls_adj)) == (5 * pd.m_steps, 2 * pd.m_steps)
+        cross_blocks = len(_time_blocks(base.q[:-1]))
+        assert cross_blocks == 1
+        assert (len(calls_march), len(calls_cross), len(calls_adj)) == (
+            4 * pd.m_steps,
+            cross_blocks,
+            2 * pd.m_steps,
+        )

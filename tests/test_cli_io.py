@@ -34,9 +34,9 @@ from sgf2d.fieldio import read_field, text_value, write_field, write_field_csv
 from sgf2d.grid import Grid, ScalarField2D, VectorField2D
 from sgf2d.optimizer import optimize
 from sgf2d.spaces import load_constants
-from sgf2d.state import StateSolution, solve_state
+from sgf2d.state import solve_state
 
-from helpers import count_calls, row_writer_csv
+from helpers import count_calls, count_velocity_reads, row_writer_csv
 
 
 def write_cfg(tmp_path, body, name="cfg.txt"):
@@ -479,14 +479,7 @@ class TestSimulate:
     def test_snapshots_written_from_the_stack(self, tmp_path, monkeypatch, subcommand):
         # the snapshot slices are read from the solution's (m+1, 2, n, n)
         # stack, not from a Trajectory copy of all of it; same bytes
-        copies = []
-        whole_stack = StateSolution.velocity
-
-        def counted(self):
-            copies.append(1)
-            return whole_stack.fget(self)
-
-        monkeypatch.setattr(StateSolution, "velocity", property(counted))
+        copies = count_velocity_reads(monkeypatch)
         cfg = write_cfg(tmp_path, TRACKING + "[run]\nmax_iter = 5\n")
         rc = parse_config(cfg)
         pd = build_problem(rc)
@@ -495,7 +488,8 @@ class TestSimulate:
         else:
             rep = optimize(pd, None, rc.options)
             stacks = {"u": rep.u_final.data, "y": rep.final_state.y}
-        in_solver = len(copies)  # the optimizer's cost reads the copy itself
+        in_solver = len(copies)
+        assert in_solver == 0  # the optimizer's cost reads the stack, too
         out = tmp_path / "out"
         argv = [subcommand, "--config", str(cfg), "--out", str(out), "--snapshot-every", "3"]
         assert main(argv) == 0
@@ -574,6 +568,13 @@ class TestGradcheck:
         assert len(adjoint_vals) == 1  # one directional derivative, three eps
         for r in rows:
             assert float(r[3]) <= 1e-6
+
+    def test_builds_no_velocity_copy(self, tmp_path, monkeypatch):
+        # its costs come from optimizer._evaluate, which reads the stack
+        reads = count_velocity_reads(monkeypatch)
+        cfg = write_cfg(tmp_path, TRACKING)
+        assert main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert reads == []
 
     def test_deterministic_artifacts(self, tmp_path):
         cfg = write_cfg(tmp_path, TRACKING)

@@ -36,6 +36,8 @@ from sgf2d.grid import (
     pad0,
     poisson_solve,
     poisson_solve_values,
+    stack_curl,
+    stack_velocity,
     velocity_from_stream,
     velocity_values,
 )
@@ -248,6 +250,38 @@ class TestBatchAxis:
         assert all(0 < a[b].nbytes <= limit for b in blocks)
         # a stack that fits is one block
         assert (len(blocks) == 1) == (a.nbytes <= limit)
+
+
+class TestStackPasses:
+    """stack_curl and stack_velocity: one stencil call per time block, the
+    bits of one call per slice."""
+
+    @pytest.mark.parametrize("m,n", [(4, 16), (9, 40), (7, 63)])
+    def test_bits_and_calls(self, monkeypatch, m, n):
+        h = Grid(n).h
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal((m, 2, n, n))
+        psi = rng.standard_normal((m, n, n))
+        curls = count_calls(monkeypatch, grid_module, "curl_values")
+        velocities = count_calls(monkeypatch, grid_module, "velocity_values")
+        curl = stack_curl(u, h, out=np.empty((m, n, n)))
+        vel = stack_velocity(psi, h, out=np.empty((m, 2, n, n)))
+        assert (len(curls), len(velocities)) == (len(_time_blocks(u)), len(_time_blocks(psi)))
+        assert len(curls) > 1 or n == 16
+        for k in range(m):
+            assert np.array_equal(curl[k], curl_values(u[k, 0], u[k, 1], h))
+            assert np.array_equal(vel[k], np.stack(velocity_values(psi[k], h)))
+
+
+class TestArakawaOperands:
+    @pytest.mark.parametrize(
+        "a_shape,b_shape", [((3, 8, 8), (8, 8)), ((8, 8), (2, 8, 8)), ((1, 8, 8), (4, 8, 8))]
+    )
+    def test_shapes_must_match(self, a_shape, b_shape):
+        # a broadcast operand would be read only in part by the flat stencil
+        a, b = np.ones(a_shape), np.ones(b_shape)
+        with pytest.raises(ValueError, match="differ in shape"):
+            arakawa(a, b, 0.1)
 
 
 def _old_route(v, denom):

@@ -40,7 +40,7 @@ from sgf2d.state import (
 from sgf2d.grid import d1c, d2c
 from sgf2d import optimizer as optimizer_module
 
-from helpers import count_calls, smooth_control
+from helpers import count_calls, count_velocity_reads, smooth_control
 
 
 def small_problem(n=12, m=8, lam=1e-3, L=2.0, with_target=True, y0_amp=0.01):
@@ -386,6 +386,17 @@ class TestOptimize:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[1]) == rep.iterates[0].J
+
+
+class TestCostReadsTheStack:
+    def test_optimize_builds_no_velocity_copy(self, monkeypatch):
+        pd = small_problem()
+        reads = count_velocity_reads(monkeypatch)
+        rep = optimize(pd)
+        assert len(reads) == 0 and rep.n_state_solves == 3
+        # the same bits as cost on the velocity trajectory
+        want = cost(rep.u_final, rep.final_state.velocity, pd.y_d, pd.lam)
+        assert rep.J_final.hex() == want.hex()
 
 
 class TestSolenoidalPart:

@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 
 from sgf2d.adjoint import duality_gap, solve_adjoint
+from sgf2d import grid as grid_module
 from sgf2d import sensitivity as sensitivity_module
-from sgf2d.grid import Grid, GridMismatchError, arakawa, velocity_from_stream
+from sgf2d import state as state_module
+from sgf2d.grid import Grid, GridMismatchError, _time_blocks, arakawa, velocity_from_stream
 from sgf2d.sensitivity import TangentState, solve_linearized, solve_second
 from sgf2d.spaces import stream_from_coeffs
 from sgf2d.state import (
@@ -31,7 +33,7 @@ from sgf2d.state import (
     trap_weights,
 )
 
-from helpers import count_calls, smooth_control
+from helpers import count_calls, second_per_step, smooth_control, tangent_per_step
 
 
 def small_problem(n=12, m=8, seed=5):
@@ -204,11 +206,13 @@ class TestSecondOrder:
         base = solve_state(smooth_control(pd, 1), pd)
         t = solve_linearized(base, smooth_control(pd, 2), pd)
         calls = count_calls(monkeypatch, sensitivity_module, "arakawa")
+        steps = count_calls(monkeypatch, state_module, "arakawa")
         cross = t.cross
-        assert len(calls) == pd.m_steps
+        assert len(calls) == len(_time_blocks(cross)) == 1  # one call per time block
         assert t.cross is cross
         solve_second(base, t, t, pd)
-        assert len(calls) == pd.m_steps + 2 * pd.m_steps  # the sweep's own two per step
+        # the cross term is not taken again; the march makes its own two per step
+        assert (len(calls), len(steps)) == (1, 2 * pd.m_steps)
         assert cross.shape == (pd.m_steps,) + pd.grid.shape
         assert not cross.flags.writeable
         with pytest.raises(ValueError):
@@ -228,6 +232,53 @@ class TestSecondOrder:
         zzs = solve_second(base, t1s, t2, pd).z
         scale = np.abs(zz).max()
         assert np.abs(zzs - 3.0 * zz).max() <= 1e-11 * scale
+
+
+class TestSweepShape:
+    """Each sweep writes its source stack before the march and takes its
+    velocities after it; the bits are those of a source and a velocity per step."""
+
+    # at 40^2 x 6 the source curls take three time blocks, the velocities and
+    # the cross term two
+    @pytest.mark.parametrize("n,m", [(8, 5), (16, 3), (40, 6)])
+    def test_bits_equal_per_step_loop(self, n, m):
+        pd = small_problem(n=n, m=m)
+        base = solve_state(smooth_control(pd, 1), pd)
+        w1, w2 = smooth_control(pd, 2), smooth_control(pd, 3)
+        t1, t2 = solve_linearized(base, w1, pd), solve_linearized(base, w2, pd)
+        for got, ref in (
+            (t1, tangent_per_step(base, w1, pd)),
+            (solve_second(base, t1, t1, pd), second_per_step(base, t1, t1, pd)),
+            (solve_second(base, t1, t2, pd), second_per_step(base, t1, t2, pd)),
+        ):
+            assert np.abs(got.z).max() > 0.0
+            for name, want in zip(("z", "dq", "dpsi"), ref):
+                assert getattr(got, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("n,m", [(8, 5), (40, 6)])
+    def test_one_stencil_call_per_time_block(self, monkeypatch, n, m):
+        pd = small_problem(n=n, m=m)
+        base = solve_state(smooth_control(pd, 1), pd)
+        w1, w2 = smooth_control(pd, 2), smooth_control(pd, 3)
+        curls = count_calls(monkeypatch, grid_module, "curl_values")
+        velocities = count_calls(monkeypatch, grid_module, "velocity_values")
+        crosses = count_calls(monkeypatch, sensitivity_module, "arakawa")
+        counters = (curls, velocities, crosses)
+        source_blocks = len(_time_blocks(w1.data[1:]))
+        out_blocks = len(_time_blocks(base.psi[1:]))
+        cross_blocks = len(_time_blocks(base.q[:-1]))
+        assert (source_blocks, out_blocks, cross_blocks) == ((1, 1, 1) if n == 8 else (3, 2, 2))
+        t1 = solve_linearized(base, w1, pd)
+        t2 = solve_linearized(base, w2, pd)
+        for sweep, expected in (
+            (lambda: solve_linearized(base, w1 * 2.0, pd), (source_blocks, out_blocks, 0)),
+            (lambda: solve_second(base, t1, t2, pd), (0, out_blocks, 2 * cross_blocks)),
+            (lambda: solve_second(base, t1, t1, pd), (0, out_blocks, cross_blocks)),
+        ):
+            for c in counters:
+                c.clear()
+            sweep()
+            assert tuple(len(c) for c in counters) == expected
 
 
 class TestTaylorRemainders:

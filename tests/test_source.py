@@ -109,3 +109,55 @@ def test_cli_reads_only_declared_config_keys():
     read = config_keys_read(ast.parse((SRC / "cli.py").read_text()))
     assert {"seed", "snapshot_every", "kinds", "n_starts"} <= read
     assert read - set(_PROBLEM_KEYS) - set(_RUN_KEYS) == set()
+
+
+ROOT = SRC.parents[1]
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    """Every function and class defined at the top level of a module."""
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Every name a module reads, imports or reaches as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def unreached_definitions(src: Path, users: list[Path]) -> list[str]:
+    """module.name of each top-level function or class of src that is not in
+    the package's __all__ and that no module of src or users names."""
+    exported = set()
+    for node in ast.walk(ast.parse((src / "__init__.py").read_text())):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    read = set()
+    for path in sorted(src.glob("*.py")) + users:
+        read |= names_read(ast.parse(path.read_text()))
+    return sorted(
+        f"{path.stem}.{name}"
+        for path in sorted(src.glob("*.py"))
+        for name in top_level_names(ast.parse(path.read_text()))
+        if name not in exported and name not in read
+    )
+
+
+def test_every_definition_is_exported_or_used():
+    # an evaluator that only tests call lives in tests/helpers.py, not in src
+    users = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    assert len(users) >= 7
+    assert unreached_definitions(SRC, users) == []

@@ -19,13 +19,12 @@ from sgf2d.grid import (
     _time_blocks,
     apply_symbol,
     arakawa,
-    cross_quadrature,
-    curl_values,
     d1c,
     d2c,
     helmholtz_solve_values,
     lap5,
     poisson_solve_values,
+    stack_curl,
     velocity_from_stream,
 )
 from sgf2d.optimizer import cost
@@ -36,9 +35,7 @@ from sgf2d.state import (
     ProblemData,
     Trajectory,
     _ops_for,
-    apply_upsilon,
     control_h1_norm,
-    curl_upsilon,
     get_ops,
     l2q_inner,
     left_weights,
@@ -50,7 +47,10 @@ from sgf2d.state import (
 )
 
 from helpers import (
+    apply_upsilon,
     count_calls,
+    cross_quadrature,
+    curl_upsilon,
     mode_mu,
     single_mode_stream,
     smooth_control,
@@ -433,11 +433,15 @@ class TestSolveState:
 
     @pytest.mark.parametrize("n,m", [(8, 1), (8, 6), (40, 5)])
     def test_one_forcing_curl_per_time_block(self, monkeypatch, n, m):
+        # and one velocity call per time block of psi[1:], both made in grid's
+        # stack_curl and stack_velocity
         pd = small_problem(n=n, m=m)
         u = smooth_control(pd, 2)
-        curls = count_calls(monkeypatch, state_module, "curl_values")
-        solve_state(u, pd)
+        curls = count_calls(monkeypatch, grid_module, "curl_values")
+        velocities = count_calls(monkeypatch, grid_module, "velocity_values")
+        sol = solve_state(u, pd)
         assert len(curls) == len(_time_blocks(u.data[1:])) == (1 if n == 8 else 3)
+        assert len(velocities) == len(_time_blocks(sol.psi[1:])) == 1
 
     def test_norms_recorded(self):
         pd = small_problem(m=4)
@@ -622,10 +626,9 @@ class TestSolveState:
 
 def memo_free_tangent(base, w, pd):
     """The tangent sweep of solve_linearized without the memo on base."""
-    h = pd.grid.h
-    return sensitivity._propagate(
-        base, pd, lambda k: curl_values(w.data[k + 1, 0], w.data[k + 1, 1], h)
-    )
+    dq = np.zeros(base.q.shape)
+    stack_curl(w.data[1:], pd.grid.h, out=dq[1:])
+    return sensitivity._propagate(base, pd, dq)
 
 
 class TestSweepMemo:

@@ -118,39 +118,52 @@ def _div(x: float, y: float) -> float:
 
 
 def _mul(*factors: float) -> float:
-    """Product of nonnegative factors, left to right, where one may have
-    overflowed to inf: an exact 0 factor makes it 0, as a 0 numerator does in
-    _div. Other products keep their bits."""
-    return 0.0 if 0.0 in factors else math.prod(factors)
+    """Product of nonnegative factors, left to right. Where a factor that
+    overflowed to inf meets one that underflowed to 0 the product has no float
+    value; it is then inf, the safe side of an upper bound. Other products
+    keep their bits."""
+    p = math.prod(factors)
+    return math.inf if math.isnan(p) else p
+
+
+def _l1_mul(lambda1: float, *factors: float) -> float:
+    """_mul of factors that include lambda1, which is 0 only for zero y0 and u:
+    such a 0 is exact and makes the product 0, even beside an overflowed inf."""
+    return 0.0 if lambda1 == 0.0 else _mul(*factors)
 
 
 def compute_lambda1(ci: CertificateInputs) -> float:
-    """lambda1^2 = (1 + 4*K*alpha_hat)(|y0|_{H3}^2 + |u|_{L1(0,T;H1)}^2)."""
+    """lambda1^2 = (1 + 4*K*alpha_hat)(|y0|_{H3}^2 + |u|_{L1(0,T;H1)}^2).
+
+    0 only for zero y0 and u: where the squares underflow, hypot takes the
+    norms instead."""
     alpha_hat = max(1.0 / (2.0 * ci.alpha), 2.0 * ci.alpha)
-    s = _sq(ci.norm_y0_H3) + _sq(ci.norm_u_L1H1)
-    return math.sqrt(_mul(1.0 + 4.0 * ci.constants.K * alpha_hat, s))
+    f = 1.0 + 4.0 * ci.constants.K * alpha_hat
+    y0, u = ci.norm_y0_H3, ci.norm_u_L1H1
+    s, r = _sq(y0) + _sq(u), math.hypot(y0, u)
+    return math.sqrt(f * s) if s else r and math.sqrt(f) * r
 
 
 def compute_lambda2(ci: CertificateInputs, lambda1: float) -> float:
     """lambda2^2 = Kt[(1 + C2*T*(1+1/a)*C1*l1/a) e^{C2*T(1+(1+1/a)*C1*l1)} + 1/(a*nu)]."""
     a, c = ci.alpha, ci.constants
-    growth = _mul(c.C2, ci.T, 1.0 + 1.0 / a, c.C1, lambda1) / a
-    expo = _exp(c.C2 * ci.T * (1.0 + _mul(1.0 + 1.0 / a, c.C1, lambda1)))
+    growth = _l1_mul(lambda1, c.C2, ci.T, 1.0 + 1.0 / a, c.C1, lambda1) / a
+    expo = _exp(c.C2 * ci.T * (1.0 + _l1_mul(lambda1, 1.0 + 1.0 / a, c.C1, lambda1)))
     return math.sqrt(c.K_tilde * ((1.0 + growth) * expo + _div(1.0, a * ci.nu)))
 
 
 def _lambda3_sq(ci: CertificateInputs, lambda1: float, reading: str) -> float:
     a, c = ci.alpha, ci.constants
     A = _div(c.C3 * ci.T * c.C1 * lambda1 * (1.0 + a), _sq(a))
-    B = c.C3 * ci.T * (1.0 + _mul(c.C1, lambda1, 1.0 + 1.0 / a))
+    B = c.C3 * ci.T * (1.0 + _l1_mul(lambda1, c.C1, lambda1, 1.0 + 1.0 / a))
     eA, eB = _exp(A), _exp(B)
-    paren = 1.0 + _mul(2.0 / a, c.C3, ci.T, c.C1, lambda1, 1.0 + 1.0 / a, eA)
+    paren = 1.0 + _l1_mul(lambda1, 2.0 / a, c.C3, ci.T, c.C1, lambda1, 1.0 + 1.0 / a, eA)
     if reading == "printed":
         # grouping exactly as displayed: one product of all four factors
-        return c.K_tilde * _div(1.0, a * ci.nu) * eA * paren * eB
+        return _mul(c.K_tilde, _div(1.0, a * ci.nu), eA, paren, eB)
     if reading == "derived":
         # grouping the derivation supports: dissipative term added, not multiplied
-        return c.K_tilde * (paren * eB + _div(1.0, a * ci.nu) * eA)
+        return c.K_tilde * (paren * eB + _mul(_div(1.0, a * ci.nu), eA))
     raise ValueError(f"unknown lambda3 reading {reading!r}")
 
 
@@ -162,13 +175,15 @@ def compute_lambda3(ci: CertificateInputs, lambda1: float, reading: str = "print
 def compute_lambda4(ci: CertificateInputs, lambda1: float) -> float:
     """Adjoint bound: 2*Kt[(1 + C4*T*C1*l1*(1+1/a)/a e^{A}) e^{B} + e^{E}/(a*nu)]
     times (C1^2*l1^2/a^2 + |y_d|^2)."""
+    if lambda1 == 0.0 and ci.norm_yd_L2Q == 0.0:
+        return 0.0  # no data: the adjoint is exactly 0, whatever the bracket
     a, c = ci.alpha, ci.constants
     A = _div(c.C4 * ci.T * c.C1 * lambda1 * (1.0 + a), _sq(a))
-    B = c.C4 * ci.T * (1.0 + _mul(c.C1, lambda1, 1.0 + 1.0 / a))
-    E = _mul(c.C4, ci.T, c.C1, lambda1, _sq(1.0 + a)) / a
+    B = c.C4 * ci.T * (1.0 + _l1_mul(lambda1, c.C1, lambda1, 1.0 + 1.0 / a))
+    E = _l1_mul(lambda1, c.C4, ci.T, c.C1, lambda1, _sq(1.0 + a)) / a
     bracket = (
-        1.0 + _mul(1.0 / a, c.C4, ci.T, c.C1, lambda1, 1.0 + 1.0 / a, _exp(A))
-    ) * _exp(B) + _div(1.0, a * ci.nu) * _exp(E)
+        1.0 + _l1_mul(lambda1, 1.0 / a, c.C4, ci.T, c.C1, lambda1, 1.0 + 1.0 / a, _exp(A))
+    ) * _exp(B) + _mul(_div(1.0, a * ci.nu), _exp(E))
     data = _div(_sq(c.C1) * _sq(lambda1), _sq(a)) + _sq(ci.norm_yd_L2Q)
     return math.sqrt(_mul(2.0 * c.K_tilde, bracket, data))
 
@@ -272,8 +287,10 @@ def certify(ci: CertificateInputs, lambda3_reading: str = "printed") -> Certific
     else:
         disc = abs(l3p - l3d) / big
     k_hat = ci.constants.K_hat
-    coer = _mul(2.0 * k_hat, _sq(l3), l4)
-    uniq = _mul(2.0 * k_hat, _sq(l2), l4)
+    # with no data at all lambda4 is exactly 0, and so are the thresholds
+    no_data = l1 == 0.0 and ci.norm_yd_L2Q == 0.0
+    coer = 0.0 if no_data else _mul(2.0 * k_hat, _sq(l3), l4)
+    uniq = 0.0 if no_data else _mul(2.0 * k_hat, _sq(l2), l4)
     return CertificateReport(
         lambda1=l1,
         lambda2=l2,

@@ -193,6 +193,13 @@ def stack_velocity(psi: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def stack_pairs(f, a: np.ndarray, b: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """out[k] = f(a[k], b[k], h) of a slice stencil f, one call per time block of out."""
+    for t in _time_blocks(out):
+        out[t] = f(a[t], b[t], h)
+    return out
+
+
 def slice_sums(a: np.ndarray) -> np.ndarray:
     """Sum over the last two axes, one slice at a time; a 2-D array gives np.sum(a)."""
     return a.reshape(a.shape[:-2] + (-1,)).sum(-1)

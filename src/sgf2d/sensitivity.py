@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import _time_blocks, arakawa, stack_curl, stack_velocity
+from .grid import arakawa, stack_curl, stack_pairs, stack_velocity
 from .state import ProblemData, StateSolution, Trajectory, _check_aligned, _march, get_ops
 
 
@@ -38,10 +38,8 @@ class TangentState:
         A sweep along one tangent (solve_second(base, t, t)) and the exact
         Hessian form both take their cross term from here.
         """
-        h = self.pd.grid.h
-        out = np.empty_like(self.dq[:-1])
-        for b in _time_blocks(out):
-            out[b] = arakawa(self.dq[b], self.dpsi[b], h)
+        dq = self.dq[:-1]
+        out = stack_pairs(arakawa, dq, self.dpsi[:-1], self.pd.grid.h, out=np.empty_like(dq))
         out.setflags(write=False)
         return out
 
@@ -111,6 +109,7 @@ def solve_second(
     if t1 is t2:
         np.multiply(-2.0, t1.cross, out=source)
     else:
-        for b in _time_blocks(source):
-            source[b] = -(arakawa(t1.dq[b], t2.dpsi[b], h) + arakawa(t2.dq[b], t1.dpsi[b], h))
+        stack_pairs(arakawa, t1.dq[:-1], t2.dpsi[:-1], h, out=source)
+        source += stack_pairs(arakawa, t2.dq[:-1], t1.dpsi[:-1], h, out=np.empty_like(source))
+        np.negative(source, out=source)
     return _propagate(base, pd, dq)

@@ -26,6 +26,7 @@ from sgf2d.certificates import (
     CertificateReport,
     _div,
     _exp,
+    _l1_mul,
     _mul,
     _sq,
     certify,
@@ -318,7 +319,7 @@ class TestReportIO:
     @pytest.mark.parametrize("alpha", [1e-310, 5e-324])
     def test_subnormal_alpha_certifies(self, alpha, norm_y0):
         # 1/(2 alpha) and 1/alpha overflow to inf; with y0 = 0 their products
-        # with lambda1 = 0 used to give NaN. An exact 0 factor keeps them 0
+        # with lambda1 = 0 used to give NaN. A 0 lambda1 is exact and keeps them 0
         rep = certify(crafted_inputs(alpha=alpha, norm_y0=norm_y0))
         assert rep.lambda1 == (0.0 if norm_y0 == 0.0 else math.inf)
         assert rep.coercivity_threshold == rep.uniqueness_threshold == math.inf
@@ -332,12 +333,48 @@ class TestReportIO:
         assert math.isfinite(rep.lambda4) and rep.lambda4 > 0.0
         assert CertificateReport.from_text(rep.to_text()) == rep
 
-    def test_zero_factor_products_keep_finite_bits(self):
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"alpha": 1e-310, "norm_y0": 1e-165},
+            {"alpha": 1.0, "nu": 1e-320, "norm_y0": 1e-165},
+            {"alpha": 1e200, "nu": 1e200, "norm_y0": 1.0},
+            {"alpha": 1e20, "nu": 1e290, "norm_y0": 1.0},
+        ],
+        ids=["subnormal-alpha", "subnormal-nu", "huge-alpha-nu", "huge-nu"],
+    )
+    def test_underflowed_zero_beside_inf_reads_inf(self, kw):
+        # |y0|^2 (or 1/(alpha nu)) underflows to 0 beside a bound that
+        # overflowed; their product used to be NaN and is unknown, so the
+        # thresholds take the safe side, inf, and both verdicts are false
+        rep = certify(crafted_inputs(norm_yd=0.0, lam=1.0, **kw))
+        assert rep.lambda1 > 0.0
+        assert rep.coercivity_threshold == rep.uniqueness_threshold == math.inf
+        assert not rep.verdict_second_order and not rep.verdict_uniqueness
+        assert CertificateReport.from_text(rep.to_text()) == rep
+
+    @pytest.mark.parametrize("alpha", [0.5, 1e-310])
+    def test_no_data_gives_zero_thresholds(self, alpha):
+        # y0 = u = y_d = 0: the adjoint is 0, and lambda4 and both thresholds
+        # are exactly 0 however far the other bounds overflow
+        rep = certify(crafted_inputs(alpha=alpha, norm_yd=0.0, lam=1.0))
+        assert rep.lambda1 == rep.lambda4 == 0.0
+        assert rep.coercivity_threshold == rep.uniqueness_threshold == 0.0
+        assert rep.verdict_second_order and rep.verdict_uniqueness
+
+    def test_lambda1_is_zero_only_for_zero_norms(self):
+        # the squares of 1e-165 underflow; hypot keeps the norm
+        assert compute_lambda1(crafted_inputs(norm_y0=1e-165)) == math.sqrt(5.0) * 1e-165
+        assert compute_lambda1(crafted_inputs(norm_u_L1H1=5e-324)) > 0.0
+        assert compute_lambda1(crafted_inputs()) == 0.0
+
+    def test_products_keep_finite_bits(self):
         rng = np.random.default_rng(5)
         fs = rng.uniform(0.0, 1e3, (100, 4)).tolist()
         assert [_mul(*f) for f in fs] == [f[0] * f[1] * f[2] * f[3] for f in fs]
-        assert _mul(math.inf, 0.0) == _mul(0.0, 2.0, math.inf) == 0.0
-        assert _mul(math.inf, 2.0) == math.inf
+        assert _mul(math.inf, 0.0) == _mul(0.0, 2.0, math.inf) == math.inf
+        assert _mul(math.inf, 2.0) == math.inf and _mul(0.0, 2.0) == 0.0
+        assert _l1_mul(0.0, math.inf, 0.0) == 0.0 and _l1_mul(1e-200, math.inf, 1e-200) == math.inf
 
     def test_underflow_division_keeps_finite_quotients(self):
         rng = np.random.default_rng(4)

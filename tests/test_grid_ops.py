@@ -37,6 +37,7 @@ from sgf2d.grid import (
     poisson_solve,
     poisson_solve_values,
     stack_curl,
+    stack_pairs,
     stack_velocity,
     velocity_from_stream,
     velocity_values,
@@ -253,8 +254,8 @@ class TestBatchAxis:
 
 
 class TestStackPasses:
-    """stack_curl and stack_velocity: one stencil call per time block, the
-    bits of one call per slice."""
+    """stack_curl, stack_velocity and stack_pairs: one stencil call per time
+    block, the bits of one call per slice."""
 
     @pytest.mark.parametrize("m,n", [(4, 16), (9, 40), (7, 63)])
     def test_bits_and_calls(self, monkeypatch, m, n):
@@ -271,6 +272,18 @@ class TestStackPasses:
         for k in range(m):
             assert np.array_equal(curl[k], curl_values(u[k, 0], u[k, 1], h))
             assert np.array_equal(vel[k], np.stack(velocity_values(psi[k], h)))
+
+    @pytest.mark.parametrize("m,n", [(4, 16), (9, 40), (7, 63)])
+    def test_pairs_bits_and_calls(self, monkeypatch, m, n):
+        h = Grid(n).h
+        rng = np.random.default_rng(n + 1)
+        a, b = rng.standard_normal((2, m, n, n))
+        calls = count_calls(monkeypatch, grid_module, "arakawa")
+        jac = stack_pairs(grid_module.arakawa, a, b, h, out=np.empty((m, n, n)))
+        assert len(calls) == len(_time_blocks(a))
+        assert len(calls) > 1 or n == 16
+        for k in range(m):
+            assert np.array_equal(jac[k], arakawa(a[k], b[k], h))
 
 
 class TestArakawaOperands:

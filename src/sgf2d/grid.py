@@ -179,24 +179,22 @@ def _time_blocks(a: np.ndarray) -> list:
     return _blocks(a.shape[0], a[0].nbytes)
 
 
+def stack_pairs(f, a: np.ndarray, b: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """out[k] = f(a[k], b[k], h), one call per time block of about _BLOCK_BYTES of a and b."""
+    for t in _blocks(out.shape[0], a[0].nbytes + b[0].nbytes):
+        out[t] = f(a[t], b[t], h)
+    return out
+
+
 def stack_curl(u: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
     """out[k] = curl of the velocity u[k], one curl_values call per time block of u."""
-    for b in _time_blocks(u):
-        out[b] = curl_values(u[b, 0], u[b, 1], h)
-    return out
+    return stack_pairs(curl_values, u[:, 0], u[:, 1], h, out)
 
 
 def stack_velocity(psi: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
     """out[k] = velocity of the stream function psi[k], one call per time block of psi."""
     for b in _time_blocks(psi):
         out[b, 0], out[b, 1] = velocity_values(psi[b], h)
-    return out
-
-
-def stack_pairs(f, a: np.ndarray, b: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """out[k] = f(a[k], b[k], h) of a slice stencil f, one call per time block of out."""
-    for t in _time_blocks(out):
-        out[t] = f(a[t], b[t], h)
     return out
 
 

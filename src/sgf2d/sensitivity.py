@@ -38,8 +38,7 @@ class TangentState:
         A sweep along one tangent (solve_second(base, t, t)) and the exact
         Hessian form both take their cross term from here.
         """
-        dq = self.dq[:-1]
-        out = stack_pairs(arakawa, dq, self.dpsi[:-1], self.pd.grid.h, out=np.empty_like(dq))
+        out = stack_pairs(arakawa, self.dq, self.dpsi, self.pd.grid.h, np.empty_like(self.dq[:-1]))
         out.setflags(write=False)
         return out
 
@@ -103,13 +102,11 @@ def solve_second(
     for t in (t1, t2):
         if t.pd is not pd:
             _check_base(base, t.pd)
-    h = pd.grid.h
     dq = np.zeros(base.q.shape)
     source = dq[1:]
     if t1 is t2:
         np.multiply(-2.0, t1.cross, out=source)
-    else:
-        stack_pairs(arakawa, t1.dq[:-1], t2.dpsi[:-1], h, out=source)
-        source += stack_pairs(arakawa, t2.dq[:-1], t1.dpsi[:-1], h, out=np.empty_like(source))
-        np.negative(source, out=source)
+    else:  # (-J1) - J2, the bits of -(J1 + J2)
+        np.negative(stack_pairs(arakawa, t1.dq, t2.dpsi, pd.grid.h, source), out=source)
+        source -= stack_pairs(arakawa, t2.dq, t1.dpsi, pd.grid.h, np.empty_like(source))
     return _propagate(base, pd, dq)

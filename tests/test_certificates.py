@@ -38,7 +38,7 @@ from sgf2d.certificates import (
     hessian_quadratic_form,
 )
 from sgf2d.adjoint import duality_gap, solve_adjoint
-from sgf2d.grid import Grid, VectorField2D, _time_blocks, arakawa, velocity_from_stream
+from sgf2d.grid import Grid, VectorField2D, _blocks, arakawa, velocity_from_stream
 from sgf2d.optimizer import cost
 from sgf2d.sensitivity import solve_linearized, solve_second
 from sgf2d.spaces import DomainConstants, inner_l2, stream_from_coeffs
@@ -642,7 +642,7 @@ class TestSweepSolveCounts:
         calls_cross = count_calls(monkeypatch, sensitivity_module, "arakawa")
         calls_adj = count_calls(monkeypatch, adjoint_module, "arakawa")
         self.op(base, smooth_control(pd, 6), smooth_control(pd, 7), pd)
-        cross_blocks = len(_time_blocks(base.q[:-1]))
+        cross_blocks = len(_blocks(pd.m_steps, 2 * base.q[0].nbytes))  # a pair (dq, dpsi) per step
         assert cross_blocks == 1
         assert (len(calls_march), len(calls_cross), len(calls_adj)) == (
             4 * pd.m_steps,

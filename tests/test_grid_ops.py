@@ -18,6 +18,7 @@ from sgf2d.grid import (
     _helmholtz_symbol,
     _neg_lap_eigenvalues,
     _poisson_symbol,
+    _blocks,
     _time_blocks,
     advect,
     apply_symbol,
@@ -280,7 +281,7 @@ class TestStackPasses:
         a, b = rng.standard_normal((2, m, n, n))
         calls = count_calls(monkeypatch, grid_module, "arakawa")
         jac = stack_pairs(grid_module.arakawa, a, b, h, out=np.empty((m, n, n)))
-        assert len(calls) == len(_time_blocks(a))
+        assert len(calls) == len(_blocks(m, a[0].nbytes + b[0].nbytes))
         assert len(calls) > 1 or n == 16
         for k in range(m):
             assert np.array_equal(jac[k], arakawa(a[k], b[k], h))

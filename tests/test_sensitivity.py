@@ -21,7 +21,7 @@ from sgf2d.adjoint import duality_gap, solve_adjoint
 from sgf2d import grid as grid_module
 from sgf2d import sensitivity as sensitivity_module
 from sgf2d import state as state_module
-from sgf2d.grid import Grid, GridMismatchError, _time_blocks, arakawa, velocity_from_stream
+from sgf2d.grid import Grid, GridMismatchError, _blocks, _time_blocks, arakawa, velocity_from_stream
 from sgf2d.sensitivity import TangentState, solve_linearized, solve_second
 from sgf2d.spaces import stream_from_coeffs
 from sgf2d.state import (
@@ -208,7 +208,8 @@ class TestSecondOrder:
         calls = count_calls(monkeypatch, sensitivity_module, "arakawa")
         steps = count_calls(monkeypatch, state_module, "arakawa")
         cross = t.cross
-        assert len(calls) == len(_time_blocks(cross)) == 1  # one call per time block
+        # one call per time block of the pair (dq, dpsi)
+        assert len(calls) == len(_blocks(pd.m_steps, 2 * cross[0].nbytes)) == 1
         assert t.cross is cross
         solve_second(base, t, t, pd)
         # the cross term is not taken again; the march makes its own two per step
@@ -266,8 +267,8 @@ class TestSweepShape:
         counters = (curls, velocities, crosses)
         source_blocks = len(_time_blocks(w1.data[1:]))
         out_blocks = len(_time_blocks(base.psi[1:]))
-        cross_blocks = len(_time_blocks(base.q[:-1]))
-        assert (source_blocks, out_blocks, cross_blocks) == ((1, 1, 1) if n == 8 else (3, 2, 2))
+        cross_blocks = len(_blocks(m, 2 * base.q[0].nbytes))  # a pair (dq, dpsi) per step
+        assert (source_blocks, out_blocks, cross_blocks) == ((1, 1, 1) if n == 8 else (3, 2, 3))
         t1 = solve_linearized(base, w1, pd)
         t2 = solve_linearized(base, w2, pd)
         for sweep, expected in (

@@ -112,6 +112,7 @@ def _cmd_optimize(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
         ("n_adjoint_solves", rep.n_adjoint_solves),
         ("n_halvings", rep.n_halvings),
         ("ball_ratio", rep.ball_ratio),
+        ("n_nonfinite_trials", rep.n_nonfinite_trials),
         ("vi_final", rep.iterates[-1].vi),
         ("tol", rep.tol),
         ("converged", rep.converged),

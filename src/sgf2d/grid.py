@@ -10,6 +10,8 @@ them by a zero ghost ring. ``values[i, j]`` samples the point
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -214,54 +216,123 @@ def nonlinear_values(z1, z2, p1, p2, alpha: float, h: float) -> np.ndarray:
     return cross_values(curl_upsilon_values(z1, z2, alpha, h), z1, z2, p1, p2, h)
 
 
+class _ArakawaPlan:
+    """Buffers and views for arakawa on operands of one shape and dtype.
+
+    Both operands live in one zero-ringed buffer; a call overwrites only the
+    interiors, so the ring stays zero. Flattened over the whole padded stack,
+    node (i, j) sits at p = i*s + j and each neighbour is a contiguous slice
+    at offset +-1, +-s or +-s+-1. Every interior node reaches only its own
+    slice's ghost ring; the ghost nodes, computed along the way, are dropped.
+    """
+
+    def __init__(self, shape: tuple, dtype):
+        s = shape[-1] + 2
+        pads = np.zeros((2,) + shape[:-2] + (shape[-2] + 2, s), dtype=dtype)
+        self.a_in, self.b_in = pads[0, ..., 1:-1, 1:-1], pads[1, ..., 1:-1, 1:-1]
+        af, bf = pads[0].reshape(-1), pads[1].reshape(-1)
+        lo, hi = s + 1, af.size - s - 1  # p over [lo, hi) covers every interior node
+        size = hi - lo
+        # every difference of b the stencil takes (bN - bS, bNE - bSE, bN - bE, ...)
+        # is a shifted slice of one of these four, with the same two operands
+        self.b_pairs = (
+            (bf[2:], bf[:-2]),  # dy[p - 1] = b(i, j+1) - b(i, j-1)
+            (bf[2 * s:], bf[: -2 * s]),  # dx[p - s] = b(i+1, j) - b(i-1, j)
+            (bf[s + 1:], bf[: -s - 1]),  # up[p] = b(i+1, j+1) - b(i, j)
+            (bf[1: af.size - s + 1], bf[s:]),  # dn[p] = b(i, j+1) - b(i+1, j)
+        )
+        self.diffs = dy, dx, up, dn = tuple(np.empty_like(x) for x, _ in self.b_pairs)
+
+        def a_at(offset):
+            return af[lo + offset: hi + offset]
+
+        # aE, aW, aN, aS, aNE, aSW, aNW, aSE
+        self.a_nbrs = tuple(a_at(o) for o in (s, -s, 1, -1, s + 1, -s - 1, 1 - s, s - 1))
+        # bN - bS, bE - bW; bNE - bSE, bNW - bSW, bNE - bNW, bSE - bSW;
+        # bN - bE, bW - bS, bN - bW, bE - bS
+        self.b_diffs = (
+            dy[s: s + size], dx[1: 1 + size],
+            dy[2 * s:], dy[:size], dx[2:], dx[:size],
+            dn[s + 1: s + 1 + size], dn[:size], up[1: 1 + size], up[s: s + size],
+        )
+        self.temps = tuple(np.empty_like(self.a_nbrs[0]) for _ in range(3))
+        total = np.empty_like(pads[0])
+        self.total_flat, self.interior = total.reshape(-1)[lo:hi], total[..., 1:-1, 1:-1]
+
+    def __call__(self, a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
+        self.a_in[...] = a
+        self.b_in[...] = b
+        for (x, y), d in zip(self.b_pairs, self.diffs):
+            np.subtract(x, y, d)
+        aE, aW, aN, aS, aNE, aSW, aNW, aSE = self.a_nbrs
+        bN_S, bE_W, bNE_SE, bNW_SW, bNE_NW, bSE_SW, bN_E, bW_S, bN_W, bE_S = self.b_diffs
+        j, t, j2 = self.temps
+        # j1 = (aE - aW)(bN - bS) - (aN - aS)(bE - bW), then j2 and j3 term by
+        # term, left to right; each pass writes into its third argument
+        sub, mul, add = np.subtract, np.multiply, np.add
+        mul(sub(aE, aW, j), bN_S, j)
+        sub(j, mul(sub(aN, aS, t), bE_W, t), j)
+        mul(aE, bNE_SE, j2)
+        sub(j2, mul(aW, bNW_SW, t), j2)
+        sub(j2, mul(aN, bNE_NW, t), j2)
+        add(j2, mul(aS, bSE_SW, t), j2)
+        add(j, j2, j)
+        mul(aNE, bN_E, j2)
+        sub(j2, mul(aSW, bW_S, t), j2)
+        sub(j2, mul(aNW, bN_W, t), j2)
+        add(j2, mul(aSE, bE_S, t), j2)
+        add(j, j2, self.total_flat)
+        return self.interior / (12.0 * h * h)
+
+
+# per thread: numpy releases the GIL inside ufuncs and Python switches threads
+# between calls, so a plan shared by two threads would mix their operands
+_arakawa_local = threading.local()
+_ARAKAWA_PLANS_KEPT = 8
+
+
+def _arakawa_plans() -> OrderedDict:
+    """This thread's kept arakawa plans, keyed by (shape, a's dtype, b's dtype),
+    least recent first."""
+    plans = getattr(_arakawa_local, "plans", None)
+    if plans is None:
+        plans = _arakawa_local.plans = OrderedDict()
+    return plans
+
+
 def arakawa(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
     """Arakawa Jacobian J(a,b) ~ da/dx1 db/dx2 - da/dx2 db/dx1.
 
     Zero ghost ring on both arguments. The induced trilinear form
     sum(c * J(a,b)) is exactly antisymmetric in every argument pair, which
     is what the conservation and transposition contracts rely on.
+
+    A call runs through an _ArakawaPlan for the operands' shape and dtype:
+    the padded operands, the four differences of b, the neighbour slices
+    and the temporaries are built once per plan, so a call copies a and b
+    in and runs its arithmetic passes. The passes are the same ufuncs in
+    the same order as a freshly padded copy would take, so the bits equal
+    the np.pad form's (operands of two dtypes are taken in their common
+    type). The result is a fresh C-contiguous array. Plans are kept per
+    thread, the _ARAKAWA_PLANS_KEPT most recently used, and only for
+    operands of at most _BLOCK_BYTES (every call of a sweep's time-block
+    passes and per-step loops up to 63^2): a larger operand's plan lives for
+    its call only, so a whole-stack call pins no buffers.
     """
     if a.shape != b.shape:
         raise ValueError(f"arakawa operands differ in shape: {a.shape} vs {b.shape}")
-    # Flattened over the whole padded stack, node (i, j) sits at p = i*s + j and
-    # each neighbour is a contiguous slice at offset +-1, +-s or +-s+-1. Every
-    # interior node reaches only its own slice's ghost ring; the ghost nodes,
-    # computed along the way, are dropped at the end.
-    s = a.shape[-1] + 2
-    ap = pad0(a)
-    af, bf = ap.reshape(-1), pad0(b).reshape(-1)
-    lo, hi = s + 1, af.size - s - 1  # p over [lo, hi) covers every interior node
-    size = hi - lo
-    # every difference of b the stencil takes (bN - bS, bNE - bSE, bN - bE, ...)
-    # is a shifted slice of one of these four, with the same two operands
-    dy = bf[2:] - bf[:-2]  # dy[p - 1] = b(i, j+1) - b(i, j-1)
-    dx = bf[2 * s:] - bf[: -2 * s]  # dx[p - s] = b(i+1, j) - b(i-1, j)
-    up = bf[s + 1:] - bf[: -s - 1]  # up[p] = b(i+1, j+1) - b(i, j)
-    dn = bf[1: af.size - s + 1] - bf[s:]  # dn[p] = b(i, j+1) - b(i+1, j)
-
-    def a_at(offset):
-        return af[lo + offset: hi + offset]
-
-    aE, aW, aN, aS = a_at(s), a_at(-s), a_at(1), a_at(-1)
-    # j1 = (aE - aW)(bN - bS) - (aN - aS)(bE - bW), then j2 and j3 term by
-    # term, left to right; out= reuses the temporaries without changing a bit
-    j = aE - aW
-    j *= dy[s: s + size]
-    t = aN - aS
-    t *= dx[1: 1 + size]
-    j -= t
-    j2 = aE * dy[2 * s:]
-    j2 -= np.multiply(aW, dy[:size], out=t)
-    j2 -= np.multiply(aN, dx[2:], out=t)
-    j2 += np.multiply(aS, dx[:size], out=t)
-    j += j2
-    j3 = np.multiply(a_at(s + 1), dn[s + 1: s + 1 + size], out=j2)
-    j3 -= np.multiply(a_at(-s - 1), dn[:size], out=t)
-    j3 -= np.multiply(a_at(1 - s), up[1: 1 + size], out=t)
-    j3 += np.multiply(a_at(s - 1), up[s: s + size], out=t)
-    total = np.empty_like(ap)
-    np.add(j, j3, out=total.reshape(-1)[lo:hi])
-    return total[..., 1:-1, 1:-1] / (12.0 * h * h)
+    key = (a.shape, a.dtype, b.dtype)
+    plans = _arakawa_plans()
+    plan = plans.get(key)
+    if plan is not None:
+        plans.move_to_end(key)
+    else:
+        plan = _ArakawaPlan(a.shape, np.result_type(a.dtype, b.dtype))
+        if a.nbytes <= _BLOCK_BYTES:
+            plans[key] = plan
+            if len(plans) > _ARAKAWA_PLANS_KEPT:
+                plans.popitem(last=False)
+    return plan(a, b, h)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ Each line search starts from the short Barzilai-Borwein step (BB2)
 <s,y>/<y,y> in the trapezoid-weighted L2(Q) pairing, with s and y the last
 iterate and gradient differences; when <s,y> <= 0 (no positive curvature
 along s) the previous step is kept. The step is then halved until
-the monotone Armijo test holds, so J never rises on an accepted step.
+the monotone Armijo test holds, so J never rises on an accepted step. A
+trial whose march blows up or whose J is not finite is rejected and halved
+too (`OptimizeReport.n_nonfinite_trials` counts them); a start that blows up
+raises BlowUpError.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .certificates import CertificateInputs, certify
 from .grid import velocity_from_stream
 from .spaces import DomainConstants, solenoidal_projection_values, stream_from_coeffs
 from .state import (
+    BlowUpError,
     ProblemData,
     StateSolution,
     Trajectory,
@@ -126,6 +130,7 @@ class OptimizeReport:
     n_adjoint_solves: int
     n_halvings: int  # over every line search, a failed last one included
     ball_ratio: float  # control_h1_norm(u_final) / L; 1 on the sphere
+    n_nonfinite_trials: int  # trials whose march blew up or whose J was not finite
 
     @property
     def n_iterations(self) -> int:
@@ -151,6 +156,17 @@ def _evaluate(pd: ProblemData, u: Trajectory):
     return sol, _cost_values(u, sol.y, pd.y_d, pd.lam, pd)
 
 
+def _evaluate_trial(pd: ProblemData, u: Trajectory):
+    """_evaluate for a line-search trial. A march that blows up gives J = inf
+    and no state, and an overflow in the cost gives a non-finite J without a
+    warning: the caller rejects both."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _evaluate(pd, u)
+    except BlowUpError:
+        return None, math.inf
+
+
 def optimize(
     pd: ProblemData, u_init: Trajectory | None = None, opts: OptimizeOptions | None = None
 ) -> OptimizeReport:
@@ -165,7 +181,7 @@ def optimize(
     tol = opts.tol if opts.tol is not None else 1e-8 * (1.0 + abs(J))
     g = gradient_field(u, solve_adjoint(sol, None, pd), pd.lam)
     n_state = n_adjoint = 1
-    n_halvings = 0
+    n_halvings = n_nonfinite = 0
 
     records: list[IterRecord] = []
     prev_u = prev_g = None
@@ -200,9 +216,11 @@ def optimize(
             # decrease <= 0 is not automatic for radial projection; require it
             # so accepted steps never increase J
             if decrease <= 0.0:
-                trial_sol, trial_J = _evaluate(pd, trial)
+                trial_sol, trial_J = _evaluate_trial(pd, trial)
                 n_state += 1
-                if trial_J <= J + opts.armijo_c * decrease:
+                if not math.isfinite(trial_J):
+                    n_nonfinite += 1
+                elif trial_J <= J + opts.armijo_c * decrease:
                     accepted = True
                     break
             t *= 0.5
@@ -230,6 +248,7 @@ def optimize(
         n_adjoint_solves=n_adjoint,
         n_halvings=n_halvings,
         ball_ratio=control_h1_norm(u) / pd.L,
+        n_nonfinite_trials=n_nonfinite,
     )
 
 

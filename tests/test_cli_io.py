@@ -554,6 +554,15 @@ class TestOptimizeLeg:
         assert keys[keys.index("n_halvings") + 1] == "ball_ratio"
         assert abs(float(dict(pairs)["ball_ratio"]) - 1.0) <= 1e-12
 
+    def test_nonfinite_trials_reported_after_ball_ratio(self, tmp_path):
+        cfg = write_cfg(tmp_path, TRACKING)
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        pairs = [line.split(" = ", 1) for line in (out / "report.txt").read_text().splitlines()[1:]]
+        keys = [k for k, _ in pairs]
+        assert keys[keys.index("ball_ratio") + 1] == "n_nonfinite_trials"
+        assert dict(pairs)["n_nonfinite_trials"] == "0"
+
 
 class TestGradcheck:
     def test_csv_contract_and_accuracy(self, tmp_path):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -166,15 +167,17 @@ class TestLaplacian:
 
 
 def _padded_stencils(a, b, h):
-    # the stencils written against np.pad: pad0 and its callers must match them bit for bit
-    ap, bp = np.pad(a, 1), np.pad(b, 1)
-    lap = (ap[2:, 1:-1] + ap[:-2, 1:-1] + ap[1:-1, 2:] + ap[1:-1, :-2] - 4.0 * a) / (h * h)
-    d1 = (ap[2:, 1:-1] - ap[:-2, 1:-1]) / (2.0 * h)
-    d2 = (ap[1:-1, 2:] - ap[1:-1, :-2]) / (2.0 * h)
-    aE, aW, aN, aS = ap[2:, 1:-1], ap[:-2, 1:-1], ap[1:-1, 2:], ap[1:-1, :-2]
-    aNE, aNW, aSE, aSW = ap[2:, 2:], ap[:-2, 2:], ap[2:, :-2], ap[:-2, :-2]
-    bE, bW, bN, bS = bp[2:, 1:-1], bp[:-2, 1:-1], bp[1:-1, 2:], bp[1:-1, :-2]
-    bNE, bNW, bSE, bSW = bp[2:, 2:], bp[:-2, 2:], bp[2:, :-2], bp[:-2, :-2]
+    # the stencils written against np.pad over the last two axes: pad0 and its
+    # callers must match them bit for bit
+    pad = [(0, 0)] * (a.ndim - 2) + [(1, 1), (1, 1)]
+    ap, bp = np.pad(a, pad), np.pad(b, pad)
+    aE, aW, aN, aS = ap[..., 2:, 1:-1], ap[..., :-2, 1:-1], ap[..., 1:-1, 2:], ap[..., 1:-1, :-2]
+    aNE, aNW, aSE, aSW = ap[..., 2:, 2:], ap[..., :-2, 2:], ap[..., 2:, :-2], ap[..., :-2, :-2]
+    bE, bW, bN, bS = bp[..., 2:, 1:-1], bp[..., :-2, 1:-1], bp[..., 1:-1, 2:], bp[..., 1:-1, :-2]
+    bNE, bNW, bSE, bSW = bp[..., 2:, 2:], bp[..., :-2, 2:], bp[..., 2:, :-2], bp[..., :-2, :-2]
+    lap = (aE + aW + aN + aS - 4.0 * a) / (h * h)
+    d1 = (aE - aW) / (2.0 * h)
+    d2 = (aN - aS) / (2.0 * h)
     j1 = (aE - aW) * (bN - bS) - (aN - aS) * (bE - bW)
     j2 = aE * (bNE - bSE) - aW * (bNW - bSW) - aN * (bNE - bNW) + aS * (bSE - bSW)
     j3 = aNE * (bN - bE) - aSW * (bW - bS) - aNW * (bN - bW) + aSE * (bE - bS)
@@ -296,6 +299,110 @@ class TestArakawaOperands:
         a, b = np.ones(a_shape), np.ones(b_shape)
         with pytest.raises(ValueError, match="differ in shape"):
             arakawa(a, b, 0.1)
+
+
+def _operands(shape, layout, seed):
+    """Two random operands of shape, C-contiguous or strided views."""
+    rng = np.random.default_rng(seed)
+    if layout == "contiguous":
+        return rng.standard_normal((2,) + shape)
+    # a transposed view and a view of every other column
+    a = np.swapaxes(rng.standard_normal(shape[:-2] + (shape[-1], shape[-2])), -1, -2)
+    b = rng.standard_normal(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    return a, b
+
+
+def _jacobian(a, b, h):
+    return _padded_stencils(a, b, h)[3]
+
+
+class TestArakawaPlan:
+    """arakawa runs through a per-thread plan of buffers for its operand shape;
+    each call still gives the np.pad form's bits in a fresh array."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (16, 16), (2, 16, 16), (1, 63, 63), (63, 63)])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_bits_equal_np_pad_form(self, shape, layout):
+        h = Grid(shape[-1]).h
+        for seed in (0, 1):  # the second call reuses the first call's plan
+            a, b = _operands(shape, layout, seed)
+            got = arakawa(a, b, h)
+            assert np.array_equal(got, _jacobian(a, b, h))
+            assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
+
+    @pytest.mark.parametrize("shape", [(16, 16), (2, 16, 16)])
+    def test_nonfinite_operand_leaves_no_trace(self, shape):
+        h = Grid(16).h
+        a, b = _operands(shape, "contiguous", 2)
+        bad_a, bad_b = a.copy(), b.copy()
+        bad_a[..., 0, 0], bad_a[..., -1, 5] = np.nan, np.inf
+        bad_b[..., 3, -1], bad_b[..., 7, 7] = -np.inf, np.nan
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(arakawa(bad_a, bad_b, h)).all()
+        assert np.array_equal(arakawa(a, b, h), _jacobian(a, b, h))
+
+    def test_results_are_never_shared(self):
+        h = Grid(16).h
+        a, b = _operands((16, 16), "contiguous", 3)
+        c, d = _operands((16, 16), "contiguous", 4)
+        first = arakawa(a, b, h)
+        want = first.copy()
+        second = arakawa(c, d, h)
+        assert np.array_equal(first, want) and not np.shares_memory(first, second)
+        first[...] = 1e300
+        second[...] = np.nan
+        assert np.array_equal(arakawa(a, b, h), want)
+
+    def test_threads_get_the_serial_bits(self):
+        # more threads than cores, switching every microsecond: a plan shared
+        # between threads would compute one thread's call on another's operands
+        h = Grid(16).h
+        pairs = [_operands((2, 16, 16), "contiguous", seed) for seed in range(6)]
+        want = [arakawa(a, b, h) for a, b in pairs]
+        wrong = []
+
+        def work(offset):
+            for i in range(300):
+                k = (i + offset) % len(pairs)
+                if not np.array_equal(arakawa(*pairs[k], h), want[k]):
+                    wrong.append(k)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("shape", [(3, 63, 63), (20, 63, 63), (128, 128)])
+    def test_operand_over_one_block_keeps_no_plan(self, shape):
+        a, b = _operands(shape, "contiguous", 5)
+        assert a.nbytes > grid_module._BLOCK_BYTES
+        arakawa(*_operands((16, 16), "contiguous", 6), 0.1)
+        plans = grid_module._arakawa_plans()
+        before = list(plans.items())
+        h = Grid(shape[-1]).h
+        assert np.array_equal(arakawa(a, b, h), _jacobian(a, b, h))
+        assert list(plans.items()) == before
+
+    def test_kept_plans_are_bounded(self):
+        plans = grid_module._arakawa_plans()
+        for k in range(1, 2 * grid_module._ARAKAWA_PLANS_KEPT + 1):
+            a, b = _operands((k, 5, 5), "contiguous", k)
+            arakawa(a, b, 0.1)
+            assert ((k, 5, 5), a.dtype, b.dtype) in plans
+        assert len(plans) == grid_module._ARAKAWA_PLANS_KEPT
+        # a block-sized operand keeps its plan, as a sweep's time-block passes do
+        a, b = _operands((2, 63, 63), "contiguous", 7)
+        assert a.nbytes <= grid_module._BLOCK_BYTES
+        arakawa(a, b, 1 / 64)
+        assert next(reversed(plans)) == ((2, 63, 63), a.dtype, b.dtype)
 
 
 def _old_route(v, denom):

@@ -28,6 +28,7 @@ from sgf2d.optimizer import (
 )
 from sgf2d.spaces import DomainConstants, solenoidal_projection_values, stream_from_coeffs
 from sgf2d.state import (
+    BlowUpError,
     ProblemData,
     Trajectory,
     control_h1_norm,
@@ -386,6 +387,46 @@ class TestOptimize:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[1]) == rep.iterates[0].J
+
+
+class TestNonFiniteTrials:
+    """A line-search trial whose march blows up or whose cost is not finite is
+    a rejected trial: the step is halved and the report counts it."""
+
+    def test_blown_up_trial_is_halved(self, monkeypatch):
+        # the first trial's march overflows at step 7
+        states = count_calls(monkeypatch, optimizer_module, "solve_state")
+        pd = small_problem(L=1e12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = optimize(pd, None, OptimizeOptions(initial_step=1e12))
+        assert rep.converged and rep.n_nonfinite_trials >= 1
+        assert rep.n_halvings >= rep.n_nonfinite_trials
+        # a blown-up trial is a state solve that was attempted
+        assert rep.n_state_solves == len(states)
+        js = [r.J for r in rep.iterates]
+        assert all(b <= a for a, b in zip(js, js[1:]))
+        assert np.isfinite(rep.J_final)
+
+    def test_overflowing_cost_is_rejected_without_warnings(self):
+        # the trial state stays finite but its cost overflows
+        pd = small_problem(L=1e9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = optimize(pd, None, OptimizeOptions(initial_step=1e8))
+        assert rep.converged and rep.n_nonfinite_trials >= 1
+        assert rep.n_halvings >= rep.n_nonfinite_trials
+        assert np.isfinite(rep.J_final)
+
+    def test_blown_up_start_still_raises(self):
+        pd = small_problem(L=1e12)
+        u0 = start_control(pd, 0, 0, scale=1e-2)  # H1 norm 1e10
+        with pytest.raises(BlowUpError):
+            optimize(pd, u0, OptimizeOptions(max_iter=3))
+
+    def test_finite_run_counts_none(self):
+        rep = optimize(reachable_problem(), None, OptimizeOptions(max_iter=200))
+        assert rep.converged and rep.n_nonfinite_trials == 0
 
 
 class TestCostReadsTheStack:

@@ -82,7 +82,11 @@ def _adjoint_core(base: StateSolution, source: np.ndarray, pd: ProblemData) -> A
     # first, they share one symbol pair
     stack_curl(source[:m], h, out=mu[:m])
     mu[:m] *= (rho[:m] * h2)[:, None, None]
-    for k in range(m - 1, -1, -1):
+    # the terminal step's r[m] is the symbol of mu[m] = 0, so +0.0: its two
+    # Jacobians vanish and only its source passes Ha^-1 P^-1. The 0.0 + keeps
+    # the +0.0 that the full sum r[m] + dt J + ... gives for a zero
+    mu[m - 1] = 0.0 + apply_symbol(mu[m - 1], ops.inv_Ha_inv_P_sym)
+    for k in range(m - 2, -1, -1):
         r[k + 1] = apply_symbol(mu[k + 1], ops.step_sym[0])
         rhs = mu[k] - dt * arakawa(r[k + 1], base.q[k], h)
         mu[k] = (
@@ -130,4 +134,9 @@ def gradient_field(u: Trajectory, p: AdjointState, lam: float) -> Trajectory:
     of the full cost along any direction w.
     """
     _check_aligned(u, p.pd, "control")
-    return Trajectory(u.grid, u.dt, "control", lam * u.data + p.p)
+    return Trajectory(u.grid, u.dt, "control", _gradient_values(u.data, p, lam))
+
+
+def _gradient_values(u: np.ndarray, p: AdjointState, lam: float) -> np.ndarray:
+    """gradient_field's stack lam*u + p of a control stack u."""
+    return lam * u + p.p

@@ -31,7 +31,7 @@ from .state import (
     BlowUpError,
     ProblemData,
     _warn_cfl,
-    l2q_inner_values,
+    l2q_inner,
     solve_state,
     trap_weights,
 )
@@ -126,7 +126,7 @@ def _cmd_gradcheck(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: 
     w = start_control(pd, seed, 1)
     sol = solve_state(u, pd)
     g = gradient_field(u, solve_adjoint(sol, None, pd), pd.lam)
-    adjoint_val = l2q_inner_values(g.data, w.data, trap_weights(pd.m_steps, pd.dt), pd.grid.h)
+    adjoint_val = l2q_inner(g, w, trap_weights(pd.m_steps, pd.dt))
     rows = []
     for eps in (1e-2, 1e-3, 1e-4):
         fd = (_evaluate(pd, u + eps * w)[1] - _evaluate(pd, u - eps * w)[1]) / (2.0 * eps)

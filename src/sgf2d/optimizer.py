@@ -9,9 +9,18 @@ Each line search starts from the short Barzilai-Borwein step (BB2)
 iterate and gradient differences; when <s,y> <= 0 (no positive curvature
 along s) the previous step is kept. The step is then halved until
 the monotone Armijo test holds, so J never rises on an accepted step. A
-trial whose march blows up or whose J is not finite is rejected and halved
-too (`OptimizeReport.n_nonfinite_trials` counts them); a start that blows up
-raises BlowUpError.
+trial point that is not finite, or whose march blows up, or whose J is not
+finite is rejected and halved too (`OptimizeReport.n_nonfinite_trials`
+counts them); a start that blows up raises BlowUpError. The default
+tolerance is 1e-8 (1 + J(0)), anchored on the zero control whatever the
+start.
+
+An iteration is one state sweep and one adjoint sweep: the loop keeps the
+iterate, the gradient, the trial points and the BB differences as float64
+stacks and tests the ball with the private array norm behind
+`control_h1_norm`; only a trial whose state is solved becomes a Trajectory.
+`project_Uad`, `vi_residual` and `gradient_field` wrap the same array
+helpers, so the loop and the public functions give the same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fieldio
-from .adjoint import gradient_field, solve_adjoint
+from .adjoint import _gradient_values, solve_adjoint
 from .certificates import CertificateInputs, certify
 from .grid import velocity_from_stream
 from .spaces import DomainConstants, solenoidal_projection_values, stream_from_coeffs
@@ -33,11 +42,12 @@ from .state import (
     ProblemData,
     StateSolution,
     Trajectory,
+    _h1_norm,
     _target_stack,
     control_h1_norm,
-    l2q_inner,
     l2q_inner_values,
     l2q_norm,
+    l2q_norm_values,
     left_weights,
     solve_state,
     trap_weights,
@@ -71,18 +81,29 @@ def project_Uad(u: Trajectory, L: float) -> Trajectory:
     L2(Q) metric of the gradient step: outside the ball its result is in
     general not the L2(Q)-nearest point of the ball.
     """
+    data = _project(u.data, L, trap_weights(u.m_steps, u.dt), u.grid.h)
+    return u if data is u.data else u.with_data(data)
+
+
+def _project(u: np.ndarray, L: float, tau: np.ndarray, h: float) -> np.ndarray:
+    """project_Uad of a control stack with trapezoid weights tau: u itself
+    inside the ball."""
     if L <= 0:
         raise ValueError("L must be positive")
-    r = control_h1_norm(u)
+    r = _h1_norm(u, tau, h)
     if r <= L:
         return u
-    return u * (L / r)
+    return u * float(L / r)
 
 
 def vi_residual(u: Trajectory, g: Trajectory, L: float) -> float:
     """Natural residual ||u - proj(u - g)||_{L2(Q)} of the variational inequality."""
-    d = u - project_Uad(u - g, L)
-    return l2q_norm(d, trap_weights(u.m_steps, u.dt))
+    return _vi_residual(u.data, g.data, L, trap_weights(u.m_steps, u.dt), u.grid.h)
+
+
+def _vi_residual(u: np.ndarray, g: np.ndarray, L: float, tau: np.ndarray, h: float) -> float:
+    """vi_residual of control and gradient stacks."""
+    return l2q_norm_values(u - _project(u - g, L, tau, h), tau, h)
 
 
 class IterRecord(NamedTuple):
@@ -171,16 +192,31 @@ def optimize(
     pd: ProblemData, u_init: Trajectory | None = None, opts: OptimizeOptions | None = None
 ) -> OptimizeReport:
     """Projected gradient descent; J decreases on every accepted step and
-    every iterate stays admissible. Stops at vi_residual <= tol."""
+    every iterate stays admissible. Stops at vi_residual <= tol, by default
+    1e-8 (1 + J(0)) with J(0) the cost of the zero control.
+
+    The loop keeps the iterate, the gradient and the trials as stacks; a
+    trial becomes a Trajectory only when its state is solved."""
     opts = opts or OptimizeOptions()
     t0 = time.perf_counter()
+    h = pd.grid.h
     tau = trap_weights(pd.m_steps, pd.dt)
 
-    u = project_Uad(u_init if u_init is not None else pd.zero_control(), pd.L)
-    sol, J = _evaluate(pd, u)
-    tol = opts.tol if opts.tol is not None else 1e-8 * (1.0 + abs(J))
-    g = gradient_field(u, solve_adjoint(sol, None, pd), pd.lam)
+    u_traj = project_Uad(u_init if u_init is not None else pd.zero_control(), pd.L)
+    # the ball's norm and the vi residual use the control's own time step
+    tau_u = trap_weights(u_traj.m_steps, u_traj.dt)
+    u = u_traj.data
+    sol, J = _evaluate(pd, u_traj)
     n_state = n_adjoint = 1
+    tol = opts.tol
+    if tol is None:
+        # anchored on the zero control, so a costly start cannot loosen it
+        J0 = J
+        if u_init is not None:
+            J0 = _evaluate(pd, pd.zero_control())[1]
+            n_state += 1
+        tol = 1e-8 * (1.0 + J0)
+    g = _gradient_values(u, solve_adjoint(sol, None, pd), pd.lam)
     n_halvings = n_nonfinite = 0
 
     records: list[IterRecord] = []
@@ -192,8 +228,8 @@ def optimize(
 
     # the last pass records the point reached at the cap and only tests it
     for it in range(opts.max_iter + 1):
-        vi = vi_residual(u, g, pd.L)
-        records.append(IterRecord(it, J, l2q_norm(g, tau), last_step, vi))
+        vi = _vi_residual(u, g, pd.L, tau_u, h)
+        records.append(IterRecord(it, J, l2q_norm_values(g, tau, h), last_step, vi))
         if vi <= tol:
             converged = True
             message = "vi residual within tolerance"
@@ -201,22 +237,31 @@ def optimize(
         if it == opts.max_iter:
             break
 
+        # an overflow below gives inf or NaN, never a warning: a curvature
+        # that is not finite keeps the step, and a trial that is not finite,
+        # or whose decrease is not, is rejected
         if prev_u is not None:
-            s = u.data - prev_u
-            y = g.data - prev_g
-            sy = l2q_inner_values(s, y, tau, pd.grid.h)
-            if sy > 0:
-                step = min(max(sy / l2q_inner_values(y, y, tau, pd.grid.h), 1e-14), 1e14)
+            s = u - prev_u
+            y = g - prev_g
+            with np.errstate(over="ignore", invalid="ignore"):
+                sy = l2q_inner_values(s, y, tau, h)
+                yy = l2q_inner_values(y, y, tau, h)
+            if 0 < sy < math.inf:
+                step = min(max(sy / yy, 1e-14), 1e14)
 
         accepted = False
         t = step
         for halvings in range(opts.max_halvings + 1):
-            trial = project_Uad((u - t * g), pd.L)
-            decrease = l2q_inner(g, trial - u, tau)
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = _project(u - g * float(t), pd.L, tau_u, h)
+                decrease = l2q_inner_values(g, trial - u, tau, h)
+            if not np.isfinite(trial).all():
+                n_nonfinite += 1
             # decrease <= 0 is not automatic for radial projection; require it
             # so accepted steps never increase J
-            if decrease <= 0.0:
-                trial_sol, trial_J = _evaluate_trial(pd, trial)
+            elif decrease <= 0.0:
+                trial_traj = u_traj.with_data(trial)
+                trial_sol, trial_J = _evaluate_trial(pd, trial_traj)
                 n_state += 1
                 if not math.isfinite(trial_J):
                     n_nonfinite += 1
@@ -229,15 +274,16 @@ def optimize(
             message = "line search failed (no sufficient decrease)"
             break
 
-        prev_u, prev_g = u.data, g.data
-        u, sol, J = trial, trial_sol, trial_J
+        prev_u, prev_g = u, g
+        u_traj, sol, J = trial_traj, trial_sol, trial_J
+        u = u_traj.data
         last_step = t
-        g = gradient_field(u, solve_adjoint(sol, None, pd), pd.lam)
+        g = _gradient_values(u, solve_adjoint(sol, None, pd), pd.lam)
         n_adjoint += 1
 
     return OptimizeReport(
         iterates=records,
-        u_final=u,
+        u_final=u_traj,
         J_final=J,
         converged=converged,
         message=message,
@@ -247,7 +293,7 @@ def optimize(
         n_state_solves=n_state,
         n_adjoint_solves=n_adjoint,
         n_halvings=n_halvings,
-        ball_ratio=control_h1_norm(u) / pd.L,
+        ball_ratio=_h1_norm(u, tau_u, h) / pd.L,
         n_nonfinite_trials=n_nonfinite,
     )
 

@@ -175,7 +175,16 @@ def l2q_inner(a: Trajectory, b: Trajectory, weights: np.ndarray) -> float:
 
 
 def l2q_norm(a: Trajectory, weights: np.ndarray) -> float:
-    return float(np.sqrt(max(l2q_inner(a, a, weights), 0.0)))
+    return l2q_norm_values(a.data, weights, a.grid.h)
+
+
+def l2q_norm_values(a: np.ndarray, weights: np.ndarray, h: float) -> float:
+    """l2q_norm of a stack; a sum that overflows is taken again as in _h1_norm."""
+    return _rescaled_on_overflow(_l2q_sum_norm, a, weights, h)
+
+
+def _l2q_sum_norm(a: np.ndarray, weights: np.ndarray, h: float) -> float:
+    return float(np.sqrt(max(l2q_inner_values(a, a, weights, h), 0.0)))
 
 
 def control_h1_norm(u: Trajectory) -> float:
@@ -184,14 +193,40 @@ def control_h1_norm(u: Trajectory) -> float:
     The slice values are stack_hk_sq's order-1 sums up to roundoff, with both
     difference quotients taken as products by the cached diff1 matrix.
     """
-    d = spaces.diff1_matrix(u.grid.n_interior)
-    h1_sq = np.empty(u.m_steps + 1)
-    for b in _time_blocks(u.data):
-        a = u.data[b]
+    return _h1_norm(u.data, trap_weights(u.m_steps, u.dt), u.grid.h)
+
+
+def _h1_norm(data: np.ndarray, tau: np.ndarray, h: float) -> float:
+    """control_h1_norm of a control stack with trapezoid weights tau."""
+    return _rescaled_on_overflow(_h1_sum_norm, data, tau, h)
+
+
+def _rescaled_on_overflow(norm, data: np.ndarray, *args) -> float:
+    """norm(data, *args) of a norm whose sum of squares may overflow.
+
+    A sum that is not finite is taken again on data / max|data|, so the norm
+    reads inf only beyond the float range or for data that is not finite,
+    and a finite sum keeps its bits. No overflow warning escapes.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = norm(data, *args)
+    if math.isfinite(value):
+        return value
+    scale = float(np.abs(data).max())
+    if not 0.0 < scale < math.inf:
+        return value
+    return scale * norm(data / scale, *args)
+
+
+def _h1_sum_norm(data: np.ndarray, tau: np.ndarray, h: float) -> float:
+    d = spaces.diff1_matrix(data.shape[-1])
+    h1_sq = np.empty(data.shape[0])
+    for b in _time_blocks(data):
+        a = data[b]
         d1, d2 = d @ a, a @ d.T
         h1_sq[b] = (a * a + d1 * d1 + d2 * d2).reshape(a.shape[0], -1).sum(1)
-    h1_sq *= u.grid.h ** 2
-    return float(np.sqrt(np.dot(trap_weights(u.m_steps, u.dt), h1_sq)))
+    h1_sq *= h**2
+    return float(np.sqrt(np.dot(tau, h1_sq)))
 
 
 def _check_aligned(traj: Trajectory, like, what: str) -> None:
@@ -274,6 +309,14 @@ class ProblemData:
     def _sweep_params(self) -> tuple:
         """What the sweeps around a solved state depend on: grid, m_steps, alpha, nu, T."""
         return (self.grid, self.m_steps, self.alpha, self.nu, self.T)
+
+    @cached_property
+    def q0(self) -> np.ndarray:
+        """Potential vorticity Ha(-lap5 psi0) of y0, every state's first slice
+        (read-only, computed on first read)."""
+        q0 = get_ops(self).Ha(-lap5(self.y0.stream.values, self.grid.h))
+        q0.setflags(write=False)
+        return q0
 
     def target_stack(self) -> np.ndarray:
         return _target_stack(self.y_d, self)
@@ -445,7 +488,7 @@ def solve_state(u: Trajectory | None, pd: ProblemData) -> StateSolution:
     y = np.empty((m + 1, 2, n, n))
 
     psi[0] = pd.y0.stream.values
-    q[0] = ops.Ha(-lap5(psi[0], h))
+    q[0] = pd.q0
     y[0, 0], y[0, 1] = pd.y0.u1, pd.y0.u2
     stack_curl(u.data[1:], h, out=q[1:])  # step k's source, the curl of u[k+1]
     _march(q, psi, ((q, psi),), ops, pd.dt)

@@ -359,3 +359,66 @@ def grad_sq(v):
 def norm_l2(f):
     """Discrete L2 norm of a field, sqrt(inner_l2(f, f))."""
     return float(np.sqrt(inner_l2(f, f)))
+
+
+def optimize_trajectory_loop(pd, opts):
+    """optimizer.optimize from the zero control as written before its loop ran
+    on stacks: the iterate, the gradient and every trial point a Trajectory,
+    each ball test a control_h1_norm. Returns (records, u_final, J_final,
+    tol, message, counts) with counts (state, adjoint, halvings, nonfinite)."""
+    import math
+
+    from sgf2d.adjoint import gradient_field, solve_adjoint
+    from sgf2d.optimizer import IterRecord, _evaluate, _evaluate_trial, project_Uad, vi_residual
+    from sgf2d.state import l2q_inner, l2q_inner_values, l2q_norm, trap_weights
+
+    tau = trap_weights(pd.m_steps, pd.dt)
+    u = project_Uad(pd.zero_control(), pd.L)
+    sol, J = _evaluate(pd, u)
+    tol = opts.tol if opts.tol is not None else 1e-8 * (1.0 + abs(J))
+    g = gradient_field(u, solve_adjoint(sol, None, pd), pd.lam)
+    n_state = n_adjoint = 1
+    n_halvings = n_nonfinite = 0
+    records = []
+    prev_u = prev_g = None
+    step = opts.initial_step
+    last_step = 0.0
+    message = "iteration cap reached"
+    for it in range(opts.max_iter + 1):
+        vi = vi_residual(u, g, pd.L)
+        records.append(IterRecord(it, J, l2q_norm(g, tau), last_step, vi))
+        if vi <= tol:
+            message = "vi residual within tolerance"
+            break
+        if it == opts.max_iter:
+            break
+        if prev_u is not None:
+            s = u.data - prev_u
+            y = g.data - prev_g
+            sy = l2q_inner_values(s, y, tau, pd.grid.h)
+            if sy > 0:
+                step = min(max(sy / l2q_inner_values(y, y, tau, pd.grid.h), 1e-14), 1e14)
+        accepted = False
+        t = step
+        for halvings in range(opts.max_halvings + 1):
+            trial = project_Uad((u - t * g), pd.L)
+            decrease = l2q_inner(g, trial - u, tau)
+            if decrease <= 0.0:
+                trial_sol, trial_J = _evaluate_trial(pd, trial)
+                n_state += 1
+                if not math.isfinite(trial_J):
+                    n_nonfinite += 1
+                elif trial_J <= J + opts.armijo_c * decrease:
+                    accepted = True
+                    break
+            t *= 0.5
+        n_halvings += halvings
+        if not accepted:
+            message = "line search failed (no sufficient decrease)"
+            break
+        prev_u, prev_g = u.data, g.data
+        u, sol, J = trial, trial_sol, trial_J
+        last_step = t
+        g = gradient_field(u, solve_adjoint(sol, None, pd), pd.lam)
+        n_adjoint += 1
+    return records, u, J, tol, message, (n_state, n_adjoint, n_halvings, n_nonfinite)

@@ -312,8 +312,9 @@ class TestFusedAdjointSymbols:
         assert len(calls) == 2 * pd.m_steps
         calls.clear()
         _adjoint_core(base, phi.data, pd)
-        # one symbol pair for r, one for the summed advection and source terms
-        assert len(calls) == 4 * pd.m_steps
+        # one symbol pair for r, one for the summed advection and source terms;
+        # the terminal step's r is zero, so it takes only the second pair
+        assert len(calls) == 4 * pd.m_steps - 2
         assert not lap5_calls
 
 
@@ -327,15 +328,16 @@ class TestFusedAdjointSymbols:
         w, phi = smooth_control(pd, 2), smooth_control(pd, 3)
         calls = count_calls(monkeypatch, grid_module, "dstn")
         fft_calls = count_calls(monkeypatch, grid_module, "_fft_dstn")
-        for sweep, per_step in (
-            (lambda: solve_state(base.u, pd), 2),
-            (lambda: solve_linearized(base, w, pd), 2),
-            (lambda: _adjoint_core(base, phi.data, pd), 4),
+        # the adjoint's terminal step skips the symbol pair of its zero r
+        for sweep, per_step, skipped in (
+            (lambda: solve_state(base.u, pd), 2, 0),
+            (lambda: solve_linearized(base, w, pd), 2, 0),
+            (lambda: _adjoint_core(base, phi.data, pd), 4, 2),
         ):
             calls.clear()
             fft_calls.clear()
             sweep()
-            assert len(calls) == per_step * pd.m_steps
+            assert len(calls) == per_step * pd.m_steps - skipped
             assert len(fft_calls) == (len(calls) if n == 143 else 0)
 
 
@@ -365,6 +367,38 @@ class TestSourceTermsOncePerSweep:
         assert (len(curls), len(velocities)) == expected
         # small stacks are one block whatever m is
         assert expected == ((1, 1) if n == 8 else (3, 2))
+
+
+class TestTerminalStep:
+    """The terminal step's r[m] is the symbol of mu[m] = 0, so +0.0: the sweep
+    skips that step's Jacobians and step symbol. Against the full step of the
+    per-step loop only the sign of a zero may differ, so np.array_equal."""
+
+    @pytest.mark.parametrize("n,m", [(8, 1), (8, 2), (16, 5)])
+    @pytest.mark.parametrize("source", ["phi", "tracking", "negative-zero"])
+    def test_values_equal_full_terminal_step(self, n, m, source):
+        pd = small_problem(n=n, m=m)
+        base = solve_state(smooth_control(pd, 1), pd)
+        src = base.y - pd.target_stack() if source == "tracking" else smooth_control(pd, 3).data
+        if source == "negative-zero":
+            src = src.copy()
+            src[m - 1] = -0.0  # the terminal step's source
+        adj = _adjoint_core(base, src, pd)
+        for name, ref in zip(("p", "mu", "r"), adjoint_core_per_step(base, src, pd)):
+            assert np.array_equal(getattr(adj, name), ref), name
+        assert adj.r[m].tobytes() == bytes(adj.r[m].nbytes)
+        last = adj.mu[m - 1]
+        assert not np.any((last == 0.0) & np.signbit(last))
+        if source == "negative-zero":
+            assert np.all(last == 0.0)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_terminal_step_makes_no_jacobian(self, monkeypatch, m):
+        pd = small_problem(n=8, m=m)
+        base = solve_state(smooth_control(pd, 1), pd)
+        calls = count_calls(monkeypatch, adjoint_module, "arakawa")
+        _adjoint_core(base, smooth_control(pd, 3).data, pd)
+        assert len(calls) == 2 * (m - 1)
 
 
 class TestGradientField:

@@ -631,10 +631,10 @@ class TestSweepSolveCounts:
 
     def test_seven_arakawa_calls_per_step(self, monkeypatch):
         # per step: 2 in the tangent's march, 2 in the second-order sweep's
-        # march and 2 in phi's adjoint; the tangent's J(dq, dpsi), which the
-        # second-order source and the Hessian form share, takes one call per
-        # time block of the cross stack; the tracking adjoint (2 more per
-        # step) is kept from the first op on the base
+        # march and 2 in phi's adjoint, whose terminal step has a zero r and
+        # makes none; the tangent's J(dq, dpsi), which the second-order source
+        # and the Hessian form share, takes one call per time block of the
+        # cross stack; the tracking adjoint is kept from the first op on the base
         pd = hessian_problem(n=16, m=4)
         base = solve_state(smooth_control(pd, 3, amplitude=0.02), pd)
         self.op(base, smooth_control(pd, 4), smooth_control(pd, 5), pd)
@@ -647,5 +647,5 @@ class TestSweepSolveCounts:
         assert (len(calls_march), len(calls_cross), len(calls_adj)) == (
             4 * pd.m_steps,
             cross_blocks,
-            2 * pd.m_steps,
+            2 * pd.m_steps - 2,
         )

@@ -41,7 +41,7 @@ from sgf2d.state import (
 from sgf2d.grid import d1c, d2c
 from sgf2d import optimizer as optimizer_module
 
-from helpers import count_calls, count_velocity_reads, smooth_control
+from helpers import count_calls, count_velocity_reads, optimize_trajectory_loop, smooth_control
 
 
 def small_problem(n=12, m=8, lam=1e-3, L=2.0, with_target=True, y0_amp=0.01):
@@ -163,6 +163,53 @@ class TestProjection:
         pd = small_problem()
         with pytest.raises(ValueError, match="positive"):
             project_Uad(pd.zero_control(), 0.0)
+
+
+class TestOverflowingNorms:
+    """A norm whose sum of squares overflows is taken again on the scaled
+    stack: the projection of a huge control is not all zeros."""
+
+    @staticmethod
+    def huge_control(pd, value=1e160):
+        n = pd.grid.n_interior
+        return Trajectory(pd.grid, pd.dt, "control", np.full((pd.m_steps + 1, 2, n, n), value))
+
+    def test_huge_point_inside_ball_returned_unchanged(self):
+        pd = small_problem(L=1e300)
+        u = self.huge_control(pd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert project_Uad(u, pd.L) is u
+
+    def test_huge_point_lands_on_sphere(self):
+        pd = small_problem(L=1.0)
+        u = self.huge_control(pd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proj = project_Uad(u, pd.L)
+            assert abs(control_h1_norm(proj) - 1.0) <= 1e-12
+        # radial: a constant field stays constant
+        assert np.all(proj.data == proj.data.flat[0]) and proj.data.flat[0] > 0.0
+
+    @pytest.mark.parametrize("c", [1e150, 1e160, 1e300])
+    def test_norms_scale_past_overflow(self, c):
+        pd = small_problem()
+        u = smooth_control(pd, 1)
+        tau = trap_weights(pd.m_steps, pd.dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = u * c
+            for norm in (control_h1_norm, lambda v: l2q_norm(v, tau)):
+                assert abs(norm(big) / c - norm(u)) <= 1e-14 * norm(u)
+
+    def test_norm_beyond_float_range_is_inf(self):
+        pd = small_problem()
+        u = smooth_control(pd, 1)
+        u = u.with_data(u.data / np.abs(u.data).max())
+        assert control_h1_norm(u) > 1.01
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert control_h1_norm(u * 1.78e308) == np.inf
 
 
 class TestViResidual:
@@ -297,11 +344,12 @@ class TestOptimize:
         pd = reachable_problem()
         ref = optimize(pd, None, OptimizeOptions(max_iter=200))
         assert ref.converged and ref.ball_ratio < 1.0
-        real = optimizer_module.control_h1_norm
+        real = optimizer_module._h1_norm
         monkeypatch.setattr(
-            optimizer_module, "control_h1_norm", lambda u: real(u) * (1.0 + 1e-12)
+            optimizer_module, "_h1_norm", lambda u, tau, h: real(u, tau, h) * (1.0 + 1e-12)
         )
         rep = optimize(pd, None, OptimizeOptions(max_iter=200))
+        assert rep.ball_ratio != ref.ball_ratio  # the perturbed norm was read
         assert rep.u_final.data.tobytes() == ref.u_final.data.tobytes()
         assert (rep.J_final, rep.n_iterations) == (ref.J_final, ref.n_iterations)
 
@@ -389,6 +437,80 @@ class TestOptimize:
         assert float(first[1]) == rep.iterates[0].J
 
 
+class TestStackLoop:
+    """optimize keeps its iterates as stacks; it must walk the same path as
+    the loop that kept them as Trajectory objects."""
+
+    @pytest.mark.parametrize(
+        "make,opts,message",
+        [
+            (reachable_problem, OptimizeOptions(max_iter=200), "vi residual"),
+            # an active ball: the trials are projected radially
+            (
+                lambda: small_problem(n=12, m=12, L=0.05, lam=1e-3),
+                OptimizeOptions(),
+                "line search failed",
+            ),
+        ],
+        ids=["reachable", "active-ball"],
+    )
+    def test_same_path_as_trajectory_loop(self, make, opts, message):
+        pd = make()
+        records, u, J, tol, ref_message, counts = optimize_trajectory_loop(pd, opts)
+        rep = optimize(pd, None, opts)
+        assert rep.message == ref_message and message in ref_message
+        assert rep.iterates == records
+        assert rep.u_final.data.tobytes() == u.data.tobytes()
+        assert (rep.J_final, rep.tol) == (J, tol)
+        assert (
+            rep.n_state_solves, rep.n_adjoint_solves, rep.n_halvings, rep.n_nonfinite_trials
+        ) == counts
+        assert rep.ball_ratio == control_h1_norm(u) / pd.L
+
+    def test_active_ball_case_stops_on_the_sphere(self):
+        rep = optimize(small_problem(n=12, m=12, L=0.05, lam=1e-3))
+        assert rep.n_iterations == 3
+        assert abs(rep.ball_ratio - 1.0) <= 1e-12
+
+
+class TestDefaultTolerance:
+    """The default tol is 1e-8 (1 + J(0)) with J(0) the zero control's cost,
+    whatever the start; a costly start used to loosen its own test."""
+
+    def test_tol_is_anchored_on_the_zero_control(self):
+        pd = small_problem(L=1e5)
+        ref = optimize(pd, None, OptimizeOptions(max_iter=0))
+        rep = optimize(pd, start_control(pd, 0, 0), OptimizeOptions(max_iter=0))
+        assert rep.iterates[0].J > 1e3 * ref.iterates[0].J
+        assert rep.tol == ref.tol == 1e-8 * (1.0 + ref.iterates[0].J)
+
+    def test_given_start_pays_one_state_solve(self, monkeypatch):
+        pd = small_problem()
+        u0 = start_control(pd, 0, 0)
+        states = count_calls(monkeypatch, optimizer_module, "solve_state")
+        rep = optimize(pd, u0, OptimizeOptions(max_iter=0))
+        assert rep.n_state_solves == len(states) == 2
+        states.clear()
+        rep = optimize(pd, u0, OptimizeOptions(max_iter=0, tol=1e-8))
+        assert rep.n_state_solves == len(states) == 1
+        states.clear()
+        rep = optimize(pd, None, OptimizeOptions(max_iter=0))
+        assert rep.n_state_solves == len(states) == 1
+
+    def test_costly_starts_do_not_pass_at_once(self):
+        # at L = 1e6 each start's J is 5e54 to 1.4e72; every start used to
+        # report convergence at iteration 0
+        ms = multi_start_uniqueness(small_problem(L=1e6), 3, 0)
+        assert not ms.all_converged
+        assert all(r.tol == ms.reports[0].tol < 1e-7 for r in ms.reports)
+
+    def test_large_ball_starts_meet_one_minimizer(self):
+        # the starts' own tols (3e-5 to 2e-4) used to leave a spread of 9.6e-3
+        ms = multi_start_uniqueness(small_problem(L=1e5), 3, 0)
+        assert ms.all_converged
+        assert ms.max_distance <= 1e-4
+
+
 class TestNonFiniteTrials:
     """A line-search trial whose march blows up or whose cost is not finite is
     a rejected trial: the step is halved and the report counts it."""
@@ -416,6 +538,20 @@ class TestNonFiniteTrials:
             rep = optimize(pd, None, OptimizeOptions(initial_step=1e8))
         assert rep.converged and rep.n_nonfinite_trials >= 1
         assert rep.n_halvings >= rep.n_nonfinite_trials
+        assert np.isfinite(rep.J_final)
+
+    def test_overflowing_trial_point_is_rejected(self):
+        # t * g overflows: the trial point is not finite, so it is halved
+        pd = small_problem(lam=1e300, L=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = optimize(
+                pd, start_control(pd, 3, 0), OptimizeOptions(initial_step=1e12, tol=1e-8)
+            )
+        assert rep.n_nonfinite_trials >= 1
+        assert rep.n_halvings >= rep.n_nonfinite_trials
+        js = [r.J for r in rep.iterates]
+        assert all(b <= a for a, b in zip(js, js[1:]))
         assert np.isfinite(rep.J_final)
 
     def test_blown_up_start_still_raises(self):

@@ -516,6 +516,28 @@ class TestSolveState:
         for k in range(m + 1):
             assert np.array_equal(omega[k], -lap5(sol.psi[k], pd.grid.h))
 
+    def test_first_slice_built_once_per_problem(self, monkeypatch):
+        pd = small_problem(m=3)
+        calls = count_calls(monkeypatch, state_module, "lap5")
+        first = solve_state(None, pd)
+        # q[0] = Ha(-lap5 psi0): one lap5 inside Ha, one outside
+        assert len(calls) == 2
+        for u in (None, smooth_control(pd, 2), None):
+            assert solve_state(u, pd).q[0].tobytes() == first.q[0].tobytes()
+        assert len(calls) == 2
+        # a changed copy is a new problem with its own first slice
+        other = replace(pd, alpha=2.0 * pd.alpha)
+        solve_state(None, other)
+        assert len(calls) == 4
+
+    def test_first_slice_bits_and_read_only(self):
+        pd = small_problem(m=3)
+        want = get_ops(pd).Ha(-lap5(pd.y0.stream.values, pd.grid.h))
+        assert pd.q0.tobytes() == want.tobytes()
+        assert solve_state(None, pd).q[0].tobytes() == want.tobytes()
+        assert not pd.q0.flags.writeable
+        assert solve_state_per_step(pd.zero_control(), pd)[1][0].tobytes() == want.tobytes()
+
     def test_vorticity_equals_per_slice_stack(self):
         pd = small_problem(m=5)
         sol = solve_state(smooth_control(pd, 2), pd)

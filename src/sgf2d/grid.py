@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -285,19 +284,16 @@ class _ArakawaPlan:
         return self.interior / (12.0 * h * h)
 
 
-# per thread: numpy releases the GIL inside ufuncs and Python switches threads
-# between calls, so a plan shared by two threads would mix their operands
-_arakawa_local = threading.local()
 _ARAKAWA_PLANS_KEPT = 8
 
 
-def _arakawa_plans() -> OrderedDict:
-    """This thread's kept arakawa plans, keyed by (shape, a's dtype, b's dtype),
-    least recent first."""
-    plans = getattr(_arakawa_local, "plans", None)
-    if plans is None:
-        plans = _arakawa_local.plans = OrderedDict()
-    return plans
+# keyed by thread: numpy releases the GIL inside ufuncs and Python switches
+# threads between calls, so a plan shared by two live threads would mix their
+# operands; a recycled ident can only reach the plan of a thread that has exited
+@lru_cache(maxsize=_ARAKAWA_PLANS_KEPT)
+def _arakawa_plan(thread: int, shape: tuple, a_dtype, b_dtype) -> _ArakawaPlan:
+    """The kept arakawa plan of one thread for one operand shape and pair of dtypes."""
+    return _ArakawaPlan(shape, np.result_type(a_dtype, b_dtype))
 
 
 def arakawa(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
@@ -313,25 +309,19 @@ def arakawa(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
     in and runs its arithmetic passes. The passes are the same ufuncs in
     the same order as a freshly padded copy would take, so the bits equal
     the np.pad form's (operands of two dtypes are taken in their common
-    type). The result is a fresh C-contiguous array. Plans are kept per
-    thread, the _ARAKAWA_PLANS_KEPT most recently used, and only for
-    operands of at most _BLOCK_BYTES (every call of a sweep's time-block
-    passes and per-step loops up to 63^2): a larger operand's plan lives for
-    its call only, so a whole-stack call pins no buffers.
+    type). The result is a fresh C-contiguous array. _arakawa_plan keeps
+    the _ARAKAWA_PLANS_KEPT most recently used plans of the whole process,
+    keyed by thread, and only for operands of at most _BLOCK_BYTES (every
+    call of a sweep's time-block passes and per-step loops up to 63^2): a
+    larger operand's plan lives for its call only, so a whole-stack call
+    pins no buffers.
     """
     if a.shape != b.shape:
         raise ValueError(f"arakawa operands differ in shape: {a.shape} vs {b.shape}")
-    key = (a.shape, a.dtype, b.dtype)
-    plans = _arakawa_plans()
-    plan = plans.get(key)
-    if plan is not None:
-        plans.move_to_end(key)
-    else:
+    if a.nbytes > _BLOCK_BYTES:
         plan = _ArakawaPlan(a.shape, np.result_type(a.dtype, b.dtype))
-        if a.nbytes <= _BLOCK_BYTES:
-            plans[key] = plan
-            if len(plans) > _ARAKAWA_PLANS_KEPT:
-                plans.popitem(last=False)
+    else:
+        plan = _arakawa_plan(threading.get_ident(), a.shape, a.dtype, b.dtype)
     return plan(a, b, h)
 
 

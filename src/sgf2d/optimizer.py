@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -35,8 +35,7 @@ import numpy as np
 from . import fieldio
 from .adjoint import _gradient_values, solve_adjoint
 from .certificates import CertificateInputs, certify
-from .grid import velocity_from_stream
-from .spaces import DomainConstants, solenoidal_projection_values, stream_from_coeffs
+from .spaces import DomainConstants, random_velocity, solenoidal_projection_values
 from .state import (
     BlowUpError,
     ProblemData,
@@ -162,10 +161,6 @@ class OptimizeReport:
     def final_norm_h1_max(self) -> float:
         return float(np.max(self.final_state.norms_h1))
 
-    @property
-    def final_norm_h3_max(self) -> float:
-        return float(np.max(self.final_state.norms_h3))
-
     def write_csv(self, path) -> None:
         header = ["iteration", "J", "grad_norm", "step", "vi_residual"]
         fieldio.write_rows(path, header, self.iterates)
@@ -186,6 +181,12 @@ def _evaluate_trial(pd: ProblemData, u: Trajectory):
             return _evaluate(pd, u)
     except BlowUpError:
         return None, math.inf
+
+
+def _default_tol(J0: float) -> float:
+    """1e-8 (1 + J(0)): anchored on the zero control's cost J0, so a costly
+    start cannot loosen it."""
+    return 1e-8 * (1.0 + J0)
 
 
 def optimize(
@@ -210,12 +211,11 @@ def optimize(
     n_state = n_adjoint = 1
     tol = opts.tol
     if tol is None:
-        # anchored on the zero control, so a costly start cannot loosen it
         J0 = J
         if u_init is not None:
             J0 = _evaluate(pd, pd.zero_control())[1]
             n_state += 1
-        tol = 1e-8 * (1.0 + J0)
+        tol = _default_tol(J0)
     g = _gradient_values(u, solve_adjoint(sol, None, pd), pd.lam)
     n_halvings = n_nonfinite = 0
 
@@ -310,9 +310,7 @@ def solenoidal_part(u: Trajectory) -> Trajectory:
 
 def start_control(pd: ProblemData, seed: int, index: int, scale: float = 0.45) -> Trajectory:
     """Deterministic admissible random start: time-modulated stream modes."""
-    rng = np.random.default_rng([seed, index])
-    coeffs = rng.standard_normal((8, 8))
-    v = velocity_from_stream(stream_from_coeffs(pd.grid, coeffs))
+    v = random_velocity(pd.grid, np.random.default_rng([seed, index]))
     tmod = 1.0 + 0.5 * np.cos(
         np.pi * np.linspace(0.0, 1.0, pd.m_steps + 1) * (1 + index % 2)
     )
@@ -359,9 +357,14 @@ def multi_start_uniqueness(
 
     Distances are taken between solenoidal parts of the final controls in
     the L2(Q) norm (controls are determined modulo curl-free parts only).
+    Without a given tol, every start stops at the default tol of optimize,
+    with J(0) solved once for all of them.
     """
     if n_starts < 2:
         raise ValueError("n_starts must be >= 2")
+    opts = opts or OptimizeOptions()
+    if opts.tol is None:
+        opts = replace(opts, tol=_default_tol(_evaluate(pd, pd.zero_control())[1]))
     reports = [
         optimize(pd, start_control(pd, seed, i), opts) for i in range(n_starts)
     ]

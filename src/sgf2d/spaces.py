@@ -160,10 +160,8 @@ def _gradient_sq_values(u1: np.ndarray, u2: np.ndarray, h: float):
     """Squared L2 norms of the full gradient (all four partials) and of the
     symmetric gradient of a velocity given as two (..., n, n) arrays, one
     value per slice each, from the four first partials taken once."""
-    y = np.stack((u1, u2))
-    d = np.empty((2,) + y.shape, dtype=y.dtype)  # d[a, c] = d_(a+1) u_(c+1)
-    diff1(y, h, -2, out=d[0])
-    diff1(y, h, -1, out=d[1])
+    _, d2_d1 = _partials(np.stack((u1, u2)), h, 1)
+    d = d2_d1[::-1]  # d[a, c] = d_(a+1) u_(c+1)
     ss = slice_sums(d * d)
     hss = h * h * ss  # summed component by component: u1's partials, then u2's
     grad = hss[0, 0] + hss[1, 0] + hss[0, 1] + hss[1, 1]
@@ -198,9 +196,6 @@ class NormSuite:
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-
-    def inner_l2(self, a, b) -> float:
-        return inner_l2(a, b)
 
     def norm_hk(self, v, k: int) -> float:
         return norm_hk(v, k)

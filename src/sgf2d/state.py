@@ -458,14 +458,6 @@ class StateSolution:
         return Trajectory(self.pd.grid, self.pd.dt, "velocity", self.y)
 
     @property
-    def vorticity(self) -> Trajectory:
-        return Trajectory(self.pd.grid, self.pd.dt, "vorticity", self.omega)
-
-    @property
-    def potential_vorticity(self) -> Trajectory:
-        return Trajectory(self.pd.grid, self.pd.dt, "potential_vorticity", self.q)
-
-    @property
     def stream(self) -> Trajectory:
         return Trajectory(self.pd.grid, self.pd.dt, "stream", self.psi)
 

@@ -385,24 +385,39 @@ class TestArakawaPlan:
         a, b = _operands(shape, "contiguous", 5)
         assert a.nbytes > grid_module._BLOCK_BYTES
         arakawa(*_operands((16, 16), "contiguous", 6), 0.1)
-        plans = grid_module._arakawa_plans()
-        before = list(plans.items())
+        before = grid_module._arakawa_plan.cache_info()
         h = Grid(shape[-1]).h
         assert np.array_equal(arakawa(a, b, h), _jacobian(a, b, h))
-        assert list(plans.items()) == before
+        assert grid_module._arakawa_plan.cache_info() == before
 
     def test_kept_plans_are_bounded(self):
-        plans = grid_module._arakawa_plans()
+        kept = grid_module._arakawa_plan
         for k in range(1, 2 * grid_module._ARAKAWA_PLANS_KEPT + 1):
             a, b = _operands((k, 5, 5), "contiguous", k)
             arakawa(a, b, 0.1)
-            assert ((k, 5, 5), a.dtype, b.dtype) in plans
-        assert len(plans) == grid_module._ARAKAWA_PLANS_KEPT
+            assert kept.cache_info().currsize <= grid_module._ARAKAWA_PLANS_KEPT
+        assert kept.cache_info().currsize == grid_module._ARAKAWA_PLANS_KEPT
         # a block-sized operand keeps its plan, as a sweep's time-block passes do
         a, b = _operands((2, 63, 63), "contiguous", 7)
         assert a.nbytes <= grid_module._BLOCK_BYTES
         arakawa(a, b, 1 / 64)
-        assert next(reversed(plans)) == ((2, 63, 63), a.dtype, b.dtype)
+        hits = kept.cache_info().hits
+        arakawa(a, b, 1 / 64)
+        assert kept.cache_info().hits == hits + 1
+
+    def test_a_thread_builds_its_own_plan(self):
+        # cleared first, so no exited thread's plan can answer a recycled ident
+        grid_module._arakawa_plan.cache_clear()
+        a, b = _operands((16, 16), "contiguous", 8)
+        arakawa(a, b, 0.1)
+        before = grid_module._arakawa_plan.cache_info()
+        out = []
+        thread = threading.Thread(target=lambda: out.append(arakawa(a, b, 0.1)))
+        thread.start()
+        thread.join(timeout=60)
+        after = grid_module._arakawa_plan.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+        assert np.array_equal(out[0], arakawa(a, b, 0.1))
 
 
 def _old_route(v, denom):

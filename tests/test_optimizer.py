@@ -648,6 +648,14 @@ class TestMultiStart:
         assert ms.uniqueness_threshold is not None
         assert all(r.converged for r in ms.reports)
 
+    def test_zero_control_is_solved_once(self, monkeypatch):
+        pd = small_problem(L=1e6)
+        states = count_calls(monkeypatch, optimizer_module, "solve_state")
+        ms = multi_start_uniqueness(pd, 3, 0)
+        assert len(states) == 1 + sum(r.n_state_solves for r in ms.reports)
+        tol = optimize(pd, None, OptimizeOptions(max_iter=0)).tol
+        assert all(r.tol == tol for r in ms.reports)
+
     def test_without_constants_no_threshold(self):
         pd = small_problem(lam=0.5)
         ms = multi_start_uniqueness(pd, 2, seed=1, opts=OptimizeOptions(max_iter=60))

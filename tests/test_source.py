@@ -4,6 +4,7 @@ config keys that config's key table declares, and every checked dataclass
 is frozen."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -161,3 +162,51 @@ def test_every_definition_is_exported_or_used():
     users = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     assert len(users) >= 7
     assert unreached_definitions(SRC, users) == []
+
+
+def class_members(tree: ast.Module):
+    """(name, first line, last line) of every non-dunder method or property
+    defined in a class body."""
+    return [
+        (item.name, item.lineno, item.end_lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+    ]
+
+
+def attribute_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every ``.name`` in a module."""
+    return [(node.attr, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+
+
+def unnamed_members(src: Path, users: list[Path], texts: list[str]) -> list[str]:
+    """module.member of each class member of src that no ``.member`` names
+    outside its own definition, in src, in users or in texts."""
+    reads = {
+        path: attribute_reads(ast.parse(path.read_text()))
+        for path in sorted(src.glob("*.py")) + users
+    }
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for name, first, last in class_members(ast.parse(path.read_text())):
+            named = any(
+                attr == name and not (other == path and first <= line <= last)
+                for other, pairs in reads.items()
+                for attr, line in pairs
+            ) or any(re.search(rf"\.{name}\b", text) for text in texts)
+            if not named:
+                found.append(f"{path.stem}.{name}")
+    return found
+
+
+def test_every_class_member_is_named():
+    # a method or property that nothing reads is dead weight on its class
+    users = (
+        sorted((ROOT / "tests").glob("*.py"))
+        + sorted((ROOT / "demos").glob("*.py"))
+        + sorted((ROOT / "perfbench").rglob("*.py"))
+    )
+    assert unnamed_members(SRC, users, [(ROOT / "README.md").read_text()]) == []

@@ -104,13 +104,16 @@ def solve_adjoint(base: StateSolution, y_d, pd: ProblemData) -> AdjointState:
     """Adjoint of the tracking objective: source is the mismatch y - y_d.
 
     y_d = None means the problem's own target pd.y_d. Read-only and memoized
-    on base: a repeat call with the same pd object and a mismatch of the same
-    bits returns the same AdjointState.
+    on base: a repeat call with the same pd object and a target of the same
+    bits (so a mismatch of the same bits) returns the same AdjointState. The
+    mismatch is formed only when the sweep runs, and the memo keeps the
+    target stack itself, which is the caller's or a broadcast view.
     """
     _check_base(base, pd)
     target = _target_stack(pd.y_d if y_d is None else y_d, pd)
-    source = base.y - target
-    return base._memo_sweep("adjoint", pd, source, lambda: _adjoint_core(base, source, pd))
+    return base._memo_sweep(
+        "adjoint", pd, target, lambda: _adjoint_core(base, base.y - target, pd)
+    )
 
 
 def duality_gap(

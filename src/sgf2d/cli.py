@@ -188,6 +188,7 @@ def _cmd_multistart(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every:
         ("n_starts", rc["n_starts"]),
         ("max_pairwise_distance", ms.max_distance),
         ("distance_tol", ms.distance_tol),
+        ("relative_spread", ms.relative_spread),
         ("all_within_tol", ms.all_within_tol),
         ("all_converged", ms.all_converged),
     ]

@@ -69,10 +69,13 @@ def read_field(path) -> ScalarField2D | VectorField2D:
 
 
 @lru_cache(maxsize=8)
-def _coord_prefixes(n: int) -> tuple[str, ...]:
-    """The ``x1,x2,`` start of every CSV row on the n x n grid, i-major."""
+def _csv_template(n: int, ncomp: int) -> str:
+    """Every CSV row of an n x n field with ncomp components, i-major, as one
+    ``%`` template: the row's ``x1,x2,`` written out, then one ``%.17g`` slot
+    per component."""
     x1, x2 = (x.ravel().tolist() for x in Grid(n).coords())
-    return tuple(f"{a:.17g},{b:.17g}," for a, b in zip(x1, x2))
+    row = ",".join(["%.17g"] * ncomp) + "\r\n"
+    return "".join(f"{a:.17g},{b:.17g}," + row for a, b in zip(x1, x2))
 
 
 def write_field_csv(path, f: ScalarField2D | VectorField2D) -> None:
@@ -81,11 +84,10 @@ def write_field_csv(path, f: ScalarField2D | VectorField2D) -> None:
         header, comps = "x1,x2,value\r\n", (f.values,)
     else:
         header, comps = "x1,x2,v1,v2\r\n", (f.u1, f.u2)
-    row = ",".join(["%.17g"] * len(comps)) + "\r\n"
-    values = zip(*(c.ravel().tolist() for c in comps))
-    body = [p + row % v for p, v in zip(_coord_prefixes(f.grid.n_interior), values)]
+    values = np.stack(comps, axis=-1).ravel().tolist()  # node by node, v1 then v2
+    body = _csv_template(f.grid.n_interior, len(comps)) % tuple(values)
     with open(path, "w", newline="") as fh:
-        fh.write(header + "".join(body))
+        fh.write(header + body)
 
 
 def text_value(v) -> str:

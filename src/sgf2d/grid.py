@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dstn as _fft_dstn
 
 
 class GridMismatchError(ValueError):
@@ -376,12 +375,23 @@ def _dst_matrix(n: int) -> np.ndarray | None:
     return _read_only(2.0 * np.sin(np.pi / (n + 1) * kl))
 
 
+def _fft_dstn(x: np.ndarray, type: int, axes: tuple) -> np.ndarray:
+    """scipy.fft.dstn, with scipy.fft imported on the first call: about 0.4 s
+    that no grid below n = 128 needs. Later calls find it in sys.modules, and
+    the import lock makes the first one safe from any thread."""
+    import scipy.fft
+
+    return scipy.fft.dstn(x, type=type, axes=axes)
+
+
 def dstn(x: np.ndarray, type: int = 1) -> np.ndarray:
     """Unnormalized DST-I over the last two axes of an (..., n, n) array, as
     scipy.fft.dstn(x, type=1, axes=(-2, -1)).
 
     Leading axes broadcast. Dense sine-matrix products S @ x @ S where they
-    beat the FFT (see _dst_matrix), scipy's FFT elsewhere.
+    beat the FFT (see _dst_matrix), scipy's FFT elsewhere. scipy.fft is
+    imported by the first transform that takes the FFT, so importing sgf2d,
+    and every run on grids below n = 128, loads no scipy.
     """
     x = np.asarray(x)
     if type != 1:

@@ -330,6 +330,10 @@ class MultiStartReport:
     uniqueness_threshold: float | None
     lambda_exceeds_threshold: bool | None
     illustrative: bool | None
+    # max_distance over the largest L2(Q) norm of the starts' solenoidal
+    # parts, 0 when all of them are 0. Unlike distance_tol = 1e-5 L it does
+    # not grow with L: with the ball inactive the minimizer does not depend on L.
+    relative_spread: float
 
     @property
     def max_distance(self) -> float:
@@ -375,6 +379,8 @@ def multi_start_uniqueness(
         for j in range(i + 1, n_starts):
             d = l2q_norm(sol_parts[i] - sol_parts[j], tau)
             distances[i, j] = distances[j, i] = d
+    norm = max(l2q_norm(s, tau) for s in sol_parts)
+    spread = float(distances.max()) / norm if norm else 0.0
 
     threshold = exceeds = illustrative = None
     if constants is not None:
@@ -390,4 +396,5 @@ def multi_start_uniqueness(
         uniqueness_threshold=threshold,
         lambda_exceeds_threshold=exceeds,
         illustrative=illustrative,
+        relative_spread=spread,
     )

@@ -151,8 +151,15 @@ class Trajectory:
 
 
 def slice_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Frobenius inner product of each time slice: result[k] = <a[k], b[k]>."""
-    return (a * b).reshape(a.shape[0], -1).sum(axis=1)
+    """Frobenius inner product of each time slice: result[k] = <a[k], b[k]>.
+
+    The stack is taken one grid._time_blocks block at a time, so no product
+    the size of the stack is made; each row's sum keeps its bits.
+    """
+    out = np.empty(a.shape[0])
+    for t in _time_blocks(a):
+        out[t] = (a[t] * b[t]).reshape(t.stop - t.start, -1).sum(axis=1)
+    return out
 
 
 def l2q_inner_values(
@@ -243,11 +250,13 @@ def _check_aligned(traj: Trajectory, like, what: str) -> None:
 
 def _target_stack(y_d, like) -> np.ndarray:
     """The target as an (m_steps+1, 2, n, n) array on the grid and steps of like
-    (a ProblemData or a Trajectory); None is the zero target."""
+    (a ProblemData or a Trajectory); None is the zero target. A target that is
+    the same at every step, None or a VectorField2D, is a read-only broadcast
+    view of one slice."""
     n = like.grid.n_interior
     shape = (like.m_steps + 1, 2, n, n)
     if y_d is None:
-        return np.zeros(shape)
+        return np.broadcast_to(0.0, shape)
     if isinstance(y_d, Trajectory):
         _check_aligned(y_d, like, "target trajectory")
         return y_d.data
@@ -442,7 +451,7 @@ class StateSolution:
         """solve(), or the result of the last kind sweep on this state when that
         had the same pd object and a key of the same bits (compared as int64,
         so -0.0 is not 0.0). The key is kept as given, so no one may write
-        into it: a Trajectory's own data or an array the caller just made.
+        into it: a Trajectory's own data or a read-only broadcast view.
         """
         bits = key.view(np.int64)
         slot = self._sweeps.get(kind)

@@ -11,6 +11,7 @@ to the PDE it is supposed to approximate rather than just to the discrete
 objective.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -206,7 +207,8 @@ class TestDuality:
 
 class TestSweepMemo:
     """The tracking adjoint kept on its base state, keyed by pd and the bits
-    of the mismatch y - y_d."""
+    of the target y_d; equal target bits give equal mismatch bits y - y_d, so
+    a target that moves a mismatch bit is a miss."""
 
     def test_hit_returns_the_same_adjoint(self, monkeypatch):
         pd = small_problem()
@@ -275,6 +277,23 @@ class TestSweepMemo:
         adj_twin = solve_adjoint(base, None, twin)
         assert adj_twin is not adj and adj_twin.pd is twin
         assert adj_twin.p.tobytes() == adj.p.tobytes()
+
+    @pytest.mark.parametrize("with_target", [True, False])
+    def test_hit_allocates_nothing_of_the_stack_size(self, with_target):
+        # the mismatch is formed only on a miss, and a None or field target is
+        # a broadcast view, so a hit makes at most the key comparison's bools
+        pd = small_problem(n=40, m=50, with_target=with_target)
+        base = solve_state(smooth_control(pd, 1), pd)
+        target = Trajectory(pd.grid, pd.dt, "target", pd.target_stack())
+        for y_d in (None, target):
+            adj = solve_adjoint(base, y_d, pd)
+            tracemalloc.start()
+            try:
+                assert solve_adjoint(base, y_d, pd) is adj
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= base.y.nbytes // 4
 
     def test_adjoint_arrays_are_read_only(self):
         pd = small_problem()

@@ -10,6 +10,7 @@ generate for it; when an installed `sgf2d` is on PATH, that is run too.
 import importlib
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -694,6 +695,8 @@ class TestMultistart:
         assert len(lines) == 3
         report = (out / "report.txt").read_text()
         assert "max_pairwise_distance = " in report
+        # the L-free spread follows distance_tol
+        assert re.search(r"\ndistance_tol = [^\n]+\nrelative_spread = [^\n]+\n", report)
         assert "all_within_tol = true\nall_converged = true\n" in report
         # no constants configured: no threshold lines
         assert "uniqueness_threshold" not in report

@@ -527,7 +527,7 @@ class TestEllipticSolves:
 
 
 class TestDstDispatch:
-    @pytest.mark.parametrize("n", [3, 16, 63, 100, 127, 130, 255, 256])
+    @pytest.mark.parametrize("n", [3, 16, 63, 100, 127, 130, 143, 255, 256, 511])
     def test_matches_scipy(self, n):
         rng = np.random.default_rng(n)
         for x in (rng.standard_normal((n, n)), rng.standard_normal((2, n, n))):
@@ -557,22 +557,62 @@ class TestDstDispatch:
             dstn(np.ones(4), type=1)
 
 
+def run_fresh(code: str) -> str:
+    """stdout of code run by a fresh interpreter that imports this sgf2d."""
+    package_root = Path(sys.modules["sgf2d"].__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    return proc.stdout
+
+
 class TestImportGraph:
     def test_import_loads_no_scipy_sparse(self):
         # every elliptic solve is a DST-I division; nothing needs scipy.sparse
-        package_root = Path(sys.modules["sgf2d"].__file__).resolve().parents[1]
         code = (
             "import sys; import sgf2d; "
             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": str(package_root)},
-        )
-        assert proc.stdout.strip() == "[]"
+        assert run_fresh(code).strip() == "[]"
+
+    def test_scipy_loads_on_the_first_fft_transform(self):
+        # grids below n = 128 take the dense sine matrix, so importing the
+        # package and its CLI and sweeping a 16^2 problem load no scipy at all;
+        # the first FFT-sized DST-I (n = 143, n+1 = 144) imports scipy.fft
+        code = """
+import sys
+import numpy as np
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import sgf2d
+print(scipy_loaded())
+import sgf2d.cli
+print(scipy_loaded())
+from sgf2d import Grid, ProblemData, solve_adjoint, solve_state, stream_from_coeffs
+from sgf2d.grid import dstn, velocity_from_stream
+g = Grid(16)
+y0 = velocity_from_stream(stream_from_coeffs(g, 0.01 * np.ones((2, 2))))
+yd = velocity_from_stream(stream_from_coeffs(g, 0.1 * np.ones((1, 1))))
+pd = ProblemData(alpha=0.4, nu=0.2, T=0.25, grid=g, m_steps=4, y0=y0, y_d=yd)
+solve_adjoint(solve_state(None, pd), None, pd)
+print(scipy_loaded())
+x = np.random.default_rng(143).standard_normal((2, 143, 143))
+got = dstn(x)
+print("scipy.fft" in sys.modules)
+import scipy.fft
+ref = scipy.fft.dstn(x, type=1, axes=(-2, -1))
+print(float(np.abs(got - ref).max() / np.abs(ref).max()))
+"""
+        lines = run_fresh(code).splitlines()
+        assert lines[:3] == ["[]", "[]", "[]"]
+        assert lines[3] == "True"
+        assert float(lines[4]) <= 1e-13
 
 
 class TestStreamVelocityCurl:

@@ -656,6 +656,30 @@ class TestMultiStart:
         tol = optimize(pd, None, OptimizeOptions(max_iter=0)).tol
         assert all(r.tol == tol for r in ms.reports)
 
+    def test_relative_spread_does_not_grow_with_L(self):
+        # the ball is inactive at both radii, so the minimizer and its spread
+        # stay put while distance_tol grows a hundredfold
+        # (1.13e-5 at L = 1e3 and 9.23e-6 at L = 1e5 when this was written)
+        for L in (1e3, 1e5):
+            ms = multi_start_uniqueness(small_problem(L=L), 3, 0)
+            assert ms.all_converged
+            assert ms.distance_tol == 1e-5 * L
+            tau = trap_weights(ms.reports[0].u_final.m_steps, ms.reports[0].u_final.dt)
+            norm = max(l2q_norm(solenoidal_part(r.u_final), tau) for r in ms.reports)
+            assert norm > 0.0
+            assert ms.relative_spread == ms.max_distance / norm
+            assert 1e-6 < ms.relative_spread < 3e-5
+
+    def test_relative_spread_of_zero_parts_is_zero(self, monkeypatch):
+        # every start is the zero control and stays there, so every
+        # solenoidal part and its norm are 0
+        monkeypatch.setattr(
+            optimizer_module, "start_control", lambda pd, seed, i: pd.zero_control()
+        )
+        ms = multi_start_uniqueness(small_problem(), 2, 0, opts=OptimizeOptions(max_iter=0))
+        assert ms.max_distance == 0.0
+        assert ms.relative_spread == 0.0
+
     def test_without_constants_no_threshold(self):
         pd = small_problem(lam=0.5)
         ms = multi_start_uniqueness(pd, 2, seed=1, opts=OptimizeOptions(max_iter=60))

@@ -40,6 +40,7 @@ from sgf2d.state import (
     l2q_inner,
     left_weights,
     nonlinear_term,
+    slice_dots,
     solve_state,
     step_state,
     trap_weights,
@@ -151,6 +152,30 @@ class TestTimeQuadrature:
         tr = Trajectory(g, 0.25, "stream", np.ones((5, 3, 3)))
         w = trap_weights(4, 0.25)
         assert l2q_inner(tr, tr, w) == pytest.approx(0.5625, rel=1e-14)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 16, 16), (101, 2, 63, 63), (7, 40, 40)])
+    def test_slice_dots_bits_across_blocks(self, shape):
+        # the stack is summed block by block; each row keeps the bits of the
+        # whole-stack product's row sum
+        rng = np.random.default_rng(len(shape))
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        if shape[0] > 4:
+            assert len(_time_blocks(a)) > 1
+        want = (a * b).reshape(shape[0], -1).sum(axis=1)
+        assert slice_dots(a, b).tobytes() == want.tobytes()
+        assert slice_dots(a[:, ::-1], b).tobytes() == (a[:, ::-1] * b).reshape(
+            shape[0], -1
+        ).sum(axis=1).tobytes()
+
+    def test_slice_dots_makes_no_stack_sized_product(self):
+        a = np.random.default_rng(2).standard_normal((101, 2, 63, 63))
+        tracemalloc.start()
+        try:
+            slice_dots(a, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= a.nbytes // 10
 
     def test_l2q_mismatch(self):
         a = Trajectory.zeros(Grid(5), 3, 0.1, "control")

@@ -110,7 +110,7 @@ def solve_adjoint(base: StateSolution, y_d, pd: ProblemData) -> AdjointState:
     target stack itself, which is the caller's or a broadcast view.
     """
     _check_base(base, pd)
-    target = _target_stack(pd.y_d if y_d is None else y_d, pd)
+    target = pd.target_stack() if y_d is None else _target_stack(y_d, pd)
     return base._memo_sweep(
         "adjoint", pd, target, lambda: _adjoint_core(base, base.y - target, pd)
     )

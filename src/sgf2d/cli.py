@@ -132,7 +132,6 @@ def _cmd_gradcheck(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: 
         fd = (_evaluate(pd, u + eps * w)[1] - _evaluate(pd, u - eps * w)[1]) / (2.0 * eps)
         rel = abs(fd - adjoint_val) / max(abs(adjoint_val), 1e-300)
         rows.append((eps, fd, adjoint_val, rel))
-    out.mkdir(parents=True, exist_ok=True)
     fieldio.write_rows(
         out / "log.csv", ["epsilon", "fd_value", "adjoint_value", "relative_error"], rows
     )
@@ -142,7 +141,7 @@ def _cmd_gradcheck(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: 
 
 
 def _cmd_certify(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
-    ci = CertificateInputs.from_problem(pd, rc.constants, u_norm_source=rc["u_norm_source"])
+    ci = CertificateInputs.from_problem(pd, rc.constants)
     rep = certify(ci, lambda3_reading=rc["lambda3_reading"])
     rep.write_text(out / "certificate.txt")
     rep.write_csv(out / "log.csv")

@@ -7,16 +7,19 @@ certificates too: `#` starts a comment anywhere on a line, and a line without
 `=`, a repeated key or an unknown section is refused with file:line. Unknown
 keys are rejected with file:line and a close-match suggestion.
 
-Where each check lives: every value is typed once, at its line, by its key's
-parser in `_PROBLEM_KEYS`/`_RUN_KEYS` (mode triples and estimation kinds
-included) through `fieldio.typed_value` (`file:line: bad value for KEY: ...`).
+Where each check lives: every value is typed and checked once, at its line,
+by its key's parser in `_PROBLEM_KEYS`/`_RUN_KEYS` (mode triples and
+estimation kinds included) through `fieldio.typed_value`
+(`file:line: bad value for KEY: ...`). A run key with a range or a choice
+carries that rule in its own row (`_ruled`), so it is refused at its line
+before anything runs: `snapshot_every` >= 0, `n_starts` >= 2, `samples` >= 1
+and `lambda3_reading` `printed` or `derived`.
 The problem's and optimizer's invariants are checked only by the library:
 `parse_config` builds the `ProblemData` (with `build_problem`, which reads
 `yd_from` snapshots and may raise the y0 CFL warning) and the
 `OptimizeOptions`, and turns their ValueError into a ConfigError naming the
-file. The rows left here check what only the CLI reads: `snapshot_every`,
-`n_starts`, `samples`, `lambda3_reading`, `u_norm_source`, and that `yd_modes`
-and `yd_from`, and `constants_file` and `[constants]`, exclude each other."""
+file. `parse_config` itself checks only that `yd_modes` and `yd_from`, and
+`constants_file` and `[constants]`, exclude each other."""
 
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certificates import _READINGS
 from .fieldio import read_field, read_pairs, typed_value
 from .grid import Grid, ScalarField2D, VectorField2D, velocity_from_stream
 from .optimizer import OptimizeOptions
@@ -68,6 +72,18 @@ def _parse_kinds(text: str) -> tuple[str, ...]:
     return kinds
 
 
+def _ruled(parse, ok, rule: str):
+    """parse with a key's rule: a value v with ok(v) false is refused as `rule (got v)`."""
+
+    def parse_ruled(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"{rule} (got {value!r})")
+        return value
+
+    return parse_ruled
+
+
 # every key of [problem] and [run] as name: (parser, default); _REQUIRED has none
 _REQUIRED = object()
 _PROBLEM_KEYS = {
@@ -84,14 +100,15 @@ _PROBLEM_KEYS = {
 }
 _RUN_KEYS = {
     "seed": (int, 0),
-    "snapshot_every": (int, 0),
+    "snapshot_every": (_ruled(int, lambda v: v >= 0, "must be nonnegative"), 0),
     "tol": (float, None),
     "max_iter": (int, None),
-    "n_starts": (int, 4),
-    "samples": (int, 100),
+    "n_starts": (_ruled(int, lambda v: v >= 2, "must be at least 2"), 4),
+    "samples": (_ruled(int, lambda v: v >= 1, "must be at least 1"), 100),
     "kinds": (_parse_kinds, tuple(_INEQUALITIES)),
-    "lambda3_reading": (str, "printed"),
-    "u_norm_source": (str, "ball_bound"),
+    "lambda3_reading": (
+        _ruled(str, lambda v: v in _READINGS, "must be 'printed' or 'derived'"), "printed"
+    ),
     "constants_file": (str, ""),
 }
 _SECTION_KEYS = {
@@ -114,10 +131,6 @@ class RunConfig:
 
     def __getitem__(self, key):
         return self.values[key]
-
-    @property
-    def lam(self) -> float:
-        return self.values["lambda"]
 
 
 def parse_config(path) -> RunConfig:
@@ -148,24 +161,6 @@ def parse_config(path) -> RunConfig:
         if value is _REQUIRED:
             raise ConfigError(f"{path}: missing required key {key!r}")
 
-    for name, cond, msg in (
-        ("snapshot_every", values["snapshot_every"] >= 0, "must be nonnegative"),
-        ("n_starts", values["n_starts"] >= 2, "must be at least 2"),
-        ("samples", values["samples"] >= 1, "must be at least 1"),
-        (
-            "lambda3_reading",
-            values["lambda3_reading"] in ("printed", "derived"),
-            "must be 'printed' or 'derived'",
-        ),
-        (
-            "u_norm_source",
-            values["u_norm_source"] == "ball_bound",
-            "must be 'ball_bound': the CLI certifies without a control, "
-            "so 'actual' has no norm to read",
-        ),
-    ):
-        if not cond:
-            raise ConfigError(f"{path}: {name} {msg} (got {values[name]!r})")
     if values["yd_modes"] and values["yd_from"]:
         raise ConfigError(f"{path}: yd_modes and yd_from are mutually exclusive")
 

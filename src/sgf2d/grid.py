@@ -167,16 +167,17 @@ def curl_upsilon_values(u1: np.ndarray, u2: np.ndarray, alpha: float, h: float) 
 _BLOCK_BYTES = 1 << 16
 
 
-def _blocks(count: int, item_bytes: int) -> list:
+@lru_cache(maxsize=64)
+def _blocks(count: int, item_bytes: int) -> tuple:
     """Slices of range(count), in order, each about _BLOCK_BYTES of items of
-    item_bytes, and at least one item."""
+    item_bytes, and at least one item; built once per (count, item_bytes)."""
     step = max(1, _BLOCK_BYTES // max(1, item_bytes))
-    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
+    return tuple(slice(s, min(s + step, count)) for s in range(0, count, step))
 
 
-def _time_blocks(a: np.ndarray) -> list:
+def _time_blocks(a: np.ndarray) -> tuple:
     """Slices of a's leading axis, in order, each about _BLOCK_BYTES of a."""
-    return _blocks(a.shape[0], a[0].nbytes)
+    return _blocks(a.shape[0], a.itemsize * math.prod(a.shape[1:]))
 
 
 def stack_pairs(f, a: np.ndarray, b: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:

@@ -367,10 +367,13 @@ def check_inequality(kind: str, fields, constants: DomainConstants, alpha: float
     Evaluates the estimator's terms, the pair whose ratio estimate_constant
     climbs, on the field (a pair (z, phi) for "trilinear") and multiplies
     the right side by the constant. The fields must carry their stream
-    functions (velocity_from_stream), as the estimator's samples do.
+    functions (velocity_from_stream), as the estimator's samples do, and
+    alpha must be finite.
     """
     if kind not in _INEQUALITIES:
         raise ValueError(f"unknown inequality kind {kind!r}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     terms, n_fields, name = _INEQUALITIES[kind]
     fs = (fields,) if n_fields == 1 else tuple(fields)
     g = same_grid(*fs)
@@ -388,6 +391,14 @@ def _ratio(terms, c: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     lhs, rhs = terms(stream_values(grid, c), grid.h, alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(rhs == 0.0, 0.0, lhs / rhs)
+
+
+def _check_sampling(kind: str, n_modes: int) -> None:
+    """ValueError unless kind is a key of _INEQUALITIES and n_modes >= 1."""
+    if kind not in _INEQUALITIES:
+        raise ValueError(f"unknown constant kind {kind!r}")
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
 
 
 def estimate_constant(
@@ -414,15 +425,18 @@ def estimate_constant(
     depend on whether its proposals are accepted, so each sample's start
     and steps come from one draw of its generator, which gives the normals
     of consecutive draws: each sample sees the same proposals, and the
-    result the same bits, as a climb run on its own. A non-finite alpha, or
-    a best ratio that is not finite, raises ValueError.
+    result the same bits, as a climb run on its own. An unknown kind,
+    samples or n_modes below 1, negative ascent_steps or a non-finite alpha
+    raises ValueError before any draw, and so does a best ratio that is not
+    finite once the climbs end.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if kind not in _INEQUALITIES:
-        raise ValueError(f"unknown constant kind {kind!r}")
+    _check_sampling(kind, n_modes)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
+    if ascent_steps < 0:
+        raise ValueError(f"ascent_steps must be >= 0, got {ascent_steps}")
     terms, fields, _ = _INEQUALITIES[kind]
     shape = (n_modes, n_modes) if fields == 1 else (fields, n_modes, n_modes)
     best = -np.inf
@@ -453,6 +467,7 @@ def sample_field(kind: str, index: int, seed: int, *, grid: Grid, n_modes: int =
     Returns the field(s) the estimator started sample `index` from; used to
     check the inequalities on the exact family the estimate came from.
     """
+    _check_sampling(kind, n_modes)
     rng = np.random.default_rng([seed, index])
     if kind == "trilinear":
         c = rng.standard_normal((2, n_modes, n_modes))

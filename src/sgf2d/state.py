@@ -306,7 +306,7 @@ class ProblemData:
             raise GridMismatchError("y0 lives on a different grid")
         if not self.y0.divergence_free or self.y0.stream is None:
             raise ValueError("y0 must be produced from a stream function")
-        _target_stack(self.y_d, self)  # validates y_d
+        self.target_stack()  # validates y_d, and keeps its stack
         speed = max(np.max(np.abs(self.y0.u1)), np.max(np.abs(self.y0.u2)))
         # past _warn_cfl, this method and the dataclass __init__: the caller
         _warn_cfl(speed * self.dt / self.grid.h, stacklevel=4)
@@ -327,8 +327,13 @@ class ProblemData:
         q0.setflags(write=False)
         return q0
 
-    def target_stack(self) -> np.ndarray:
+    @cached_property
+    def _target(self) -> np.ndarray:
         return _target_stack(self.y_d, self)
+
+    def target_stack(self) -> np.ndarray:
+        """The target y_d as a stack (see _target_stack), built on first read."""
+        return self._target
 
     def zero_control(self) -> Trajectory:
         return Trajectory.zeros(self.grid, self.m_steps, self.dt, "control")
@@ -450,12 +455,19 @@ class StateSolution:
     def _memo_sweep(self, kind: str, pd: ProblemData, key: np.ndarray, solve):
         """solve(), or the result of the last kind sweep on this state when that
         had the same pd object and a key of the same bits (compared as int64,
-        so -0.0 is not 0.0). The key is kept as given, so no one may write
-        into it: a Trajectory's own data or a read-only broadcast view.
+        so -0.0 is not 0.0). The keys are compared one grid._time_blocks
+        block at a time, up to the first block that differs, so a hit makes
+        no stack-sized temporary. The key is kept as given, so no one may
+        write into it: a Trajectory's own data or a read-only broadcast view.
         """
         bits = key.view(np.int64)
         slot = self._sweeps.get(kind)
-        if slot is not None and slot[0] is pd and np.array_equal(slot[1], bits):
+        if (
+            slot is not None
+            and slot[0] is pd
+            and slot[1].shape == bits.shape
+            and all(np.array_equal(slot[1][t], bits[t]) for t in _time_blocks(bits))
+        ):
             return slot[2]
         self._sweeps[kind] = slot = None  # free the old result before the sweep
         result = solve()

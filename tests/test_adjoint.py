@@ -295,6 +295,38 @@ class TestSweepMemo:
                 tracemalloc.stop()
             assert peak <= base.y.nbytes // 4
 
+    @pytest.mark.parametrize("with_target", [True, False])
+    def test_hit_peaks_below_a_quarter_block(self, with_target):
+        # the optimizer's hit: the keys are compared one time block at a time
+        # and the problem keeps its target stack, so a hit allocates one
+        # block's bools (at most an eighth of _BLOCK_BYTES) and small objects,
+        # no target slice and nothing of the stack size
+        pd = small_problem(n=40, m=50, with_target=with_target)
+        base = solve_state(smooth_control(pd, 1), pd)
+        assert len(_time_blocks(base.y)) > 1
+        adj = solve_adjoint(base, None, pd)
+        tracemalloc.start()
+        try:
+            assert solve_adjoint(base, None, pd) is adj
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_module._BLOCK_BYTES // 4
+
+    @pytest.mark.parametrize("k", [0, 25, 50])
+    @pytest.mark.parametrize("entry", [-0.0, "ulp"])
+    def test_a_bit_in_any_block_is_a_miss(self, k, entry):
+        # one bit of the target in slice k, the first, a middle or the last
+        # time block, decides the miss; -0.0 is not 0.0
+        pd = small_problem(n=40, m=50, with_target=False)
+        base = solve_state(smooth_control(pd, 1), pd)
+        zero = np.zeros_like(base.y)
+        adj = solve_adjoint(base, Trajectory(pd.grid, pd.dt, "target", zero), pd)
+        moved = zero.copy()
+        moved[k, 0, 7, 9] = -0.0 if entry == -0.0 else np.spacing(1.0)
+        assert solve_adjoint(base, Trajectory(pd.grid, pd.dt, "target", zero.copy()), pd) is adj
+        assert solve_adjoint(base, Trajectory(pd.grid, pd.dt, "target", moved), pd) is not adj
+
     def test_adjoint_arrays_are_read_only(self):
         pd = small_problem()
         base = solve_state(smooth_control(pd, 1), pd)

@@ -142,11 +142,11 @@ class TestConfigParsing:
     def test_minimal_defaults(self, tmp_path):
         rc = parse_config(write_cfg(tmp_path, MINIMAL))
         assert rc["L"] == 1.0
-        assert rc.lam == 0.0
+        assert rc["lambda"] == 0.0
         assert rc["seed"] == 0
         assert rc["n_starts"] == 4
         assert rc["samples"] == 100
-        assert rc["u_norm_source"] == "ball_bound"
+        assert "u_norm_source" not in rc.values
         assert rc["lambda3_reading"] == "printed"
         assert not rc.constants_inline
         pd = build_problem(rc)
@@ -296,14 +296,39 @@ class TestCliExitCodes:
         assert not out.exists()
 
     def test_certify_actual_norm_source_is_exit_2(self, tmp_path, capsys):
-        # the CLI certifies without a control, so it has no actual norm to read
-        cfg = write_cfg(tmp_path, TRACKING + "[run]\nu_norm_source = actual\n")
+        # the CLI certifies without a control, so the ball bound is the only
+        # norm source and the config has no key for it, whatever its value
+        line = len(TRACKING.splitlines()) + 2
+        for source in ("actual", "ball_bound"):
+            cfg = write_cfg(tmp_path, TRACKING + f"[run]\nu_norm_source = {source}\n")
+            out = tmp_path / "out"
+            assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"config error: {cfg}:{line}: unknown key 'u_norm_source' in [run]" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("snapshot_every", "-1", "must be nonnegative (got -1)"),
+            ("n_starts", "1", "must be at least 2 (got 1)"),
+            ("samples", "0", "must be at least 1 (got 0)"),
+            ("lambda3_reading", "loose", "must be 'printed' or 'derived' (got 'loose')"),
+        ],
+    )
+    def test_run_key_rule_is_exit_2_at_its_line(self, tmp_path, capsys, key, value, rule):
+        cfg = write_cfg(tmp_path, MINIMAL + f"[run]\nseed = 3\n{key} = {value}\n")
         out = tmp_path / "out"
-        assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err
-        assert "u_norm_source must be 'ball_bound'" in err
-        assert "without a control" in err
+        assert err == f"config error: {cfg}:9: bad value for {key}: {rule}\n"
+        assert not out.exists()
+
+    def test_negative_snapshot_override_refused_before_out(self, tmp_path):
+        rc = parse_config(write_cfg(tmp_path, MINIMAL))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="snapshot-every must be nonnegative"):
+            cli_module.run(rc, "simulate", out, snapshot_every=-1)
         assert not out.exists()
 
     def test_missing_config_file_is_exit_2(self, tmp_path, capsys):
@@ -612,6 +637,9 @@ class TestCertify:
         assert rep.coercivity_threshold > 0
         report = (out / "report.txt").read_text()
         assert "illustrative = true" in report
+        # the CLI has no control, so the certificate bounds its norm by sqrt(T)*L
+        assert "u_norm_source = ball_bound\n" in (out / "certificate.txt").read_text()
+        assert rep.u_norm_source == "ball_bound"
 
     def test_inline_constants_flow_through(self, tmp_path):
         body = TRACKING + "[constants]\n" + "\n".join(

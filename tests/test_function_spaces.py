@@ -612,6 +612,43 @@ class TestInequalities:
         assert estimate_constant("trilinear", samples=2, seed=7, grid=g, ascent_steps=3) > 0.0
 
 
+class TestConstantToolArguments:
+    """A bad argument of the domain-constant tools raises a ValueError that
+    names it, before any sample is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(spaces.np.random, "default_rng", refuse)
+
+    def test_sample_field_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind 'bogus'"):
+            sample_field("bogus", 0, 1, grid=Grid(8))
+
+    @pytest.mark.parametrize("kind", ["korn", "trilinear"])
+    @pytest.mark.parametrize("n_modes", [0, -1])
+    def test_sample_field_needs_a_mode(self, kind, n_modes):
+        with pytest.raises(ValueError, match=f"n_modes must be >= 1, got {n_modes}"):
+            sample_field(kind, 0, 1, grid=Grid(8), n_modes=n_modes)
+
+    @pytest.mark.parametrize("n_modes", [0, -1])
+    def test_estimate_needs_a_mode(self, n_modes):
+        with pytest.raises(ValueError, match=f"n_modes must be >= 1, got {n_modes}"):
+            estimate_constant("korn", 2, 1, grid=Grid(8), n_modes=n_modes)
+
+    def test_estimate_needs_nonnegative_ascent_steps(self):
+        with pytest.raises(ValueError, match="ascent_steps must be >= 0, got -1"):
+            estimate_constant("korn", 2, 1, grid=Grid(8), ascent_steps=-1)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_check_inequality_needs_finite_alpha(self, alpha):
+        fields = velocity_from_stream(ScalarField2D(Grid(8), np.zeros((8, 8))))
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            check_inequality("trilinear", (fields, fields), DomainConstants(), alpha=alpha)
+
+
 class TestArrayNorms:
     """The array forms keep leading axes and give each slice the field-level bits."""
 

@@ -125,6 +125,20 @@ def sample_ratio(kind, grid, c, alpha=1.0):
     return abs(nonlinear_term(z, phi, alpha)) / denom
 
 
+def pencil_by_polarization(kind, grid, n_modes):
+    """(N, D) of a korn or elliptic pencil from the estimator's terms alone:
+    entry (i, j) is (q(e_i + e_j) - q(e_i - e_j)) / 4 of each term q."""
+    from sgf2d import spaces
+    from sgf2d.spaces import stream_values
+
+    terms = spaces._INEQUALITIES[kind][0]
+    m2 = n_modes * n_modes
+    e = np.eye(m2).reshape(m2, n_modes, n_modes)
+    lp, rp = terms(stream_values(grid, e[:, None] + e[None]), grid.h, 1.0)
+    lm, rm = terms(stream_values(grid, e[:, None] - e[None]), grid.h, 1.0)
+    return (lp - lm) / 4.0, (rp - rm) / 4.0
+
+
 def estimate_constant_per_sample(kind, samples, seed, *, grid, alpha=1.0, n_modes=8, ascent_steps=50):
     """The estimator's hill climb run one sample at a time, one field per call."""
     shape = (2, n_modes, n_modes) if kind == "trilinear" else (n_modes, n_modes)

@@ -46,6 +46,7 @@ from helpers import (
     korn_terms_reference,
     norm_hk_dict_loop,
     norm_l2,
+    pencil_by_polarization,
     sample_ratio,
 )
 
@@ -493,10 +494,12 @@ class TestEstimators:
                 estimate_constant("trilinear", samples=2, seed=1, grid=Grid(8), alpha=1e308)
 
     # (n, samples, n_modes, ascent_steps); at 32^2 a block holds 8 korn or
-    # elliptic samples and 4 trilinear ones, so 9 samples end in a partial block
+    # elliptic samples and 4 trilinear ones, so 9 samples end in a partial
+    # block. Odd n and n_modes > n: on 7^2 the mode k = 8 vanishes at every
+    # node, so the pencil's D is singular
     @pytest.mark.parametrize(
         "n,samples,n_modes,ascent_steps",
-        [(8, 3, 8, 50), (12, 4, 5, 50), (16, 2, 8, 50), (16, 3, 3, 20), (32, 9, 8, 4)],
+        [(8, 3, 8, 50), (12, 4, 5, 50), (16, 2, 8, 50), (16, 3, 3, 20), (32, 9, 8, 4), (15, 3, 8, 20), (7, 2, 8, 10)],
     )
     @pytest.mark.parametrize("kind", ["korn", "elliptic", "trilinear"])
     def test_batched_climb_equals_per_sample_climb(self, kind, n, samples, n_modes, ascent_steps):
@@ -504,6 +507,63 @@ class TestEstimators:
         assert estimate_constant(kind, samples, 2026, **kw) == estimate_constant_per_sample(
             kind, samples, 2026, **kw
         )
+
+    @pytest.mark.parametrize("kind", ["korn", "elliptic"])
+    def test_climb_decided_on_ratio_alone_is_the_same_climb(self, monkeypatch, kind):
+        # tau = 1 puts every step inside the pencil's margin, so every
+        # decision falls back to _ratio of both points
+        monkeypatch.setattr(spaces, "_PENCIL_TAU", 1.0)
+        kw = dict(grid=Grid(9), n_modes=4, ascent_steps=12)
+        calls = count_calls(monkeypatch, spaces, "_ratio")
+        got = estimate_constant(kind, 3, 11, **kw)
+        assert len(calls) == 12 + 1
+        assert got == estimate_constant_per_sample(kind, 3, 11, **kw)
+
+    # a 10-sample climb at 16^2 is one block: korn and elliptic decide every
+    # step on the pencil and make their one _ratio call on the final points
+    @pytest.mark.parametrize("kind,want", [("korn", 1), ("elliptic", 1), ("trilinear", 51)])
+    def test_ratio_calls_per_climb(self, monkeypatch, kind, want):
+        calls = count_calls(monkeypatch, spaces, "_ratio")
+        estimate_constant(kind, 10, 3, grid=Grid(16))
+        assert len(calls) == want
+
+    @pytest.mark.parametrize("n,n_modes", [(8, 3), (7, 4), (16, 4)])
+    @pytest.mark.parametrize("kind", ["korn", "elliptic"])
+    def test_pencil_equals_polarized_terms(self, kind, n, n_modes):
+        pencil = spaces.quadratic_pencil(kind, n, n_modes)
+        for got, want in zip(pencil, pencil_by_polarization(kind, Grid(n), n_modes)):
+            assert got.shape == want.shape == (n_modes**2, n_modes**2)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n,n_modes", [(5, 3), (7, 8), (8, 8), (15, 8), (16, 8), (32, 8), (7, 2), (15, 3)])
+    @pytest.mark.parametrize("kind", ["korn", "elliptic"])
+    def test_pencil_ratio_within_tau_of_ratio(self, kind, n, n_modes):
+        g = Grid(n)
+        c = np.random.default_rng(n * 100 + n_modes).standard_normal((2000, n_modes, n_modes))
+        nm, dm = spaces.quadratic_pencil(kind, n, n_modes)
+        cf = c.reshape(len(c), -1)
+        p = ((cf @ nm) * cf).sum(-1) / ((cf @ dm) * cf).sum(-1)
+        r = spaces._ratio(spaces._INEQUALITIES[kind][0], c, g, 1.0)
+        assert np.all(np.abs(p - r) <= spaces._PENCIL_TAU / 1000 * r)
+
+    # the supremum of c N c / c D c is the top eigenvalue of the pencil; at
+    # 16^2 it reads 4.959064 (korn) and 0.768484 (elliptic)
+    @pytest.mark.parametrize("n", [8, 15, 16])
+    @pytest.mark.parametrize("kind,sup16", [("korn", 4.959064), ("elliptic", 0.768484)])
+    def test_estimates_below_pencil_supremum(self, kind, sup16, n):
+        nm, dm = spaces.quadratic_pencil(kind, n, 8)
+        chol = np.linalg.cholesky(dm)
+        half = np.linalg.solve(chol, np.linalg.solve(chol, nm).T)
+        top = np.linalg.eigvalsh(0.5 * (half + half.T))[-1]
+        if n == 16:
+            assert round(top, 6) == sup16
+        for seed in range(4):
+            assert estimate_constant(kind, 10, seed, grid=Grid(n)) <= top * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("kind", ["trilinear", "poincare"])
+    def test_pencil_of_a_non_quadratic_kind_refused(self, kind):
+        with pytest.raises(ValueError, match="no quadratic pencil"):
+            spaces.quadratic_pencil(kind, 8, 3)
 
     @pytest.mark.parametrize("kind", ["korn", "elliptic", "trilinear"])
     def test_batched_ratio_equals_sample_ratio(self, kind):

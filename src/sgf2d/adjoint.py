@@ -104,10 +104,10 @@ def solve_adjoint(base: StateSolution, y_d, pd: ProblemData) -> AdjointState:
     """Adjoint of the tracking objective: source is the mismatch y - y_d.
 
     y_d = None means the problem's own target pd.y_d. Read-only and memoized
-    on base: a repeat call with the same pd object and a target of the same
-    bits (so a mismatch of the same bits) returns the same AdjointState. The
-    mismatch is formed only when the sweep runs, and the memo keeps the
-    target stack itself, which is the caller's or a broadcast view.
+    on base: a repeat call with the same pd object and the same target
+    Trajectory (or None again, the problem's own target stack) returns the
+    same AdjointState. A VectorField2D target is a new broadcast view on each
+    call, so a miss. The mismatch is formed only when the sweep runs.
     """
     _check_base(base, pd)
     target = pd.target_stack() if y_d is None else _target_stack(y_d, pd)

@@ -41,6 +41,7 @@ from .state import (
     ProblemData,
     StateSolution,
     Trajectory,
+    _check_aligned,
     _h1_norm,
     _target_stack,
     control_h1_norm,
@@ -57,9 +58,10 @@ def cost(u: Trajectory, y: Trajectory, y_d, lam: float) -> float:
     """Tracking-plus-regularization objective.
 
     Tracking term uses left-rectangle time weights (making the adjoint
-    terminal condition exact), control term uses trapezoid weights. A target
-    that is not aligned with y is refused, not broadcast.
+    terminal condition exact), control term uses trapezoid weights. A control
+    or a target that is not aligned with y is refused, not broadcast.
     """
+    _check_aligned(u, y, "control")
     return _cost_values(u, y.data, y_d, lam, y)
 
 
@@ -87,7 +89,7 @@ def project_Uad(u: Trajectory, L: float) -> Trajectory:
 def _project(u: np.ndarray, L: float, tau: np.ndarray, h: float) -> np.ndarray:
     """project_Uad of a control stack with trapezoid weights tau: u itself
     inside the ball."""
-    if L <= 0:
+    if not L > 0:  # NaN too
         raise ValueError("L must be positive")
     r = _h1_norm(u, tau, h)
     if r <= L:
@@ -96,7 +98,9 @@ def _project(u: np.ndarray, L: float, tau: np.ndarray, h: float) -> np.ndarray:
 
 
 def vi_residual(u: Trajectory, g: Trajectory, L: float) -> float:
-    """Natural residual ||u - proj(u - g)||_{L2(Q)} of the variational inequality."""
+    """Natural residual ||u - proj(u - g)||_{L2(Q)} of the variational
+    inequality. A gradient that is not aligned with u is refused."""
+    _check_aligned(g, u, "gradient")
     return _vi_residual(u.data, g.data, L, trap_weights(u.m_steps, u.dt), u.grid.h)
 
 

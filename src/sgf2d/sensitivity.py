@@ -75,7 +75,7 @@ def solve_linearized(base: StateSolution, w: Trajectory, pd: ProblemData) -> Tan
     """Tangent z = S'(u)[w]: the derivative of every discrete step, z(0) = 0.
 
     Read-only and memoized on base: a repeat call with the same pd object and
-    a w of the same bits returns the same TangentState.
+    the same w Trajectory returns the same TangentState.
     """
     _check_base(base, pd)
     _check_aligned(w, pd, "direction w")

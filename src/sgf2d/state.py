@@ -454,24 +454,17 @@ class StateSolution:
 
     def _memo_sweep(self, kind: str, pd: ProblemData, key: np.ndarray, solve):
         """solve(), or the result of the last kind sweep on this state when that
-        had the same pd object and a key of the same bits (compared as int64,
-        so -0.0 is not 0.0). The keys are compared one grid._time_blocks
-        block at a time, up to the first block that differs, so a hit makes
-        no stack-sized temporary. The key is kept as given, so no one may
-        write into it: a Trajectory's own data or a read-only broadcast view.
+        had the same pd object and the same key object. The memo holds the key,
+        so its id is not reused while it is kept, and no one may write into it:
+        a Trajectory's own data or a target stack, both read-only. A key with
+        the same bits in a new object is a miss, and its sweep reruns.
         """
-        bits = key.view(np.int64)
         slot = self._sweeps.get(kind)
-        if (
-            slot is not None
-            and slot[0] is pd
-            and slot[1].shape == bits.shape
-            and all(np.array_equal(slot[1][t], bits[t]) for t in _time_blocks(bits))
-        ):
+        if slot is not None and slot[0] is pd and slot[1] is key:
             return slot[2]
         self._sweeps[kind] = slot = None  # free the old result before the sweep
         result = solve()
-        self._sweeps[kind] = (pd, bits, result)
+        self._sweeps[kind] = (pd, key, result)
         return result
 
     @property

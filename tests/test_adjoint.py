@@ -19,9 +19,10 @@ import pytest
 
 from sgf2d import adjoint as adjoint_module
 from sgf2d import grid as grid_module
+from sgf2d import sensitivity as sensitivity_module
 from sgf2d import state as state_module
 from sgf2d.adjoint import _adjoint_core, duality_gap, gradient_field, solve_adjoint
-from sgf2d.certificates import CertificateInputs, check_adjoint_bound
+from sgf2d.certificates import CertificateInputs, check_adjoint_bound, hessian_quadratic_form
 from sgf2d.grid import (
     Grid,
     GridMismatchError,
@@ -34,8 +35,8 @@ from sgf2d.grid import (
     poisson_solve_values,
     velocity_from_stream,
 )
-from sgf2d.optimizer import cost
-from sgf2d.sensitivity import solve_linearized
+from sgf2d.optimizer import OptimizeOptions, cost, optimize
+from sgf2d.sensitivity import solve_linearized, solve_second
 from sgf2d.spaces import DomainConstants, stream_from_coeffs
 from sgf2d.state import (
     ProblemData,
@@ -206,21 +207,25 @@ class TestDuality:
 
 
 class TestSweepMemo:
-    """The tracking adjoint kept on its base state, keyed by pd and the bits
-    of the target y_d; equal target bits give equal mismatch bits y - y_d, so
-    a target that moves a mismatch bit is a miss."""
+    """The tracking adjoint kept on its base state, keyed by the pd object and
+    the target object: the problem's own target stack for None, the data of
+    a target Trajectory otherwise. A target of the same bits in a new object
+    is swept again, with the same bits."""
 
     def test_hit_returns_the_same_adjoint(self, monkeypatch):
         pd = small_problem()
         base = solve_state(smooth_control(pd, 1), pd)
+        ref = _adjoint_core(base, base.y - pd.target_stack(), pd)
         sweeps = count_calls(monkeypatch, adjoint_module, "_adjoint_core")
         adj = solve_adjoint(base, None, pd)
-        # the same target passed explicitly gives the same mismatch bits
-        assert solve_adjoint(base, pd.y_d, pd) is adj
         assert solve_adjoint(base, None, pd) is adj
         assert len(sweeps) == 1
-        ref = _adjoint_core(base, base.y - pd.target_stack(), pd)
         for got, want in ((adj.p, ref.p), (adj.mu, ref.mu), (adj.r, ref.r)):
+            assert got.tobytes() == want.tobytes()
+        # the problem's target field passed explicitly makes a new stack: a miss
+        again = solve_adjoint(base, pd.y_d, pd)
+        assert again is not adj and len(sweeps) == 2
+        for got, want in ((again.p, ref.p), (again.mu, ref.mu), (again.r, ref.r)):
             assert got.tobytes() == want.tobytes()
 
     def test_reassigned_target_recomputes(self):
@@ -280,8 +285,8 @@ class TestSweepMemo:
 
     @pytest.mark.parametrize("with_target", [True, False])
     def test_hit_allocates_nothing_of_the_stack_size(self, with_target):
-        # the mismatch is formed only on a miss, and a None or field target is
-        # a broadcast view, so a hit makes at most the key comparison's bools
+        # the mismatch is formed only on a miss, so a hit makes nothing of the
+        # stack size
         pd = small_problem(n=40, m=50, with_target=with_target)
         base = solve_state(smooth_control(pd, 1), pd)
         target = Trajectory(pd.grid, pd.dt, "target", pd.target_stack())
@@ -297,35 +302,35 @@ class TestSweepMemo:
 
     @pytest.mark.parametrize("with_target", [True, False])
     def test_hit_peaks_below_a_quarter_block(self, with_target):
-        # the optimizer's hit: the keys are compared one time block at a time
-        # and the problem keeps its target stack, so a hit allocates one
-        # block's bools (at most an eighth of _BLOCK_BYTES) and small objects,
-        # no target slice and nothing of the stack size
+        # the optimizer's and sweep63's hits: the key is tested by identity and
+        # the problem keeps its target stack, so a hit allocates only small
+        # objects, nothing per time block
         pd = small_problem(n=40, m=50, with_target=with_target)
         base = solve_state(smooth_control(pd, 1), pd)
         assert len(_time_blocks(base.y)) > 1
-        adj = solve_adjoint(base, None, pd)
-        tracemalloc.start()
-        try:
-            assert solve_adjoint(base, None, pd) is adj
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < grid_module._BLOCK_BYTES // 4
+        w = smooth_control(pd, 2)
+        for hit in (lambda: solve_adjoint(base, None, pd), lambda: solve_linearized(base, w, pd)):
+            kept = hit()
+            tracemalloc.start()
+            try:
+                assert hit() is kept
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1024
 
-    @pytest.mark.parametrize("k", [0, 25, 50])
-    @pytest.mark.parametrize("entry", [-0.0, "ulp"])
-    def test_a_bit_in_any_block_is_a_miss(self, k, entry):
-        # one bit of the target in slice k, the first, a middle or the last
-        # time block, decides the miss; -0.0 is not 0.0
+    def test_equal_bits_in_a_new_object_is_a_miss(self, monkeypatch):
         pd = small_problem(n=40, m=50, with_target=False)
         base = solve_state(smooth_control(pd, 1), pd)
-        zero = np.zeros_like(base.y)
-        adj = solve_adjoint(base, Trajectory(pd.grid, pd.dt, "target", zero), pd)
-        moved = zero.copy()
-        moved[k, 0, 7, 9] = -0.0 if entry == -0.0 else np.spacing(1.0)
-        assert solve_adjoint(base, Trajectory(pd.grid, pd.dt, "target", zero.copy()), pd) is adj
-        assert solve_adjoint(base, Trajectory(pd.grid, pd.dt, "target", moved), pd) is not adj
+        zero = Trajectory(pd.grid, pd.dt, "target", np.zeros_like(base.y))
+        ref = _adjoint_core(base, base.y - zero.data, pd)
+        sweeps = count_calls(monkeypatch, adjoint_module, "_adjoint_core")
+        adj = solve_adjoint(base, zero, pd)
+        assert solve_adjoint(base, zero, pd) is adj
+        again = solve_adjoint(base, Trajectory(pd.grid, pd.dt, "target", zero.data), pd)
+        assert again is not adj and len(sweeps) == 2
+        for got, want in ((again.p, ref.p), (again.mu, ref.mu), (again.r, ref.r)):
+            assert got.tobytes() == want.tobytes()
 
     def test_adjoint_arrays_are_read_only(self):
         pd = small_problem()
@@ -335,6 +340,33 @@ class TestSweepMemo:
             for a in (adj.p, adj.mu, adj.r):
                 with pytest.raises(ValueError, match="read-only"):
                     a[1] = 0.0
+
+
+class TestSweepTraffic:
+    """The hits the sweep memo serves to its two callers of record."""
+
+    def test_sweep63_op_sequence(self, monkeypatch):
+        # per input: the gap's tangent and the second-order tangent are swept,
+        # the gap's own adjoint runs outside the memo; the repeat tangents and
+        # every tracking adjoint after the first are hits
+        pd = small_problem()
+        base = solve_state(smooth_control(pd, 1), pd)
+        tangents = count_calls(monkeypatch, sensitivity_module, "_propagate")
+        adjoints = count_calls(monkeypatch, adjoint_module, "_adjoint_core")
+        for i in range(3):
+            w, phi = smooth_control(pd, 10 + i), smooth_control(pd, 20 + i)
+            duality_gap(base, w, phi, pd)
+            tan = solve_linearized(base, w, pd)
+            solve_second(base, tan, tan, pd)
+            hessian_quadratic_form(base, w, pd, pd.lam)
+        assert (len(tangents), len(adjoints)) == (6, 4)
+
+    def test_optimize_sweeps_one_adjoint_per_solve(self, monkeypatch):
+        pd = replace(small_problem(), L=2.0, lam=1e-3)
+        adjoints = count_calls(monkeypatch, adjoint_module, "_adjoint_core")
+        rep = optimize(pd, None, OptimizeOptions(max_iter=20))
+        assert rep.n_adjoint_solves > 1
+        assert len(adjoints) == rep.n_adjoint_solves
 
 
 class TestFusedAdjointSymbols:

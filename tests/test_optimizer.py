@@ -127,6 +127,15 @@ class TestCost:
         with pytest.raises(GridMismatchError, match="not aligned"):
             cost(pd.zero_control(), base.velocity, short, pd.lam)
 
+    @pytest.mark.parametrize("n,m,dt_scale", [(8, 8, 1.0), (16, 6, 1.0), (16, 8, 3.7)])
+    def test_control_not_aligned_with_y_rejected(self, n, m, dt_scale):
+        # an 8^2 control against a 16^2 velocity would be costed with the wrong h
+        pd = small_problem(n=16)
+        base = solve_state(None, pd)
+        u = Trajectory.zeros(Grid(n), m, pd.dt * dt_scale, "control")
+        with pytest.raises(GridMismatchError, match="control is not aligned"):
+            cost(u, base.velocity, pd.y_d, pd.lam)
+
     def test_lam_scaling_isolates_control_term(self):
         pd = small_problem()
         base = solve_state(smooth_control(pd, 1), pd)
@@ -163,6 +172,21 @@ class TestProjection:
         pd = small_problem()
         with pytest.raises(ValueError, match="positive"):
             project_Uad(pd.zero_control(), 0.0)
+
+    def test_nan_radius_is_refused(self):
+        # NaN fails every comparison: the radius is refused by name, not by the
+        # projection's non-finite result or a division by zero
+        pd = small_problem()
+        u = smooth_control(pd, 1)
+        with pytest.raises(ValueError, match="L must be positive"):
+            project_Uad(u, np.nan)
+        with pytest.raises(ValueError, match="L must be positive"):
+            vi_residual(u, u, np.nan)
+
+    def test_infinite_radius_returns_u(self):
+        pd = small_problem()
+        u = smooth_control(pd, 1, amplitude=1e3)
+        assert project_Uad(u, np.inf) is u
 
 
 class TestOverflowingNorms:
@@ -235,6 +259,15 @@ class TestViResidual:
         g = u * (-0.25)
         tau = trap_weights(pd.m_steps, pd.dt)
         assert vi_residual(u, g, pd.L) <= 1e-12 * l2q_norm(u, tau)
+
+    @pytest.mark.parametrize("n,m,dt_scale", [(8, 8, 1.0), (12, 6, 1.0), (12, 8, 3.7)])
+    def test_gradient_not_aligned_with_u_rejected(self, n, m, dt_scale):
+        # another grid, step count or dt is refused, not broadcast
+        pd = small_problem()
+        u = smooth_control(pd, 1)
+        g = Trajectory.zeros(Grid(n), m, pd.dt * dt_scale, "control")
+        with pytest.raises(GridMismatchError, match="gradient is not aligned"):
+            vi_residual(u, g, pd.L)
 
 
 class TestOptimize:

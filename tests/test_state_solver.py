@@ -679,19 +679,24 @@ def memo_free_tangent(base, w, pd):
 
 
 class TestSweepMemo:
-    """The tangent sweep kept on its base state, keyed by pd and the bits of w."""
+    """The tangent sweep kept on its base state, keyed by the pd object and
+    the w Trajectory: a w of the same bits in a new object is swept again."""
 
     def test_hit_returns_the_same_tangent(self, monkeypatch):
         pd = small_problem()
         base = solve_state(smooth_control(pd, 1), pd)
         w = smooth_control(pd, 2)
+        ref = memo_free_tangent(base, w, pd)
         sweeps = count_calls(monkeypatch, sensitivity, "_propagate")
         tan = solve_linearized(base, w, pd)
-        # an equal w in a new Trajectory is a hit too: the key is the bits
-        assert solve_linearized(base, w * 1.0, pd) is tan
+        assert solve_linearized(base, w, pd) is tan
         assert len(sweeps) == 1
-        ref = memo_free_tangent(base, w, pd)
         for got, want in ((tan.z, ref.z), (tan.dq, ref.dq), (tan.dpsi, ref.dpsi)):
+            assert got.tobytes() == want.tobytes()
+        # an equal w in a new Trajectory is a miss, and its sweep has the same bits
+        again = solve_linearized(base, w * 1.0, pd)
+        assert again is not tan and len(sweeps) == 2
+        for got, want in ((again.z, ref.z), (again.dq, ref.dq), (again.dpsi, ref.dpsi)):
             assert got.tobytes() == want.tobytes()
 
     def test_one_ulp_in_w_is_a_miss(self):

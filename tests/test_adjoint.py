@@ -319,6 +319,22 @@ class TestSweepMemo:
                 tracemalloc.stop()
             assert peak < 1024
 
+    @pytest.mark.parametrize("k", [0, 25, 50])
+    @pytest.mark.parametrize("entry", [-0.0, "ulp"])
+    def test_a_bit_in_any_block_is_a_miss(self, k, entry):
+        # one bit of the target in slice k, the first, a middle or the last
+        # time block, gives a miss whose sweep sees that bit; -0.0 is not 0.0
+        pd = small_problem(n=40, m=50, with_target=False)
+        base = solve_state(smooth_control(pd, 1), pd)
+        zero = Trajectory(pd.grid, pd.dt, "target", np.zeros_like(base.y))
+        adj = solve_adjoint(base, zero, pd)
+        assert solve_adjoint(base, zero, pd) is adj
+        moved = zero.data.copy()
+        moved[k, 0, 7, 9] = -0.0 if entry == -0.0 else np.spacing(1.0)
+        got = solve_adjoint(base, Trajectory(pd.grid, pd.dt, "target", moved), pd)
+        assert got is not adj
+        assert got.p.tobytes() == _adjoint_core(base, base.y - moved, pd).p.tobytes()
+
     def test_equal_bits_in_a_new_object_is_a_miss(self, monkeypatch):
         pd = small_problem(n=40, m=50, with_target=False)
         base = solve_state(smooth_control(pd, 1), pd)

@@ -24,6 +24,8 @@ from .state import (
     ProblemData,
     StateSolution,
     Trajectory,
+    _check_aligned,
+    _check_lam,
     l2q_inner_values,
     left_weights,
     trap_weights,
@@ -36,9 +38,9 @@ _READINGS = ("printed", "derived")
 class CertificateInputs:
     """Everything the lambda-formulas consume.
 
-    norm_u_L1H1 is the L1-in-time H1-in-space control norm; when only the
-    admissible radius L is known it is bounded by sqrt(T)*L and
-    u_norm_source records that a bound (not the actual norm) was used.
+    norm_u_L1H1 is the L1-in-time H1-in-space control norm. u_norm_source
+    says what it is: "actual", the norm of a given control, or "ball_bound",
+    the bound sqrt(T)*L that holds for every admissible control.
     """
 
     alpha: float
@@ -63,19 +65,19 @@ class CertificateInputs:
 
     @classmethod
     def from_problem(
-        cls,
-        pd: ProblemData,
-        constants: DomainConstants,
-        u: Trajectory | None = None,
-        u_norm_source: str = "ball_bound",
+        cls, pd: ProblemData, constants: DomainConstants, u: Trajectory | None = None
     ) -> "CertificateInputs":
+        """The inputs of pd. With a control u (aligned with pd) its own
+        L1(0,T;H1) norm is taken and recorded as "actual"; without one the
+        ball bound sqrt(T)*L stands in for it, recorded as "ball_bound"."""
         h = pd.grid.h
         tau = trap_weights(pd.m_steps, pd.dt)
-        n_u = math.sqrt(pd.T) * pd.L  # the ball bound; __post_init__ checks the source
-        if u_norm_source == "actual":
-            if u is None:
-                raise ValueError("u_norm_source='actual' requires the control u")
+        if u is None:
+            n_u, source = math.sqrt(pd.T) * pd.L, "ball_bound"
+        else:
+            _check_aligned(u, pd, "control")
             n_u = float(np.dot(tau, np.sqrt(stack_hk_sq(u.data, h, 1)[1])))
+            source = "actual"
         target = pd.target_stack()
         n_yd = math.sqrt(l2q_inner_values(target, target, tau, h))
         return cls(
@@ -87,7 +89,7 @@ class CertificateInputs:
             norm_yd_L2Q=n_yd,
             constants=constants,
             lam=pd.lam,
-            u_norm_source=u_norm_source,
+            u_norm_source=source,
         )
 
 
@@ -188,6 +190,16 @@ def compute_lambda4(ci: CertificateInputs, lambda1: float) -> float:
     return math.sqrt(_mul(2.0 * c.K_tilde, bracket, data))
 
 
+def _rel_discrepancy(l3p: float, l3d: float) -> float:
+    """|l3p - l3d| / max(l3p, l3d) of the two lambda3 readings."""
+    big = max(l3p, l3d)
+    if l3p == l3d:  # both zero, or both overflowed to inf
+        return 0.0
+    if big == math.inf:  # the limit as one reading grows alone
+        return 1.0
+    return abs(l3p - l3d) / big
+
+
 # how from_text reads each field type back; the fields themselves, in their
 # declared order, are the text schema
 _TEXT_TYPES = {"float": float, "bool": fieldio.bool_value, "str": str}
@@ -195,6 +207,11 @@ _TEXT_TYPES = {"float": float, "bool": fieldio.bool_value, "str": str}
 
 @dataclass(frozen=True)
 class CertificateReport:
+    """The bounds, thresholds and verdicts of one certify call. A report that
+    contradicts itself is refused, built or read back: a verdict against lam
+    and its threshold, lambda3 against its selected reading, the discrepancy
+    against the two readings, or illustrative against the sources."""
+
     lambda1: float
     lambda2: float
     lambda3: float
@@ -224,6 +241,15 @@ class CertificateReport:
             raise ValueError("second-order verdict inconsistent with stored values")
         if self.verdict_uniqueness != (self.lam > self.uniqueness_threshold):
             raise ValueError("uniqueness verdict inconsistent with stored values")
+        if self.lambda3_reading not in _READINGS:
+            raise ValueError(f"lambda3_reading must be one of {_READINGS}")
+        if self.lambda3 != getattr(self, f"lambda3_{self.lambda3_reading}"):
+            raise ValueError("lambda3 inconsistent with its selected reading")
+        disc = _rel_discrepancy(self.lambda3_printed, self.lambda3_derived)
+        if self.lambda3_rel_discrepancy != disc:
+            raise ValueError("lambda3_rel_discrepancy inconsistent with the two readings")
+        if self.illustrative != ("default_unit" in self.constants_source.values()):
+            raise ValueError("illustrative flag inconsistent with the constants' sources")
 
     @classmethod
     def _text_fields(cls) -> dict:
@@ -269,23 +295,14 @@ def certify(ci: CertificateInputs, lambda3_reading: str = "printed") -> Certific
 
     The lambda3 display admits two parenthesizations; both are always
     evaluated and their relative discrepancy reported, with the selected
-    reading feeding the thresholds.
+    reading feeding the thresholds; the report refuses an unknown reading.
     """
-    if lambda3_reading not in _READINGS:
-        raise ValueError(f"lambda3_reading must be one of {_READINGS}")
     l1 = compute_lambda1(ci)
     l2 = compute_lambda2(ci, l1)
     l3p = compute_lambda3(ci, l1, "printed")
     l3d = compute_lambda3(ci, l1, "derived")
     l3 = l3p if lambda3_reading == "printed" else l3d
     l4 = compute_lambda4(ci, l1)
-    big = max(l3p, l3d)
-    if l3p == l3d:  # both zero, or both overflowed to inf
-        disc = 0.0
-    elif big == math.inf:  # the limit as one reading grows alone
-        disc = 1.0
-    else:
-        disc = abs(l3p - l3d) / big
     k_hat = ci.constants.K_hat
     # with no data at all lambda4 is exactly 0, and so are the thresholds
     no_data = l1 == 0.0 and ci.norm_yd_L2Q == 0.0
@@ -297,7 +314,7 @@ def certify(ci: CertificateInputs, lambda3_reading: str = "printed") -> Certific
         lambda3=l3,
         lambda3_printed=l3p,
         lambda3_derived=l3d,
-        lambda3_rel_discrepancy=disc,
+        lambda3_rel_discrepancy=_rel_discrepancy(l3p, l3d),
         lambda3_reading=lambda3_reading,
         lambda4=l4,
         lam=ci.lam,
@@ -347,6 +364,7 @@ def hessian_quadratic_form(
     """
     if method not in ("exact", "pointwise"):
         raise ValueError(f"unknown method {method!r}")
+    _check_lam(lam)
     tan = solve_linearized(base, w, pd)
     adj = solve_adjoint(base, None, pd)
     m, dt, h = pd.m_steps, pd.dt, pd.grid.h
@@ -372,6 +390,7 @@ def hessian_bilinear_form(
     Polarization identity: Q(w1+w2) - Q(w1) - Q(w2) equals twice this value
     (exactly, for the exact quadratic form).
     """
+    _check_lam(lam)
     t1 = solve_linearized(base, w1, pd)
     t2 = solve_linearized(base, w2, pd)
     second = solve_second(base, t1, t2, pd)

@@ -78,22 +78,24 @@ class ScalarField2D:
 class VectorField2D:
     """Two-component field on the interior grid.
 
-    ``divergence_free`` is set by constructions that guarantee it
-    (velocity_from_stream); ``stream`` then carries the generating stream
-    function, which the advection operator requires.
+    ``stream`` is attached only by velocity_from_stream, which builds the
+    velocity from it; a field built any other way, or copied with
+    dataclasses.replace, has none. ``divergence_free`` reads whether the
+    stream is there; the advection operator requires it.
     """
 
     grid: Grid
     u1: np.ndarray
     u2: np.ndarray
-    divergence_free: bool = False
-    stream: ScalarField2D | None = field(default=None, compare=False)
+    stream: ScalarField2D | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u1", _frozen(self.u1, self.grid.shape))
         object.__setattr__(self, "u2", _frozen(self.u2, self.grid.shape))
-        if self.stream is not None and self.stream.grid != self.grid:
-            raise GridMismatchError("stream function lives on a different grid")
+
+    @property
+    def divergence_free(self) -> bool:
+        return self.stream is not None
 
 
 def same_grid(*fields) -> Grid:
@@ -461,9 +463,12 @@ def poisson_solve(omega: ScalarField2D) -> ScalarField2D:
 
 
 def velocity_from_stream(psi: ScalarField2D) -> VectorField2D:
-    """y = (d2 psi, -d1 psi): divergence-free with zero normal trace."""
+    """y = (d2 psi, -d1 psi): divergence-free with zero normal trace. The
+    only constructor that attaches psi as the velocity's stream."""
     y1, y2 = velocity_values(psi.values, psi.grid.h)
-    return VectorField2D(psi.grid, y1, y2, divergence_free=True, stream=psi)
+    y = VectorField2D(psi.grid, y1, y2)
+    object.__setattr__(y, "stream", psi)
+    return y
 
 
 def curl2d(v: VectorField2D) -> ScalarField2D:
@@ -485,7 +490,7 @@ def advect(y: VectorField2D, q: ScalarField2D) -> ScalarField2D:
     stream-function form J(q, psi).
     """
     same_grid(y, q)
-    if not y.divergence_free or y.stream is None:
+    if y.stream is None:
         raise ValueError(
             "advect requires a divergence-free velocity produced by velocity_from_stream"
         )

@@ -42,6 +42,7 @@ from .state import (
     StateSolution,
     Trajectory,
     _check_aligned,
+    _check_lam,
     _h1_norm,
     _target_stack,
     control_h1_norm,
@@ -59,9 +60,11 @@ def cost(u: Trajectory, y: Trajectory, y_d, lam: float) -> float:
 
     Tracking term uses left-rectangle time weights (making the adjoint
     terminal condition exact), control term uses trapezoid weights. A control
-    or a target that is not aligned with y is refused, not broadcast.
+    or a target that is not aligned with y is refused, not broadcast, and so
+    is a lam that ProblemData would refuse.
     """
     _check_aligned(u, y, "control")
+    _check_lam(lam)
     return _cost_values(u, y.data, y_d, lam, y)
 
 

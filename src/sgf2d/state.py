@@ -248,6 +248,12 @@ def _check_aligned(traj: Trajectory, like, what: str) -> None:
         raise GridMismatchError(f"{what} is not aligned with the problem")
 
 
+def _check_lam(lam: float) -> None:
+    """Refuse a regularization weight lambda that is negative, NaN or infinite."""
+    if not 0 <= lam < math.inf:
+        raise ValueError("lambda must be nonnegative and finite")
+
+
 def _target_stack(y_d, like) -> np.ndarray:
     """The target as an (m_steps+1, 2, n, n) array on the grid and steps of like
     (a ProblemData or a Trajectory); None is the zero target. A target that is
@@ -300,11 +306,10 @@ class ProblemData:
                 raise ValueError(f"{name} must be positive and finite")
         if self.m_steps < 1:
             raise ValueError("m_steps must be >= 1")
-        if not 0 <= self.lam < math.inf:
-            raise ValueError("lambda must be nonnegative and finite")
+        _check_lam(self.lam)
         if self.y0.grid != self.grid:
             raise GridMismatchError("y0 lives on a different grid")
-        if not self.y0.divergence_free or self.y0.stream is None:
+        if self.y0.stream is None:
             raise ValueError("y0 must be produced from a stream function")
         self.target_stack()  # validates y_d, and keeps its stack
         speed = max(np.max(np.abs(self.y0.u1)), np.max(np.abs(self.y0.u2)))
@@ -394,7 +399,7 @@ def step_state(
     same_grid(q_n, y_n, u_slice)
     if q_n.grid != pd.grid:
         raise GridMismatchError("inputs live on a different grid than the problem")
-    if not y_n.divergence_free or y_n.stream is None:
+    if y_n.stream is None:
         raise ValueError("y_n must be produced from a stream function")
     g = pd.grid
     q = np.empty((2,) + g.shape)

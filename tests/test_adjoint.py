@@ -625,9 +625,7 @@ class TestAdjointNormBound:
         u = smooth_control(pd, 1, amplitude=0.05)
         base = solve_state(u, pd)
         adj = solve_adjoint(base, None, pd)
-        ci = CertificateInputs.from_problem(
-            pd, DomainConstants(), u=u, u_norm_source="actual"
-        )
+        ci = CertificateInputs.from_problem(pd, DomainConstants(), u=u)
         chk = check_adjoint_bound(adj, ci)
         # with unit placeholder constants the bound is advisory but must hold
         assert chk.holds

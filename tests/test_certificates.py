@@ -38,7 +38,14 @@ from sgf2d.certificates import (
     hessian_quadratic_form,
 )
 from sgf2d.adjoint import duality_gap, solve_adjoint
-from sgf2d.grid import Grid, VectorField2D, _blocks, arakawa, velocity_from_stream
+from sgf2d.grid import (
+    Grid,
+    GridMismatchError,
+    VectorField2D,
+    _blocks,
+    arakawa,
+    velocity_from_stream,
+)
 from sgf2d.optimizer import cost
 from sgf2d.sensitivity import solve_linearized, solve_second
 from sgf2d.spaces import DomainConstants, inner_l2, stream_from_coeffs
@@ -402,6 +409,45 @@ class TestReportIO:
         with pytest.raises(ValueError, match="duplicate key 'source_K'"):
             CertificateReport.from_text(text + "source_K = user_supplied\n")
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"lambda3": "123.0"}, "lambda3 inconsistent with its selected reading"),
+            ({"lambda3_reading": "derived"}, "lambda3 inconsistent with its selected reading"),
+            ({"lambda3_reading": "loose"}, "lambda3_reading must be one of"),
+            ({"lambda3_rel_discrepancy": "0.5"}, "lambda3_rel_discrepancy inconsistent"),
+            ({"illustrative": "false"}, "illustrative flag inconsistent"),
+            ({"coercivity_threshold": "-1.0"}, "thresholds must be nonnegative"),
+            ({"verdict_uniqueness": "true"}, "uniqueness verdict inconsistent"),
+        ],
+        ids=[
+            "lambda3", "reading", "unknown-reading", "discrepancy", "illustrative",
+            "negative-threshold", "uniqueness-verdict",
+        ],
+    )
+    def test_from_text_refuses_a_contradiction(self, edit, message):
+        # all seven sources read default_unit, and lambda3 is the printed reading
+        text = certify(crafted_inputs()).to_text()
+        with pytest.raises(ValueError, match=message):
+            CertificateReport.from_text(self._edited(text, **edit))
+
+    def test_supplied_constants_refuse_illustrative(self):
+        names = ("K", "K_tilde", "K_hat", "C1", "C2", "C3", "C4")
+        c = DomainConstants(source={n: "user_supplied" for n in names})
+        text = certify(crafted_inputs(constants=c)).to_text()
+        with pytest.raises(ValueError, match="illustrative flag inconsistent"):
+            CertificateReport.from_text(self._edited(text, illustrative="true"))
+        # one default among supplied constants makes the report illustrative
+        rep = CertificateReport.from_text(
+            self._edited(text, illustrative="true", source_C4="default_unit")
+        )
+        assert rep.illustrative
+
+    def test_derived_reading_round_trip(self):
+        rep = certify(crafted_inputs(norm_y0=0.3), lambda3_reading="derived")
+        assert rep.lambda3 == rep.lambda3_derived != rep.lambda3_printed
+        assert CertificateReport.from_text(rep.to_text()) == rep
+
     def test_tampered_verdict_rejected(self):
         rep = certify(crafted_inputs())
         tampered = rep.to_text().replace(
@@ -442,23 +488,41 @@ class TestCertificateInputs:
         assert ci.u_norm_source == "ball_bound"
         assert ci.norm_yd_L2Q == 0.0
 
-    def test_from_problem_actual_control(self):
+    @staticmethod
+    def _actual_control_problem(n_control=10):
         g = Grid(10)
         y0 = velocity_from_stream(
             stream_from_coeffs(g, 0.01 * np.random.default_rng(5).standard_normal((3, 3)))
         )
         pd = ProblemData(alpha=0.4, nu=0.2, T=0.25, grid=g, m_steps=6, y0=y0, L=3.0)
-        v = velocity_from_stream(stream_from_coeffs(g, 0.2 * np.ones((2, 2))))
-        n = g.n_interior
+        gu = Grid(n_control)
+        v = velocity_from_stream(stream_from_coeffs(gu, 0.2 * np.ones((2, 2))))
+        n = gu.n_interior
         data = np.broadcast_to(np.stack([v.u1, v.u2]), (7, 2, n, n)).copy()
         from sgf2d.state import Trajectory
 
-        u = Trajectory(g, pd.dt, "control", data)
-        ci = CertificateInputs.from_problem(pd, DomainConstants(), u=u, u_norm_source="actual")
+        return pd, Trajectory(gu, pd.dt, "control", data)
+
+    def test_from_problem_actual_control(self):
+        pd, u = self._actual_control_problem()
+        ci = CertificateInputs.from_problem(pd, DomainConstants(), u=u)
         # constant in time: L1(0,T;H1) = sqrt(T) * L2(0,T;H1)
         assert rel(ci.norm_u_L1H1, math.sqrt(pd.T) * control_h1_norm(u)) <= 1e-12
-        with pytest.raises(ValueError, match="requires the control"):
-            CertificateInputs.from_problem(pd, DomainConstants(), u_norm_source="actual")
+        assert ci.norm_u_L1H1 == 2.3168863131651074
+        assert ci.u_norm_source == "actual"
+        ci = CertificateInputs.from_problem(pd, DomainConstants())
+        assert ci.norm_u_L1H1 == 1.5 and ci.u_norm_source == "ball_bound"
+
+    def test_from_problem_refuses_a_control_on_another_grid(self):
+        # a 20^2 control used to be normed with the 10^2 problem's h
+        pd, u = self._actual_control_problem(n_control=20)
+        with pytest.raises(GridMismatchError, match="control is not aligned"):
+            CertificateInputs.from_problem(pd, DomainConstants(), u=u)
+
+    def test_from_problem_takes_no_source(self):
+        pd, u = self._actual_control_problem()
+        with pytest.raises(TypeError):
+            CertificateInputs.from_problem(pd, DomainConstants(), u, "ball_bound")
 
 
 def hessian_problem(n=16, m=12):
@@ -579,6 +643,18 @@ class TestHessianForms:
             cross += float(np.vdot(adj.r[k + 1], arakawa(tan.dq[k], tan.dpsi[k], h)))
         ref = track + reg - 2.0 * dt * cross
         assert hessian_quadratic_form(base, w, pd, pd.lam) == ref
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1e-3])
+    def test_lam_refused_as_problem_data_would(self, lam):
+        # nan and inf used to give nan and inf forms
+        pd = hessian_problem(n=8, m=4)
+        base = solve_state(None, pd)
+        w = pd.zero_control()
+        for method in ("exact", "pointwise"):
+            with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+                hessian_quadratic_form(base, w, pd, lam, method=method)
+        with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+            hessian_bilinear_form(base, w, w, pd, lam)
 
     def test_unknown_method_rejected(self):
         pd = hessian_problem(n=10, m=6)

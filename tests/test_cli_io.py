@@ -105,6 +105,17 @@ class TestFieldIO:
         (tmp_path / "tiny.bin").write_bytes(data[:10])
         with pytest.raises(ValueError, match="truncated"):
             read_field(tmp_path / "tiny.bin")
+        body = data[fieldio._HEADER.size:]
+        reserved = tmp_path / "reserved.bin"
+        reserved.write_bytes(fieldio._HEADER.pack(fieldio.MAGIC, 5, 1, 7) + body)
+        with pytest.raises(ValueError) as exc:
+            read_field(reserved)
+        assert str(exc.value) == f"{reserved}: nonzero reserved header word"
+        three = tmp_path / "three.bin"
+        three.write_bytes(fieldio._HEADER.pack(fieldio.MAGIC, 5, 3, 0) + 3 * body)
+        with pytest.raises(ValueError) as exc:
+            read_field(three)
+        assert str(exc.value) == f"{three}: unsupported component count 3"
 
     def test_csv_export_layout(self, tmp_path):
         g = Grid(3)
@@ -210,6 +221,13 @@ class TestConfigParsing:
         p3 = write_cfg(tmp_path, MINIMAL + "y0_modes = 1,1,nan\n", name="c3.txt")
         with pytest.raises(ConfigError, match="mode amplitude must be finite"):
             parse_config(p3)
+        p4 = write_cfg(tmp_path, MINIMAL + "y0_modes = 1.5,2,0.1\n", name="c4.txt")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(p4)
+        assert str(exc.value) == (
+            f"{p4}:7: bad value for y0_modes: mode '1.5,2,0.1': "
+            "invalid literal for int() with base 10: '1.5'"
+        )
 
     def test_modes_and_kinds_refused_at_their_line(self, tmp_path):
         p = write_cfg(tmp_path, MINIMAL + "y0_modes = 1,1\n")
@@ -787,6 +805,25 @@ class TestReferenceTarget:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert "bad magic" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "field,message",
+        [
+            (ScalarField2D(Grid(12), np.zeros((12, 12))), "is not a velocity snapshot"),
+            (VectorField2D(Grid(5), np.zeros((5, 5)), np.zeros((5, 5))), "is on a different grid"),
+        ],
+        ids=["scalar", "other-grid"],
+    )
+    def test_unusable_snapshot_is_config_error(self, tmp_path, field, message):
+        fields = tmp_path / "ref" / "fields"
+        fields.mkdir(parents=True)
+        path = fields / "y_000000.bin"
+        write_field(path, field)
+        cfg = write_cfg(tmp_path, MINIMAL + f"yd_from = {tmp_path / 'ref'}\n")
+        with pytest.raises(ConfigError) as exc:
+            build_problem(parse_config(cfg))
+        assert str(exc.value) == f"{cfg}: yd_from: {path} {message}"
 
 
 class TestConsoleScript:

@@ -7,6 +7,7 @@ accepted steps never increase J, every iterate stays admissible, and on a
 reachable target the loop actually closes most of the gap to zero cost.
 """
 
+import math
 import warnings
 from dataclasses import FrozenInstanceError, replace
 
@@ -135,6 +136,14 @@ class TestCost:
         u = Trajectory.zeros(Grid(n), m, pd.dt * dt_scale, "control")
         with pytest.raises(GridMismatchError, match="control is not aligned"):
             cost(u, base.velocity, pd.y_d, pd.lam)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1e-3])
+    def test_lam_refused_as_problem_data_would(self, lam):
+        # nan and inf used to cost nan and inf
+        pd = small_problem()
+        base = solve_state(None, pd)
+        with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+            cost(pd.zero_control(), base.velocity, pd.y_d, lam)
 
     def test_lam_scaling_isolates_control_term(self):
         pd = small_problem()

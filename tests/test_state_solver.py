@@ -281,6 +281,15 @@ class TestProblemData:
         y0 = VectorField2D(g, np.zeros(g.shape), np.zeros(g.shape))
         with pytest.raises(ValueError, match="stream"):
             ProblemData(alpha=0.5, nu=0.1, T=1.0, grid=g, m_steps=10, y0=y0)
+        # replace keeps no stream that the new components do not come from
+        y0 = replace(velocity_from_stream(single_mode_stream(g, 1, 1, 0.01)), u1=5.0 * y0.u1)
+        with pytest.raises(ValueError, match="y0 must be produced from a stream function"):
+            ProblemData(alpha=0.5, nu=0.1, T=1.0, grid=g, m_steps=10, y0=y0)
+
+    def test_y0_on_another_grid_refused(self):
+        y0 = velocity_from_stream(single_mode_stream(Grid(9), 1, 1, 0.01))
+        with pytest.raises(GridMismatchError, match="y0 lives on a different grid"):
+            ProblemData(alpha=0.5, nu=0.1, T=1.0, grid=Grid(8), m_steps=10, y0=y0)
 
     def test_target_validation(self):
         pd = small_problem()
@@ -665,7 +674,7 @@ class TestSolveState:
         y0 = velocity_from_stream(stream_from_coeffs(g, 0.01 * rng.standard_normal((3, 3))))
         pd = ProblemData(alpha=0.2, nu=1.0, T=0.5, grid=g, m_steps=40, y0=y0)
         sol = solve_state(None, pd)
-        ci = CertificateInputs.from_problem(pd, DomainConstants(), u=pd.zero_control(), u_norm_source="actual")
+        ci = CertificateInputs.from_problem(pd, DomainConstants(), u=pd.zero_control())
         chk = check_state_bound(sol, ci)
         assert chk.lhs == pytest.approx(float(np.max(sol.norms_h3)) ** 2, rel=1e-14)
         assert chk.holds

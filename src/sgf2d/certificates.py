@@ -19,13 +19,12 @@ from . import fieldio
 from .adjoint import AdjointState, solve_adjoint
 from .grid import nonlinear_values
 from .sensitivity import solve_linearized, solve_second
-from .spaces import DomainConstants, _checked, norm_hk, stack_hk_sq
+from .spaces import DomainConstants, _checked, _reads_default, norm_hk, stack_hk_sq
 from .state import (
     ProblemData,
     StateSolution,
     Trajectory,
     _check_aligned,
-    _check_lam,
     l2q_inner_values,
     left_weights,
     trap_weights,
@@ -205,26 +204,32 @@ def _rel_discrepancy(l3p: float, l3d: float) -> float:
 _TEXT_TYPES = {"float": float, "bool": fieldio.bool_value, "str": str}
 
 
+def _derived(what: str):
+    """A report field worked out from the others; what names its sources."""
+    return field(init=False, metadata={"from": what})
+
+
 @dataclass(frozen=True)
 class CertificateReport:
-    """The bounds, thresholds and verdicts of one certify call. A report that
-    contradicts itself is refused, built or read back: a verdict against lam
-    and its threshold, lambda3 against its selected reading, the discrepancy
-    against the two readings, or illustrative against the sources."""
+    """The bounds, thresholds and verdicts of one certify call.
+
+    lambda3, its discrepancy, both verdicts and illustrative are worked out
+    from the other fields, so a built report cannot contradict itself;
+    from_text refuses a file whose line for one of them disagrees."""
 
     lambda1: float
     lambda2: float
-    lambda3: float
+    lambda3: float = _derived("its selected reading")
     lambda3_printed: float
     lambda3_derived: float
-    lambda3_rel_discrepancy: float
+    lambda3_rel_discrepancy: float = _derived("the two readings")
     lambda4: float
     lam: float
     coercivity_threshold: float
     uniqueness_threshold: float
-    verdict_second_order: bool
-    verdict_uniqueness: bool
-    illustrative: bool
+    verdict_second_order: bool = _derived("lam and the coercivity threshold")
+    verdict_uniqueness: bool = _derived("lam and the uniqueness threshold")
+    illustrative: bool = _derived("the constants' sources")
     lambda3_reading: str
     u_norm_source: str
     constants_source: dict = field(default_factory=dict)
@@ -233,23 +238,21 @@ class CertificateReport:
         # inf is a legitimate overflow of the bounds; NaN would make both
         # verdicts read false as if consistent
         for f in fields(self):
-            if f.type == "float" and math.isnan(getattr(self, f.name)):
+            if f.init and f.type == "float" and math.isnan(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must not be NaN")
         if self.coercivity_threshold < 0 or self.uniqueness_threshold < 0:
             raise ValueError("thresholds must be nonnegative")
-        if self.verdict_second_order != (self.lam > self.coercivity_threshold):
-            raise ValueError("second-order verdict inconsistent with stored values")
-        if self.verdict_uniqueness != (self.lam > self.uniqueness_threshold):
-            raise ValueError("uniqueness verdict inconsistent with stored values")
         if self.lambda3_reading not in _READINGS:
             raise ValueError(f"lambda3_reading must be one of {_READINGS}")
-        if self.lambda3 != getattr(self, f"lambda3_{self.lambda3_reading}"):
-            raise ValueError("lambda3 inconsistent with its selected reading")
-        disc = _rel_discrepancy(self.lambda3_printed, self.lambda3_derived)
-        if self.lambda3_rel_discrepancy != disc:
-            raise ValueError("lambda3_rel_discrepancy inconsistent with the two readings")
-        if self.illustrative != ("default_unit" in self.constants_source.values()):
-            raise ValueError("illustrative flag inconsistent with the constants' sources")
+        l3p, l3d = self.lambda3_printed, self.lambda3_derived
+        for name, value in (
+            ("lambda3", l3p if self.lambda3_reading == "printed" else l3d),
+            ("lambda3_rel_discrepancy", _rel_discrepancy(l3p, l3d)),
+            ("verdict_second_order", self.lam > self.coercivity_threshold),
+            ("verdict_uniqueness", self.lam > self.uniqueness_threshold),
+            ("illustrative", _reads_default(self.constants_source)),
+        ):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _text_fields(cls) -> dict:
@@ -279,7 +282,13 @@ class CertificateReport:
         missing = [n for n in readers if n not in kw]
         if missing:
             raise ValueError(f"certificate: missing fields {', '.join(missing)}")
-        return cls(**kw)
+        derived = {f.name: f.metadata["from"] for f in fields(cls) if not f.init}
+        read = {name: kw.pop(name) for name in derived}
+        rep = cls(**kw)
+        for name, what in derived.items():
+            if read[name] != getattr(rep, name):
+                raise ValueError(f"certificate: {name} inconsistent with {what}")
+        return rep
 
     def write_text(self, path) -> None:
         with open(path, "w") as fh:
@@ -311,18 +320,13 @@ def certify(ci: CertificateInputs, lambda3_reading: str = "printed") -> Certific
     return CertificateReport(
         lambda1=l1,
         lambda2=l2,
-        lambda3=l3,
         lambda3_printed=l3p,
         lambda3_derived=l3d,
-        lambda3_rel_discrepancy=_rel_discrepancy(l3p, l3d),
         lambda3_reading=lambda3_reading,
         lambda4=l4,
         lam=ci.lam,
         coercivity_threshold=coer,
         uniqueness_threshold=uniq,
-        verdict_second_order=ci.lam > coer,
-        verdict_uniqueness=ci.lam > uniq,
-        illustrative=ci.constants.any_default,
         u_norm_source=ci.u_norm_source,
         constants_source=dict(ci.constants.source),
     )
@@ -348,6 +352,13 @@ def check_adjoint_bound(adj: AdjointState, ci: CertificateInputs):
     return _checked(lhs, rhs)
 
 
+def _check_problem_lam(lam: float, pd: ProblemData) -> None:
+    """Refuse a lam other than pd.lam. The Hessian forms weigh w by pd.lam;
+    their lam argument stays only because existing callers pass pd.lam."""
+    if lam != pd.lam:
+        raise ValueError(f"lam = {lam!r} is not the problem's lambda {pd.lam!r}")
+
+
 def hessian_quadratic_form(
     base: StateSolution,
     w: Trajectory,
@@ -360,17 +371,18 @@ def hessian_quadratic_form(
     method="exact" differentiates the discrete objective itself (agrees with
     second differences to O(eps^2) and polarizes exactly); "pointwise"
     evaluates the integrand |z|^2 + lam|w|^2 - 2(p, curl upsilon(z) x z)
-    on the whole time stack with trapezoid weights.
+    on the whole time stack with trapezoid weights. The weight is pd.lam;
+    lam must repeat it (see _check_problem_lam).
     """
     if method not in ("exact", "pointwise"):
         raise ValueError(f"unknown method {method!r}")
-    _check_lam(lam)
+    _check_problem_lam(lam, pd)
     tan = solve_linearized(base, w, pd)
     adj = solve_adjoint(base, None, pd)
     m, dt, h = pd.m_steps, pd.dt, pd.grid.h
     rho = left_weights(m, dt)
     tau = trap_weights(m, dt)
-    reg = l2q_inner_values(w.data, w.data, tau, h, lam)
+    reg = l2q_inner_values(w.data, w.data, tau, h, pd.lam)
     if method == "exact":
         track = l2q_inner_values(tan.z, tan.z, rho, h)
         cross = 0.0
@@ -388,9 +400,10 @@ def hessian_bilinear_form(
     """Mixed second derivative J''(u)[w1,w2] through the second-order tangent.
 
     Polarization identity: Q(w1+w2) - Q(w1) - Q(w2) equals twice this value
-    (exactly, for the exact quadratic form).
+    (exactly, for the exact quadratic form). The weight is pd.lam; lam must
+    repeat it.
     """
-    _check_lam(lam)
+    _check_problem_lam(lam, pd)
     t1 = solve_linearized(base, w1, pd)
     t2 = solve_linearized(base, w2, pd)
     second = solve_second(base, t1, t2, pd)
@@ -398,5 +411,5 @@ def hessian_bilinear_form(
     rho = left_weights(pd.m_steps, pd.dt)
     mis = base.y - pd.target_stack()
     track = l2q_inner_values(t1.z, t2.z, rho, h) + l2q_inner_values(mis, second.z, rho, h)
-    reg = l2q_inner_values(w1.data, w2.data, trap_weights(pd.m_steps, pd.dt), h, lam)
+    reg = l2q_inner_values(w1.data, w2.data, trap_weights(pd.m_steps, pd.dt), h, pd.lam)
     return track + reg

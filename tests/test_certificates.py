@@ -68,6 +68,11 @@ from sgf2d import state as state_module
 from helpers import count_calls, smooth_control
 
 E = math.e
+# the report fields worked out from the others
+DERIVED = [
+    "lambda3", "lambda3_rel_discrepancy", "verdict_second_order", "verdict_uniqueness",
+    "illustrative",
+]
 
 
 def crafted_inputs(norm_y0=0.0, norm_yd=1.0, lam=0.0, **kw):
@@ -274,8 +279,28 @@ class TestReportIO:
     )
     def test_every_float_field_refuses_nan(self, name):
         rep = certify(crafted_inputs())
+        if name in DERIVED:  # not settable; a NaN line disagrees with its derivation
+            with pytest.raises(ValueError, match=f"{name} inconsistent"):
+                CertificateReport.from_text(self._edited(rep.to_text(), **{name: "nan"}))
+            return
         with pytest.raises(ValueError, match=f"{name} must not be NaN"):
             dataclasses.replace(rep, **{name: math.nan})
+
+    @pytest.mark.parametrize("name", DERIVED)
+    def test_derived_field_not_settable(self, name):
+        rep = certify(crafted_inputs())
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(rep, **{name: getattr(rep, name)})
+
+    def test_replace_derives_again(self):
+        # a lam above both thresholds flips both verdicts in the copy
+        rep = certify(crafted_inputs())
+        assert not rep.verdict_second_order and not rep.verdict_uniqueness
+        lam = 2.0 * max(rep.coercivity_threshold, rep.uniqueness_threshold)
+        up = dataclasses.replace(rep, lam=lam)
+        assert up.verdict_second_order and up.verdict_uniqueness
+        derived = dataclasses.replace(rep, lambda3_reading="derived")
+        assert derived.lambda3 == rep.lambda3_derived
 
     def test_inf_accepted(self):
         text = certify(crafted_inputs()).to_text()
@@ -416,9 +441,9 @@ class TestReportIO:
             ({"lambda3_reading": "derived"}, "lambda3 inconsistent with its selected reading"),
             ({"lambda3_reading": "loose"}, "lambda3_reading must be one of"),
             ({"lambda3_rel_discrepancy": "0.5"}, "lambda3_rel_discrepancy inconsistent"),
-            ({"illustrative": "false"}, "illustrative flag inconsistent"),
+            ({"illustrative": "false"}, "illustrative inconsistent with the constants' sources"),
             ({"coercivity_threshold": "-1.0"}, "thresholds must be nonnegative"),
-            ({"verdict_uniqueness": "true"}, "uniqueness verdict inconsistent"),
+            ({"verdict_uniqueness": "true"}, "verdict_uniqueness inconsistent"),
         ],
         ids=[
             "lambda3", "reading", "unknown-reading", "discrepancy", "illustrative",
@@ -435,7 +460,7 @@ class TestReportIO:
         names = ("K", "K_tilde", "K_hat", "C1", "C2", "C3", "C4")
         c = DomainConstants(source={n: "user_supplied" for n in names})
         text = certify(crafted_inputs(constants=c)).to_text()
-        with pytest.raises(ValueError, match="illustrative flag inconsistent"):
+        with pytest.raises(ValueError, match="illustrative inconsistent"):
             CertificateReport.from_text(self._edited(text, illustrative="true"))
         # one default among supplied constants makes the report illustrative
         rep = CertificateReport.from_text(
@@ -453,7 +478,7 @@ class TestReportIO:
         tampered = rep.to_text().replace(
             "verdict_second_order = false", "verdict_second_order = true"
         )
-        with pytest.raises(ValueError, match="verdict inconsistent"):
+        with pytest.raises(ValueError, match="verdict_second_order inconsistent"):
             CertificateReport.from_text(tampered)
 
 
@@ -644,16 +669,17 @@ class TestHessianForms:
         ref = track + reg - 2.0 * dt * cross
         assert hessian_quadratic_form(base, w, pd, pd.lam) == ref
 
-    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1e-3])
-    def test_lam_refused_as_problem_data_would(self, lam):
-        # nan and inf used to give nan and inf forms
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1e-3, 2e-3])
+    def test_lam_other_than_the_problems_refused(self, lam):
+        # the forms weigh w by pd.lam; nan and inf used to give nan and inf
+        # forms, and 2e-3 a form of another problem
         pd = hessian_problem(n=8, m=4)
         base = solve_state(None, pd)
         w = pd.zero_control()
         for method in ("exact", "pointwise"):
-            with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+            with pytest.raises(ValueError, match="is not the problem's lambda"):
                 hessian_quadratic_form(base, w, pd, lam, method=method)
-        with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+        with pytest.raises(ValueError, match="is not the problem's lambda"):
             hessian_bilinear_form(base, w, w, pd, lam)
 
     def test_unknown_method_rejected(self):

@@ -3,9 +3,9 @@
 lambda1..lambda4 are closed-form a priori bounds (state, linearized state,
 transposed linearization, adjoint state); the second-order sufficiency
 threshold 2*K_hat*lambda3^2*lambda4 and the uniqueness threshold
-2*K_hat*lambda2^2*lambda4 are built from them. The quadratic form
-J''(u)[w,w] is evaluated exactly for the discrete objective (default) or
-from the per-slice integrand (method="pointwise").
+2*K_hat*lambda2^2*lambda4 are built from them. The Hessian forms
+J''(u)[w,w] and J''(u)[w1,w2] are the exact second derivatives of the
+discrete objective, both read from one adjoint-weighted cross term.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from . import fieldio
 from .adjoint import AdjointState, solve_adjoint
-from .grid import nonlinear_values
-from .sensitivity import solve_linearized, solve_second
+from .grid import arakawa, stack_pairs
+from .sensitivity import TangentState, solve_linearized
 from .spaces import DomainConstants, _checked, _reads_default, norm_hk, stack_hk_sq
 from .state import (
     ProblemData,
@@ -359,57 +359,64 @@ def _check_problem_lam(lam: float, pd: ProblemData) -> None:
         raise ValueError(f"lam = {lam!r} is not the problem's lambda {pd.lam!r}")
 
 
-def hessian_quadratic_form(
+def _hessian_form(
     base: StateSolution,
-    w: Trajectory,
+    w1: Trajectory,
+    t1: TangentState,
+    w2: Trajectory,
+    t2: TangentState,
     pd: ProblemData,
-    lam: float,
-    method: str = "exact",
+) -> float:
+    """J''(u)[w1,w2] from the tangents t1, t2 of w1, w2 and the tracking adjoint r:
+
+        <z1,z2>_rho + lam <w1,w2>_tau
+            - dt sum_k (<r_{k+1}, J(dq1_k, dpsi2_k)> + <r_{k+1}, J(dq2_k, dpsi1_k)>),
+
+    the second derivative of the discrete objective itself: the adjoint
+    pairs the tracking misfit with the second-order tangent's source. With
+    one tangent (t1 is t2) both cross stacks are its cached cross term.
+    """
+    adj = solve_adjoint(base, None, pd)
+    m, dt, h = pd.m_steps, pd.dt, pd.grid.h
+    if t1 is t2:
+        j12 = j21 = t1.cross
+    else:
+        j12 = stack_pairs(arakawa, t1.dq, t2.dpsi, h, np.empty_like(t1.dq[:-1]))
+        j21 = stack_pairs(arakawa, t2.dq, t1.dpsi, h, np.empty_like(t1.dq[:-1]))
+    track = l2q_inner_values(t1.z, t2.z, left_weights(m, dt), h)
+    reg = l2q_inner_values(w1.data, w2.data, trap_weights(m, dt), h, pd.lam)
+    cross = 0.0
+    for k in range(m):
+        r = adj.r[k + 1]
+        cross += float(np.vdot(r, j12[k])) + float(np.vdot(r, j21[k]))
+    return track + reg - dt * cross
+
+
+def hessian_quadratic_form(
+    base: StateSolution, w: Trajectory, pd: ProblemData, lam: float
 ) -> float:
     """J''(u)[w,w] for the discrete tracking objective.
 
-    method="exact" differentiates the discrete objective itself (agrees with
-    second differences to O(eps^2) and polarizes exactly); "pointwise"
-    evaluates the integrand |z|^2 + lam|w|^2 - 2(p, curl upsilon(z) x z)
-    on the whole time stack with trapezoid weights. The weight is pd.lam;
-    lam must repeat it (see _check_problem_lam).
+    Differentiates the discrete objective itself, so it agrees with second
+    differences of the cost to O(eps^2), polarizes exactly, and equals
+    hessian_bilinear_form(base, w, w, pd, lam) bit for bit. The weight is
+    pd.lam; lam must repeat it (see _check_problem_lam).
     """
-    if method not in ("exact", "pointwise"):
-        raise ValueError(f"unknown method {method!r}")
     _check_problem_lam(lam, pd)
-    tan = solve_linearized(base, w, pd)
-    adj = solve_adjoint(base, None, pd)
-    m, dt, h = pd.m_steps, pd.dt, pd.grid.h
-    rho = left_weights(m, dt)
-    tau = trap_weights(m, dt)
-    reg = l2q_inner_values(w.data, w.data, tau, h, pd.lam)
-    if method == "exact":
-        track = l2q_inner_values(tan.z, tan.z, rho, h)
-        cross = 0.0
-        for k in range(m):
-            cross += float(np.vdot(adj.r[k + 1], tan.cross[k]))
-        return track + reg - 2.0 * dt * cross
-    z, p = tan.z, adj.p
-    cross = nonlinear_values(z[:, 0], z[:, 1], p[:, 0], p[:, 1], pd.alpha, h)
-    return l2q_inner_values(z, z, tau, h) + reg - 2.0 * float(np.dot(tau, cross))
+    t = solve_linearized(base, w, pd)
+    return _hessian_form(base, w, t, w, t, pd)
 
 
 def hessian_bilinear_form(
     base: StateSolution, w1: Trajectory, w2: Trajectory, pd: ProblemData, lam: float
 ) -> float:
-    """Mixed second derivative J''(u)[w1,w2] through the second-order tangent.
+    """Mixed second derivative J''(u)[w1,w2] of the discrete tracking objective.
 
-    Polarization identity: Q(w1+w2) - Q(w1) - Q(w2) equals twice this value
-    (exactly, for the exact quadratic form). The weight is pd.lam; lam must
-    repeat it.
+    Symmetric in (w1, w2) bit for bit, and Q(w1+w2) - Q(w1) - Q(w2) equals
+    twice this value for the quadratic form Q. The weight is pd.lam; lam
+    must repeat it.
     """
     _check_problem_lam(lam, pd)
     t1 = solve_linearized(base, w1, pd)
     t2 = solve_linearized(base, w2, pd)
-    second = solve_second(base, t1, t2, pd)
-    h = pd.grid.h
-    rho = left_weights(pd.m_steps, pd.dt)
-    mis = base.y - pd.target_stack()
-    track = l2q_inner_values(t1.z, t2.z, rho, h) + l2q_inner_values(mis, second.z, rho, h)
-    reg = l2q_inner_values(w1.data, w2.data, trap_weights(pd.m_steps, pd.dt), h, pd.lam)
-    return track + reg
+    return _hessian_form(base, w1, t1, w2, t2, pd)

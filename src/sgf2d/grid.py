@@ -10,6 +10,7 @@ them by a zero ghost ring. ``values[i, j]`` samples the point
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -29,6 +30,14 @@ class SolverDivergenceError(RuntimeError):
     """
 
 
+def _check_count(value, name: str) -> None:
+    """Refuse a count that is not an integer; numpy integers pass (operator.index)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Grid:
     """Interior nodes of the unit square: n_interior per axis, h = 1/(n_interior+1)."""
@@ -36,6 +45,7 @@ class Grid:
     n_interior: int
 
     def __post_init__(self):
+        _check_count(self.n_interior, "n_interior")
         if self.n_interior < 3:
             raise ValueError(f"n_interior must be >= 3, got {self.n_interior}")
 

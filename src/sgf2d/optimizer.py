@@ -35,6 +35,7 @@ import numpy as np
 from . import fieldio
 from .adjoint import _gradient_values, solve_adjoint
 from .certificates import CertificateInputs, certify
+from .grid import _check_count
 from .spaces import DomainConstants, random_velocity, solenoidal_projection_values
 from .state import (
     BlowUpError,
@@ -65,14 +66,14 @@ def cost(u: Trajectory, y: Trajectory, y_d, lam: float) -> float:
     """
     _check_aligned(u, y, "control")
     _check_lam(lam)
-    return _cost_values(u, y.data, y_d, lam, y)
+    return _cost_values(u, y.data, _target_stack(y_d, y), lam, y)
 
 
-def _cost_values(u: Trajectory, y: np.ndarray, y_d, lam: float, like) -> float:
-    """cost of a velocity stack y on the grid and time steps of like (a
-    ProblemData or a Trajectory)."""
+def _cost_values(u: Trajectory, y: np.ndarray, target: np.ndarray, lam: float, like) -> float:
+    """cost of a velocity stack y against a target stack, on the grid and
+    time steps of like (a ProblemData or a Trajectory)."""
     h = like.grid.h
-    mis = y - _target_stack(y_d, like)
+    mis = y - target
     track = l2q_inner_values(mis, mis, left_weights(like.m_steps, like.dt), h, 0.5)
     ctrl = l2q_inner_values(u.data, u.data, trap_weights(u.m_steps, u.dt), h, 0.5 * lam)
     return track + ctrl
@@ -131,6 +132,8 @@ class OptimizeOptions:
     def __post_init__(self):
         if self.tol is not None and not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
+        for name in ("max_iter", "max_halvings"):
+            _check_count(getattr(self, name), name)
         # max_iter = 0 evaluates the start only and reports the cap
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
@@ -176,7 +179,7 @@ class OptimizeReport:
 def _evaluate(pd: ProblemData, u: Trajectory):
     """The state under u and the cost there, read from the state's velocity stack."""
     sol = solve_state(u, pd)
-    return sol, _cost_values(u, sol.y, pd.y_d, pd.lam, pd)
+    return sol, _cost_values(u, sol.y, pd.target_stack(), pd.lam, pd)
 
 
 def _evaluate_trial(pd: ProblemData, u: Trajectory):

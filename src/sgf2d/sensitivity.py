@@ -35,8 +35,8 @@ class TangentState:
     def cross(self) -> np.ndarray:
         """Read-only stack of J(dq[k], dpsi[k]) for k < m, computed on first read.
 
-        A sweep along one tangent (solve_second(base, t, t)) and the exact
-        Hessian form both take their cross term from here.
+        A sweep along one tangent (solve_second(base, t, t)) and the Hessian
+        forms along one tangent both take their cross term from here.
         """
         out = stack_pairs(arakawa, self.dq, self.dpsi, self.pd.grid.h, np.empty_like(self.dq[:-1]))
         out.setflags(write=False)

@@ -179,28 +179,37 @@ def sym_grad_sq(v: VectorField2D) -> float:
     return float(sym_grad_sq_values(v.u1, v.u2, v.grid.h))
 
 
+def _check_alpha(alpha: float, positive: bool = False) -> None:
+    """Refuse a NaN, infinite or negative alpha, and 0 too where positive."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    if alpha < 0 or positive and alpha == 0:
+        raise ValueError(f"alpha must be {'positive' if positive else 'nonnegative'}, got {alpha}")
+
+
 def norm_V(v: VectorField2D, alpha: float) -> float:
     """sqrt(||v||_2^2 + 2*alpha*||Dv||_2^2)."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    _check_alpha(alpha)
     return float(np.sqrt(inner_l2(v, v) + 2.0 * alpha * sym_grad_sq(v)))
 
 
 @dataclass(frozen=True)
 class NormSuite:
-    """Grid plus the viscoelastic parameter: bundles the alpha-weighted norms."""
+    """Grid plus the viscoelastic parameter: bundles the alpha-weighted norms
+    of fields on that grid; a field on another grid is refused."""
 
     grid: Grid
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        _check_alpha(self.alpha, positive=True)
 
     def norm_hk(self, v, k: int) -> float:
+        same_grid(self, v)
         return norm_hk(v, k)
 
     def norm_V(self, v: VectorField2D) -> float:
+        same_grid(self, v)
         return norm_V(v, self.alpha)
 
 
@@ -374,12 +383,11 @@ def check_inequality(kind: str, fields, constants: DomainConstants, alpha: float
     climbs, on the field (a pair (z, phi) for "trilinear") and multiplies
     the right side by the constant. The fields must carry their stream
     functions (velocity_from_stream), as the estimator's samples do, and
-    alpha must be finite.
+    alpha must be finite and nonnegative.
     """
     if kind not in _INEQUALITIES:
         raise ValueError(f"unknown inequality kind {kind!r}")
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    _check_alpha(alpha)
     terms, n_fields, name = _INEQUALITIES[kind]
     fs = (fields,) if n_fields == 1 else tuple(fields)
     g = same_grid(*fs)
@@ -576,14 +584,13 @@ def estimate_constant(
     values the climb on `_ratio` reaches.
 
     An unknown kind, samples or n_modes below 1, negative ascent_steps or a
-    non-finite alpha raises ValueError before any draw, and so does a best
-    ratio that is not finite once the climbs end.
+    negative or non-finite alpha raises ValueError before any draw, and so
+    does a best ratio that is not finite once the climbs end.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_sampling(kind, n_modes)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    _check_alpha(alpha)
     if ascent_steps < 0:
         raise ValueError(f"ascent_steps must be >= 0, got {ascent_steps}")
     terms, fields, _ = _INEQUALITIES[kind]

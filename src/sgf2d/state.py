@@ -28,6 +28,7 @@ from .grid import (
     GridMismatchError,
     ScalarField2D,
     VectorField2D,
+    _check_count,
     _neg_lap_eigenvalues,
     _time_blocks,
     apply_symbol,
@@ -304,6 +305,7 @@ class ProblemData:
         for name in ("alpha", "nu", "T", "L"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        _check_count(self.m_steps, "m_steps")
         if self.m_steps < 1:
             raise ValueError("m_steps must be >= 1")
         _check_lam(self.lam)

@@ -313,6 +313,40 @@ def second_per_step(base, t1, t2, pd):
     return propagate_per_step(base, pd, minus_cross)
 
 
+def hessian_pointwise(base, w, pd):
+    """J''(u)[w,w] from the integrand |z|^2 + lam|w|^2 - 2(p, curl upsilon(z) x z)
+    on the whole time stack with trapezoid weights: a quadrature of the
+    continuous form, which the discrete form matches only to O(dt)."""
+    from sgf2d.adjoint import solve_adjoint
+    from sgf2d.grid import nonlinear_values
+    from sgf2d.sensitivity import solve_linearized
+    from sgf2d.state import l2q_inner_values, trap_weights
+
+    tan, adj = solve_linearized(base, w, pd), solve_adjoint(base, None, pd)
+    tau, h = trap_weights(pd.m_steps, pd.dt), pd.grid.h
+    reg = l2q_inner_values(w.data, w.data, tau, h, pd.lam)
+    z, p = tan.z, adj.p
+    cross = nonlinear_values(z[:, 0], z[:, 1], p[:, 0], p[:, 1], pd.alpha, h)
+    return l2q_inner_values(z, z, tau, h) + reg - 2.0 * float(np.dot(tau, cross))
+
+
+def hessian_second_tangent(base, w1, w2, pd):
+    """J''(u)[w1,w2] = <z1,z2>_rho + <y - y_d, S''(u)[w1,w2]>_rho + lam <w1,w2>_tau,
+    with the second-order tangent S''(u)[w1,w2] marched by solve_second."""
+    from sgf2d.sensitivity import solve_linearized, solve_second
+    from sgf2d.state import l2q_inner_values, left_weights, trap_weights
+
+    t1 = solve_linearized(base, w1, pd)
+    t2 = solve_linearized(base, w2, pd)
+    second = solve_second(base, t1, t2, pd)
+    h = pd.grid.h
+    rho = left_weights(pd.m_steps, pd.dt)
+    mis = base.y - pd.target_stack()
+    track = l2q_inner_values(t1.z, t2.z, rho, h) + l2q_inner_values(mis, second.z, rho, h)
+    reg = l2q_inner_values(w1.data, w2.data, trap_weights(pd.m_steps, pd.dt), h, pd.lam)
+    return track + reg
+
+
 def korn_terms_reference(psi, h):
     """The Korn ratio's (lhs, rhs) as grad_sq_values and sym_grad_sq_values
     computed them before they shared one gradient: a diff1 call per partial."""

@@ -65,7 +65,7 @@ from sgf2d import certificates as certificates_module
 from sgf2d import sensitivity as sensitivity_module
 from sgf2d import state as state_module
 
-from helpers import count_calls, smooth_control
+from helpers import count_calls, hessian_pointwise, hessian_second_tangent, smooth_control
 
 E = math.e
 # the report fields worked out from the others
@@ -573,10 +573,7 @@ class TestHessianForms:
         pd = hessian_problem(n=10, m=6)
         base = solve_state(smooth_control(pd, 3, amplitude=0.02), pd)
         assert hessian_quadratic_form(base, pd.zero_control(), pd, pd.lam) == 0.0
-        assert (
-            hessian_quadratic_form(base, pd.zero_control(), pd, pd.lam, method="pointwise")
-            == 0.0
-        )
+        assert hessian_pointwise(base, pd.zero_control(), pd) == 0.0
 
     def test_degree_two_homogeneity(self):
         pd = hessian_problem(n=10, m=6)
@@ -618,24 +615,61 @@ class TestHessianForms:
         w2 = unit_direction(pd, 9)
         b12 = hessian_bilinear_form(base, w1, w2, pd, pd.lam)
         b21 = hessian_bilinear_form(base, w2, w1, pd, pd.lam)
-        assert rel(b12, b21) <= 1e-12
+        assert b12 == b21
+
+    def test_quadratic_form_is_the_bilinear_diagonal(self):
+        pd = hessian_problem(n=10, m=6)
+        base = solve_state(smooth_control(pd, 3, amplitude=0.02), pd)
+        w = unit_direction(pd, 4)
+        assert hessian_quadratic_form(base, w, pd, pd.lam) == hessian_bilinear_form(
+            base, w, w, pd, pd.lam
+        )
+
+    def test_quadratic_form_does_not_call_the_bilinear_form(self, monkeypatch):
+        pd = hessian_problem(n=10, m=6)
+        base = solve_state(smooth_control(pd, 3, amplitude=0.02), pd)
+        w = unit_direction(pd, 4)
+        ref = hessian_quadratic_form(base, w, pd, pd.lam)
+
+        def refuse(*args):
+            raise AssertionError("hessian_bilinear_form called")
+
+        monkeypatch.setattr(certificates_module, "hessian_bilinear_form", refuse)
+        assert hessian_quadratic_form(base, w, pd, pd.lam) == ref
+
+    @pytest.mark.parametrize("same", [False, True], ids=["w1-w2", "w-w"])
+    def test_bilinear_matches_second_tangent(self, same):
+        # the adjoint-weighted cross term against <y - y_d, S''[w1,w2]>_rho
+        # marched by solve_second: equal up to roundoff
+        pd = hessian_problem()
+        base = solve_state(smooth_control(pd, 3, amplitude=0.02), pd)
+        w1 = unit_direction(pd, 4)
+        w2 = w1 if same else unit_direction(pd, 9)
+        b = hessian_bilinear_form(base, w1, w2, pd, pd.lam)
+        assert rel(b, hessian_second_tangent(base, w1, w2, pd)) <= 1e-12
+
+    def test_method_is_not_a_parameter(self):
+        pd = hessian_problem(n=8, m=4)
+        base = solve_state(None, pd)
+        with pytest.raises(TypeError, match="method"):
+            hessian_quadratic_form(base, pd.zero_control(), pd, pd.lam, method="exact")
 
     def test_pointwise_method_consistent_first_order(self):
         # the pointwise integrand uses a different time quadrature for the
-        # cross term, so the two methods agree only up to O(dt)
+        # cross term, so it agrees with the exact form only up to O(dt)
         diffs = []
         for m in (12, 24):
             pd = hessian_problem(m=m)
             base = solve_state(smooth_control(pd, 3, amplitude=0.02), pd)
             w = unit_direction(pd, 4)
-            qe = hessian_quadratic_form(base, w, pd, pd.lam, method="exact")
-            qp = hessian_quadratic_form(base, w, pd, pd.lam, method="pointwise")
+            qe = hessian_quadratic_form(base, w, pd, pd.lam)
+            qp = hessian_pointwise(base, w, pd)
             diffs.append(abs(qe - qp) / abs(qe))
         assert diffs[0] < 0.01
         assert diffs[1] < 0.65 * diffs[0]
 
     def test_pointwise_matches_per_slice_loop(self):
-        # the whole-stack form against the integrand summed one slice at a
+        # the whole-stack integrand against the integrand summed one slice at a
         # time from the field-level forms; only the summation order differs
         pd = hessian_problem(n=10, m=6)
         base = solve_state(smooth_control(pd, 3, amplitude=0.02), pd)
@@ -651,7 +685,7 @@ class TestHessianForms:
             terms.append((tau[k], parts))
         ref = sum(t * sum(parts) for t, parts in terms)
         scale = sum(t * sum(abs(x) for x in parts) for t, parts in terms)
-        q = hessian_quadratic_form(base, w, pd, pd.lam, method="pointwise")
+        q = hessian_pointwise(base, w, pd)
         assert abs(q - ref) <= 64 * np.finfo(float).eps * scale
 
     def test_exact_matches_per_step_loop(self):
@@ -676,26 +710,10 @@ class TestHessianForms:
         pd = hessian_problem(n=8, m=4)
         base = solve_state(None, pd)
         w = pd.zero_control()
-        for method in ("exact", "pointwise"):
-            with pytest.raises(ValueError, match="is not the problem's lambda"):
-                hessian_quadratic_form(base, w, pd, lam, method=method)
+        with pytest.raises(ValueError, match="is not the problem's lambda"):
+            hessian_quadratic_form(base, w, pd, lam)
         with pytest.raises(ValueError, match="is not the problem's lambda"):
             hessian_bilinear_form(base, w, w, pd, lam)
-
-    def test_unknown_method_rejected(self):
-        pd = hessian_problem(n=10, m=6)
-        base = solve_state(None, pd)
-        with pytest.raises(ValueError, match="unknown method"):
-            hessian_quadratic_form(base, pd.zero_control(), pd, 0.0, method="fast")
-
-    def test_unknown_method_rejected_before_any_sweep(self, monkeypatch):
-        pd = hessian_problem(n=10, m=6)
-        base = solve_state(None, pd)
-        tangents = count_calls(monkeypatch, certificates_module, "solve_linearized")
-        adjoints = count_calls(monkeypatch, certificates_module, "solve_adjoint")
-        with pytest.raises(ValueError, match="unknown method"):
-            hessian_quadratic_form(base, pd.zero_control(), pd, 0.0, method="fast")
-        assert tangents == [] and adjoints == []
 
 
 class TestSweepSolveCounts:

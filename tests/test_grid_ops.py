@@ -101,6 +101,15 @@ class TestGridAndFields:
         with pytest.raises(ValueError):
             Grid(2)
 
+    @pytest.mark.parametrize("n", [3.5, 8.0, "8"])
+    def test_non_integral_size_refused(self, n):
+        # Grid(3.5) used to be built
+        with pytest.raises(ValueError, match=f"n_interior must be an integer, got {n!r}"):
+            Grid(n)
+
+    def test_numpy_integer_size_accepted(self):
+        assert Grid(np.int64(8)).h == Grid(8).h
+
     def test_field_shape_checked(self):
         g = Grid(8)
         with pytest.raises(ValueError):

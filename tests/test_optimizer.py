@@ -325,6 +325,13 @@ class TestOptimize:
         with pytest.raises(ValueError, match=field):
             OptimizeOptions(**kw)
 
+    @pytest.mark.parametrize("field", ["max_iter", "max_halvings"])
+    def test_counts_must_be_integers(self, field):
+        # max_iter = 2.5 used to be built, and optimize failed after its first sweeps
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got 2.5"):
+            OptimizeOptions(**{field: 2.5})
+        assert getattr(OptimizeOptions(**{field: np.int64(3)}), field) == 3
+
     def test_options_are_checked_again_on_replace(self):
         # max_iter = -3 used to return a report with no iterates
         opts = OptimizeOptions()
@@ -614,6 +621,17 @@ class TestCostReadsTheStack:
         rep = optimize(pd)
         assert len(reads) == 0 and rep.n_state_solves == 3
         # the same bits as cost on the velocity trajectory
+        want = cost(rep.u_final, rep.final_state.velocity, pd.y_d, pd.lam)
+        assert rep.J_final.hex() == want.hex()
+
+    def test_optimize_normalizes_the_target_once(self, monkeypatch):
+        # a Trajectory target used to be checked and stacked on every state solve
+        pd = small_problem()
+        moving = pd.target_stack() * np.linspace(0.5, 1.5, pd.m_steps + 1)[:, None, None, None]
+        pd = replace(pd, y_d=Trajectory(pd.grid, pd.dt, "target", moving))
+        stacks = count_calls(monkeypatch, optimizer_module, "_target_stack")
+        rep = optimize(pd)
+        assert stacks == [] and rep.n_state_solves == 3
         want = cost(rep.u_final, rep.final_state.velocity, pd.y_d, pd.lam)
         assert rep.J_final.hex() == want.hex()
 

@@ -250,6 +250,13 @@ class TestProblemData:
             with pytest.raises(ValueError):
                 ProblemData(**{**ok, **bad})
 
+    def test_non_integral_m_steps_refused(self):
+        # used to fail inside numpy: "'float' object cannot be interpreted as an integer"
+        pd = small_problem()
+        with pytest.raises(ValueError, match="m_steps must be an integer, got 2.5"):
+            replace(pd, m_steps=2.5)
+        assert replace(pd, m_steps=np.int64(pd.m_steps)).dt == pd.dt
+
     @pytest.mark.parametrize("name,bad", [("alpha", -0.5), ("L", np.inf), ("lam", -1.0)])
     def test_a_changed_value_is_checked_again(self, name, bad):
         # an assignment would skip the checks of __post_init__; replace runs them

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fieldio
 from .adjoint import AdjointState, solve_adjoint
-from .grid import arakawa, stack_pairs
+from .grid import _check_real, arakawa, stack_pairs
 from .sensitivity import TangentState, solve_linearized
 from .spaces import DomainConstants, _checked, _reads_default, norm_hk, stack_hk_sq
 from .state import (
@@ -54,11 +54,9 @@ class CertificateInputs:
 
     def __post_init__(self):
         for name in ("alpha", "nu", "T"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            _check_real(getattr(self, name), name)
         for name in ("norm_y0_H3", "norm_u_L1H1", "norm_yd_L2Q", "lam"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
+            _check_real(getattr(self, name), name, positive=False)
         if self.u_norm_source not in ("actual", "ball_bound"):
             raise ValueError("u_norm_source must be 'actual' or 'ball_bound'")
 

@@ -5,7 +5,8 @@ Subcommands: simulate | optimize | gradcheck | certify | estimate-constants
 log.csv, report.txt, certificate.txt. Exit codes: 0 success, 1 solver
 failure, 2 config error. A config is parsed, validated and built into its
 problem and optimizer options before anything is written, so a config error
-leaves no partial artifacts.
+leaves no partial artifacts; a negative --seed or --snapshot-every exits 2
+the same way, before --out is created.
 """
 
 from __future__ import annotations
@@ -242,8 +243,9 @@ def run(config: RunConfig, subcommand: str, out_dir, seed=None, snapshot_every=N
     pd = config.problem
     seed = config["seed"] if seed is None else seed
     every = config["snapshot_every"] if snapshot_every is None else snapshot_every
-    if every < 0:
-        raise ConfigError("snapshot-every must be nonnegative")
+    for flag, value in (("seed", seed), ("snapshot-every", every)):
+        if value < 0:
+            raise ConfigError(f"{flag} must be nonnegative")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pairs = _COMMANDS[subcommand](config, pd, out, seed, every)

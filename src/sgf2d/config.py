@@ -12,8 +12,8 @@ by its key's parser in `_PROBLEM_KEYS`/`_RUN_KEYS` (mode triples and
 estimation kinds included) through `fieldio.typed_value`
 (`file:line: bad value for KEY: ...`). A run key with a range or a choice
 carries that rule in its own row (`_ruled`), so it is refused at its line
-before anything runs: `snapshot_every` >= 0, `n_starts` >= 2, `samples` >= 1
-and `lambda3_reading` `printed` or `derived`.
+before anything runs: `seed` >= 0, `snapshot_every` >= 0, `n_starts` >= 2,
+`samples` >= 1 and `lambda3_reading` `printed` or `derived`.
 The problem's and optimizer's invariants are checked only by the library:
 `parse_config` builds the `ProblemData` (with `build_problem`, which reads
 `yd_from` snapshots and may raise the y0 CFL warning) and the
@@ -31,7 +31,7 @@ import numpy as np
 
 from .certificates import _READINGS
 from .fieldio import read_field, read_pairs, typed_value
-from .grid import Grid, ScalarField2D, VectorField2D, velocity_from_stream
+from .grid import _check_count, Grid, ScalarField2D, VectorField2D, velocity_from_stream
 from .optimizer import OptimizeOptions
 from .spaces import _INEQUALITIES, CONSTANT_NAMES, DomainConstants, load_constants
 from .state import ProblemData, Trajectory
@@ -53,10 +53,9 @@ def _parse_modes(text: str) -> tuple[tuple[int, int, float], ...]:
             raise ValueError(f"mode {part!r} is not 'k1,k2,amplitude'")
         try:
             k1, k2, amp = int(bits[0]), int(bits[1]), float(bits[2])
+            _check_count(min(k1, k2), "mode numbers", 1)
         except ValueError as exc:
             raise ValueError(f"mode {part!r}: {exc}") from exc
-        if k1 < 1 or k2 < 1:
-            raise ValueError(f"mode numbers must be >= 1 in {part!r}")
         if not math.isfinite(amp):
             raise ValueError(f"mode amplitude must be finite in {part!r}")
         modes.append((k1, k2, amp))
@@ -99,7 +98,7 @@ _PROBLEM_KEYS = {
     "yd_from": (str, ""),
 }
 _RUN_KEYS = {
-    "seed": (int, 0),
+    "seed": (_ruled(int, lambda v: v >= 0, "must be nonnegative"), 0),
     "snapshot_every": (_ruled(int, lambda v: v >= 0, "must be nonnegative"), 0),
     "tol": (float, None),
     "max_iter": (int, None),

@@ -30,12 +30,23 @@ class SolverDivergenceError(RuntimeError):
     """
 
 
-def _check_count(value, name: str) -> None:
-    """Refuse a count that is not an integer; numpy integers pass (operator.index)."""
+def _check_count(value, name: str, minimum: int) -> None:
+    """Refuse a count or seed that is not an integer (numpy integers pass,
+    by operator.index) or that is below minimum."""
     try:
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_real(value, name: str, positive: bool = True) -> None:
+    """Refuse a parameter that is NaN, infinite or negative, and 0 too where
+    positive."""
+    if not (0 < value < math.inf if positive else 0 <= value < math.inf):
+        rule = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be {rule} and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -45,9 +56,7 @@ class Grid:
     n_interior: int
 
     def __post_init__(self):
-        _check_count(self.n_interior, "n_interior")
-        if self.n_interior < 3:
-            raise ValueError(f"n_interior must be >= 3, got {self.n_interior}")
+        _check_count(self.n_interior, "n_interior", 3)
 
     @property
     def h(self) -> float:
@@ -449,8 +458,7 @@ def poisson_solve_values(omega: np.ndarray) -> np.ndarray:
 def helmholtz_solve_values(rhs: np.ndarray, a: float) -> np.ndarray:
     """Solve (I - a*lap5) f = rhs with zero Dirichlet boundary, a > 0, slice
     by slice over the last two axes."""
-    if not 0 < a < math.inf:
-        raise ValueError(f"helmholtz coefficient must be positive and finite, got {a}")
+    _check_real(a, "helmholtz coefficient")
     return apply_symbol(rhs, _helmholtz_symbol(rhs.shape[-1], a))
 
 

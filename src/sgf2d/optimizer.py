@@ -35,7 +35,7 @@ import numpy as np
 from . import fieldio
 from .adjoint import _gradient_values, solve_adjoint
 from .certificates import CertificateInputs, certify
-from .grid import _check_count
+from .grid import _check_count, _check_real
 from .spaces import DomainConstants, random_velocity, solenoidal_projection_values
 from .state import (
     BlowUpError,
@@ -43,7 +43,6 @@ from .state import (
     StateSolution,
     Trajectory,
     _check_aligned,
-    _check_lam,
     _h1_norm,
     _target_stack,
     control_h1_norm,
@@ -65,7 +64,7 @@ def cost(u: Trajectory, y: Trajectory, y_d, lam: float) -> float:
     is a lam that ProblemData would refuse.
     """
     _check_aligned(u, y, "control")
-    _check_lam(lam)
+    _check_real(lam, "lambda", positive=False)
     return _cost_values(u, y.data, _target_stack(y_d, y), lam, y)
 
 
@@ -130,20 +129,15 @@ class OptimizeOptions:
     initial_step: float = 1.0
 
     def __post_init__(self):
-        if self.tol is not None and not 0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
-        for name in ("max_iter", "max_halvings"):
-            _check_count(getattr(self, name), name)
+        if self.tol is not None:
+            _check_real(self.tol, "tol")
         # max_iter = 0 evaluates the start only and reports the cap
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
+        for name in ("max_iter", "max_halvings"):
+            _check_count(getattr(self, name), name, 0)
         # armijo_c <= 0 accepts steps that raise J
         if not 0 < self.armijo_c < 1:
             raise ValueError("armijo_c must lie in (0, 1)")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be nonnegative")
-        if not 0 < self.initial_step < math.inf:
-            raise ValueError("initial_step must be positive and finite")
+        _check_real(self.initial_step, "initial_step")
 
 
 @dataclass
@@ -320,6 +314,8 @@ def solenoidal_part(u: Trajectory) -> Trajectory:
 
 def start_control(pd: ProblemData, seed: int, index: int, scale: float = 0.45) -> Trajectory:
     """Deterministic admissible random start: time-modulated stream modes."""
+    _check_count(seed, "seed", 0)
+    _check_count(index, "index", 0)
     v = random_velocity(pd.grid, np.random.default_rng([seed, index]))
     tmod = 1.0 + 0.5 * np.cos(
         np.pi * np.linspace(0.0, 1.0, pd.m_steps + 1) * (1 + index % 2)
@@ -374,8 +370,8 @@ def multi_start_uniqueness(
     Without a given tol, every start stops at the default tol of optimize,
     with J(0) solved once for all of them.
     """
-    if n_starts < 2:
-        raise ValueError("n_starts must be >= 2")
+    _check_count(n_starts, "n_starts", 2)
+    _check_count(seed, "seed", 0)
     opts = opts or OptimizeOptions()
     if opts.tol is None:
         opts = replace(opts, tol=_default_tol(_evaluate(pd, pd.zero_control())[1]))

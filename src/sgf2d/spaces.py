@@ -20,6 +20,8 @@ import numpy as np
 from . import fieldio
 from .grid import (
     _blocks,
+    _check_count,
+    _check_real,
     _time_blocks,
     Grid,
     GridMismatchError,
@@ -179,17 +181,9 @@ def sym_grad_sq(v: VectorField2D) -> float:
     return float(sym_grad_sq_values(v.u1, v.u2, v.grid.h))
 
 
-def _check_alpha(alpha: float, positive: bool = False) -> None:
-    """Refuse a NaN, infinite or negative alpha, and 0 too where positive."""
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    if alpha < 0 or positive and alpha == 0:
-        raise ValueError(f"alpha must be {'positive' if positive else 'nonnegative'}, got {alpha}")
-
-
 def norm_V(v: VectorField2D, alpha: float) -> float:
     """sqrt(||v||_2^2 + 2*alpha*||Dv||_2^2)."""
-    _check_alpha(alpha)
+    _check_real(alpha, "alpha", positive=False)
     return float(np.sqrt(inner_l2(v, v) + 2.0 * alpha * sym_grad_sq(v)))
 
 
@@ -202,7 +196,7 @@ class NormSuite:
     alpha: float
 
     def __post_init__(self):
-        _check_alpha(self.alpha, positive=True)
+        _check_real(self.alpha, "alpha")
 
     def norm_hk(self, v, k: int) -> float:
         same_grid(self, v)
@@ -235,8 +229,7 @@ class DomainConstants:
         for name in source:
             if name not in CONSTANT_NAMES:
                 raise ValueError(f"unknown constant {name!r} in source")
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"constant {name} must be positive and finite")
+            _check_real(getattr(self, name), f"constant {name}")
             if source[name] not in ("user_supplied", "estimated", "default_unit"):
                 raise ValueError(f"bad source for {name}: {source[name]!r}")
         object.__setattr__(self, "source", MappingProxyType(source))
@@ -387,7 +380,7 @@ def check_inequality(kind: str, fields, constants: DomainConstants, alpha: float
     """
     if kind not in _INEQUALITIES:
         raise ValueError(f"unknown inequality kind {kind!r}")
-    _check_alpha(alpha)
+    _check_real(alpha, "alpha", positive=False)
     terms, n_fields, name = _INEQUALITIES[kind]
     fs = (fields,) if n_fields == 1 else tuple(fields)
     g = same_grid(*fs)
@@ -467,12 +460,13 @@ def _ratio(terms, c: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
         return np.where(rhs == 0.0, 0.0, lhs / rhs)
 
 
-def _check_sampling(kind: str, n_modes: int) -> None:
-    """ValueError unless kind is a key of _INEQUALITIES and n_modes >= 1."""
+def _check_sampling(kind: str, n_modes: int, seed: int) -> None:
+    """ValueError unless kind is a key of _INEQUALITIES, n_modes an integer
+    >= 1 and seed an integer >= 0."""
     if kind not in _INEQUALITIES:
         raise ValueError(f"unknown constant kind {kind!r}")
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    _check_count(n_modes, "n_modes", 1)
+    _check_count(seed, "seed", 0)
 
 
 class _RatioClimb:
@@ -583,16 +577,15 @@ def estimate_constant(
     `_ratio` runs once per block on the samples' final points and gives the
     values the climb on `_ratio` reaches.
 
-    An unknown kind, samples or n_modes below 1, negative ascent_steps or a
-    negative or non-finite alpha raises ValueError before any draw, and so
-    does a best ratio that is not finite once the climbs end.
+    An unknown kind, a count or seed that is not an integer, samples or
+    n_modes below 1, a negative seed or ascent_steps or a negative or
+    non-finite alpha raises ValueError before any draw, and so does a best
+    ratio that is not finite once the climbs end.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    _check_sampling(kind, n_modes)
-    _check_alpha(alpha)
-    if ascent_steps < 0:
-        raise ValueError(f"ascent_steps must be >= 0, got {ascent_steps}")
+    _check_count(samples, "samples", 1)
+    _check_sampling(kind, n_modes, seed)
+    _check_real(alpha, "alpha", positive=False)
+    _check_count(ascent_steps, "ascent_steps", 0)
     terms, fields, _ = _INEQUALITIES[kind]
     ratio = partial(_ratio, terms, grid=grid, alpha=alpha)
     shape = (n_modes, n_modes) if fields == 1 else (fields, n_modes, n_modes)
@@ -626,7 +619,8 @@ def sample_field(kind: str, index: int, seed: int, *, grid: Grid, n_modes: int =
     Returns the field(s) the estimator started sample `index` from; used to
     check the inequalities on the exact family the estimate came from.
     """
-    _check_sampling(kind, n_modes)
+    _check_sampling(kind, n_modes, seed)
+    _check_count(index, "index", 0)
     rng = np.random.default_rng([seed, index])
     if kind == "trilinear":
         c = rng.standard_normal((2, n_modes, n_modes))

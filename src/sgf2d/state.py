@@ -29,6 +29,7 @@ from .grid import (
     ScalarField2D,
     VectorField2D,
     _check_count,
+    _check_real,
     _neg_lap_eigenvalues,
     _time_blocks,
     apply_symbol,
@@ -97,8 +98,7 @@ class Trajectory:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if not ok or a.shape[0] < 2:
             raise ValueError(f"bad trajectory data shape {a.shape} for kind {self.kind!r}")
-        if not 0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
+        _check_real(self.dt, "dt")
         if not np.isfinite(a).all():
             raise ValueError("trajectory contains non-finite entries")
         a.setflags(write=False)
@@ -249,12 +249,6 @@ def _check_aligned(traj: Trajectory, like, what: str) -> None:
         raise GridMismatchError(f"{what} is not aligned with the problem")
 
 
-def _check_lam(lam: float) -> None:
-    """Refuse a regularization weight lambda that is negative, NaN or infinite."""
-    if not 0 <= lam < math.inf:
-        raise ValueError("lambda must be nonnegative and finite")
-
-
 def _target_stack(y_d, like) -> np.ndarray:
     """The target as an (m_steps+1, 2, n, n) array on the grid and steps of like
     (a ProblemData or a Trajectory); None is the zero target. A target that is
@@ -303,12 +297,9 @@ class ProblemData:
 
     def __post_init__(self):
         for name in ("alpha", "nu", "T", "L"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        _check_count(self.m_steps, "m_steps")
-        if self.m_steps < 1:
-            raise ValueError("m_steps must be >= 1")
-        _check_lam(self.lam)
+            _check_real(getattr(self, name), name)
+        _check_count(self.m_steps, "m_steps", 1)
+        _check_real(self.lam, "lambda", positive=False)
         if self.y0.grid != self.grid:
             raise GridMismatchError("y0 lives on a different grid")
         if self.y0.stream is None:

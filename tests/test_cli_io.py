@@ -257,7 +257,7 @@ class TestConfigParsing:
         p = write_cfg(tmp_path, MINIMAL.replace("alpha = 0.4", "alpha = inf"))
         with pytest.raises(ConfigError) as exc:
             parse_config(p)
-        assert str(exc.value) == f"{p}: alpha must be positive and finite"
+        assert str(exc.value) == f"{p}: alpha must be positive and finite, got inf"
 
     def test_yd_from_with_no_steps_refused_by_library(self, tmp_path):
         p = write_cfg(
@@ -348,6 +348,20 @@ class TestCliExitCodes:
         with pytest.raises(ConfigError, match="snapshot-every must be nonnegative"):
             cli_module.run(rc, "simulate", out, snapshot_every=-1)
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["estimate-constants", "gradcheck", "multistart"])
+    def test_negative_seed_is_exit_2_and_writes_nothing(self, tmp_path, capsys, subcommand):
+        # refused before --out exists and before numpy's generator sees it
+        cfg = write_cfg(tmp_path, MINIMAL + "[run]\nseed = -1\n")
+        flagged = write_cfg(tmp_path, MINIMAL, name="flagged.txt")
+        for path, flags, err in [
+            (cfg, [], f"{cfg}:8: bad value for seed: must be nonnegative (got -1)"),
+            (flagged, ["--seed", "-1"], "seed must be nonnegative"),
+        ]:
+            out = tmp_path / "out"
+            assert main([subcommand, "--config", str(path), "--out", str(out), *flags]) == 2
+            assert capsys.readouterr().err == f"config error: {err}\n"
+            assert not out.exists()
 
     def test_missing_config_file_is_exit_2(self, tmp_path, capsys):
         rc = main(

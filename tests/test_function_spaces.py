@@ -269,16 +269,16 @@ class TestNormV:
 
     def test_negative_alpha_rejected(self):
         v = random_field(Grid(6), 12)
-        with pytest.raises(ValueError, match="alpha must be nonnegative, got -0.1"):
+        with pytest.raises(ValueError, match="alpha must be nonnegative and finite, got -0.1"):
             norm_V(v, -0.1)
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf])
     def test_non_finite_alpha_rejected(self, alpha):
         # NaN used to give a NaN norm, and NormSuite built either
         g = Grid(6)
-        with pytest.raises(ValueError, match="alpha must be finite"):
+        with pytest.raises(ValueError, match=f"alpha must be nonnegative and finite, got {alpha}"):
             norm_V(random_field(g, 12), alpha)
-        with pytest.raises(ValueError, match="alpha must be finite"):
+        with pytest.raises(ValueError, match=f"alpha must be positive and finite, got {alpha}"):
             NormSuite(g, alpha)
 
     @pytest.mark.parametrize("norm", ["norm_hk", "norm_V"])
@@ -295,7 +295,7 @@ class TestNormV:
         v = random_field(g, 13)
         assert suite.norm_V(v) == norm_V(v, 0.25)
         assert suite.norm_hk(v, 2) == norm_hk(v, 2)
-        with pytest.raises(ValueError, match="alpha must be positive, got 0.0"):
+        with pytest.raises(ValueError, match="alpha must be positive and finite, got 0.0"):
             NormSuite(g, 0.0)
 
 
@@ -722,17 +722,17 @@ class TestConstantToolArguments:
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
     def test_check_inequality_needs_finite_alpha(self, alpha):
         fields = velocity_from_stream(ScalarField2D(Grid(8), np.zeros((8, 8))))
-        with pytest.raises(ValueError, match="alpha must be finite"):
+        with pytest.raises(ValueError, match=f"alpha must be nonnegative and finite, got {alpha}"):
             check_inequality("trilinear", (fields, fields), DomainConstants(), alpha=alpha)
 
     def test_check_inequality_needs_nonnegative_alpha(self):
         # ProblemData refuses alpha <= 0; this used to return a check
         fields = velocity_from_stream(ScalarField2D(Grid(8), np.zeros((8, 8))))
-        with pytest.raises(ValueError, match="alpha must be nonnegative, got -1.0"):
+        with pytest.raises(ValueError, match="alpha must be nonnegative and finite, got -1.0"):
             check_inequality("trilinear", (fields, fields), DomainConstants(), alpha=-1.0)
 
     def test_estimate_needs_nonnegative_alpha(self):
-        with pytest.raises(ValueError, match="alpha must be nonnegative, got -1.0"):
+        with pytest.raises(ValueError, match="alpha must be nonnegative and finite, got -1.0"):
             estimate_constant("trilinear", 2, 1, grid=Grid(8), alpha=-1.0)
 
 

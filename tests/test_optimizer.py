@@ -27,7 +27,13 @@ from sgf2d.optimizer import (
     start_control,
     vi_residual,
 )
-from sgf2d.spaces import DomainConstants, solenoidal_projection_values, stream_from_coeffs
+from sgf2d.spaces import (
+    DomainConstants,
+    estimate_constant,
+    sample_field,
+    solenoidal_projection_values,
+    stream_from_coeffs,
+)
 from sgf2d.state import (
     BlowUpError,
     ProblemData,
@@ -660,6 +666,36 @@ class TestSolenoidalPart:
         for k in range(pd.m_steps + 1):
             p1, p2 = solenoidal_projection_values(u.data[k, 0], u.data[k, 1], pd.grid.h)
             assert np.array_equal(s.data[k, 0], p1) and np.array_equal(s.data[k, 1], p2)
+
+
+# a valid call's counts and seeds; one at a time is made a float or negative
+_COUNTS_AND_SEEDS = {
+    estimate_constant: {"samples": 2, "seed": 0, "ascent_steps": 1, "n_modes": 2},
+    sample_field: {"index": 0, "seed": 0, "n_modes": 2},
+    start_control: {"seed": 0, "index": 0},
+    multi_start_uniqueness: {"n_starts": 2, "seed": 0},
+}
+
+
+@pytest.mark.parametrize(
+    "fn, name, value",
+    [
+        (fn, name, -1 if name == "seed" else float(good))
+        for fn, kwargs in _COUNTS_AND_SEEDS.items()
+        for name, good in kwargs.items()
+    ],
+    ids=lambda x: getattr(x, "__name__", str(x)),
+)
+def test_count_or_seed_refused_before_any_draw_or_solve(monkeypatch, fn, name, value):
+    # refused by name, not by numpy or by range(), and before J(0) is solved
+    pd = small_problem()
+    solves = count_calls(monkeypatch, optimizer_module, "solve_state")
+    draws = count_calls(monkeypatch, np.random, "default_rng")
+    by_kind = fn in (estimate_constant, sample_field)
+    args, on_grid = (("korn",), {"grid": pd.grid}) if by_kind else ((pd,), {})
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        fn(*args, **{**_COUNTS_AND_SEEDS[fn], name: value}, **on_grid)
+    assert solves == [] and draws == []
 
 
 class TestMultiStart:

@@ -1,7 +1,7 @@
 """Static checks over the package source: every module imports only what it
-uses, only fieldio splits ``key = value`` lines, the CLI reads only the
-config keys that config's key table declares, and every checked dataclass
-is frozen."""
+uses, only fieldio splits ``key = value`` lines, only grid words a range
+rule, the CLI reads only the config keys that config's key table declares,
+and every checked dataclass is frozen."""
 
 import ast
 import re
@@ -60,6 +60,33 @@ def test_fieldio_splits_pairs():
 def test_only_fieldio_splits_pairs(path):
     # every key = value reader goes through fieldio.read_pairs
     assert equals_splits(ast.parse(path.read_text())) == []
+
+
+RULE_FRAGMENTS = ("and finite", "must be >=")
+
+
+def rule_wordings(tree: ast.Module) -> list[int]:
+    """Line numbers of every string constant, f-string parts included, that
+    holds the wording of a range rule."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and any(f in node.value for f in RULE_FRAGMENTS)
+    )
+
+
+def test_grid_words_the_rules():
+    assert rule_wordings(ast.parse((SRC / "grid.py").read_text()))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "grid.py"], ids=lambda p: p.name
+)
+def test_only_grid_words_the_rules(path):
+    # every range check goes through grid._check_count or grid._check_real
+    assert rule_wordings(ast.parse(path.read_text())) == []
 
 
 def config_keys_read(tree: ast.Module) -> set[str]:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import fieldio
 from .adjoint import _gradient_values, solve_adjoint
-from .certificates import CertificateInputs, certify
+from .certificates import CertificateInputs, CertificateReport, certify
 from .grid import _check_count, _check_real
 from .spaces import DomainConstants, random_velocity, solenoidal_projection_values
 from .state import (
@@ -333,13 +333,25 @@ class MultiStartReport:
     reports: list
     distances: np.ndarray
     distance_tol: float
-    uniqueness_threshold: float | None
-    lambda_exceeds_threshold: bool | None
-    illustrative: bool | None
+    # certify's report on the problem with the given constants, None without them
+    certificate: CertificateReport | None
     # max_distance over the largest L2(Q) norm of the starts' solenoidal
     # parts, 0 when all of them are 0. Unlike distance_tol = 1e-5 L it does
     # not grow with L: with the ball inactive the minimizer does not depend on L.
     relative_spread: float
+
+    @property
+    def uniqueness_threshold(self) -> float | None:
+        return None if self.certificate is None else self.certificate.uniqueness_threshold
+
+    @property
+    def lambda_exceeds_threshold(self) -> bool | None:
+        """Whether the problem's lam exceeds the uniqueness threshold."""
+        return None if self.certificate is None else self.certificate.verdict_uniqueness
+
+    @property
+    def illustrative(self) -> bool | None:
+        return None if self.certificate is None else self.certificate.illustrative
 
     @property
     def max_distance(self) -> float:
@@ -388,19 +400,13 @@ def multi_start_uniqueness(
     norm = max(l2q_norm(s, tau) for s in sol_parts)
     spread = float(distances.max()) / norm if norm else 0.0
 
-    threshold = exceeds = illustrative = None
+    certificate = None
     if constants is not None:
-        report = certify(CertificateInputs.from_problem(pd, constants))
-        threshold = report.uniqueness_threshold
-        exceeds = pd.lam > threshold
-        illustrative = report.illustrative
-
+        certificate = certify(CertificateInputs.from_problem(pd, constants))
     return MultiStartReport(
         reports=reports,
         distances=distances,
         distance_tol=1e-5 * pd.L,
-        uniqueness_threshold=threshold,
-        lambda_exceeds_threshold=exceeds,
-        illustrative=illustrative,
+        certificate=certificate,
         relative_spread=spread,
     )

@@ -373,15 +373,20 @@ def check_inequality(kind: str, fields, constants: DomainConstants, alpha: float
     kind "trilinear": |(curl(v(z)) x z, phi)| <= K^ * ||phi||_H2 * ||z||_H2^2
 
     Evaluates the estimator's terms, the pair whose ratio estimate_constant
-    climbs, on the field (a pair (z, phi) for "trilinear") and multiplies
-    the right side by the constant. The fields must carry their stream
-    functions (velocity_from_stream), as the estimator's samples do, and
-    alpha must be finite and nonnegative.
+    bounds, on one field, or on a (z, phi) pair (a tuple or list) for
+    "trilinear", and multiplies the right side by the constant. The fields
+    must carry their stream functions (velocity_from_stream), as the
+    estimator's samples do, and alpha must be finite and nonnegative. Any
+    other number of fields raises ValueError before a stencil runs.
     """
     if kind not in _INEQUALITIES:
         raise ValueError(f"unknown inequality kind {kind!r}")
     _check_real(alpha, "alpha", positive=False)
     terms, n_fields, name = _INEQUALITIES[kind]
+    given = f"a sequence of {len(fields)}" if isinstance(fields, (tuple, list)) else "one field"
+    wanted = "one field" if n_fields == 1 else f"a sequence of {n_fields}"
+    if given != wanted:
+        raise ValueError(f"{kind} takes {wanted}, got {given}")
     fs = (fields,) if n_fields == 1 else tuple(fields)
     g = same_grid(*fs)
     if any(f.stream is None for f in fs):
@@ -394,8 +399,6 @@ def check_inequality(kind: str, fields, constants: DomainConstants, alpha: float
 
 # the kinds whose terms are quadratic forms in the mode coefficients
 _PENCIL_KINDS = ("korn", "elliptic")
-# relative margin of a decision on the pencil; see estimate_constant
-_PENCIL_TAU = 1e-9
 
 
 def _gram(parts, h: float) -> np.ndarray:
@@ -469,66 +472,19 @@ def _check_sampling(kind: str, n_modes: int, seed: int) -> None:
     _check_count(seed, "seed", 0)
 
 
-class _RatioClimb:
-    """The hill climb's accept rule: a sample moves to its proposal where
-    the proposal's ratio is larger, one batched ratio call per step; ratio
-    is _ratio of the inequality's terms on the climb's grid and alpha."""
+def _pencil_sup(pencil: tuple[np.ndarray, np.ndarray]) -> float:
+    """The largest c N c / c D c over the c with c D c > 0: the top
+    eigenvalue of N on the range of D, whitened by D's eigenpairs.
 
-    def __init__(self, ratio, c: np.ndarray):
-        self.ratio = ratio
-        self.r = ratio(c)
-
-    def accept(self, c: np.ndarray, prop: np.ndarray) -> np.ndarray:
-        """Mask of the samples that move from c to prop."""
-        rp = self.ratio(prop)
-        up = rp > self.r
-        self.r[up] = rp[up]
-        return up
-
-    def final(self, c: np.ndarray) -> np.ndarray:
-        """ratio of the samples' final points c."""
-        return self.r
-
-
-class _PencilClimb(_RatioClimb):
-    """_RatioClimb's accept rule, decided on p = c N c / c D c of the
-    kind's quadratic_pencil (N, D) wherever the bounds e on |p - ratio| of
-    the two points cannot reverse it, and on ratio of both points elsewhere."""
-
-    def __init__(self, pencil: tuple[np.ndarray, np.ndarray], ratio, c: np.ndarray):
-        self.ratio = ratio
-        nd = np.hstack(pencil)
-        self.forms = np.stack((nd, np.abs(nd)))
-        self.p, self.e = self.bounds(c)
-
-    def bounds(self, c: np.ndarray):
-        """p and e of each sample's point; p is NaN where c N c or c D c is
-        <= 0 or a value is not finite."""
-        cf = c.reshape(c.shape[0], -1)
-        x = np.stack((cf, np.abs(cf)))
-        # rows c N c, c D c, |c| |N| |c|, |c| |D| |c|
-        q = ((x @ self.forms).reshape(2, len(cf), 2, -1) * x[:, :, None]).sum(-1)
-        (nq, dq), (na, da) = q.transpose(0, 2, 1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            p = nq / dq
-            # p * tau * (kappa_N + kappa_D), kappa the condition |c| |N| |c| / c N c
-            e = _PENCIL_TAU * (na + p * da) / dq
-        return np.where((nq > 0) & (dq > 0) & np.isfinite(e), p, np.nan), e
-
-    def accept(self, c: np.ndarray, prop: np.ndarray) -> np.ndarray:
-        pp, ep = self.bounds(prop)
-        gap, margin = pp - self.p, ep + self.e
-        up = gap > margin
-        # a gap within the margin, or a NaN p, is decided on ratio
-        open_ = ~(np.abs(gap) > margin)
-        if open_.any():
-            r = self.ratio(np.stack((c[open_], prop[open_])))
-            up[open_] = r[1] > r[0]
-        self.p[up], self.e[up] = pp[up], ep[up]
-        return up
-
-    def final(self, c: np.ndarray) -> np.ndarray:
-        return self.ratio(c)
+    Eigenvalues of D below 1e-12 of its largest are dropped as its null
+    space. For korn and elliptic c D c >= ||y||^2, so c D c = 0 only where
+    the stream's velocity vanishes, and then c N c = 0 too.
+    """
+    nm, dm = pencil
+    w, v = np.linalg.eigh(dm)
+    keep = w > 1e-12 * w[-1]
+    b = v[:, keep] / np.sqrt(w[keep])
+    return float(np.linalg.eigvalsh(b.T @ nm @ b)[-1])
 
 
 def estimate_constant(
@@ -541,41 +497,23 @@ def estimate_constant(
     n_modes: int = 8,
     ascent_steps: int = 50,
 ) -> float:
-    """Empirical lower bound on a discrete domain constant.
+    """Lower bound on a discrete domain constant from the kind's ratio on
+    the stream functions of the first n_modes x n_modes sine modes.
 
-    Draws `samples` random stream-function fields (standard normal mode
-    coefficients), runs a short random hill climb on each, and returns the
-    largest Rayleigh-type ratio reached. Sample i is seeded by (seed, i), so
-    estimates are deterministic and nondecreasing in `samples`.
+    For korn and elliptic the ratio is c N c / c D c of the kind's
+    `quadratic_pencil` (N, D) in the mode coefficients c, so the sup over
+    the modes is the pencil's top eigenvalue (`_pencil_sup`), the same for
+    every samples, seed and ascent_steps.
 
-    The climbs run side by side, a block of samples at a time; the grid
-    stencils and the `*_values` norm forms take the block as a leading
-    batch axis, and the norms take their difference quotients in stacked
-    passes. A sample's draws do not depend on whether its proposals are
-    accepted, so each sample's start and steps come from one draw of its
-    generator, which gives the normals of consecutive draws: each sample
-    sees the same proposals, and the result the same bits, as a climb run
-    on its own.
-
-    A step moves a sample where the proposal's `_ratio` is larger. For
-    trilinear each step makes one batched `_ratio` call. For korn and
-    elliptic the ratio is p = c N c / c D c of the `quadratic_pencil`
-    (N, D) up to roundoff, and each step is a filtered predicate: it
-    compares p of the proposal with p of the current point, and decides
-    where the gap exceeds the sum of the two points' bounds
-    e = p * tau * (kappa_N + kappa_D), with kappa_N = |c| |N| |c| / c N c
-    >= 1 the condition of the form (likewise for D) and tau = 1e-9. A form
-    evaluated in floating point is off by at most gamma_d times its
-    absolute form, gamma_d = d u / (1 - d u) after d roundings in a chain
-    (Higham, 2002, sec. 3.1). The pencil takes d = m^2 for m = n_modes;
-    `_ratio` sums n^2 nodes, each from 2m products and at most a dozen
-    stencil steps, so d < n^2 + 2m + 16 and tau exceeds gamma_d for every
-    n up to 2048. The measured gap between p and `_ratio` stays below 6e-15
-    relative. A sample whose gap is within the margin, whose form is <= 0
-    or whose p is not finite takes `_ratio` of both points. So each
-    decision is the one `_ratio` makes, and each estimate keeps its bits:
-    `_ratio` runs once per block on the samples' final points and gives the
-    values the climb on `_ratio` reaches.
+    For trilinear the ratio is a cubic, indefinite form, and the estimate
+    is the largest ratio reached by a short random hill climb on `samples`
+    random fields (standard normal mode coefficients). Sample i is seeded by
+    (seed, i), so the estimate is deterministic and nondecreasing in
+    `samples`. The climbs run side by side, a block of samples at a time,
+    one batched `_ratio` call per step; a sample's draws do not depend on
+    whether its proposals are accepted, so each sample's start and steps
+    come from one draw of its generator, and the result has the bits of a
+    climb run on its own.
 
     An unknown kind, a count or seed that is not an integer, samples or
     n_modes below 1, a negative seed or ascent_steps or a negative or
@@ -586,9 +524,11 @@ def estimate_constant(
     _check_sampling(kind, n_modes, seed)
     _check_real(alpha, "alpha", positive=False)
     _check_count(ascent_steps, "ascent_steps", 0)
+    if kind in _PENCIL_KINDS:
+        return _pencil_sup(quadratic_pencil(kind, grid.n_interior, n_modes))
     terms, fields, _ = _INEQUALITIES[kind]
     ratio = partial(_ratio, terms, grid=grid, alpha=alpha)
-    shape = (n_modes, n_modes) if fields == 1 else (fields, n_modes, n_modes)
+    shape = (fields, n_modes, n_modes)
     best = -np.inf
     # a block holds about grid._BLOCK_BYTES of sample stream functions
     for b in _blocks(samples, fields * grid.n_interior**2 * 8):
@@ -596,28 +536,28 @@ def estimate_constant(
         # (ascent_steps + 1, samples, *shape): each sample's start, then its steps
         draws = np.stack([rng.standard_normal((ascent_steps + 1,) + shape) for rng in rngs], axis=1)
         c = draws[0]
-        if kind in _PENCIL_KINDS:
-            climb = _PencilClimb(quadratic_pencil(kind, grid.n_interior, n_modes), ratio, c)
-        else:
-            climb = _RatioClimb(ratio, c)
+        r = ratio(c)
         sigma = 0.3
         for step in draws[1:]:
             prop = c + sigma * step
-            up = climb.accept(c, prop)
-            c[up] = prop[up]
+            rp = ratio(prop)
+            up = rp > r
+            c[up], r[up] = prop[up], rp[up]
             sigma *= 0.95
         # each ratio only rose; Python's max skips a NaN ratio as the running max did
-        best = max(best, *climb.final(c).tolist())
+        best = max(best, *r.tolist())
     if not math.isfinite(best):
         raise ValueError(f"{kind} ratio is not finite at alpha={alpha}")
     return float(best)
 
 
 def sample_field(kind: str, index: int, seed: int, *, grid: Grid, n_modes: int = 8):
-    """The i-th raw sample of the estimator protocol (before hill climb).
+    """The i-th random field of the estimator protocol: the trilinear
+    climb's start for sample `index`, and a field of the mode span over
+    which the korn and elliptic estimates are exact.
 
-    Returns the field(s) the estimator started sample `index` from; used to
-    check the inequalities on the exact family the estimate came from.
+    Returns one field, or a (z, phi) pair for "trilinear", as
+    check_inequality takes them.
     """
     _check_sampling(kind, n_modes, seed)
     _check_count(index, "index", 0)

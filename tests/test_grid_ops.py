@@ -591,8 +591,9 @@ class TestImportGraph:
 
     def test_scipy_loads_on_the_first_fft_transform(self):
         # grids below n = 128 take the dense sine matrix, so importing the
-        # package and its CLI and sweeping a 16^2 problem load no scipy at all;
-        # the first FFT-sized DST-I (n = 143, n+1 = 144) imports scipy.fft
+        # package and its CLI, sweeping a 16^2 problem and taking the korn
+        # and elliptic estimates (numpy.linalg eigenvalues) load no scipy at
+        # all; the first FFT-sized DST-I (n = 143, n+1 = 144) imports scipy.fft
         code = """
 import sys
 import numpy as np
@@ -612,6 +613,10 @@ yd = velocity_from_stream(stream_from_coeffs(g, 0.1 * np.ones((1, 1))))
 pd = ProblemData(alpha=0.4, nu=0.2, T=0.25, grid=g, m_steps=4, y0=y0, y_d=yd)
 solve_adjoint(solve_state(None, pd), None, pd)
 print(scipy_loaded())
+from sgf2d import estimate_constant
+for kind in ("korn", "elliptic"):
+    estimate_constant(kind, 1, 0, grid=g)
+print(scipy_loaded())
 x = np.random.default_rng(143).standard_normal((2, 143, 143))
 got = dstn(x)
 print("scipy.fft" in sys.modules)
@@ -620,9 +625,9 @@ ref = scipy.fft.dstn(x, type=1, axes=(-2, -1))
 print(float(np.abs(got - ref).max() / np.abs(ref).max()))
 """
         lines = run_fresh(code).splitlines()
-        assert lines[:3] == ["[]", "[]", "[]"]
-        assert lines[3] == "True"
-        assert float(lines[4]) <= 1e-13
+        assert lines[:4] == ["[]", "[]", "[]", "[]"]
+        assert lines[4] == "True"
+        assert float(lines[5]) <= 1e-13
 
 
 class TestStreamVelocityCurl:

@@ -9,12 +9,13 @@ reachable target the loop actually closes most of the gap to zero cost.
 
 import math
 import warnings
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from sgf2d.adjoint import gradient_field, solve_adjoint
+from sgf2d.certificates import CertificateInputs, certify
 from sgf2d.grid import Grid, GridMismatchError, velocity_from_stream
 from sgf2d.optimizer import (
     MultiStartReport,
@@ -782,3 +783,20 @@ class TestMultiStart:
         assert ms.uniqueness_threshold is None
         assert ms.lambda_exceeds_threshold is None
         assert ms.illustrative is None
+        assert ms.certificate is None
+
+    # the threshold reads 28.05 here, so lam 1 is below it and 100 above
+    @pytest.mark.parametrize("lam", [1.0, 100.0])
+    def test_threshold_fields_read_the_certificate(self, lam):
+        # the report keeps certify's report; the threshold, the verdict and
+        # the illustrative flag are read from it, not stored beside it
+        pd = small_problem(lam=lam, L=0.01, y0_amp=0.0)
+        dc = DomainConstants(K=2.0, source={"K": "estimated"})
+        ms = multi_start_uniqueness(pd, 2, seed=1, constants=dc, opts=OptimizeOptions(max_iter=2))
+        assert ms.certificate == certify(CertificateInputs.from_problem(pd, dc))
+        assert ms.uniqueness_threshold == ms.certificate.uniqueness_threshold
+        assert ms.lambda_exceeds_threshold is (lam > 28.0) is (lam > ms.uniqueness_threshold)
+        assert ms.illustrative is True
+        assert [f.name for f in fields(MultiStartReport)] == [
+            "reports", "distances", "distance_tol", "certificate", "relative_spread",
+        ]

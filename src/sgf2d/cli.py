@@ -23,7 +23,9 @@ from .optimizer import _evaluate, multi_start_uniqueness, optimize, start_contro
 from .adjoint import gradient_field, solve_adjoint
 from .spaces import (
     _INEQUALITIES,
+    _PENCIL_KINDS,
     CONSTANT_NAMES,
+    N_MODES,
     DomainConstants,
     estimate_constant,
     save_constants,
@@ -156,15 +158,16 @@ def _cmd_certify(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: in
 
 
 def _cmd_estimate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
-    estimates = {
-        kind: estimate_constant(kind, rc["samples"], seed, grid=pd.grid, alpha=pd.alpha)
-        for kind in rc["kinds"]
-    }
-    rows = [(_INEQUALITIES[k][2], k, rc["samples"], seed, v) for k, v in estimates.items()]
+    rows = []
+    for kind in rc["kinds"]:
+        value = estimate_constant(kind, rc["samples"], seed, grid=pd.grid, alpha=pd.alpha)
+        # samples and seed steer only the sampled kind; the pencil kinds are exact over the modes
+        steered = ("", "") if kind in _PENCIL_KINDS else (rc["samples"], seed)
+        rows.append((_INEQUALITIES[kind][2], kind, N_MODES, *steered, value))
     estimated = {row[0]: row[-1] for row in rows}
     sources = {n: "estimated" if n in estimated else "default_unit" for n in CONSTANT_NAMES}
     save_constants(out / "constants.txt", DomainConstants(**estimated, source=sources))
-    fieldio.write_rows(out / "log.csv", ["constant", "kind", "samples", "seed", "value"], rows)
+    fieldio.write_rows(out / "log.csv", ["constant", "kind", "n_modes", "samples", "seed", "value"], rows)
     return [(cname, f"{fieldio.text_value(value)} ({kind})") for cname, kind, *_, value in rows]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -27,7 +27,10 @@ from .grid import (
     GridMismatchError,
     ScalarField2D,
     VectorField2D,
+    curl_upsilon_values,
     curl_values,
+    d1c,
+    d2c,
     lap5,
     nonlinear_values,
     poisson_solve_values,
@@ -38,6 +41,8 @@ from .grid import (
 )
 
 CONSTANT_NAMES = ("K", "K_tilde", "K_hat", "C1", "C2", "C3", "C4")
+
+N_MODES = 8  # sine modes per axis of the span each constant is estimated over
 
 
 def diff1(v: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -374,10 +379,10 @@ def check_inequality(kind: str, fields, constants: DomainConstants, alpha: float
 
     Evaluates the estimator's terms, the pair whose ratio estimate_constant
     bounds, on one field, or on a (z, phi) pair (a tuple or list) for
-    "trilinear", and multiplies the right side by the constant. The fields
-    must carry their stream functions (velocity_from_stream), as the
-    estimator's samples do, and alpha must be finite and nonnegative. Any
-    other number of fields raises ValueError before a stencil runs.
+    "trilinear", and multiplies the right side by the constant. Any other
+    number of fields, a field that is not a velocity carrying its stream
+    function (velocity_from_stream, as the estimator's samples are), or an
+    alpha that is negative or not finite raises ValueError before a stencil runs.
     """
     if kind not in _INEQUALITIES:
         raise ValueError(f"unknown inequality kind {kind!r}")
@@ -388,9 +393,9 @@ def check_inequality(kind: str, fields, constants: DomainConstants, alpha: float
     if given != wanted:
         raise ValueError(f"{kind} takes {wanted}, got {given}")
     fs = (fields,) if n_fields == 1 else tuple(fields)
-    g = same_grid(*fs)
-    if any(f.stream is None for f in fs):
+    if any(not isinstance(f, VectorField2D) or f.stream is None for f in fs):
         raise ValueError("check_inequality requires velocities produced by velocity_from_stream")
+    g = same_grid(*fs)
     psi = np.stack([f.stream.values for f in fs])
     lhs, rhs = terms(psi[0] if n_fields == 1 else psi, g.h, alpha)
     lhs, rhs = float(lhs), getattr(constants, name) * float(rhs)
@@ -455,14 +460,6 @@ def quadratic_pencil(kind: str, n_interior: int, n_modes: int) -> tuple[np.ndarr
     return pencil
 
 
-def _ratio(terms, c: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
-    """The estimator's batched ratio lhs/rhs of an inequality's terms on the
-    stream functions of (..., [2,] k, l) mode coefficients; 0 where rhs is."""
-    lhs, rhs = terms(stream_values(grid, c), grid.h, alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(rhs == 0.0, 0.0, lhs / rhs)
-
-
 def _check_sampling(kind: str, n_modes: int, seed: int) -> None:
     """ValueError unless kind is a key of _INEQUALITIES, n_modes an integer
     >= 1 and seed an integer >= 0."""
@@ -472,19 +469,43 @@ def _check_sampling(kind: str, n_modes: int, seed: int) -> None:
     _check_count(seed, "seed", 0)
 
 
-def _pencil_sup(pencil: tuple[np.ndarray, np.ndarray]) -> float:
-    """The largest c N c / c D c over the c with c D c > 0: the top
-    eigenvalue of N on the range of D, whitened by D's eigenpairs.
-
-    Eigenvalues of D below 1e-12 of its largest are dropped as its null
-    space. For korn and elliptic c D c >= ||y||^2, so c D c = 0 only where
-    the stream's velocity vanishes, and then c N c = 0 too.
-    """
-    nm, dm = pencil
-    w, v = np.linalg.eigh(dm)
+def _range_basis(matrix: np.ndarray) -> np.ndarray:
+    """B = v / sqrt(w) over the eigenpairs of a symmetric PSD matrix with w above
+    1e-12 of the largest (the rest is its null space): B.T M B = I, B B.T = M^+."""
+    w, v = np.linalg.eigh(matrix)
     keep = w > 1e-12 * w[-1]
-    b = v[:, keep] / np.sqrt(w[keep])
+    return v[:, keep] / np.sqrt(w[keep])
+
+
+def _pencil_sup(pencil: tuple[np.ndarray, np.ndarray]) -> float:
+    """The largest c N c / c D c over c D c > 0: the top eigenvalue of N
+    whitened by `_range_basis(D)`. For korn and elliptic c D c >= ||y||^2,
+    so c D c = 0 only where the velocity vanishes, and there c N c = 0 too."""
+    nm, dm = pencil
+    b = _range_basis(dm)
     return float(np.linalg.eigvalsh(b.T @ nm @ b)[-1])
+
+
+def _trilinear_sup(c: np.ndarray, grid: Grid, alpha: float, basis: np.ndarray) -> np.ndarray:
+    """The sup over phi of the trilinear ratio at each z of (samples, k, l)
+    mode coefficients c, 0 where z is 0: |basis.T b| / ||z||_H2^2.
+
+    The zero-ghost centred differences are antisymmetric, so the lhs is
+    |b . c_phi| with b = h^2 M g M^T, g = d1c(q z1) + d2c(q z2), q = curl
+    upsilon(z), M the sine matrix; ||phi||_H2^2 = c_phi N c_phi for the
+    elliptic pencil's N, and basis = `_range_basis(N)` (N c_phi = 0 only
+    where phi's velocity and the lhs are 0). The product is stacked per
+    sample, so a sample's bits do not depend on the stack.
+    """
+    h = grid.h
+    m = _sine_matrix(grid, c.shape[-1])
+    z1, z2 = velocity_values(stream_values(grid, c), h)
+    q = curl_upsilon_values(z1, z2, alpha, h)
+    b = h * h * (m @ (d1c(q * z1, h) + d2c(q * z2, h)) @ m.T)
+    dual = np.linalg.norm(np.matmul(b.reshape(len(c), 1, -1), basis), axis=-1)[:, 0]
+    zz = norm_hk_values((z1, z2), h, 2) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(zz == 0.0, 0.0, dual / zz)
 
 
 def estimate_constant(
@@ -494,8 +515,7 @@ def estimate_constant(
     *,
     grid: Grid,
     alpha: float = 1.0,
-    n_modes: int = 8,
-    ascent_steps: int = 50,
+    n_modes: int = N_MODES,
 ) -> float:
     """Lower bound on a discrete domain constant from the kind's ratio on
     the stream functions of the first n_modes x n_modes sine modes.
@@ -503,72 +523,46 @@ def estimate_constant(
     For korn and elliptic the ratio is c N c / c D c of the kind's
     `quadratic_pencil` (N, D) in the mode coefficients c, so the sup over
     the modes is the pencil's top eigenvalue (`_pencil_sup`), the same for
-    every samples, seed and ascent_steps.
+    every samples and seed.
 
-    For trilinear the ratio is a cubic, indefinite form, and the estimate
-    is the largest ratio reached by a short random hill climb on `samples`
-    random fields (standard normal mode coefficients). Sample i is seeded by
-    (seed, i), so the estimate is deterministic and nondecreasing in
-    `samples`. The climbs run side by side, a block of samples at a time,
-    one batched `_ratio` call per step; a sample's draws do not depend on
-    whether its proposals are accepted, so each sample's start and steps
-    come from one draw of its generator, and the result has the bits of a
-    climb run on its own.
+    For trilinear the estimate is the largest sup over phi (`_trilinear_sup`)
+    at `samples` random z, standard normal mode coefficients seeded by
+    (seed, i) as `sample_field`'s z, taken a block at a time; it is
+    deterministic and nondecreasing in `samples`.
 
     An unknown kind, a count or seed that is not an integer, samples or
-    n_modes below 1, a negative seed or ascent_steps or a negative or
-    non-finite alpha raises ValueError before any draw, and so does a best
-    ratio that is not finite once the climbs end.
+    n_modes below 1, a negative seed or a negative or non-finite alpha
+    raises ValueError before any draw, and so does a best ratio not finite.
     """
     _check_count(samples, "samples", 1)
     _check_sampling(kind, n_modes, seed)
     _check_real(alpha, "alpha", positive=False)
-    _check_count(ascent_steps, "ascent_steps", 0)
     if kind in _PENCIL_KINDS:
         return _pencil_sup(quadratic_pencil(kind, grid.n_interior, n_modes))
-    terms, fields, _ = _INEQUALITIES[kind]
-    ratio = partial(_ratio, terms, grid=grid, alpha=alpha)
-    shape = (fields, n_modes, n_modes)
+    basis = _range_basis(quadratic_pencil("elliptic", grid.n_interior, n_modes)[0])
     best = -np.inf
     # a block holds about grid._BLOCK_BYTES of sample stream functions
-    for b in _blocks(samples, fields * grid.n_interior**2 * 8):
+    for b in _blocks(samples, grid.n_interior**2 * 8):
         rngs = (np.random.default_rng([seed, i]) for i in range(b.start, b.stop))
-        # (ascent_steps + 1, samples, *shape): each sample's start, then its steps
-        draws = np.stack([rng.standard_normal((ascent_steps + 1,) + shape) for rng in rngs], axis=1)
-        c = draws[0]
-        r = ratio(c)
-        sigma = 0.3
-        for step in draws[1:]:
-            prop = c + sigma * step
-            rp = ratio(prop)
-            up = rp > r
-            c[up], r[up] = prop[up], rp[up]
-            sigma *= 0.95
-        # each ratio only rose; Python's max skips a NaN ratio as the running max did
-        best = max(best, *r.tolist())
+        c = np.stack([rng.standard_normal((n_modes, n_modes)) for rng in rngs])
+        best = max(best, *_trilinear_sup(c, grid, alpha, basis).tolist())  # skips a NaN
     if not math.isfinite(best):
         raise ValueError(f"{kind} ratio is not finite at alpha={alpha}")
     return float(best)
 
 
-def sample_field(kind: str, index: int, seed: int, *, grid: Grid, n_modes: int = 8):
-    """The i-th random field of the estimator protocol: the trilinear
-    climb's start for sample `index`, and a field of the mode span over
-    which the korn and elliptic estimates are exact.
-
-    Returns one field, or a (z, phi) pair for "trilinear", as
-    check_inequality takes them.
+def sample_field(kind: str, index: int, seed: int, *, grid: Grid, n_modes: int = N_MODES):
+    """The i-th random field of the estimator protocol, as check_inequality
+    takes it: for korn and elliptic one field of the mode span over which
+    their estimates are exact; for trilinear a (z, phi) pair whose z is the
+    estimator's sample `index`, so the estimate is at least its sup over phi.
     """
     _check_sampling(kind, n_modes, seed)
     _check_count(index, "index", 0)
-    rng = np.random.default_rng([seed, index])
-    if kind == "trilinear":
-        c = rng.standard_normal((2, n_modes, n_modes))
-        z = velocity_from_stream(stream_from_coeffs(grid, c[0]))
-        phi = velocity_from_stream(stream_from_coeffs(grid, c[1]))
-        return z, phi
-    c = rng.standard_normal((n_modes, n_modes))
-    return velocity_from_stream(stream_from_coeffs(grid, c))
+    fields = _INEQUALITIES[kind][1]
+    c = np.random.default_rng([seed, index]).standard_normal((fields, n_modes, n_modes))
+    vs = tuple(velocity_from_stream(stream_from_coeffs(grid, ci)) for ci in c)
+    return vs[0] if fields == 1 else vs
 
 
 def solenoidal_projection_values(u1: np.ndarray, u2: np.ndarray, h: float):

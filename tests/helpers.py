@@ -5,13 +5,14 @@ import io
 
 import numpy as np
 
-from sgf2d.grid import Grid, ScalarField2D, VectorField2D, slice_sums, velocity_from_stream
+from sgf2d.grid import Grid, ScalarField2D, VectorField2D, nonlinear_values, slice_sums, velocity_from_stream, velocity_values
 from sgf2d.spaces import (
     apply_A,
     diff1,
     inner_l2,
     norm_hk,
     stream_from_coeffs,
+    stream_values,
     sym_grad_sq,
 )
 
@@ -139,24 +140,27 @@ def pencil_by_polarization(kind, grid, n_modes):
     return (lp - lm) / 4.0, (rp - rm) / 4.0
 
 
-def estimate_constant_per_sample(kind, samples, seed, *, grid, alpha=1.0, n_modes=8, ascent_steps=50):
-    """The estimator's hill climb run one sample at a time, one field per call."""
-    shape = (2, n_modes, n_modes) if kind == "trilinear" else (n_modes, n_modes)
-    best = -np.inf
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        c = rng.standard_normal(shape)
-        r = sample_ratio(kind, grid, c, alpha)
-        best = max(best, r)
-        sigma = 0.3
-        for _ in range(ascent_steps):
-            prop = c + sigma * rng.standard_normal(shape)
-            rp = sample_ratio(kind, grid, prop, alpha)
-            if rp > r:
-                r, c = rp, prop
-                best = max(best, r)
-            sigma *= 0.95
-    return float(best)
+def batched_ratio(terms, c, grid, alpha):
+    """The batched ratio lhs/rhs of an inequality's terms on the stream
+    functions of (..., [2,] k, l) mode coefficients; 0 where rhs is."""
+    lhs, rhs = terms(stream_values(grid, c), grid.h, alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rhs == 0.0, 0.0, lhs / rhs)
+
+
+def trilinear_maximizer(z, n_modes, alpha=1.0):
+    """The phi over the first n_modes x n_modes sine modes that maximizes the
+    trilinear ratio at the velocity z: coefficients N^+ b, with b the
+    trilinear term on each unit mode and N the elliptic pencil's H2 Gram."""
+    from sgf2d import spaces
+
+    g = z.grid
+    m2 = n_modes * n_modes
+    p1, p2 = velocity_values(stream_values(g, np.eye(m2).reshape(m2, n_modes, n_modes)), g.h)
+    b = nonlinear_values(z.u1, z.u2, p1, p2, alpha, g.h)
+    nm = spaces.quadratic_pencil("elliptic", g.n_interior, n_modes)[0]
+    c = np.linalg.pinv(nm, rcond=1e-12, hermitian=True) @ b
+    return velocity_from_stream(stream_from_coeffs(g, c.reshape(n_modes, n_modes)))
 
 
 def row_writer_csv(f) -> bytes:

@@ -723,8 +723,11 @@ class TestEstimateConstants:
         for name in ("C1", "C2", "C3", "C4"):
             assert dc.source[name] == "default_unit"
         lines = (out / "log.csv").read_text().strip().split("\n")
-        assert lines[0] == "constant,kind,samples,seed,value"
+        assert lines[0] == "constant,kind,n_modes,samples,seed,value"
         assert len(lines) == 4
+        # samples and seed are left empty where they do not steer the value
+        cells = [line.split(",")[:5] for line in lines[1:]]
+        assert cells == [["K", "korn", "8", "", ""], ["K_tilde", "elliptic", "8", "", ""], ["K_hat", "trilinear", "8", "2", "0"]]
 
     def test_kind_subset(self, tmp_path):
         cfg = write_cfg(

@@ -37,9 +37,9 @@ from sgf2d import state as state_module
 from sgf2d.state import Trajectory, control_h1_norm, trap_weights
 
 from helpers import (
+    batched_ratio,
     count_calls,
     diff1_temporaries,
-    estimate_constant_per_sample,
     grad_sq,
     grad_sq_values,
     hk_partials_dict,
@@ -48,6 +48,7 @@ from helpers import (
     norm_l2,
     pencil_by_polarization,
     sample_ratio,
+    trilinear_maximizer,
 )
 
 
@@ -512,30 +513,42 @@ class TestEstimators:
             with pytest.raises(ValueError, match="not finite"):
                 estimate_constant("trilinear", samples=2, seed=1, grid=Grid(8), alpha=1e308)
 
-    # (n, samples, n_modes, ascent_steps); at 32^2 a block holds 4 trilinear
+    # (n, samples, n_modes, seed); at 32^2 a block holds 8 trilinear
     # samples, so 9 samples end in a partial block. Odd n and n_modes > n:
-    # on 7^2 the mode k = 8 vanishes at every node, so the pencil's D is
-    # singular. The korn and elliptic estimates are the sup over the modes:
-    # at least any climb's, and the same for every samples, seed and steps
+    # on 7^2 the mode k = 8 vanishes at every node, so the pencils' D and
+    # the elliptic N that the trilinear route whitens by are singular. The
+    # korn and elliptic estimates are the sup over the modes: at least each
+    # sample's own ratio, and the same for every samples and seed
     @pytest.mark.parametrize(
-        "n,samples,n_modes,ascent_steps",
+        "n,samples,n_modes,seed",
         [(8, 3, 8, 50), (12, 4, 5, 50), (16, 2, 8, 50), (16, 3, 3, 20), (32, 9, 8, 4), (15, 3, 8, 20), (7, 2, 8, 10)],
     )
     @pytest.mark.parametrize("kind", ["korn", "elliptic", "trilinear"])
-    def test_batched_climb_equals_per_sample_climb(self, kind, n, samples, n_modes, ascent_steps):
-        kw = dict(grid=Grid(n), n_modes=n_modes, ascent_steps=ascent_steps)
-        got = estimate_constant(kind, samples, 2026, **kw)
-        if kind == "trilinear":
-            assert got == estimate_constant_per_sample(kind, samples, 2026, **kw)
+    def test_batched_climb_equals_per_sample_climb(self, kind, n, samples, n_modes, seed):
+        g = Grid(n)
+        got = estimate_constant(kind, samples, seed, grid=g, n_modes=n_modes)
+        draws = [np.random.default_rng([seed, i]).standard_normal((1, n_modes, n_modes)) for i in range(samples)]
+        if kind != "trilinear":
+            assert all(got >= sample_ratio(kind, g, c[0]) for c in draws)
+            assert estimate_constant(kind, 1, 0, grid=g, n_modes=n_modes) == got
             return
-        assert got >= estimate_constant_per_sample(kind, samples, 2026, **kw)
-        assert estimate_constant(kind, 1, 0, **dict(kw, ascent_steps=0)) == got
+        # one sample per call has the batched bits, and each sample's value
+        # is the terms' ratio at its maximizing phi
+        basis = spaces._range_basis(spaces.quadratic_pencil("elliptic", n, n_modes)[0])
+        per_call = [float(spaces._trilinear_sup(c, g, 1.0, basis)[0]) for c in draws]
+        assert got == max(per_call)
+        for c, value in zip(draws, per_call):
+            z = velocity_from_stream(stream_from_coeffs(g, c[0]))
+            phi = trilinear_maximizer(z, n_modes)
+            lhs, rhs = spaces._trilinear_terms(np.stack([z.stream.values, phi.stream.values]), g.h, 1.0)
+            assert abs(value - lhs / rhs) <= 1e-12 * value
 
-    # a 10-sample climb at 16^2 is one block of 50 steps; korn and elliptic
-    # take the pencil's top eigenvalue and make no _ratio call
-    @pytest.mark.parametrize("kind,want", [("korn", 0), ("elliptic", 0), ("trilinear", 51)])
-    def test_ratio_calls_per_climb(self, monkeypatch, kind, want):
-        calls = count_calls(monkeypatch, spaces, "_ratio")
+    # korn and elliptic take the pencil's top eigenvalue and evaluate no
+    # stencil; trilinear takes the velocities of a block of samples in one
+    # call, and 10 samples at 16^2 are one block
+    @pytest.mark.parametrize("kind,want", [("korn", 0), ("elliptic", 0), ("trilinear", 1)])
+    def test_velocity_calls_per_estimate(self, monkeypatch, kind, want):
+        calls = count_calls(monkeypatch, spaces, "velocity_values")
         estimate_constant(kind, 10, 3, grid=Grid(16))
         assert len(calls) == want
 
@@ -555,7 +568,7 @@ class TestEstimators:
         nm, dm = spaces.quadratic_pencil(kind, n, n_modes)
         cf = c.reshape(len(c), -1)
         p = ((cf @ nm) * cf).sum(-1) / ((cf @ dm) * cf).sum(-1)
-        r = spaces._ratio(spaces._INEQUALITIES[kind][0], c, g, 1.0)
+        r = batched_ratio(spaces._INEQUALITIES[kind][0], c, g, 1.0)
         assert np.all(np.abs(p - r) <= 1e-12 * r)
 
     # the supremum of c N c / c D c is the top eigenvalue of the pencil, here
@@ -587,7 +600,7 @@ class TestEstimators:
         c = np.random.default_rng(3).standard_normal(shape)
         if kind == "trilinear":
             c[1] = 0.0
-        r = spaces._ratio(terms, c, g, 0.3)
+        r = batched_ratio(terms, c, g, 0.3)
         assert r.shape == (4,)
         assert [float(x) for x in r] == [sample_ratio(kind, g, ci, 0.3) for ci in c]
         if kind == "trilinear":
@@ -602,7 +615,7 @@ class TestEstimators:
         shape = (10,) + ((fields,) if fields > 1 else ()) + (8, 8)
         c = np.random.default_rng(4).standard_normal(shape)
         calls = count_calls(monkeypatch, spaces, "diff1")
-        spaces._ratio(terms, c, g, 0.5)
+        batched_ratio(terms, c, g, 0.5)
         assert 0 < len(calls) <= most
 
     @pytest.mark.parametrize("lead", [(), (10,), (2, 3)])
@@ -614,7 +627,7 @@ class TestEstimators:
         lhs, rhs = korn_terms_reference(stream_values(g, c), g.h)
         with np.errstate(divide="ignore", invalid="ignore"):
             want = np.where(rhs == 0.0, 0.0, lhs / rhs)
-        got = spaces._ratio(spaces._korn_terms, c, g, 1.0)
+        got = batched_ratio(spaces._korn_terms, c, g, 1.0)
         assert np.array_equal(got, want)
         psi = stream_values(g, c)
         got_lhs, got_rhs = spaces._korn_terms(psi, g.h, 1.0)
@@ -640,22 +653,30 @@ class TestInequalities:
             chk = check_inequality(kind, fields, dc)
             assert chk.holds, f"{kind} sample {i}: lhs={chk.lhs} rhs={chk.rhs}"
 
-    # the estimate is the top eigenvalue of the kind's pencil, so its
-    # eigenvector's field meets the inequality with equality: the check
-    # holds with K = the estimate and fails with K a hair smaller. D is
-    # singular for n < n_modes (vanishing and aliased modes)
+    # the korn and elliptic estimates are the top eigenvalue of the kind's
+    # pencil, so its eigenvector's field meets the inequality with equality;
+    # the trilinear estimate is the largest sup over phi at the sampled z,
+    # met with equality at the maximizing sample's z and its phi* = N^+ b.
+    # The check holds with K = the estimate and fails with K a hair
+    # smaller. D and N are singular for n < n_modes (vanishing and aliased
+    # modes)
     @pytest.mark.parametrize("n,n_modes", [(3, 8), (5, 8), (7, 8), (8, 8), (15, 3), (16, 8), (32, 8)])
-    @pytest.mark.parametrize("kind,name", [("korn", "K"), ("elliptic", "K_tilde")])
+    @pytest.mark.parametrize("kind,name", [("korn", "K"), ("elliptic", "K_tilde"), ("trilinear", "K_hat")])
     def test_top_eigenvector_meets_the_estimate(self, kind, name, n, n_modes):
         g = Grid(n)
-        est = estimate_constant(kind, 1, 0, grid=g, n_modes=n_modes)
-        nm, dm = spaces.quadratic_pencil(kind, n, n_modes)
-        w, v = np.linalg.eigh(dm)
-        keep = w > 1e-12 * w[-1]
-        b = v[:, keep] / np.sqrt(w[keep])
-        top = np.linalg.eigh(b.T @ nm @ b)[1][:, -1]
-        c = (b @ top).reshape(n_modes, n_modes)
-        y = velocity_from_stream(ScalarField2D(g, stream_values(g, c)))
+        if kind == "trilinear":
+            est = estimate_constant(kind, 4, 0, grid=g, n_modes=n_modes)
+            zs = [sample_field(kind, i, 0, grid=g, n_modes=n_modes)[0] for i in range(4)]
+            pairs = [(z, trilinear_maximizer(z, n_modes)) for z in zs]
+            unit = [check_inequality(kind, p, DomainConstants()) for p in pairs]
+            y = pairs[int(np.argmax([chk.lhs / chk.rhs for chk in unit]))]
+        else:
+            est = estimate_constant(kind, 1, 0, grid=g, n_modes=n_modes)
+            nm, dm = spaces.quadratic_pencil(kind, n, n_modes)
+            b = spaces._range_basis(dm)
+            top = np.linalg.eigh(b.T @ nm @ b)[1][:, -1]
+            c = (b @ top).reshape(n_modes, n_modes)
+            y = velocity_from_stream(ScalarField2D(g, stream_values(g, c)))
         chk = check_inequality(kind, y, DomainConstants(**{name: est}))
         assert chk.holds
         assert chk.lhs / chk.rhs >= 1.0 - 1e-11
@@ -695,7 +716,7 @@ class TestInequalities:
         fields = sample_field(kind, 0, seed, grid=g, n_modes=n_modes)
         chk = check_inequality(kind, fields, DomainConstants(), alpha=0.3)
         terms = spaces._INEQUALITIES[kind][0]
-        assert chk.lhs / chk.rhs == float(spaces._ratio(terms, c[None], g, 0.3)[0])
+        assert chk.lhs / chk.rhs == float(batched_ratio(terms, c[None], g, 0.3)[0])
 
     def test_field_without_stream_refused(self):
         g = Grid(8)
@@ -705,6 +726,12 @@ class TestInequalities:
             check_inequality("korn", bare, DomainConstants())
         with pytest.raises(ValueError, match="velocity_from_stream"):
             check_inequality("trilinear", (y, bare), DomainConstants())
+        # a scalar field is not a velocity at all
+        scalar = ScalarField2D(g, y.u1)
+        with pytest.raises(ValueError, match="velocity_from_stream"):
+            check_inequality("korn", scalar, DomainConstants())
+        with pytest.raises(ValueError, match="velocity_from_stream"):
+            check_inequality("trilinear", (scalar, y), DomainConstants())
 
     def test_trilinear_does_not_call_into_state(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -717,7 +744,7 @@ class TestInequalities:
         g = Grid(8)
         chk = check_inequality("trilinear", sample_field("trilinear", 0, 7, grid=g), DomainConstants())
         assert chk.lhs > 0.0
-        assert estimate_constant("trilinear", samples=2, seed=7, grid=g, ascent_steps=3) > 0.0
+        assert estimate_constant("trilinear", samples=2, seed=7, grid=g) > 0.0
 
 
 class TestConstantToolArguments:
@@ -745,10 +772,6 @@ class TestConstantToolArguments:
     def test_estimate_needs_a_mode(self, n_modes):
         with pytest.raises(ValueError, match=f"n_modes must be >= 1, got {n_modes}"):
             estimate_constant("korn", 2, 1, grid=Grid(8), n_modes=n_modes)
-
-    def test_estimate_needs_nonnegative_ascent_steps(self):
-        with pytest.raises(ValueError, match="ascent_steps must be >= 0, got -1"):
-            estimate_constant("korn", 2, 1, grid=Grid(8), ascent_steps=-1)
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
     def test_check_inequality_needs_finite_alpha(self, alpha):

@@ -671,7 +671,7 @@ class TestSolenoidalPart:
 
 # a valid call's counts and seeds; one at a time is made a float or negative
 _COUNTS_AND_SEEDS = {
-    estimate_constant: {"samples": 2, "seed": 0, "ascent_steps": 1, "n_modes": 2},
+    estimate_constant: {"samples": 2, "seed": 0, "n_modes": 2},
     sample_field: {"index": 0, "seed": 0, "n_modes": 2},
     start_control: {"seed": 0, "index": 0},
     multi_start_uniqueness: {"n_starts": 2, "seed": 0},

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import fieldio
 from .adjoint import AdjointState, solve_adjoint
-from .grid import _check_real, arakawa, stack_pairs
+from .grid import _check_one_of, _check_real
 from .sensitivity import TangentState, solve_linearized
-from .spaces import DomainConstants, _checked, _reads_default, norm_hk, stack_hk_sq
+from .spaces import DomainConstants, _checked, _full_source, _reads_default, norm_hk, stack_hk_sq
 from .state import (
     ProblemData,
     StateSolution,
@@ -31,6 +31,7 @@ from .state import (
 )
 
 _READINGS = ("printed", "derived")
+_U_NORM_SOURCES = ("actual", "ball_bound")
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,7 @@ class CertificateInputs:
             _check_real(getattr(self, name), name)
         for name in ("norm_y0_H3", "norm_u_L1H1", "norm_yd_L2Q", "lam"):
             _check_real(getattr(self, name), name, positive=False)
-        if self.u_norm_source not in ("actual", "ball_bound"):
-            raise ValueError("u_norm_source must be 'actual' or 'ball_bound'")
+        _check_one_of(self.u_norm_source, _U_NORM_SOURCES, "u_norm_source")
 
     @classmethod
     def from_problem(
@@ -240,8 +240,10 @@ class CertificateReport:
                 raise ValueError(f"{f.name} must not be NaN")
         if self.coercivity_threshold < 0 or self.uniqueness_threshold < 0:
             raise ValueError("thresholds must be nonnegative")
-        if self.lambda3_reading not in _READINGS:
-            raise ValueError(f"lambda3_reading must be one of {_READINGS}")
+        _check_one_of(self.lambda3_reading, _READINGS, "lambda3_reading")
+        _check_one_of(self.u_norm_source, _U_NORM_SOURCES, "u_norm_source")
+        # a constant without a source line reads as a unit default
+        object.__setattr__(self, "constants_source", _full_source(self.constants_source))
         l3p, l3d = self.lambda3_printed, self.lambda3_derived
         for name, value in (
             ("lambda3", l3p if self.lambda3_reading == "printed" else l3d),
@@ -371,16 +373,11 @@ def _hessian_form(
             - dt sum_k (<r_{k+1}, J(dq1_k, dpsi2_k)> + <r_{k+1}, J(dq2_k, dpsi1_k)>),
 
     the second derivative of the discrete objective itself: the adjoint
-    pairs the tracking misfit with the second-order tangent's source. With
-    one tangent (t1 is t2) both cross stacks are its cached cross term.
+    pairs the tracking misfit with the second-order tangent's source.
     """
     adj = solve_adjoint(base, None, pd)
     m, dt, h = pd.m_steps, pd.dt, pd.grid.h
-    if t1 is t2:
-        j12 = j21 = t1.cross
-    else:
-        j12 = stack_pairs(arakawa, t1.dq, t2.dpsi, h, np.empty_like(t1.dq[:-1]))
-        j21 = stack_pairs(arakawa, t2.dq, t1.dpsi, h, np.empty_like(t1.dq[:-1]))
+    j12, j21 = t1.cross_with(t2), t2.cross_with(t1)
     track = l2q_inner_values(t1.z, t2.z, left_weights(m, dt), h)
     reg = l2q_inner_values(w1.data, w2.data, trap_weights(m, dt), h, pd.lam)
     cross = 0.0

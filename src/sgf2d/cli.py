@@ -47,17 +47,18 @@ def _snapshot_indices(m: int, every: int) -> list[int]:
     return sorted(picks)
 
 
-def _write_snapshot(fields_dir: Path, name: str, field: ScalarField2D | VectorField2D) -> None:
-    """Write one field as fields_dir/name.bin and fields_dir/name.csv."""
-    fieldio.write_field(fields_dir / f"{name}.bin", field)
-    fieldio.write_field_csv(fields_dir / f"{name}.csv", field)
+def _write_snapshot(out: Path, prefix: str, k: int, field: ScalarField2D | VectorField2D) -> None:
+    """Write step k of the field prefix as its .bin and .csv snapshot under out."""
+    path = fieldio.snapshot_path(out, prefix, k, ".bin")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fieldio.write_field(path, field)
+    fieldio.write_field_csv(fieldio.snapshot_path(out, prefix, k, ".csv"), field)
 
 
-def _write_velocity_snapshots(fields_dir: Path, prefix: str, grid: Grid, data, idx) -> None:
+def _write_velocity_snapshots(out: Path, prefix: str, grid: Grid, data, idx) -> None:
     """Write the picked slices k of an (m+1, 2, n, n) velocity stack."""
     for k in idx:
-        field = VectorField2D(grid, data[k, 0], data[k, 1])
-        _write_snapshot(fields_dir, f"{prefix}_{k:06d}", field)
+        _write_snapshot(out, prefix, k, VectorField2D(grid, data[k, 0], data[k, 1]))
 
 
 def _report(out: Path, subcommand: str, pd: ProblemData, seed: int, pairs) -> None:
@@ -79,12 +80,10 @@ def _report(out: Path, subcommand: str, pd: ProblemData, seed: int, pairs) -> No
 
 def _cmd_simulate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
     sol = solve_state(None, pd)
-    fields_dir = out / "fields"
-    fields_dir.mkdir(parents=True, exist_ok=True)
     idx = _snapshot_indices(pd.m_steps, every)
-    _write_velocity_snapshots(fields_dir, "y", pd.grid, sol.y, idx)
+    _write_velocity_snapshots(out, "y", pd.grid, sol.y, idx)
     for k in idx:
-        _write_snapshot(fields_dir, f"omega_{k:06d}", ScalarField2D(pd.grid, sol.omega[k]))
+        _write_snapshot(out, "omega", k, ScalarField2D(pd.grid, sol.omega[k]))
     fieldio.write_rows(
         out / "log.csv",
         ["step", "time", "norm_h1", "norm_h3"],
@@ -101,11 +100,9 @@ def _cmd_simulate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
 
 def _cmd_optimize(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
     rep = optimize(pd, None, rc.options)
-    fields_dir = out / "fields"
-    fields_dir.mkdir(parents=True, exist_ok=True)
     idx = _snapshot_indices(pd.m_steps, every)
-    _write_velocity_snapshots(fields_dir, "u", pd.grid, rep.u_final.data, idx)
-    _write_velocity_snapshots(fields_dir, "y", pd.grid, rep.final_state.y, idx)
+    _write_velocity_snapshots(out, "u", pd.grid, rep.u_final.data, idx)
+    _write_velocity_snapshots(out, "y", pd.grid, rep.final_state.y, idx)
     rep.write_csv(out / "log.csv")
     return [
         ("J_initial", rep.iterates[0].J),
@@ -174,11 +171,9 @@ def _cmd_estimate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
 def _cmd_multistart(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
     constants = rc.constants if rc.constants_inline else None
     ms = multi_start_uniqueness(pd, rc["n_starts"], seed, constants, rc.options)
-    fields_dir = out / "fields"
-    fields_dir.mkdir(parents=True, exist_ok=True)
     mid = pd.m_steps // 2
     for i, rep in enumerate(ms.reports):
-        _write_snapshot(fields_dir, f"u_start{i}_{mid:06d}", rep.u_final.slice(mid))
+        _write_snapshot(out, f"u_start{i}", mid, rep.u_final.slice(mid))
     fieldio.write_rows(
         out / "log.csv",
         ["start", "J_final", "converged", "iterations", "vi_final"],

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import _READINGS
-from .fieldio import read_field, read_pairs, typed_value
+from .fieldio import read_field, read_pairs, snapshot_path, typed_value
 from .grid import _check_count, Grid, ScalarField2D, VectorField2D, velocity_from_stream
 from .optimizer import OptimizeOptions
 from .spaces import _INEQUALITIES, CONSTANT_NAMES, DomainConstants, load_constants
@@ -211,7 +211,7 @@ def _velocity_from_modes(grid: Grid, modes) -> VectorField2D:
 def _read_reference_trajectory(run_dir, grid: Grid, m_steps: int, T: float) -> Trajectory:
     data = np.zeros((m_steps + 1, 2, grid.n_interior, grid.n_interior))
     for k in range(m_steps + 1):
-        path = f"{run_dir}/fields/y_{k:06d}.bin"
+        path = snapshot_path(run_dir, "y", k, ".bin")
         try:
             f = read_field(path)
         except OSError as exc:

@@ -10,6 +10,10 @@ line i*n + j + 2 of the file), holding its coordinates and value(s). Every
 number is written with ``%.17g``, so it reads back to the same float64, and
 every line ends in ``\r\n``.
 
+A run directory keeps step k of a field named prefix as
+``fields/{prefix}_{k:06d}.bin`` and ``.csv``; ``snapshot_path`` is the one
+place that spells that name, for the CLI's writer and the ``yd_from`` reader.
+
 Text artifacts (reports, certificates, constants files, logs) spell every
 value through ``text_value``: floats, NumPy floats included, as ``%.17g``,
 so they read back to the same float64; bools as ``true``/``false``; anything
@@ -66,6 +70,11 @@ def read_field(path) -> ScalarField2D | VectorField2D:
     u1 = body[: n * n].reshape(n, n)
     u2 = body[n * n:].reshape(n, n)
     return VectorField2D(grid, u1, u2)
+
+
+def snapshot_path(run_dir, prefix: str, k: int, suffix: str) -> Path:
+    """Where a run directory keeps step k of the field prefix, as suffix (".bin" or ".csv")."""
+    return Path(run_dir, "fields", f"{prefix}_{k:06d}{suffix}")
 
 
 @lru_cache(maxsize=8)

@@ -49,6 +49,12 @@ def _check_real(value, name: str, positive: bool = True) -> None:
         raise ValueError(f"{name} must be {rule} and finite, got {value}")
 
 
+def _check_one_of(value, allowed: tuple, name: str) -> None:
+    """Refuse a value that is not one of allowed."""
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Interior nodes of the unit square: n_interior per axis, h = 1/(n_interior+1)."""

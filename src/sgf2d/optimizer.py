@@ -74,7 +74,7 @@ def _cost_values(u: Trajectory, y: np.ndarray, target: np.ndarray, lam: float, l
     h = like.grid.h
     mis = y - target
     track = l2q_inner_values(mis, mis, left_weights(like.m_steps, like.dt), h, 0.5)
-    ctrl = l2q_inner_values(u.data, u.data, trap_weights(u.m_steps, u.dt), h, 0.5 * lam)
+    ctrl = l2q_inner_values(u.data, u.data, trap_weights(like.m_steps, like.dt), h, 0.5 * lam)
     return track + ctrl
 
 
@@ -201,16 +201,18 @@ def optimize(
     1e-8 (1 + J(0)) with J(0) the cost of the zero control.
 
     The loop keeps the iterate, the gradient and the trials as stacks; a
-    trial becomes a Trajectory only when its state is solved."""
+    trial becomes a Trajectory only when its state is solved. A start that
+    is not aligned with pd is refused before any norm is taken; the ball,
+    the cost, the vi residual and ball_ratio are all weighed on pd's steps."""
     opts = opts or OptimizeOptions()
     t0 = time.perf_counter()
     h = pd.grid.h
     tau = trap_weights(pd.m_steps, pd.dt)
 
-    u_traj = project_Uad(u_init if u_init is not None else pd.zero_control(), pd.L)
-    # the ball's norm and the vi residual use the control's own time step
-    tau_u = trap_weights(u_traj.m_steps, u_traj.dt)
-    u = u_traj.data
+    u_start = u_init if u_init is not None else pd.zero_control()
+    _check_aligned(u_start, pd, "control")
+    u = _project(u_start.data, pd.L, tau, h)
+    u_traj = u_start if u is u_start.data else u_start.with_data(u)
     sol, J = _evaluate(pd, u_traj)
     n_state = n_adjoint = 1
     tol = opts.tol
@@ -232,7 +234,7 @@ def optimize(
 
     # the last pass records the point reached at the cap and only tests it
     for it in range(opts.max_iter + 1):
-        vi = _vi_residual(u, g, pd.L, tau_u, h)
+        vi = _vi_residual(u, g, pd.L, tau, h)
         records.append(IterRecord(it, J, l2q_norm_values(g, tau, h), last_step, vi))
         if vi <= tol:
             converged = True
@@ -257,7 +259,7 @@ def optimize(
         t = step
         for halvings in range(opts.max_halvings + 1):
             with np.errstate(over="ignore", invalid="ignore"):
-                trial = _project(u - g * float(t), pd.L, tau_u, h)
+                trial = _project(u - g * float(t), pd.L, tau, h)
                 decrease = l2q_inner_values(g, trial - u, tau, h)
             if not np.isfinite(trial).all():
                 n_nonfinite += 1
@@ -297,7 +299,7 @@ def optimize(
         n_state_solves=n_state,
         n_adjoint_solves=n_adjoint,
         n_halvings=n_halvings,
-        ball_ratio=_h1_norm(u, tau_u, h) / pd.L,
+        ball_ratio=_h1_norm(u, tau, h) / pd.L,
         n_nonfinite_trials=n_nonfinite,
     )
 

@@ -33,14 +33,18 @@ class TangentState:
 
     @cached_property
     def cross(self) -> np.ndarray:
-        """Read-only stack of J(dq[k], dpsi[k]) for k < m, computed on first read.
-
-        A sweep along one tangent (solve_second(base, t, t)) and the Hessian
-        forms along one tangent both take their cross term from here.
-        """
+        """Read-only stack of J(dq[k], dpsi[k]) for k < m, computed on first read."""
         out = stack_pairs(arakawa, self.dq, self.dpsi, self.pd.grid.h, np.empty_like(self.dq[:-1]))
         out.setflags(write=False)
         return out
+
+    def cross_with(self, other: "TangentState") -> np.ndarray:
+        """Stack of J(dq[k], other.dpsi[k]) for k < m: the cached cross when
+        other is self, else a new stack. solve_second and the Hessian forms
+        take every tangent-pair Jacobian from here."""
+        if other is self:
+            return self.cross
+        return stack_pairs(arakawa, self.dq, other.dpsi, self.pd.grid.h, np.empty_like(self.dq[:-1]))
 
     @property
     def z_traj(self) -> Trajectory:
@@ -94,9 +98,9 @@ def solve_second(
     """Second derivative S''(u)[w1, w2] given the two first-order tangents.
 
     Same propagator as solve_linearized, no control forcing, bilinear source
-    -(J(t1.dq, t2.dpsi) + J(t2.dq, t1.dpsi)); symmetric in (t1, t2) by
-    construction. With one tangent object (t1 is t2) the source is
-    -2 * t1.cross, the same bits as the sum of its two equal terms.
+    -(J(t1.dq, t2.dpsi) + J(t2.dq, t1.dpsi)), written as (-J1) - J2; symmetric
+    in (t1, t2) by construction. With one tangent object (t1 is t2) that is
+    -c - c, the bits of -2c for its cross term c.
     """
     _check_base(base, pd)
     for t in (t1, t2):
@@ -104,9 +108,6 @@ def solve_second(
             _check_base(base, t.pd)
     dq = np.zeros(base.q.shape)
     source = dq[1:]
-    if t1 is t2:
-        np.multiply(-2.0, t1.cross, out=source)
-    else:  # (-J1) - J2, the bits of -(J1 + J2)
-        np.negative(stack_pairs(arakawa, t1.dq, t2.dpsi, pd.grid.h, source), out=source)
-        source -= stack_pairs(arakawa, t2.dq, t1.dpsi, pd.grid.h, np.empty_like(source))
+    np.negative(t1.cross_with(t2), out=source)
+    source -= t2.cross_with(t1)
     return _propagate(base, pd, dq)

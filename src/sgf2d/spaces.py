@@ -21,6 +21,7 @@ from . import fieldio
 from .grid import (
     _blocks,
     _check_count,
+    _check_one_of,
     _check_real,
     _time_blocks,
     Grid,
@@ -230,18 +231,26 @@ class DomainConstants:
     source: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        source = dict.fromkeys(CONSTANT_NAMES, "default_unit") | dict(self.source)
-        for name in source:
-            if name not in CONSTANT_NAMES:
-                raise ValueError(f"unknown constant {name!r} in source")
+        source = _full_source(self.source)
+        for name in CONSTANT_NAMES:
             _check_real(getattr(self, name), f"constant {name}")
-            if source[name] not in ("user_supplied", "estimated", "default_unit"):
-                raise ValueError(f"bad source for {name}: {source[name]!r}")
         object.__setattr__(self, "source", MappingProxyType(source))
 
     @property
     def any_default(self) -> bool:
         return _reads_default(self.source)
+
+
+def _full_source(source: Mapping[str, str]) -> dict[str, str]:
+    """A source map with every constant, "default_unit" where none is given:
+    the rule of DomainConstants and of a certificate's source lines. An
+    unknown constant or source is refused."""
+    full = dict.fromkeys(CONSTANT_NAMES, "default_unit") | dict(source)
+    for name, src in full.items():
+        if name not in CONSTANT_NAMES:
+            raise ValueError(f"unknown constant {name!r} in source")
+        _check_one_of(src, ("user_supplied", "estimated", "default_unit"), f"source of {name}")
+    return full
 
 
 def _reads_default(source: Mapping[str, str]) -> bool:
@@ -259,8 +268,11 @@ def save_constants(path, dc: DomainConstants) -> None:
 
 
 def load_constants(path) -> DomainConstants:
+    """The constants of a save_constants file. A NAME line without its
+    NAME_source line reads as "default_unit"; a NAME_source line without its
+    NAME line is refused, so a unit default cannot be labelled otherwise."""
     values: dict[str, float] = {}
-    sources: dict[str, str] = {}
+    sources: dict[str, tuple[str, str]] = {}
     with open(path) as fh:
         for where, _, key, val in fieldio.read_pairs(fh, path):
             name = key.removesuffix("_source")
@@ -269,8 +281,11 @@ def load_constants(path) -> DomainConstants:
             if name == key:
                 values[name] = fieldio.typed_value(where, key, val, float)
             else:
-                sources[name] = val
-    return DomainConstants(**values, source=sources)
+                sources[name] = (where, val)
+    for name, (where, _) in sources.items():
+        if name not in values:
+            raise ValueError(f"{where}: {name}_source without a {name} line")
+    return DomainConstants(**values, source={n: v for n, (_, v) in sources.items()})
 
 
 # ---------------------------------------------------------------------------

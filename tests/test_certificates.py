@@ -468,6 +468,55 @@ class TestReportIO:
         )
         assert rep.illustrative
 
+    @staticmethod
+    def _supplied_text():
+        # every constant supplied, so the report reads illustrative = false
+        names = ("K", "K_tilde", "K_hat", "C1", "C2", "C3", "C4")
+        c = DomainConstants(source={n: "user_supplied" for n in names})
+        text = certify(crafted_inputs(constants=c)).to_text()
+        assert "illustrative = false\n" in text
+        return text
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda t: t.replace("source_K = user_supplied", "source_K = banana"),
+                "source of K must be one of",
+            ),
+            (lambda t: t + "source_FOO = x\n", "unknown constant 'FOO' in source"),
+            # each constant without a source line reads as a unit default
+            (
+                lambda t: "".join(x for x in t.splitlines(True) if not x.startswith("source_")),
+                "illustrative inconsistent with the constants' sources",
+            ),
+            (
+                lambda t: t.replace("u_norm_source = ball_bound", "u_norm_source = nonsense"),
+                "u_norm_source must be one of",
+            ),
+        ],
+        ids=["unknown-source", "unknown-constant", "sources-deleted", "unknown-u-norm-source"],
+    )
+    def test_from_text_refuses_bad_provenance(self, edit, message):
+        text = self._supplied_text()
+        edited = edit(text)
+        assert edited != text
+        with pytest.raises(ValueError, match=message):
+            CertificateReport.from_text(edited)
+
+    def test_missing_source_line_reads_as_unit_default(self):
+        text = self._supplied_text()
+        kept = self._edited(text.replace("source_C4 = user_supplied\n", ""), illustrative="true")
+        rep = CertificateReport.from_text(kept)
+        assert rep.illustrative and rep.constants_source["C4"] == "default_unit"
+        assert rep.to_text() == self._edited(text, illustrative="true", source_C4="default_unit")
+
+    def test_report_refuses_unknown_u_norm_source(self):
+        rep = certify(crafted_inputs())
+        assert dataclasses.replace(rep) == rep
+        with pytest.raises(ValueError, match="u_norm_source must be one of"):
+            dataclasses.replace(rep, u_norm_source="nonsense")
+
     def test_derived_reading_round_trip(self):
         rep = certify(crafted_inputs(norm_y0=0.3), lambda3_reading="derived")
         assert rep.lambda3 == rep.lambda3_derived != rep.lambda3_printed

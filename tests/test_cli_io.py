@@ -684,6 +684,19 @@ class TestCertify:
         assert not rep.illustrative
         assert rep.constants_source["K"] == "user_supplied"
 
+    def test_source_lines_without_values_refused(self, tmp_path, capsys):
+        # such a file loaded as unit constants labelled estimated, and certify
+        # wrote illustrative = false
+        names = ("K", "K_tilde", "K_hat", "C1", "C2", "C3", "C4")
+        consts = tmp_path / "c.txt"
+        consts.write_text("".join(f"{n}_source = estimated\n" for n in names))
+        cfg = write_cfg(tmp_path, TRACKING + f"[run]\nconstants_file = {consts}\n")
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {cfg}: constants_file: {consts}:1: K_source without a K line\n"
+        assert not out.exists()
+
     def test_overflowing_bounds_certify_to_inf(self, tmp_path):
         # math.exp in lambda2 overflowed here and the run ended in a traceback
         body = "alpha = 0.5\nnu = 0.1\nT = 0.5\ngrid = 12\nsteps = 4\ny0_modes = 1,1,5\n"
@@ -799,6 +812,18 @@ class TestReferenceTarget:
         # the reference initial slice matches the shared y0 modes
         y_ref = read_field(ref_out / "fields" / "y_000000.bin")
         assert np.array_equal(pd.y_d.data[0, 0], y_ref.u1)
+
+    def test_writer_and_reader_share_the_snapshot_names(self, tmp_path):
+        ref_cfg = write_cfg(tmp_path, MINIMAL)
+        ref_out = tmp_path / "ref"
+        assert main(["simulate", "--config", str(ref_cfg), "--out", str(ref_out)]) == 0
+        names = sorted(p.name for p in (ref_out / "fields").iterdir())
+        assert names == [
+            f"{f}_{k:06d}.{ext}" for f in ("omega", "y") for k in (0, 8) for ext in ("bin", "csv")
+        ]
+        for k in (0, 8):
+            path = fieldio.snapshot_path(ref_out, "y", k, ".bin")
+            assert path == ref_out / "fields" / f"y_{k:06d}.bin" and path.exists()
 
     def test_missing_snapshots_reported(self, tmp_path, capsys):
         ref_cfg = write_cfg(tmp_path, MINIMAL)

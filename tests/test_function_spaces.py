@@ -466,6 +466,25 @@ class TestDomainConstants:
         with pytest.raises(ValueError, match=r"bad.txt:2: unknown section \[constants\]"):
             load_constants(path)
 
+    def test_load_refuses_a_source_without_its_value(self, tmp_path):
+        # all seven source lines alone loaded as unit constants labelled estimated
+        path = tmp_path / "sources.txt"
+        path.write_text("".join(f"{n}_source = estimated\n" for n in CONSTANT_NAMES))
+        with pytest.raises(ValueError) as exc:
+            load_constants(path)
+        assert str(exc.value) == f"{path}:1: K_source without a K line"
+        path.write_text("K = 2.0\nK_source = estimated\nC4_source = user_supplied\n")
+        with pytest.raises(ValueError, match=r"sources.txt:3: C4_source without a C4 line"):
+            load_constants(path)
+
+    def test_load_value_without_source_reads_as_unit_default(self, tmp_path):
+        path = tmp_path / "values.txt"
+        path.write_text("K = 2.0\nC1 = 3.0\nC1_source = user_supplied\n")
+        dc = load_constants(path)
+        assert (dc.K, dc.C1) == (2.0, 3.0)
+        assert dc.source["K"] == "default_unit" and dc.source["C1"] == "user_supplied"
+        assert dc.any_default
+
     def test_load_skips_comments_and_blanks(self, tmp_path):
         path = tmp_path / "ok.txt"
         path.write_text("# header\n\nK = 3.5  # trailing\nK_source = user_supplied\n")

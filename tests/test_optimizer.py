@@ -409,6 +409,29 @@ class TestOptimize:
         assert rep.u_final.data.tobytes() == ref.u_final.data.tobytes()
         assert (rep.J_final, rep.n_iterations) == (ref.J_final, ref.n_iterations)
 
+    @pytest.mark.parametrize("n,m,dt_scale", [(8, 8, 1.0), (12, 6, 1.0), (12, 8, 3.7)])
+    def test_misaligned_start_refused_before_any_norm(self, monkeypatch, n, m, dt_scale):
+        pd = small_problem(n=12, m=8)
+        norms = count_calls(monkeypatch, optimizer_module, "_h1_norm")
+        u0 = Trajectory.zeros(Grid(n), m, pd.dt * dt_scale, "control")
+        with pytest.raises(GridMismatchError, match="control is not aligned"):
+            optimize(pd, u0)
+        assert norms == []
+
+    @pytest.mark.parametrize("L", [2.0, 0.05], ids=["inactive-ball", "active-ball"])
+    def test_start_step_roundoff_changes_no_bit(self, L):
+        # a start's dt may differ from pd's by 1e-12 relative; the ball, the
+        # cost and the vi residual are all weighed on pd's steps
+        pd = small_problem(L=L)
+        u0 = start_control(pd, 0, 0)
+        off = Trajectory(pd.grid, pd.dt * (1.0 + 1e-13), "control", u0.data)
+        assert off.dt != u0.dt
+        ref = optimize(pd, u0, OptimizeOptions(max_iter=20))
+        rep = optimize(pd, off, OptimizeOptions(max_iter=20))
+        assert rep.iterates == ref.iterates
+        assert rep.u_final.data.tobytes() == ref.u_final.data.tobytes()
+        assert (rep.J_final, rep.ball_ratio) == (ref.J_final, ref.ball_ratio)
+
     def test_ball_ratio_is_final_norm_over_radius(self):
         pd = reachable_problem()
         rep = optimize(pd, None, OptimizeOptions(max_iter=200))

@@ -221,6 +221,20 @@ class TestSecondOrder:
         for k in range(pd.m_steps):
             assert np.array_equal(cross[k], arakawa(t.dq[k], t.dpsi[k], pd.grid.h))
 
+    def test_cross_with_is_the_tangent_pair_jacobian(self, monkeypatch):
+        pd = small_problem()
+        base = solve_state(smooth_control(pd, 1), pd)
+        t1 = solve_linearized(base, smooth_control(pd, 2), pd)
+        t2 = solve_linearized(base, smooth_control(pd, 3), pd)
+        assert t1.cross_with(t1) is t1.cross
+        calls = count_calls(monkeypatch, sensitivity_module, "arakawa")
+        j12 = t1.cross_with(t2)
+        # a new stack on each call with another tangent, never cached
+        assert len(calls) == 1 and j12 is not t1.cross_with(t2)
+        assert "cross" not in vars(t2)
+        for k in range(pd.m_steps):
+            assert np.array_equal(j12[k], arakawa(t1.dq[k], t2.dpsi[k], pd.grid.h))
+
     def test_bilinear_scaling(self):
         pd = small_problem()
         base = solve_state(smooth_control(pd, 1), pd)

@@ -1,7 +1,8 @@
 """Static checks over the package source: every module imports only what it
-uses, only fieldio splits ``key = value`` lines, only grid words a range
-rule, the CLI reads only the config keys that config's key table declares,
-and every checked dataclass is frozen."""
+uses, only fieldio splits ``key = value`` lines, only sensitivity forms
+tangent-pair Jacobians, only grid words a range rule, the CLI reads only the
+config keys that config's key table declares, and every checked dataclass is
+frozen."""
 
 import ast
 import re
@@ -60,6 +61,13 @@ def test_fieldio_splits_pairs():
 def test_only_fieldio_splits_pairs(path):
     # every key = value reader goes through fieldio.read_pairs
     assert equals_splits(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_sensitivity_forms_tangent_pair_jacobians(path):
+    # TangentState.cross and cross_with own every J(dq_i, dpsi_j) stack
+    calls = path.read_text().count("stack_pairs(arakawa")
+    assert calls == 0 or (path.name == "sensitivity.py" and calls <= 2)
 
 
 RULE_FRAGMENTS = ("and finite", "must be >=")

@@ -52,13 +52,13 @@ def main():
     print(f"uniqueness threshold {rep.uniqueness_threshold:.4e}, running at lam = {lam:.4e}")
 
     opts = OptimizeOptions(max_iter=400, tol=1e-12, initial_step=1.0 / (1.0 + lam))
-    ms = multi_start_uniqueness(make_problem(g, lam), 4, 11, dc, opts)
+    ms = multi_start_uniqueness(make_problem(g, lam), 4, 11, opts=opts)
     print(f"starts converged: {[r.converged for r in ms.reports]}")
     print(f"J at the four minimizers: {[f'{r.J_final:.10e}' for r in ms.reports]}")
     print(f"max pairwise solenoidal distance {ms.max_distance:.3e} (tol {ms.distance_tol:.1e})")
-    print(f"all within tolerance: {ms.all_within_tol}; illustrative constants: {ms.illustrative}")
+    print(f"all within tolerance: {ms.all_within_tol}; illustrative constants: {rep.illustrative}")
 
-    ms0 = multi_start_uniqueness(make_problem(g, 0.0), 4, 11, None, OptimizeOptions(max_iter=60))
+    ms0 = multi_start_uniqueness(make_problem(g, 0.0), 4, 11, opts=OptimizeOptions(max_iter=60))
     print(f"\nlam = 0 contrast: max pairwise distance {ms0.max_distance:.3e} (no claim)")
 
 

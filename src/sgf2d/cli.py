@@ -18,7 +18,7 @@ from pathlib import Path
 from . import fieldio
 from .certificates import CertificateInputs, certify
 from .config import ConfigError, RunConfig, parse_config
-from .grid import Grid, ScalarField2D, VectorField2D
+from .grid import _check_count, Grid, ScalarField2D, VectorField2D
 from .optimizer import _evaluate, multi_start_uniqueness, optimize, start_control
 from .adjoint import gradient_field, solve_adjoint
 from .spaces import (
@@ -169,8 +169,7 @@ def _cmd_estimate(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: i
 
 
 def _cmd_multistart(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every: int) -> list:
-    constants = rc.constants if rc.constants_inline else None
-    ms = multi_start_uniqueness(pd, rc["n_starts"], seed, constants, rc.options)
+    ms = multi_start_uniqueness(pd, rc["n_starts"], seed, opts=rc.options)
     mid = pd.m_steps // 2
     for i, rep in enumerate(ms.reports):
         _write_snapshot(out, f"u_start{i}", mid, rep.u_final.slice(mid))
@@ -190,11 +189,12 @@ def _cmd_multistart(rc: RunConfig, pd: ProblemData, out: Path, seed: int, every:
         ("all_within_tol", ms.all_within_tol),
         ("all_converged", ms.all_converged),
     ]
-    if ms.uniqueness_threshold is not None:
+    if rc.constants_inline:
+        rep = certify(CertificateInputs.from_problem(pd, rc.constants))
         pairs += [
-            ("uniqueness_threshold", ms.uniqueness_threshold),
-            ("lambda_exceeds_threshold", ms.lambda_exceeds_threshold),
-            ("illustrative", ms.illustrative),
+            ("uniqueness_threshold", rep.uniqueness_threshold),
+            ("lambda_exceeds_threshold", rep.verdict_uniqueness),
+            ("illustrative", rep.illustrative),
         ]
     return pairs
 
@@ -241,9 +241,11 @@ def run(config: RunConfig, subcommand: str, out_dir, seed=None, snapshot_every=N
     pd = config.problem
     seed = config["seed"] if seed is None else seed
     every = config["snapshot_every"] if snapshot_every is None else snapshot_every
-    for flag, value in (("seed", seed), ("snapshot-every", every)):
-        if value < 0:
-            raise ConfigError(f"{flag} must be nonnegative")
+    try:
+        _check_count(seed, "seed", 0)
+        _check_count(every, "snapshot-every", 0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pairs = _COMMANDS[subcommand](config, pd, out, seed, every)

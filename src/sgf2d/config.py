@@ -11,12 +11,14 @@ Where each check lives: every value is typed and checked once, at its line,
 by its key's parser in `_PROBLEM_KEYS`/`_RUN_KEYS` (mode triples and
 estimation kinds included) through `fieldio.typed_value`
 (`file:line: bad value for KEY: ...`). A run key with a range or a choice
-carries that rule in its own row (`_ruled`), so it is refused at its line
-before anything runs: `seed` >= 0, `snapshot_every` >= 0, `n_starts` >= 2,
-`samples` >= 1 and `lambda3_reading` `printed` or `derived`.
+carries that rule in its own row (`_ruled`), checked by `grid._check_count`
+or `grid._check_one_of` as the library checks it, so it is refused at its
+line before anything runs: `seed` >= 0, `snapshot_every` >= 0, `n_starts`
+>= 2, `samples` >= 1 and `lambda3_reading` one of `printed`, `derived`.
 The problem's and optimizer's invariants are checked only by the library:
 `parse_config` builds the `ProblemData` (with `build_problem`, which reads
-`yd_from` snapshots and may raise the y0 CFL warning) and the
+`yd_from` snapshots on the reference run's own step size, from its
+`report.txt`, and may raise the y0 CFL warning) and the
 `OptimizeOptions`, and turns their ValueError into a ConfigError naming the
 file. `parse_config` itself checks only that `yd_modes` and `yd_from`, and
 `constants_file` and `[constants]`, exclude each other."""
@@ -26,12 +28,22 @@ from __future__ import annotations
 import difflib
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .certificates import _READINGS
 from .fieldio import read_field, read_pairs, snapshot_path, typed_value
-from .grid import _check_count, Grid, ScalarField2D, VectorField2D, velocity_from_stream
+from .grid import (
+    _check_count,
+    _check_one_of,
+    _check_real,
+    Grid,
+    GridMismatchError,
+    ScalarField2D,
+    VectorField2D,
+    velocity_from_stream,
+)
 from .optimizer import OptimizeOptions
 from .spaces import _INEQUALITIES, CONSTANT_NAMES, DomainConstants, load_constants
 from .state import ProblemData, Trajectory
@@ -66,18 +78,17 @@ def _parse_kinds(text: str) -> tuple[str, ...]:
     """Comma-separated estimation kinds, each a key of spaces._INEQUALITIES."""
     kinds = tuple(k.strip() for k in text.split(",") if k.strip())
     for kind in kinds:
-        if kind not in _INEQUALITIES:
-            raise ValueError(f"unknown estimation kind {kind!r}")
+        _check_one_of(kind, tuple(_INEQUALITIES), "estimation kind")
     return kinds
 
 
-def _ruled(parse, ok, rule: str):
-    """parse with a key's rule: a value v with ok(v) false is refused as `rule (got v)`."""
+def _ruled(parse, check, *rule):
+    """parse with a key's rule: check(value, *rule), a check of grid, refuses
+    a value in grid's wording."""
 
     def parse_ruled(text: str):
         value = parse(text)
-        if not ok(value):
-            raise ValueError(f"{rule} (got {value!r})")
+        check(value, *rule)
         return value
 
     return parse_ruled
@@ -98,16 +109,14 @@ _PROBLEM_KEYS = {
     "yd_from": (str, ""),
 }
 _RUN_KEYS = {
-    "seed": (_ruled(int, lambda v: v >= 0, "must be nonnegative"), 0),
-    "snapshot_every": (_ruled(int, lambda v: v >= 0, "must be nonnegative"), 0),
+    "seed": (_ruled(int, _check_count, "seed", 0), 0),
+    "snapshot_every": (_ruled(int, _check_count, "snapshot_every", 0), 0),
     "tol": (float, None),
     "max_iter": (int, None),
-    "n_starts": (_ruled(int, lambda v: v >= 2, "must be at least 2"), 4),
-    "samples": (_ruled(int, lambda v: v >= 1, "must be at least 1"), 100),
+    "n_starts": (_ruled(int, _check_count, "n_starts", 2), 4),
+    "samples": (_ruled(int, _check_count, "samples", 1), 100),
     "kinds": (_parse_kinds, tuple(_INEQUALITIES)),
-    "lambda3_reading": (
-        _ruled(str, lambda v: v in _READINGS, "must be 'printed' or 'derived'"), "printed"
-    ),
+    "lambda3_reading": (_ruled(str, _check_one_of, _READINGS, "lambda3_reading"), "printed"),
     "constants_file": (str, ""),
 }
 _SECTION_KEYS = {
@@ -208,7 +217,9 @@ def _velocity_from_modes(grid: Grid, modes) -> VectorField2D:
     return velocity_from_stream(modes_to_stream(grid, modes))
 
 
-def _read_reference_trajectory(run_dir, grid: Grid, m_steps: int, T: float) -> Trajectory:
+def _read_reference_trajectory(run_dir, grid: Grid, m_steps: int) -> Trajectory:
+    """The first m_steps + 1 velocity snapshots of a reference run, on the
+    reference's own step size T/steps, read from its report.txt."""
     data = np.zeros((m_steps + 1, 2, grid.n_interior, grid.n_interior))
     for k in range(m_steps + 1):
         path = snapshot_path(run_dir, "y", k, ".bin")
@@ -224,13 +235,33 @@ def _read_reference_trajectory(run_dir, grid: Grid, m_steps: int, T: float) -> T
         if f.grid != grid:
             raise ConfigError(f"yd_from: {path} is on a different grid")
         data[k, 0], data[k, 1] = f.u1, f.u2
-    return Trajectory(grid, T / m_steps, "target", data)
+    report = Path(run_dir) / "report.txt"
+    try:
+        lines = report.read_text().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"yd_from: cannot read {report}: {exc}") from exc
+    # T and steps as the reference run wrote them; its subcommand line is
+    # blanked, so read_pairs numbers the lines as they are
+    rules = {"T": _ruled(float, _check_real, "T"), "steps": _ruled(int, _check_count, "steps", 1)}
+    try:
+        ref = {
+            key: typed_value(where, key, val, rules[key])
+            for where, _, key, val in read_pairs(["", *lines[1:]], report)
+            if key in rules
+        }
+    except ValueError as exc:
+        raise ConfigError(f"yd_from: {exc}") from exc
+    for key in rules:
+        if key not in ref:
+            raise ConfigError(f"yd_from: {report} has no {key} line")
+    return Trajectory(grid, ref["T"] / ref["steps"], "target", data)
 
 
 def build_problem(rc: RunConfig) -> ProblemData:
     """The problem of a config's values; a ValueError of the library (an
     invariant of Grid or ProblemData, an unreadable yd_from snapshot) becomes
-    a ConfigError naming the config."""
+    a ConfigError naming the config, and a yd_from target whose step size is
+    not the config's a ConfigError naming yd_from too."""
     v = rc.values
     try:
         grid = Grid(v["grid"])
@@ -238,7 +269,7 @@ def build_problem(rc: RunConfig) -> ProblemData:
         if v["yd_modes"]:
             y_d = _velocity_from_modes(grid, v["yd_modes"])
         elif v["yd_from"] and v["steps"] >= 1:  # ProblemData refuses other step counts
-            y_d = _read_reference_trajectory(v["yd_from"], grid, v["steps"], v["T"])
+            y_d = _read_reference_trajectory(v["yd_from"], grid, v["steps"])
         return ProblemData(
             alpha=v["alpha"],
             nu=v["nu"],
@@ -250,5 +281,11 @@ def build_problem(rc: RunConfig) -> ProblemData:
             L=v["L"],
             lam=v["lambda"],
         )
+    except GridMismatchError as exc:
+        # y0 is built on the config's grid, and a yd_from target on its grid and
+        # step count, so only the reference run's step size can disagree
+        raise ConfigError(
+            f"{rc.path}: yd_from: {exc}: the reference run's T/steps differs from this config's"
+        ) from exc
     except ValueError as exc:
         raise ConfigError(f"{rc.path}: {exc}") from exc

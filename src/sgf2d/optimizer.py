@@ -34,9 +34,8 @@ import numpy as np
 
 from . import fieldio
 from .adjoint import _gradient_values, solve_adjoint
-from .certificates import CertificateInputs, CertificateReport, certify
 from .grid import _check_count, _check_real
-from .spaces import DomainConstants, random_velocity, solenoidal_projection_values
+from .spaces import random_velocity, solenoidal_projection_values
 from .state import (
     BlowUpError,
     ProblemData,
@@ -83,17 +82,17 @@ def project_Uad(u: Trajectory, L: float) -> Trajectory:
 
     This is the metric projection in the ball's own H1 norm, not in the
     L2(Q) metric of the gradient step: outside the ball its result is in
-    general not the L2(Q)-nearest point of the ball.
+    general not the L2(Q)-nearest point of the ball. L is refused as
+    ProblemData refuses it.
     """
+    _check_real(L, "L")
     data = _project(u.data, L, trap_weights(u.m_steps, u.dt), u.grid.h)
     return u if data is u.data else u.with_data(data)
 
 
 def _project(u: np.ndarray, L: float, tau: np.ndarray, h: float) -> np.ndarray:
     """project_Uad of a control stack with trapezoid weights tau: u itself
-    inside the ball."""
-    if not L > 0:  # NaN too
-        raise ValueError("L must be positive")
+    inside the ball. L is checked by the callers."""
     r = _h1_norm(u, tau, h)
     if r <= L:
         return u
@@ -102,8 +101,10 @@ def _project(u: np.ndarray, L: float, tau: np.ndarray, h: float) -> np.ndarray:
 
 def vi_residual(u: Trajectory, g: Trajectory, L: float) -> float:
     """Natural residual ||u - proj(u - g)||_{L2(Q)} of the variational
-    inequality. A gradient that is not aligned with u is refused."""
+    inequality. A gradient that is not aligned with u is refused, and so is
+    an L that ProblemData would refuse."""
     _check_aligned(g, u, "gradient")
+    _check_real(L, "L")
     return _vi_residual(u.data, g.data, L, trap_weights(u.m_steps, u.dt), u.grid.h)
 
 
@@ -335,25 +336,10 @@ class MultiStartReport:
     reports: list
     distances: np.ndarray
     distance_tol: float
-    # certify's report on the problem with the given constants, None without them
-    certificate: CertificateReport | None
     # max_distance over the largest L2(Q) norm of the starts' solenoidal
     # parts, 0 when all of them are 0. Unlike distance_tol = 1e-5 L it does
     # not grow with L: with the ball inactive the minimizer does not depend on L.
     relative_spread: float
-
-    @property
-    def uniqueness_threshold(self) -> float | None:
-        return None if self.certificate is None else self.certificate.uniqueness_threshold
-
-    @property
-    def lambda_exceeds_threshold(self) -> bool | None:
-        """Whether the problem's lam exceeds the uniqueness threshold."""
-        return None if self.certificate is None else self.certificate.verdict_uniqueness
-
-    @property
-    def illustrative(self) -> bool | None:
-        return None if self.certificate is None else self.certificate.illustrative
 
     @property
     def max_distance(self) -> float:
@@ -374,7 +360,7 @@ def multi_start_uniqueness(
     pd: ProblemData,
     n_starts: int,
     seed: int,
-    constants: DomainConstants | None = None,
+    *,
     opts: OptimizeOptions | None = None,
 ) -> MultiStartReport:
     """Optimize from several random admissible starts and compare the minima.
@@ -382,7 +368,9 @@ def multi_start_uniqueness(
     Distances are taken between solenoidal parts of the final controls in
     the L2(Q) norm (controls are determined modulo curl-free parts only).
     Without a given tol, every start stops at the default tol of optimize,
-    with J(0) solved once for all of them.
+    with J(0) solved once for all of them. The probe certifies nothing: pair
+    it with certify(CertificateInputs.from_problem(pd, constants)) for the
+    uniqueness threshold.
     """
     _check_count(n_starts, "n_starts", 2)
     _check_count(seed, "seed", 0)
@@ -401,14 +389,6 @@ def multi_start_uniqueness(
             distances[i, j] = distances[j, i] = d
     norm = max(l2q_norm(s, tau) for s in sol_parts)
     spread = float(distances.max()) / norm if norm else 0.0
-
-    certificate = None
-    if constants is not None:
-        certificate = certify(CertificateInputs.from_problem(pd, constants))
     return MultiStartReport(
-        reports=reports,
-        distances=distances,
-        distance_tol=1e-5 * pd.L,
-        certificate=certificate,
-        relative_spread=spread,
+        reports=reports, distances=distances, distance_tol=1e-5 * pd.L, relative_spread=spread
     )

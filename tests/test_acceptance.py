@@ -366,16 +366,16 @@ def test_criterion_08_multistart_uniqueness(estimated_constants):
 
     pd = certification_problem(g, 8, lam)
     opts = OptimizeOptions(max_iter=400, tol=1e-12, initial_step=1.0 / (1.0 + lam))
-    ms = multi_start_uniqueness(pd, 4, 11, dc, opts)
+    ms = multi_start_uniqueness(pd, 4, 11, opts=opts)
     ok = (
-        bool(ms.lambda_exceeds_threshold)
+        certify(CertificateInputs.from_problem(pd, dc)).verdict_uniqueness
         and ms.all_within_tol
         and all(r.converged for r in ms.reports)
     )
 
     # contrast run at lam = 0: spread recorded, no uniqueness claim attached
     ms0 = multi_start_uniqueness(
-        certification_problem(g, 8, 0.0), 4, 11, None, OptimizeOptions(max_iter=40)
+        certification_problem(g, 8, 0.0), 4, 11, opts=OptimizeOptions(max_iter=40)
     )
     record(
         8,

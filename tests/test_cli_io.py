@@ -28,7 +28,7 @@ import pytest
 from sgf2d import cli as cli_module
 from sgf2d import fieldio
 from sgf2d import optimizer as optimizer_module
-from sgf2d.certificates import CertificateReport
+from sgf2d.certificates import CertificateInputs, CertificateReport, certify
 from sgf2d.cli import main
 from sgf2d.config import ConfigError, build_problem, parse_config
 from sgf2d.fieldio import read_field, text_value, write_field, write_field_csv
@@ -239,7 +239,10 @@ class TestConfigParsing:
         p2 = write_cfg(tmp_path, MINIMAL + "[run]\nkinds = korn,weird\n", name="c2.txt")
         with pytest.raises(ConfigError) as exc:
             parse_config(p2)
-        assert str(exc.value) == f"{p2}:8: bad value for kinds: unknown estimation kind 'weird'"
+        assert str(exc.value) == (
+            f"{p2}:8: bad value for kinds: estimation kind must be one of "
+            "('korn', 'elliptic', 'trilinear'), got 'weird'"
+        )
 
     def test_builds_problem_and_options(self, tmp_path):
         rc = parse_config(write_cfg(tmp_path, TRACKING + "[run]\ntol = 1e-6\nmax_iter = 7\n"))
@@ -295,7 +298,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="tol must be positive"):
             parse_config(p)
         p2 = write_cfg(tmp_path, MINIMAL + "[run]\nkinds = korn,weird\n", name="c2.txt")
-        with pytest.raises(ConfigError, match="unknown estimation kind 'weird'"):
+        with pytest.raises(ConfigError, match="estimation kind must be one of .*, got 'weird'"):
             parse_config(p2)
         p3 = write_cfg(
             tmp_path, MINIMAL + "[run]\nlambda3_reading = loose\n", name="c3.txt"
@@ -328,24 +331,25 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         "key, value, rule",
         [
-            ("snapshot_every", "-1", "must be nonnegative (got -1)"),
-            ("n_starts", "1", "must be at least 2 (got 1)"),
-            ("samples", "0", "must be at least 1 (got 0)"),
-            ("lambda3_reading", "loose", "must be 'printed' or 'derived' (got 'loose')"),
+            ("snapshot_every", "-1", "must be >= 0, got -1"),
+            ("n_starts", "1", "must be >= 2, got 1"),
+            ("samples", "0", "must be >= 1, got 0"),
+            ("lambda3_reading", "loose", "must be one of ('printed', 'derived'), got 'loose'"),
         ],
     )
     def test_run_key_rule_is_exit_2_at_its_line(self, tmp_path, capsys, key, value, rule):
+        # worded by grid's checks, as the library words the same rule
         cfg = write_cfg(tmp_path, MINIMAL + f"[run]\nseed = 3\n{key} = {value}\n")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == f"config error: {cfg}:9: bad value for {key}: {rule}\n"
+        assert err == f"config error: {cfg}:9: bad value for {key}: {key} {rule}\n"
         assert not out.exists()
 
     def test_negative_snapshot_override_refused_before_out(self, tmp_path):
         rc = parse_config(write_cfg(tmp_path, MINIMAL))
         out = tmp_path / "out"
-        with pytest.raises(ConfigError, match="snapshot-every must be nonnegative"):
+        with pytest.raises(ConfigError, match="^snapshot-every must be >= 0, got -1$"):
             cli_module.run(rc, "simulate", out, snapshot_every=-1)
         assert not out.exists()
 
@@ -355,8 +359,8 @@ class TestCliExitCodes:
         cfg = write_cfg(tmp_path, MINIMAL + "[run]\nseed = -1\n")
         flagged = write_cfg(tmp_path, MINIMAL, name="flagged.txt")
         for path, flags, err in [
-            (cfg, [], f"{cfg}:8: bad value for seed: must be nonnegative (got -1)"),
-            (flagged, ["--seed", "-1"], "seed must be nonnegative"),
+            (cfg, [], f"{cfg}:8: bad value for seed: seed must be >= 0, got -1"),
+            (flagged, ["--seed", "-1"], "seed must be >= 0, got -1"),
         ]:
             out = tmp_path / "out"
             assert main([subcommand, "--config", str(path), "--out", str(out), *flags]) == 2
@@ -779,6 +783,33 @@ class TestMultistart:
         assert (out / "fields" / "u_start0_000003.bin").exists()
         assert (out / "fields" / "u_start1_000003.bin").exists()
 
+    # the threshold reads 9.51 here, so lambda 1 is below it and 100 above
+    @pytest.mark.parametrize("lam", [1.0, 100.0])
+    def test_constants_add_the_certificate_lines(self, tmp_path, lam):
+        # with constants configured, report.txt ends with certify's threshold,
+        # verdict and illustrative flag on the configured problem
+        cfg = write_cfg(
+            tmp_path,
+            "alpha = 0.4\nnu = 0.2\nT = 0.25\ngrid = 10\nsteps = 6\n"
+            f"L = 0.01\nlambda = {lam}\nyd_modes = 1,1,0.05\n"
+            "[run]\nn_starts = 2\nmax_iter = 3\n[constants]\nK = 2.0\n",
+        )
+        rc = parse_config(cfg)
+        rep = certify(CertificateInputs.from_problem(rc.problem, rc.constants))
+        assert rep.verdict_uniqueness is (lam > 9.51)
+        out = tmp_path / "out"
+        assert main(["multistart", "--config", str(cfg), "--out", str(out)]) == 0
+        tail = "".join(
+            f"{key} = {text_value(value)}\n"
+            for key, value in [
+                ("uniqueness_threshold", rep.uniqueness_threshold),
+                ("lambda_exceeds_threshold", rep.verdict_uniqueness),
+                ("illustrative", rep.illustrative),
+            ]
+        )
+        report = (out / "report.txt").read_text()
+        assert re.search(r"\nall_converged = (true|false)\n" + re.escape(tail) + r"\Z", report)
+
     def test_stalled_starts_not_converged(self, tmp_path):
         # both starts stop after 3 iterations with vi near 2.3e-5, far above tol
         cfg = write_cfg(tmp_path, TRACKING + "[run]\nn_starts = 2\n")
@@ -866,6 +897,46 @@ class TestReferenceTarget:
         with pytest.raises(ConfigError) as exc:
             build_problem(parse_config(cfg))
         assert str(exc.value) == f"{cfg}: yd_from: {path} {message}"
+
+    @staticmethod
+    def reference_run(tmp_path, steps, T):
+        """A simulate run with a snapshot at every one of its steps."""
+        body = MINIMAL.replace("steps = 8", f"steps = {steps}").replace("T = 0.25", f"T = {T}")
+        ref_cfg = write_cfg(tmp_path, body + "y0_modes = 1,1,0.01\n", name="ref.txt")
+        ref_out = tmp_path / "ref"
+        argv = ["simulate", "--config", str(ref_cfg), "--out", str(ref_out)]
+        assert main(argv + ["--snapshot-every", "1"]) == 0
+        return ref_out
+
+    def test_other_step_size_refused(self, tmp_path, capsys):
+        # 16 reference steps over the config's T: slice k lies at k T/16, not k T/8
+        ref_out = self.reference_run(tmp_path, 16, 0.25)
+        cfg = write_cfg(tmp_path, MINIMAL + f"yd_from = {ref_out}\n")
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: yd_from: ")
+        assert "T/steps" in err
+        assert not out.exists()
+
+    def test_missing_report_refused(self, tmp_path, capsys):
+        ref_out = self.reference_run(tmp_path, 8, 0.25)
+        (ref_out / "report.txt").unlink()
+        cfg = write_cfg(tmp_path, MINIMAL + f"yd_from = {ref_out}\n")
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: yd_from: cannot read {ref_out / 'report.txt'}")
+        assert not out.exists()
+
+    def test_longer_reference_with_same_step_size_loads_its_prefix(self, tmp_path):
+        ref_out = self.reference_run(tmp_path, 16, 0.5)
+        pd = parse_config(write_cfg(tmp_path, MINIMAL + f"yd_from = {ref_out}\n")).problem
+        assert pd.y_d.m_steps == 8 and pd.y_d.dt == pd.dt == 0.25 / 8
+        for k in (0, 8):
+            y_ref = read_field(fieldio.snapshot_path(ref_out, "y", k, ".bin"))
+            assert np.array_equal(pd.y_d.data[k, 0], y_ref.u1)
+            assert np.array_equal(pd.y_d.data[k, 1], y_ref.u2)
 
 
 class TestConsoleScript:

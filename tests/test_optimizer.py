@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from sgf2d.adjoint import gradient_field, solve_adjoint
-from sgf2d.certificates import CertificateInputs, certify
 from sgf2d.grid import Grid, GridMismatchError, velocity_from_stream
 from sgf2d.optimizer import (
     MultiStartReport,
@@ -199,10 +198,15 @@ class TestProjection:
         with pytest.raises(ValueError, match="L must be positive"):
             vi_residual(u, u, np.nan)
 
-    def test_infinite_radius_returns_u(self):
+    def test_infinite_radius_is_refused(self):
+        # as ProblemData refuses L = inf; a finite radius above the norm
+        # returns u itself (TestOverflowingNorms)
         pd = small_problem()
         u = smooth_control(pd, 1, amplitude=1e3)
-        assert project_Uad(u, np.inf) is u
+        with pytest.raises(ValueError, match="^L must be positive and finite, got inf$"):
+            project_Uad(u, np.inf)
+        with pytest.raises(ValueError, match="^L must be positive and finite, got inf$"):
+            vi_residual(u, u, np.inf)
 
 
 class TestOverflowingNorms:
@@ -754,18 +758,12 @@ class TestMultiStart:
             L=1.0,
             lam=1.0,
         )
-        ms = multi_start_uniqueness(
-            pd, 2, seed=3, constants=DomainConstants(), opts=OptimizeOptions(max_iter=150)
-        )
+        ms = multi_start_uniqueness(pd, 2, seed=3, opts=OptimizeOptions(max_iter=150))
         assert isinstance(ms, MultiStartReport)
         assert ms.all_within_tol
         assert ms.max_distance <= 1e-5 * pd.L
         assert np.allclose(ms.distances, ms.distances.T)
         assert float(np.trace(ms.distances)) == 0.0
-        # λ here dwarfs any computable threshold only in spirit; with unit
-        # placeholder constants the certificate must label itself illustrative
-        assert ms.illustrative is True
-        assert ms.uniqueness_threshold is not None
         assert all(r.converged for r in ms.reports)
 
     def test_zero_control_is_solved_once(self, monkeypatch):
@@ -801,25 +799,15 @@ class TestMultiStart:
         assert ms.relative_spread == 0.0
 
     def test_without_constants_no_threshold(self):
+        # the probe certifies nothing: it takes no constants, and its report
+        # holds no threshold, verdict or illustrative flag (certify gives them)
         pd = small_problem(lam=0.5)
         ms = multi_start_uniqueness(pd, 2, seed=1, opts=OptimizeOptions(max_iter=60))
-        assert ms.uniqueness_threshold is None
-        assert ms.lambda_exceeds_threshold is None
-        assert ms.illustrative is None
-        assert ms.certificate is None
-
-    # the threshold reads 28.05 here, so lam 1 is below it and 100 above
-    @pytest.mark.parametrize("lam", [1.0, 100.0])
-    def test_threshold_fields_read_the_certificate(self, lam):
-        # the report keeps certify's report; the threshold, the verdict and
-        # the illustrative flag are read from it, not stored beside it
-        pd = small_problem(lam=lam, L=0.01, y0_amp=0.0)
-        dc = DomainConstants(K=2.0, source={"K": "estimated"})
-        ms = multi_start_uniqueness(pd, 2, seed=1, constants=dc, opts=OptimizeOptions(max_iter=2))
-        assert ms.certificate == certify(CertificateInputs.from_problem(pd, dc))
-        assert ms.uniqueness_threshold == ms.certificate.uniqueness_threshold
-        assert ms.lambda_exceeds_threshold is (lam > 28.0) is (lam > ms.uniqueness_threshold)
-        assert ms.illustrative is True
         assert [f.name for f in fields(MultiStartReport)] == [
-            "reports", "distances", "distance_tol", "certificate", "relative_spread",
+            "reports", "distances", "distance_tol", "relative_spread",
         ]
+        for name in ("uniqueness_threshold", "lambda_exceeds_threshold", "illustrative"):
+            assert not hasattr(ms, name)
+        # a call that still passes constants before opts is refused, not bound to opts
+        with pytest.raises(TypeError):
+            multi_start_uniqueness(pd, 2, 1, DomainConstants(), OptimizeOptions(max_iter=0))

@@ -1,8 +1,8 @@
 """Static checks over the package source: every module imports only what it
-uses, only fieldio splits ``key = value`` lines, only sensitivity forms
-tangent-pair Jacobians, only grid words a range rule, the CLI reads only the
-config keys that config's key table declares, and every checked dataclass is
-frozen."""
+uses, every module imports only modules of a lower layer, only fieldio splits
+``key = value`` lines, only sensitivity forms tangent-pair Jacobians, only
+grid words a range rule, the CLI reads only the config keys that config's key
+table declares, and every checked dataclass is frozen."""
 
 import ast
 import re
@@ -35,6 +35,41 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+# the package's layers from the bottom up; a module imports only lower ones,
+# so the certificates sit beside the optimizer, not under it
+LAYERS = (
+    ("grid",),
+    ("fieldio",),
+    ("spaces",),
+    ("state",),
+    ("sensitivity",),
+    ("adjoint",),
+    ("certificates", "optimizer"),
+    ("config",),
+    ("cli",),
+)
+RANK = {name: rank for rank, names in enumerate(LAYERS) for name in names}
+
+
+def relative_imports(tree: ast.Module) -> set[str]:
+    """Every package module a module imports, ``from . import name`` included."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module] if node.module else [a.name for a in node.names])
+    return out
+
+
+def test_layers_rank_every_module():
+    assert set(RANK) == {p.stem for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_reach_only_lower_layers(path):
+    imported = relative_imports(ast.parse(path.read_text()))
+    assert [m for m in sorted(imported) if RANK[m] >= RANK[path.stem]] == []
 
 
 def equals_splits(tree: ast.Module) -> list[int]:
@@ -70,7 +105,7 @@ def test_only_sensitivity_forms_tangent_pair_jacobians(path):
     assert calls == 0 or (path.name == "sensitivity.py" and calls <= 2)
 
 
-RULE_FRAGMENTS = ("and finite", "must be >=")
+RULE_FRAGMENTS = ("and finite", "must be >=", "must be one of", "must be at least", "(got ")
 
 
 def rule_wordings(tree: ast.Module) -> list[int]:
@@ -93,7 +128,8 @@ def test_grid_words_the_rules():
     "path", [p for p in MODULES if p.name != "grid.py"], ids=lambda p: p.name
 )
 def test_only_grid_words_the_rules(path):
-    # every range check goes through grid._check_count or grid._check_real
+    # every range or choice check goes through grid._check_count,
+    # grid._check_real or grid._check_one_of
     assert rule_wordings(ast.parse(path.read_text())) == []
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 import sgf2d
 from sgf2d import Grid, ProblemData, solve_state, stream_from_coeffs, velocity_from_stream
-from sgf2d.fieldio import write_field
+from sgf2d.fieldio import pairs_text, snapshot_path, write_field
 from sgf2d.state import Trajectory
 
 DECAY = """
@@ -92,10 +92,12 @@ def write_reference(root):
         np.broadcast_to(np.stack([f.u1, f.u2]), (25, 2, n, n)).copy(),
     )
     sol = solve_state(u_hat, pd)
-    fields = root / "reference" / "fields"
-    fields.mkdir(parents=True)
+    ref = root / "reference"
+    (ref / "fields").mkdir(parents=True)
     for k in range(25):
-        write_field(fields / f"y_{k:06d}.bin", sol.velocity_field(k))
+        write_field(snapshot_path(ref, "y", k, ".bin"), sol.velocity_field(k))
+    # yd_from dates the target with the reference run's own T and steps
+    (ref / "report.txt").write_text(pairs_text("simulate", [("T", 2.0), ("steps", 24)]))
 
 
 def main():

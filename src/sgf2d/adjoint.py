@@ -44,14 +44,6 @@ class AdjointState:
         for a in (self.p, self.mu, self.r):
             a.setflags(write=False)
 
-    @property
-    def p_traj(self) -> Trajectory:
-        return Trajectory(self.pd.grid, self.pd.dt, "adjoint", self.p)
-
-    @property
-    def terminal_index(self) -> int:
-        return self.pd.m_steps
-
 
 def _adjoint_core(base: StateSolution, source: np.ndarray, pd: ProblemData) -> AdjointState:
     """Backward sweep driven by the vector-field source trajectory.

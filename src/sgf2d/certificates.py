@@ -152,6 +152,7 @@ def compute_lambda2(ci: CertificateInputs, lambda1: float) -> float:
 
 
 def _lambda3_sq(ci: CertificateInputs, lambda1: float, reading: str) -> float:
+    _check_one_of(reading, _READINGS, "lambda3_reading")
     a, c = ci.alpha, ci.constants
     A = _div(c.C3 * ci.T * c.C1 * lambda1 * (1.0 + a), _sq(a))
     B = c.C3 * ci.T * (1.0 + _l1_mul(lambda1, c.C1, lambda1, 1.0 + 1.0 / a))
@@ -160,10 +161,8 @@ def _lambda3_sq(ci: CertificateInputs, lambda1: float, reading: str) -> float:
     if reading == "printed":
         # grouping exactly as displayed: one product of all four factors
         return _mul(c.K_tilde, _div(1.0, a * ci.nu), eA, paren, eB)
-    if reading == "derived":
-        # grouping the derivation supports: dissipative term added, not multiplied
-        return c.K_tilde * (paren * eB + _mul(_div(1.0, a * ci.nu), eA))
-    raise ValueError(f"unknown lambda3 reading {reading!r}")
+    # grouping the derivation supports: dissipative term added, not multiplied
+    return c.K_tilde * (paren * eB + _mul(_div(1.0, a * ci.nu), eA))
 
 
 def compute_lambda3(ci: CertificateInputs, lambda1: float, reading: str = "printed") -> float:

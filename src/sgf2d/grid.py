@@ -105,8 +105,8 @@ class VectorField2D:
 
     ``stream`` is attached only by velocity_from_stream, which builds the
     velocity from it; a field built any other way, or copied with
-    dataclasses.replace, has none. ``divergence_free`` reads whether the
-    stream is there; the advection operator requires it.
+    dataclasses.replace, has none. A field with a stream is divergence
+    free, and the advection operator requires one.
     """
 
     grid: Grid
@@ -117,10 +117,6 @@ class VectorField2D:
     def __post_init__(self):
         object.__setattr__(self, "u1", _frozen(self.u1, self.grid.shape))
         object.__setattr__(self, "u2", _frozen(self.u2, self.grid.shape))
-
-    @property
-    def divergence_free(self) -> bool:
-        return self.stream is not None
 
 
 def same_grid(*fields) -> Grid:

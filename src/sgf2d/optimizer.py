@@ -113,6 +113,14 @@ def _vi_residual(u: np.ndarray, g: np.ndarray, L: float, tau: np.ndarray, h: flo
     return l2q_norm_values(u - _project(u - g, L, tau, h), tau, h)
 
 
+# the Armijo constant of the line search, and the halvings it tries before
+# it reports failure
+_ARMIJO_C = 1e-4
+_MAX_HALVINGS = 40
+# start_control's H1 norm as a share of the radius L
+_START_SCALE = 0.45
+
+
 class IterRecord(NamedTuple):
     iteration: int
     J: float
@@ -125,19 +133,13 @@ class IterRecord(NamedTuple):
 class OptimizeOptions:
     tol: float | None = None
     max_iter: int = 500
-    armijo_c: float = 1e-4
-    max_halvings: int = 40
     initial_step: float = 1.0
 
     def __post_init__(self):
         if self.tol is not None:
             _check_real(self.tol, "tol")
         # max_iter = 0 evaluates the start only and reports the cap
-        for name in ("max_iter", "max_halvings"):
-            _check_count(getattr(self, name), name, 0)
-        # armijo_c <= 0 accepts steps that raise J
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must lie in (0, 1)")
+        _check_count(self.max_iter, "max_iter", 0)
         _check_real(self.initial_step, "initial_step")
 
 
@@ -161,10 +163,6 @@ class OptimizeReport:
     def n_iterations(self) -> int:
         """Recorded iterates, the start included, so max_iter = 0 gives 1."""
         return len(self.iterates)
-
-    @property
-    def final_norm_h1_max(self) -> float:
-        return float(np.max(self.final_state.norms_h1))
 
     def write_csv(self, path) -> None:
         header = ["iteration", "J", "grad_norm", "step", "vi_residual"]
@@ -258,7 +256,7 @@ def optimize(
 
         accepted = False
         t = step
-        for halvings in range(opts.max_halvings + 1):
+        for halvings in range(_MAX_HALVINGS + 1):
             with np.errstate(over="ignore", invalid="ignore"):
                 trial = _project(u - g * float(t), pd.L, tau, h)
                 decrease = l2q_inner_values(g, trial - u, tau, h)
@@ -272,7 +270,7 @@ def optimize(
                 n_state += 1
                 if not math.isfinite(trial_J):
                     n_nonfinite += 1
-                elif trial_J <= J + opts.armijo_c * decrease:
+                elif trial_J <= J + _ARMIJO_C * decrease:
                     accepted = True
                     break
             t *= 0.5
@@ -315,8 +313,9 @@ def solenoidal_part(u: Trajectory) -> Trajectory:
     return Trajectory(u.grid, u.dt, u.kind, np.stack([p1, p2], axis=1))
 
 
-def start_control(pd: ProblemData, seed: int, index: int, scale: float = 0.45) -> Trajectory:
-    """Deterministic admissible random start: time-modulated stream modes."""
+def start_control(pd: ProblemData, seed: int, index: int) -> Trajectory:
+    """Deterministic admissible random start: time-modulated stream modes,
+    scaled to H1 norm 0.45 L."""
     _check_count(seed, "seed", 0)
     _check_count(index, "index", 0)
     v = random_velocity(pd.grid, np.random.default_rng([seed, index]))
@@ -328,7 +327,7 @@ def start_control(pd: ProblemData, seed: int, index: int, scale: float = 0.45) -
     r = control_h1_norm(u)
     if r == 0.0:
         return u
-    return u * (scale * pd.L / r)
+    return u * (_START_SCALE * pd.L / r)
 
 
 @dataclass

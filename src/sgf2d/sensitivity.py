@@ -46,14 +46,6 @@ class TangentState:
             return self.cross
         return stack_pairs(arakawa, self.dq, other.dpsi, self.pd.grid.h, np.empty_like(self.dq[:-1]))
 
-    @property
-    def z_traj(self) -> Trajectory:
-        return Trajectory(self.pd.grid, self.pd.dt, "tangent", self.z)
-
-    @property
-    def q_tangent(self) -> Trajectory:
-        return Trajectory(self.pd.grid, self.pd.dt, "potential_vorticity", self.dq)
-
 
 def _check_base(base: StateSolution, pd: ProblemData) -> None:
     """Refuse pd unless base was solved under its grid, m_steps, alpha, nu and T."""

@@ -117,8 +117,7 @@ def _partials(v: np.ndarray, h: float, k: int):
     order j-1: d2 of its first part, then d1 of all its parts at once. k is
     checked on the call; the differences are taken as the orders are read.
     """
-    if k not in (0, 1, 2, 3):
-        raise ValueError(f"k must be in 0..3, got {k}")
+    _check_one_of(k, (0, 1, 2, 3), "k")
 
     def next_order(prev, _):
         d = np.empty((prev.shape[0] + 1,) + prev.shape[1:], dtype=prev.dtype)
@@ -235,10 +234,6 @@ class DomainConstants:
         for name in CONSTANT_NAMES:
             _check_real(getattr(self, name), f"constant {name}")
         object.__setattr__(self, "source", MappingProxyType(source))
-
-    @property
-    def any_default(self) -> bool:
-        return _reads_default(self.source)
 
 
 def _full_source(source: Mapping[str, str]) -> dict[str, str]:
@@ -399,8 +394,7 @@ def check_inequality(kind: str, fields, constants: DomainConstants, alpha: float
     function (velocity_from_stream, as the estimator's samples are), or an
     alpha that is negative or not finite raises ValueError before a stencil runs.
     """
-    if kind not in _INEQUALITIES:
-        raise ValueError(f"unknown inequality kind {kind!r}")
+    _check_one_of(kind, tuple(_INEQUALITIES), "estimation kind")
     _check_real(alpha, "alpha", positive=False)
     terms, n_fields, name = _INEQUALITIES[kind]
     given = f"a sequence of {len(fields)}" if isinstance(fields, (tuple, list)) else "one field"
@@ -442,8 +436,7 @@ def quadratic_pencil(kind: str, n_interior: int, n_modes: int) -> tuple[np.ndarr
     products of 1-D factors, so the Grams come from n x m matrices and the
     build holds no (m^2, n, n) stack.
     """
-    if kind not in _PENCIL_KINDS:
-        raise ValueError(f"no quadratic pencil for kind {kind!r}")
+    _check_one_of(kind, _PENCIL_KINDS, "pencil kind")
     grid = Grid(n_interior)
     h = grid.h
     s = _sine_matrix(grid, n_modes).T
@@ -478,8 +471,7 @@ def quadratic_pencil(kind: str, n_interior: int, n_modes: int) -> tuple[np.ndarr
 def _check_sampling(kind: str, n_modes: int, seed: int) -> None:
     """ValueError unless kind is a key of _INEQUALITIES, n_modes an integer
     >= 1 and seed an integer >= 0."""
-    if kind not in _INEQUALITIES:
-        raise ValueError(f"unknown constant kind {kind!r}")
+    _check_one_of(kind, tuple(_INEQUALITIES), "estimation kind")
     _check_count(n_modes, "n_modes", 1)
     _check_count(seed, "seed", 0)
 

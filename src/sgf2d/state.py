@@ -29,6 +29,7 @@ from .grid import (
     ScalarField2D,
     VectorField2D,
     _check_count,
+    _check_one_of,
     _check_real,
     _neg_lap_eigenvalues,
     _time_blocks,
@@ -88,14 +89,13 @@ class Trajectory:
     _SCALAR_KINDS = ("potential_vorticity", "vorticity", "stream")
 
     def __post_init__(self):
+        _check_one_of(self.kind, self._VECTOR_KINDS + self._SCALAR_KINDS, "trajectory kind")
         n = self.grid.n_interior
         a = np.array(self.data, dtype=np.float64, order="C")
         if self.kind in self._VECTOR_KINDS:
             ok = a.ndim == 4 and a.shape[1:] == (2, n, n)
-        elif self.kind in self._SCALAR_KINDS:
-            ok = a.ndim == 3 and a.shape[1:] == (n, n)
         else:
-            raise ValueError(f"unknown trajectory kind {self.kind!r}")
+            ok = a.ndim == 3 and a.shape[1:] == (n, n)
         if not ok or a.shape[0] < 2:
             raise ValueError(f"bad trajectory data shape {a.shape} for kind {self.kind!r}")
         _check_real(self.dt, "dt")
@@ -117,24 +117,11 @@ class Trajectory:
             return VectorField2D(self.grid, self.data[k, 0], self.data[k, 1])
         return ScalarField2D(self.grid, self.data[k])
 
-    @property
-    def slices(self) -> list:
-        return [self.slice(k) for k in range(self.m_steps + 1)]
-
     @classmethod
     def zeros(cls, grid: Grid, m_steps: int, dt: float, kind: str = "control"):
         n = grid.n_interior
         shape = (m_steps + 1, 2, n, n) if kind in cls._VECTOR_KINDS else (m_steps + 1, n, n)
         return cls(grid, dt, kind, np.zeros(shape))
-
-    @classmethod
-    def from_fields(cls, fields, dt: float, kind: str):
-        g = same_grid(*fields)
-        if isinstance(fields[0], VectorField2D):
-            data = np.stack([np.stack([f.u1, f.u2]) for f in fields])
-        else:
-            data = np.stack([f.values for f in fields])
-        return cls(g, dt, kind, data)
 
     def with_data(self, data: np.ndarray) -> "Trajectory":
         return Trajectory(self.grid, self.dt, self.kind, data)

@@ -421,7 +421,15 @@ def optimize_trajectory_loop(pd, opts):
     import math
 
     from sgf2d.adjoint import gradient_field, solve_adjoint
-    from sgf2d.optimizer import IterRecord, _evaluate, _evaluate_trial, project_Uad, vi_residual
+    from sgf2d.optimizer import (
+        _ARMIJO_C,
+        _MAX_HALVINGS,
+        IterRecord,
+        _evaluate,
+        _evaluate_trial,
+        project_Uad,
+        vi_residual,
+    )
     from sgf2d.state import l2q_inner, l2q_inner_values, l2q_norm, trap_weights
 
     tau = trap_weights(pd.m_steps, pd.dt)
@@ -452,7 +460,7 @@ def optimize_trajectory_loop(pd, opts):
                 step = min(max(sy / l2q_inner_values(y, y, tau, pd.grid.h), 1e-14), 1e14)
         accepted = False
         t = step
-        for halvings in range(opts.max_halvings + 1):
+        for halvings in range(_MAX_HALVINGS + 1):
             trial = project_Uad((u - t * g), pd.L)
             decrease = l2q_inner(g, trial - u, tau)
             if decrease <= 0.0:
@@ -460,7 +468,7 @@ def optimize_trajectory_loop(pd, opts):
                 n_state += 1
                 if not math.isfinite(trial_J):
                     n_nonfinite += 1
-                elif trial_J <= J + opts.armijo_c * decrease:
+                elif trial_J <= J + _ARMIJO_C * decrease:
                     accepted = True
                     break
             t *= 0.5

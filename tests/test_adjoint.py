@@ -85,7 +85,7 @@ class TestAdjointBasics:
         adj = solve_adjoint(base, None, pd)
         # p(T) = 0 is the terminal condition; p(0) carries zero quadrature
         # weight in the left-rectangle pairing and is pinned to zero
-        assert np.all(adj.p[adj.terminal_index] == 0.0)
+        assert np.all(adj.p[-1] == 0.0)
         assert np.all(adj.p[0] == 0.0)
         assert np.abs(adj.p[1:-1]).max() > 0.0
 
@@ -102,8 +102,9 @@ class TestAdjointBasics:
         pd = small_problem()
         base = solve_state(None, pd)
         adj = solve_adjoint(base, None, pd)
-        assert adj.p_traj.kind == "adjoint"
-        assert adj.p_traj.m_steps == pd.m_steps
+        # p is the data of an adjoint trajectory on pd's steps
+        p = Trajectory(pd.grid, pd.dt, "adjoint", adj.p)
+        assert p.m_steps == pd.m_steps
 
     def test_target_validation(self):
         pd = small_problem()

@@ -108,7 +108,7 @@ class TestLambdaSpotValues:
         ci = crafted_inputs()
         assert rel(compute_lambda3(ci, 0.0, "printed"), math.sqrt(E)) <= 1e-12
         assert rel(compute_lambda3(ci, 0.0, "derived"), math.sqrt(E + 1.0)) <= 1e-12
-        with pytest.raises(ValueError, match="reading"):
+        with pytest.raises(ValueError, match="lambda3_reading must be one of .*, got 'freehand'"):
             compute_lambda3(ci, 0.0, "freehand")
 
     def test_lambda4(self):

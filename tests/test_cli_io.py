@@ -283,7 +283,7 @@ class TestConfigParsing:
         assert rc.constants.source["K"] == "user_supplied"
         # untouched constants remain flagged as defaults
         assert rc.constants.source["C2"] == "default_unit"
-        assert rc.constants.any_default
+        assert "default_unit" in rc.constants.source.values()
 
     def test_constants_file_conflicts_with_inline(self, tmp_path):
         p = write_cfg(

@@ -229,9 +229,9 @@ class TestStackNorms:
             raise AssertionError("differenced before the order was checked")
 
         monkeypatch.setattr(spaces, "diff1", refuse)
-        with pytest.raises(ValueError, match="k must be in 0..3"):
+        with pytest.raises(ValueError, match=r"k must be one of \(0, 1, 2, 3\)"):
             stack_hk_sq(np.ones((3, 2, 4, 4)), 0.2, k)
-        with pytest.raises(ValueError, match="k must be in 0..3"):
+        with pytest.raises(ValueError, match=r"k must be one of \(0, 1, 2, 3\)"):
             norm_hk_values((np.ones((4, 4)), np.ones((4, 4))), 0.2, k)
 
     def test_control_h1_norm_matches_slice_trapezoid(self):
@@ -361,7 +361,7 @@ class TestDomainConstants:
     def test_defaults_are_unit_and_flagged(self):
         dc = DomainConstants()
         assert all(getattr(dc, name) == 1.0 for name in CONSTANT_NAMES)
-        assert dc.any_default
+        assert "default_unit" in dc.source.values()
         assert set(dc.source) == set(CONSTANT_NAMES)
 
     def test_positivity_enforced(self):
@@ -408,7 +408,7 @@ class TestDomainConstants:
 
     def test_any_default_clears(self):
         dc = DomainConstants(source={name: "user_supplied" for name in CONSTANT_NAMES})
-        assert not dc.any_default
+        assert "default_unit" not in dc.source.values()
 
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "constants.txt"
@@ -483,7 +483,7 @@ class TestDomainConstants:
         dc = load_constants(path)
         assert (dc.K, dc.C1) == (2.0, 3.0)
         assert dc.source["K"] == "default_unit" and dc.source["C1"] == "user_supplied"
-        assert dc.any_default
+        assert "default_unit" in dc.source.values()
 
     def test_load_skips_comments_and_blanks(self, tmp_path):
         path = tmp_path / "ok.txt"
@@ -517,7 +517,8 @@ class TestEstimators:
             estimate_constant("korn", samples=0, seed=1, grid=Grid(8))
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        # worded as a config's kinds line is
+        with pytest.raises(ValueError, match="estimation kind must be one of .*, got 'poincare'"):
             estimate_constant("poincare", samples=1, seed=1, grid=Grid(8))
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
@@ -607,7 +608,7 @@ class TestEstimators:
 
     @pytest.mark.parametrize("kind", ["trilinear", "poincare"])
     def test_pencil_of_a_non_quadratic_kind_refused(self, kind):
-        with pytest.raises(ValueError, match="no quadratic pencil"):
+        with pytest.raises(ValueError, match="pencil kind must be one of"):
             spaces.quadratic_pencil(kind, 8, 3)
 
     @pytest.mark.parametrize("kind", ["korn", "elliptic", "trilinear"])
@@ -723,7 +724,7 @@ class TestInequalities:
         assert not chk.holds
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="estimation kind must be one of .*, got 'sobolev'"):
             check_inequality("sobolev", random_field(Grid(8), 15), DomainConstants())
 
     @pytest.mark.parametrize("kind", ["korn", "elliptic", "trilinear"])
@@ -778,7 +779,7 @@ class TestConstantToolArguments:
         monkeypatch.setattr(spaces.np.random, "default_rng", refuse)
 
     def test_sample_field_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind 'bogus'"):
+        with pytest.raises(ValueError, match="estimation kind must be one of .*, got 'bogus'"):
             sample_field("bogus", 0, 1, grid=Grid(8))
 
     @pytest.mark.parametrize("kind", ["korn", "trilinear"])
@@ -873,7 +874,7 @@ class TestStreamFields:
         g = Grid(10)
         v1 = random_velocity(g, np.random.default_rng(4))
         v2 = random_velocity(g, np.random.default_rng(4))
-        assert v1.divergence_free and v1.stream is not None
+        assert v1.stream is not None
         assert np.array_equal(v1.u1, v2.u1) and np.array_equal(v1.u2, v2.u2)
 
     def test_apply_A_eigenmode(self):

@@ -635,24 +635,24 @@ class TestStreamVelocityCurl:
         g = Grid(8)
         y = velocity_from_stream(ScalarField2D(g, np.zeros(g.shape)))
         assert np.all(y.u1 == 0.0) and np.all(y.u2 == 0.0)
-        assert y.divergence_free and y.stream is not None
+        assert y.stream is not None
 
     def test_stream_is_attached_only_by_velocity_from_stream(self):
         g = Grid(8)
         psi = ScalarField2D(g, sine_mode(g, 1, 2))
         y = velocity_from_stream(psi)
-        assert y.stream is psi and y.divergence_free
+        assert y.stream is psi
         with pytest.raises(TypeError):
             VectorField2D(g, y.u1, y.u2, True)
         with pytest.raises(TypeError):
             VectorField2D(g, 5.0 * y.u1, 5.0 * y.u2, stream=psi)
         # a copy with other components drops the stream instead of keeping a stale one
         moved = dataclasses.replace(y, u1=5.0 * y.u1)
-        assert moved.stream is None and not moved.divergence_free
+        assert moved.stream is None
         bare = VectorField2D(g, y.u1, y.u2)
-        assert bare.stream is None and not bare.divergence_free
-        with pytest.raises(AttributeError):
-            y.divergence_free = False
+        assert bare.stream is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            y.stream = None
 
     def test_single_mode_centerline(self):
         # n odd: the centerline x2 = 1/2 hits a node; u1 = d2 psi vanishes there

@@ -317,26 +317,13 @@ class TestOptimize:
             OptimizeOptions(**kw)
 
     @pytest.mark.parametrize(
-        "kw,field",
-        [
-            ({"armijo_c": 0.0}, "armijo_c"),
-            ({"armijo_c": 1.0}, "armijo_c"),
-            ({"armijo_c": -10.0}, "armijo_c"),
-            ({"armijo_c": float("nan")}, "armijo_c"),
-            ({"armijo_c": float("inf")}, "armijo_c"),
-            ({"max_halvings": -1}, "max_halvings"),
-            ({"initial_step": 0.0}, "initial_step"),
-            ({"initial_step": -1.0}, "initial_step"),
-            ({"initial_step": float("inf")}, "initial_step"),
-            ({"initial_step": float("nan")}, "initial_step"),
-        ],
+        "step", [0.0, -1.0, float("inf"), float("nan")], ids=["zero", "negative", "inf", "nan"]
     )
-    def test_step_options_validated(self, kw, field):
-        # armijo_c = -10 let J rise on accepted steps, against optimize's contract
-        with pytest.raises(ValueError, match=field):
-            OptimizeOptions(**kw)
+    def test_step_options_validated(self, step):
+        with pytest.raises(ValueError, match="initial_step must be positive and finite"):
+            OptimizeOptions(initial_step=step)
 
-    @pytest.mark.parametrize("field", ["max_iter", "max_halvings"])
+    @pytest.mark.parametrize("field", ["max_iter"])
     def test_counts_must_be_integers(self, field):
         # max_iter = 2.5 used to be built, and optimize failed after its first sweeps
         with pytest.raises(ValueError, match=f"{field} must be an integer, got 2.5"):
@@ -358,7 +345,7 @@ class TestOptimize:
         assert np.array_equal(rep.final_state.u.data, rep.u_final.data)
         for name in ("psi", "q", "y"):
             assert np.array_equal(getattr(rep.final_state, name), getattr(fresh, name)), name
-        assert rep.final_norm_h1_max == float(np.max(fresh.norms_h1))
+        assert np.array_equal(rep.final_state.norms_h1, fresh.norms_h1)
 
     def test_iteration_cap_path(self):
         pd = small_problem()
@@ -379,9 +366,7 @@ class TestOptimize:
         pd = small_problem(L=1e5, lam=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rep = optimize(
-                pd, None, OptimizeOptions(max_iter=5, initial_step=1e18, max_halvings=0)
-            )
+            rep = optimize(pd, None, OptimizeOptions(max_iter=5, initial_step=1e18))
         assert not rep.converged
         assert "line search failed" in rep.message
 
@@ -486,13 +471,13 @@ class TestOptimize:
         pd = small_problem(L=1e5, lam=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rep = optimize(
-                pd, None, OptimizeOptions(max_iter=5, initial_step=1e18, max_halvings=3)
-            )
+            rep = optimize(pd, None, OptimizeOptions(max_iter=5, initial_step=1e18))
         assert "line search failed" in rep.message
-        # the start, then four rejected trials of the first line search
-        assert (rep.n_iterations, rep.n_halvings, rep.n_adjoint_solves) == (1, 3, 1)
-        assert rep.n_state_solves == len(states) == 5
+        # the start, then the 41 solved and rejected trials of the first line
+        # search: every trial is finite and none decreases J enough
+        assert (rep.n_iterations, rep.n_halvings, rep.n_adjoint_solves) == (1, 40, 1)
+        assert rep.n_state_solves == len(states) == 42
+        assert rep.n_nonfinite_trials == 0
 
     def test_deterministic(self):
         pd = small_problem(lam=0.1)
@@ -639,7 +624,7 @@ class TestNonFiniteTrials:
 
     def test_blown_up_start_still_raises(self):
         pd = small_problem(L=1e12)
-        u0 = start_control(pd, 0, 0, scale=1e-2)  # H1 norm 1e10
+        u0 = start_control(pd, 0, 0) * (1e-2 / 0.45)  # H1 norm 1e10
         with pytest.raises(BlowUpError):
             optimize(pd, u0, OptimizeOptions(max_iter=3))
 

@@ -66,10 +66,11 @@ class TestLinearizedBasics:
         pd = small_problem()
         base = solve_state(None, pd)
         tan = solve_linearized(base, smooth_control(pd, 2), pd)
-        assert tan.z_traj.kind == "tangent"
-        assert tan.z_traj.is_vector
-        assert tan.q_tangent.kind == "potential_vorticity"
-        assert tan.q_tangent.m_steps == pd.m_steps
+        # z and dq are the data of tangent and potential vorticity trajectories
+        z = Trajectory(pd.grid, pd.dt, "tangent", tan.z)
+        assert z.is_vector and z.m_steps == pd.m_steps
+        dq = Trajectory(pd.grid, pd.dt, "potential_vorticity", tan.dq)
+        assert dq.m_steps == pd.m_steps
 
     @pytest.mark.parametrize(
         "solver",

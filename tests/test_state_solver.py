@@ -80,7 +80,7 @@ class TestTrajectory:
         assert not q.is_vector and q.data.shape == (5, 6, 6)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
+        with pytest.raises(ValueError, match="trajectory kind must be one of .*, got 'pressure'"):
             Trajectory.zeros(Grid(6), 4, 0.1, "pressure")
 
     def test_shape_and_dt_validated(self):
@@ -122,11 +122,11 @@ class TestTrajectory:
     def test_from_fields_round_trip(self):
         g = Grid(7)
         fields = [smooth_raw_field(g, s) for s in range(3)]
-        tr = Trajectory.from_fields(fields, 0.5, "velocity")
+        tr = Trajectory(g, 0.5, "velocity", [[f.u1, f.u2] for f in fields])
+        assert tr.m_steps == 2
         for k, f in enumerate(fields):
             s = tr.slice(k)
             assert np.array_equal(s.u1, f.u1) and np.array_equal(s.u2, f.u2)
-        assert len(tr.slices) == 3
 
     def test_arithmetic(self):
         g = Grid(6)
@@ -603,7 +603,7 @@ class TestSolveState:
         assert np.array_equal(ps1.values, sol.psi[1])
         assert np.array_equal(om1.values, sol.omega[1])
         assert np.array_equal(np.stack([y1.u1, y1.u2]), sol.y[1])
-        assert y1.divergence_free and y1.stream is ps1
+        assert y1.stream is ps1
 
     def test_norm_pass_memory_does_not_grow_with_steps(self):
         # the stack is walked in fixed blocks, so the temporaries are the

@@ -4,8 +4,9 @@ Four legs: simulate a decaying vortex; manufacture a reachable tracking
 target by writing a library-computed stirred trajectory in the snapshot
 format the CLI reads back (yd_from); optimize against it; estimate domain
 constants and certify a regularized problem with them.  Every artifact
-(configs, binary snapshots, logs, certificate) lands in a scratch directory
-printed at the end.
+(configs, binary snapshots, logs, certificate) lands in a temporary
+directory that is removed when the demo ends; the reports and the
+certificate are printed on the way.
 """
 
 import os
@@ -101,8 +102,11 @@ def write_reference(root):
 
 
 def main():
-    root = Path(tempfile.mkdtemp(prefix="sgf2d_demo_"))
+    with tempfile.TemporaryDirectory(prefix="sgf2d_demo_") as tmp:
+        walk(Path(tmp))
 
+
+def walk(root):
     (root / "decay.cfg").write_text(DECAY)
     run(["simulate", "--config", "decay.cfg", "--out", "decay"], root)
     print("-- simulate: free decay")
@@ -120,8 +124,6 @@ def main():
     run(["certify", "--config", "certify2.cfg", "--out", "cert"], root)
     print("-- certify: thresholds with estimated constants")
     print((root / "cert" / "certificate.txt").read_text())
-
-    print(f"all artifacts under {root}")
 
 
 if __name__ == "__main__":

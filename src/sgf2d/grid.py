@@ -241,69 +241,66 @@ def nonlinear_values(z1, z2, p1, p2, alpha: float, h: float) -> np.ndarray:
 class _ArakawaPlan:
     """Buffers and views for arakawa on operands of one shape and dtype.
 
-    Both operands live in one zero-ringed buffer; a call overwrites only the
-    interiors, so the ring stays zero. Flattened over the whole padded stack,
-    node (i, j) sits at p = i*s + j and each neighbour is a contiguous slice
-    at offset +-1, +-s or +-s+-1. Every interior node reaches only its own
-    slice's ghost ring; the ghost nodes, computed along the way, are dropped.
+    The Jacobian is taken in Arakawa's flux form (J. Comput. Phys. 1, 1966,
+    eqs. 44-46): with dx f = fE - fW, dy f = fN - fS and the fluxes
+    H = a dy b - b dy a and K = a dx b - b dx a,
+
+        12 h^2 J = dx a dy b - dy a dx b + (HE - HW) - (KN - KS).
+
+    a, b, H and K each live in a zero-ringed buffer. Flattened over the whole
+    padded stack, node (i, j) sits at p = i*s + j and each neighbour is a
+    contiguous slice at offset +-1 or +-s. A call writes a and b into their
+    interiors and computes the differences, H and K over p in [lo, hi), which
+    covers every interior node; the ring nodes outside that range are never
+    written, so they stay zero. An interior node reads H on the rows next to
+    it and K on the columns next to it, in its own slice. On the ring those
+    H and K are products of ring values alone, so exactly zero; every other
+    ghost value reaches only ghost nodes of the result, which are dropped.
     """
 
     def __init__(self, shape: tuple, dtype):
         s = shape[-1] + 2
-        pads = np.zeros((2,) + shape[:-2] + (shape[-2] + 2, s), dtype=dtype)
+        pads = np.zeros((4,) + shape[:-2] + (shape[-2] + 2, s), dtype=dtype)
         self.a_in, self.b_in = pads[0, ..., 1:-1, 1:-1], pads[1, ..., 1:-1, 1:-1]
-        af, bf = pads[0].reshape(-1), pads[1].reshape(-1)
+        af, bf, hf, kf = (p.reshape(-1) for p in pads)
         lo, hi = s + 1, af.size - s - 1  # p over [lo, hi) covers every interior node
-        size = hi - lo
-        # every difference of b the stencil takes (bN - bS, bNE - bSE, bN - bE, ...)
-        # is a shifted slice of one of these four, with the same two operands
-        self.b_pairs = (
-            (bf[2:], bf[:-2]),  # dy[p - 1] = b(i, j+1) - b(i, j-1)
-            (bf[2 * s:], bf[: -2 * s]),  # dx[p - s] = b(i+1, j) - b(i-1, j)
-            (bf[s + 1:], bf[: -s - 1]),  # up[p] = b(i+1, j+1) - b(i, j)
-            (bf[1: af.size - s + 1], bf[s:]),  # dn[p] = b(i, j+1) - b(i+1, j)
-        )
-        self.diffs = dy, dx, up, dn = tuple(np.empty_like(x) for x, _ in self.b_pairs)
 
-        def a_at(offset):
-            return af[lo + offset: hi + offset]
+        def at(f, offset):
+            return f[lo + offset: hi + offset]
 
-        # aE, aW, aN, aS, aNE, aSW, aNW, aSE
-        self.a_nbrs = tuple(a_at(o) for o in (s, -s, 1, -1, s + 1, -s - 1, 1 - s, s - 1))
-        # bN - bS, bE - bW; bNE - bSE, bNW - bSW, bNE - bNW, bSE - bSW;
-        # bN - bE, bW - bS, bN - bW, bE - bS
-        self.b_diffs = (
-            dy[s: s + size], dx[1: 1 + size],
-            dy[2 * s:], dy[:size], dx[2:], dx[:size],
-            dn[s + 1: s + 1 + size], dn[:size], up[1: 1 + size], up[s: s + size],
-        )
-        self.temps = tuple(np.empty_like(self.a_nbrs[0]) for _ in range(3))
+        self.a_flat, self.b_flat, self.H, self.K = (at(f, 0) for f in (af, bf, hf, kf))
+        # aE, aW, aN, aS and the same for b
+        self.a_nbrs = tuple(at(af, o) for o in (s, -s, 1, -1))
+        self.b_nbrs = tuple(at(bf, o) for o in (s, -s, 1, -1))
+        # HE, HW, KN, KS
+        self.fluxes = at(hf, s), at(hf, -s), at(kf, 1), at(kf, -1)
+        self.diffs = tuple(np.empty_like(self.a_flat) for _ in range(4))
         total = np.empty_like(pads[0])
         self.total_flat, self.interior = total.reshape(-1)[lo:hi], total[..., 1:-1, 1:-1]
 
     def __call__(self, a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
         self.a_in[...] = a
         self.b_in[...] = b
-        for (x, y), d in zip(self.b_pairs, self.diffs):
-            np.subtract(x, y, d)
-        aE, aW, aN, aS, aNE, aSW, aNW, aSE = self.a_nbrs
-        bN_S, bE_W, bNE_SE, bNW_SW, bNE_NW, bSE_SW, bN_E, bW_S, bN_W, bE_S = self.b_diffs
-        j, t, j2 = self.temps
-        # j1 = (aE - aW)(bN - bS) - (aN - aS)(bE - bW), then j2 and j3 term by
-        # term, left to right; each pass writes into its third argument
-        sub, mul, add = np.subtract, np.multiply, np.add
-        mul(sub(aE, aW, j), bN_S, j)
-        sub(j, mul(sub(aN, aS, t), bE_W, t), j)
-        mul(aE, bNE_SE, j2)
-        sub(j2, mul(aW, bNW_SW, t), j2)
-        sub(j2, mul(aN, bNE_NW, t), j2)
-        add(j2, mul(aS, bSE_SW, t), j2)
-        add(j, j2, j)
-        mul(aNE, bN_E, j2)
-        sub(j2, mul(aSW, bW_S, t), j2)
-        sub(j2, mul(aNW, bN_W, t), j2)
-        add(j2, mul(aSE, bE_S, t), j2)
-        add(j, j2, self.total_flat)
+        sub, mul = np.subtract, np.multiply
+        aE, aW, aN, aS = self.a_nbrs
+        bE, bW, bN, bS = self.b_nbrs
+        HE, HW, KN, KS = self.fluxes
+        dxa, dya, dxb, dyb = self.diffs
+        sub(aE, aW, dxa)
+        sub(aN, aS, dya)
+        sub(bE, bW, dxb)
+        sub(bN, bS, dyb)
+        # H = a dyb - b dya, then K = a dxb - b dxa; the product b dya waits in
+        # K's buffer and b dxa in the result's, each before that is written
+        a, b, H, K, j = self.a_flat, self.b_flat, self.H, self.K, self.total_flat
+        sub(mul(a, dyb, H), mul(b, dya, K), H)
+        sub(mul(a, dxb, K), mul(b, dxa, j), K)
+        # j = dxa dyb - dya dxb; dxa is free once read, so it holds each
+        # second operand that follows
+        t = dxa
+        sub(mul(dxa, dyb, j), mul(dya, dxb, t), j)
+        np.add(j, sub(HE, HW, t), j)
+        sub(j, sub(KN, KS, t), j)
         return self.interior / (12.0 * h * h)
 
 
@@ -326,13 +323,18 @@ def arakawa(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
     sum(c * J(a,b)) is exactly antisymmetric in every argument pair, which
     is what the conservation and transposition contracts rely on.
 
-    A call runs through an _ArakawaPlan for the operands' shape and dtype:
-    the padded operands, the four differences of b, the neighbour slices
-    and the temporaries are built once per plan, so a call copies a and b
-    in and runs its arithmetic passes. The passes are the same ufuncs in
-    the same order as a freshly padded copy would take, so the bits equal
-    the np.pad form's (operands of two dtypes are taken in their common
-    type). The result is a fresh C-contiguous array. _arakawa_plan keeps
+    The Jacobian is Arakawa's flux form (see _ArakawaPlan), the mean of the
+    three centred forms J++, J+x and Jx+. A call runs through an
+    _ArakawaPlan for the operands' shape and dtype, which builds the
+    zero-ringed buffers of a, b and the fluxes H and K, the four differences
+    and the neighbour slices once. A call makes 20 array passes. It copies
+    a and b in, takes four differences, forms H, K and
+    dx a dy b - dy a dx b, adds the two flux differences and scales the
+    interior. The passes are the same ufuncs in the same order as the flux
+    form written against np.pad, so the bits equal that form's (operands of
+    two dtypes are taken in their common type); the nine-point expansion
+    of the same sums rounds differently, by a few ulps. The result is a
+    fresh C-contiguous array. _arakawa_plan keeps
     the _ARAKAWA_PLANS_KEPT most recently used plans of the whole process,
     keyed by thread, and only for operands of at most _BLOCK_BYTES (every
     call of a sweep's time-block passes and per-step loops up to 63^2): a

@@ -5,7 +5,7 @@ import io
 
 import numpy as np
 
-from sgf2d.grid import Grid, ScalarField2D, VectorField2D, nonlinear_values, slice_sums, velocity_from_stream, velocity_values
+from sgf2d.grid import ScalarField2D, VectorField2D, nonlinear_values, slice_sums, velocity_from_stream, velocity_values
 from sgf2d.spaces import (
     apply_A,
     diff1,

@@ -24,9 +24,11 @@ def test_demo_exits_zero(script, tmp_path):
         capture_output=True,
         text=True,
         cwd=cwd,
-        # the walkthrough's mkdtemp lands under tmp_path too
+        # the walkthrough's temporary directory lands under tmp_path too
         env={**os.environ, "PYTHONPATH": str(package_root), "TMPDIR": str(scratch)},
     )
     assert proc.returncode == 0, proc.stderr
-    # a demo writes only under a temporary directory or demos/demo_outputs/
+    # a demo writes only under a temporary directory, which it removes, or
+    # under demos/demo_outputs/
     assert list(cwd.iterdir()) == []
+    assert list(scratch.iterdir()) == []

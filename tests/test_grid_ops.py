@@ -178,20 +178,35 @@ class TestLaplacian:
 
 def _padded_stencils(a, b, h):
     # the stencils written against np.pad over the last two axes: pad0 and its
-    # callers must match them bit for bit
+    # callers must match them bit for bit. The Jacobian is Arakawa's flux form
+    # with the kernel's grouping; the fluxes H and K are zero on the ring
     pad = [(0, 0)] * (a.ndim - 2) + [(1, 1), (1, 1)]
     ap, bp = np.pad(a, pad), np.pad(b, pad)
+    aE, aW, aN, aS = ap[..., 2:, 1:-1], ap[..., :-2, 1:-1], ap[..., 1:-1, 2:], ap[..., 1:-1, :-2]
+    bE, bW, bN, bS = bp[..., 2:, 1:-1], bp[..., :-2, 1:-1], bp[..., 1:-1, 2:], bp[..., 1:-1, :-2]
+    lap = (aE + aW + aN + aS - 4.0 * a) / (h * h)
+    d1 = (aE - aW) / (2.0 * h)
+    d2 = (aN - aS) / (2.0 * h)
+    dxa, dya, dxb, dyb = aE - aW, aN - aS, bE - bW, bN - bS
+    Hp, Kp = np.pad(a * dyb - b * dya, pad), np.pad(a * dxb - b * dxa, pad)
+    HE, HW = Hp[..., 2:, 1:-1], Hp[..., :-2, 1:-1]
+    KN, KS = Kp[..., 1:-1, 2:], Kp[..., 1:-1, :-2]
+    jac = (dxa * dyb - dya * dxb + (HE - HW) - (KN - KS)) / (12.0 * h * h)
+    return lap, d1, d2, jac
+
+
+def _nine_point_jacobian(a, b, h):
+    # the same Jacobian expanded into nine-point sums (J++ + J+x + Jx+), a
+    # second oracle that rounds differently from the flux form
+    ap, bp = (np.pad(x, [(0, 0)] * (x.ndim - 2) + [(1, 1), (1, 1)]) for x in (a, b))
     aE, aW, aN, aS = ap[..., 2:, 1:-1], ap[..., :-2, 1:-1], ap[..., 1:-1, 2:], ap[..., 1:-1, :-2]
     aNE, aNW, aSE, aSW = ap[..., 2:, 2:], ap[..., :-2, 2:], ap[..., 2:, :-2], ap[..., :-2, :-2]
     bE, bW, bN, bS = bp[..., 2:, 1:-1], bp[..., :-2, 1:-1], bp[..., 1:-1, 2:], bp[..., 1:-1, :-2]
     bNE, bNW, bSE, bSW = bp[..., 2:, 2:], bp[..., :-2, 2:], bp[..., 2:, :-2], bp[..., :-2, :-2]
-    lap = (aE + aW + aN + aS - 4.0 * a) / (h * h)
-    d1 = (aE - aW) / (2.0 * h)
-    d2 = (aN - aS) / (2.0 * h)
     j1 = (aE - aW) * (bN - bS) - (aN - aS) * (bE - bW)
     j2 = aE * (bNE - bSE) - aW * (bNW - bSW) - aN * (bNE - bNW) + aS * (bSE - bSW)
     j3 = aNE * (bN - bE) - aSW * (bW - bS) - aNW * (bN - bW) + aSE * (bE - bS)
-    return lap, d1, d2, (j1 + j2 + j3) / (12.0 * h * h)
+    return (j1 + j2 + j3) / (12.0 * h * h)
 
 
 class TestPadFreeStencils:
@@ -350,6 +365,34 @@ class TestArakawaPlan:
         with np.errstate(invalid="ignore"):
             assert not np.isfinite(arakawa(bad_a, bad_b, h)).all()
         assert np.array_equal(arakawa(a, b, h), _jacobian(a, b, h))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (16, 16), (63, 63), (2, 16, 16)])
+    def test_within_roundoff_of_the_nine_point_sums(self, shape):
+        # both forms sum terms of at most 24 max|a| max|b| before the 1/(12 h^2)
+        # scale, so they agree to a few units of roundoff of that size
+        h = Grid(shape[-1]).h
+        for seed in range(4):
+            a, b = _operands(shape, "contiguous", seed)
+            a, b = 10.0 ** (seed - 2) * a, 3.0 * b
+            bound = 2.0 * np.finfo(float).eps * np.abs(a).max() * np.abs(b).max() / (h * h)
+            assert np.abs(arakawa(a, b, h) - _nine_point_jacobian(a, b, h)).max() <= bound
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", [(0, 0), (-1, -1), (0, 7), (-1, 7), (7, 0), (7, -1)])
+    def test_nonfinite_slice_leaves_the_others_bit_equal(self, bad, where):
+        # the flux buffers' ghost rows sit between slices: a slice must read
+        # only its own ring, so no other slice sees a non-finite neighbour
+        h = Grid(16).h
+        a, b = _operands((3, 16, 16), "contiguous", 9)
+        for operand in (a, b):
+            op = operand.copy()
+            op[1][where] = bad
+            args = (op, b) if operand is a else (a, op)
+            with np.errstate(invalid="ignore"):
+                got = arakawa(*args, h)
+            assert not np.isfinite(got[1]).all()
+            for k in (0, 2):
+                assert np.array_equal(got[k], arakawa(args[0][k], args[1][k], h))
 
     def test_results_are_never_shared(self):
         h = Grid(16).h

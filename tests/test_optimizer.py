@@ -41,7 +41,6 @@ from sgf2d.state import (
     control_h1_norm,
     l2q_inner_values,
     l2q_norm,
-    left_weights,
     solve_state,
     trap_weights,
 )

@@ -1,8 +1,9 @@
-"""Static checks over the package source: every module imports only what it
-uses, every module imports only modules of a lower layer, only fieldio splits
-``key = value`` lines, only sensitivity forms tangent-pair Jacobians, only
-grid words a range rule, the CLI reads only the config keys that config's key
-table declares, and every checked dataclass is frozen."""
+"""Static checks over the package source: every module, test module and
+demo imports only what it uses, every module imports only modules of a lower
+layer, only fieldio splits ``key = value`` lines, only sensitivity forms
+tangent-pair Jacobians, only grid words a range rule, the CLI reads only the
+config keys that config's key table declares, and every checked dataclass is
+frozen."""
 
 import ast
 import re
@@ -12,8 +13,11 @@ import pytest
 
 from sgf2d.config import _PROBLEM_KEYS, _RUN_KEYS
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sgf2d"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sgf2d"
+# __init__.py re-exports what it imports, so the import check leaves it out
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -32,7 +36,11 @@ def test_modules_found():
     assert len(MODULES) >= 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scripts_found():
+    assert {p.parent.name for p in SCRIPTS} == {"tests", "demos"}
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 

@@ -58,7 +58,6 @@ from helpers import (
     smooth_raw_field,
     solve_state_per_step,
     windowed_stream,
-    windowed_velocity,
 )
 
 
